@@ -14,15 +14,16 @@ import os
 import sys
 
 from . import gluing as gl
-from .embed import embed, write_obj
+from .embed import write_obj
 from .errors import MalformedPolygonError, SamplingBudgetError, ZipfoldError
-from .geodesic import tetra_metric
 from .pipeline import (
     FAIL,
     INCONC,
     PASS,
     PipelineConfig,
     SWEEP_COLUMNS,
+    fold_halving,
+    halving_tetrahedron,
     summarize_records,
     sweep_one,
     verify_polygon,
@@ -143,12 +144,12 @@ def cmd_fold(args):
             print(f"error: fold index must be in 0..{n // 2 - 1}", file=sys.stderr)
             return EXIT_INPUT
 
-    prof_angles = validate(poly, cfg.tolerances).angles
+    rep = validate(poly, cfg.tolerances)
     report = {
         "n": n,
         "halvings": [],
         "relation_diagnostics": [
-            d for d in gl.curvature_collision_relations(prof_angles)
+            d for d in gl.curvature_collision_relations(rep.angles)
         ]
         if n == 6
         else [],
@@ -156,13 +157,11 @@ def cmd_fold(args):
     failures = 0
     tets = {}
     for i in indices:
-        g = gl.glue_halving(poly, i)
-        curv = gl.cone_angles(g, cfg.tolerances.tol_curvature)
+        g, curv, engine = fold_halving(poly, i, cfg)
         entry = json.loads(gl.gluing_report_json(g, curv))
         if n == 6:
             try:
-                metric = tetra_metric(g, cfg=cfg.tolerances, dev_cap=cfg.dev_cap)
-                tet = embed(metric, cfg.tolerances.tol_vol)
+                metric, tet = halving_tetrahedron(engine, rep.fat_ok, cfg.tolerances)
                 tets[i] = tet
                 entry["metric"] = metric.as_dict()
                 entry["flat"] = tet.flat

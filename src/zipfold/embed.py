@@ -98,10 +98,6 @@ class Tetrahedron3D:
     def surface_area(self):
         return sum(self.face_areas().values())
 
-    def signed_volume(self):
-        a, b, c, d = (np.asarray(self.point(k)) for k in "abcd")
-        return float(np.dot(np.cross(b - a, c - a), d - a)) / 6.0
-
 
 def cayley_menger_volume2(metric, tol_vol=1e-12):
     """Squared tetrahedron volume from the bordered squared-distance matrix.

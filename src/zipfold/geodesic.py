@@ -33,10 +33,11 @@ every transform anyway and is asserted False throughout this pipeline.
 """
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
-from .embed import TetraMetric
+from .embed import PAIRS, TetraMetric
 from .errors import GeodesicError, GeodesicNotFoundError
 from .geometry import (
     IDENTITY,
@@ -50,6 +51,9 @@ from .polygon import validate
 TWO_PI = 2.0 * math.pi
 OVERHANG_BOUND = 1.0 - math.sqrt(3.0) / 2.0
 ENTRY_ANGLE = 2.0 * math.asin(OVERHANG_BOUND / 2.0)
+# added to every distance-table budget so a distance of exactly the budget
+# is still found
+BUDGET_SLACK = 1e-6
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -100,16 +104,13 @@ class ShortestResult:
     status: str
     path: GeodesicPath | None
     developments: int
+    # lower bound on every path the search left unexamined when it ran out
+    # of developments; inf when it did not run out
+    frontier: float
 
     @property
     def found(self):
         return self.status == FOUND
-
-    @property
-    def length(self):
-        if self.path is None:
-            raise GeodesicNotFoundError("no geodesic found")
-        return self.path.length
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,6 @@ class DiskReport:
     radius: float
     witness: tuple | None  # (cone_vertices, distance) for the closest intruder
 
-    @property
-    def empty(self):
-        if self.status == INCONCLUSIVE:
-            raise GeodesicError("disk check inconclusive: search budget exhausted")
-        return self.status == "empty"
-
 
 @dataclass(frozen=True)
 class OverhangReport:
@@ -141,10 +136,6 @@ class OverhangReport:
     per_edge: tuple  # (vertex, edge_index, width)
     bound: float
     beta_rad: float
-
-    @property
-    def beta_deg(self):
-        return math.degrees(self.beta_rad)
 
     @property
     def within_bound(self):
@@ -188,6 +179,7 @@ class DevelopmentEngine:
             self.ident_of_edge[eb] = ident
         if any(p is None for p in self.partner):
             raise GeodesicError("gluing does not cover every boundary edge")
+        self._table = None
 
     def _edge_index(self, u, v):
         if (u + 1) % self.n == v:
@@ -290,8 +282,8 @@ class DevelopmentEngine:
         """Push the straight segment s->end through the copies.
 
         Returns (edge_path, transform_list) with the transform of every copy
-        the segment visits, or None when the trace degenerates (grazing
-        crossings are settled later by the clearance check).
+        the segment visits; grazing crossings are settled later by the
+        clearance check.
         """
         transform = IDENTITY
         entry = None
@@ -335,10 +327,7 @@ class DevelopmentEngine:
 
     def _finalize(self, source_cone, target_cone, sv, tv, node, end):
         s = self.points[sv]
-        traced = self._trace(s, end)
-        if traced is None:
-            return None
-        edge_path, transforms = traced
+        edge_path, transforms = self._trace(s, end)
         if tuple(edge_path) != tuple(node.edge_path):
             return None
         final = transforms[-1]
@@ -391,7 +380,7 @@ class DevelopmentEngine:
         tie = 1
         seen = set()
         pops = 0
-        exhausted = False
+        frontier = math.inf
         best = math.inf
         while heap:
             lb, _, node = heapq.heappop(heap)
@@ -400,7 +389,7 @@ class DevelopmentEngine:
             if stop_at_first and lb > best:
                 break
             if pops >= dev_cap:
-                exhausted = True
+                frontier = lb
                 break
             pops += 1
             transform = node.transform
@@ -444,7 +433,7 @@ class DevelopmentEngine:
                     (lb2, tie, _Node(t2, self.partner[j], cone2, node.edge_path + (j,))),
                 )
                 tie += 1
-        return pops, exhausted
+        return pops, frontier
 
     def _run(self, src_idx, dst_idx, budget, dev_cap, stop_at_first):
         cps = self.gluing.cone_points
@@ -457,28 +446,121 @@ class DevelopmentEngine:
         cap = dev_cap if dev_cap is not None else self.dev_cap
         collect = {}
         pops = 0
-        exhausted = False
+        frontier = math.inf
         for sv in source_cone.vertices:
-            p, ex = self._search_root(
+            p, f = self._search_root(
                 source_cone, target_cone, sv, budget, cap, collect, stop_at_first
             )
             pops += p
-            exhausted = exhausted or ex
+            frontier = min(frontier, f)
         paths = sorted(collect.values(), key=lambda g: (g.length, g.source_vertex, g.edge_path))
-        return paths, pops, exhausted
+        return paths, pops, frontier
 
     def shortest_geodesic(self, src_idx, dst_idx, budget, dev_cap=None):
-        paths, pops, exhausted = self._run(src_idx, dst_idx, budget, dev_cap, stop_at_first=True)
+        paths, pops, frontier = self._run(src_idx, dst_idx, budget, dev_cap, stop_at_first=True)
+        exhausted = frontier < math.inf
         if paths:
             # an exhausted search may still certify its best find if nothing
             # cheaper was left open; be conservative and flag it instead
             status = INCONCLUSIVE if exhausted else FOUND
-            return ShortestResult(status, paths[0], pops)
-        return ShortestResult(INCONCLUSIVE if exhausted else NOT_FOUND, None, pops)
+            return ShortestResult(status, paths[0], pops, frontier)
+        return ShortestResult(INCONCLUSIVE if exhausted else NOT_FOUND, None, pops, frontier)
 
     def enumerate_geodesics(self, src_idx, dst_idx, budget, dev_cap=None):
-        paths, pops, exhausted = self._run(src_idx, dst_idx, budget, dev_cap, stop_at_first=False)
-        return EnumerationResult(tuple(paths), not exhausted, pops)
+        paths, pops, frontier = self._run(src_idx, dst_idx, budget, dev_cap, stop_at_first=False)
+        return EnumerationResult(tuple(paths), frontier == math.inf, pops)
+
+    def distance_table(self):
+        """The gluing's distance table, built on first use (see DistanceTable)."""
+        if self._table is None:
+            self._table = DistanceTable(self)
+        return self._table
+
+
+class DistanceTable:
+    """One shortest-geodesic query per unordered cone-point pair of a gluing.
+
+    Every geodesic fact of a halving is read from here: the zipper lengths,
+    the unit-disk verdicts and, for hexagons, the tetrahedron metric.  Each
+    pair (i, j), i < j, is queried from i with budget 1 + BUDGET_SLACK,
+    enough to settle the unit disks and the unit zipper edges.  The
+    hexagon's non-zipper pairs, whose exact distance the metric needs, get
+    max(1, shortest interior chord between representatives) + BUDGET_SLACK;
+    the chord is itself a path on the surface, so it always suffices.
+    """
+
+    def __init__(self, engine):
+        gluing = engine.gluing
+        self.gluing = gluing
+        self.zipper = {frozenset(p) for p in gluing.zipper_pairs()}
+        self.entries = {}  # (i, j) with i < j -> (ShortestResult, budget)
+        for i, j in itertools.combinations(range(len(gluing.cone_points)), 2):
+            reach = 1.0
+            if gluing.n == 6 and frozenset((i, j)) not in self.zipper:
+                chord = min(
+                    abs(engine.points[u] - engine.points[w])
+                    for u in gluing.cone_points[i].vertices
+                    for w in gluing.cone_points[j].vertices
+                )
+                reach = max(reach, chord)
+            budget = reach + BUDGET_SLACK
+            self.entries[(i, j)] = (engine.shortest_geodesic(i, j, budget), budget)
+
+    def result(self, i, j):
+        return self.entries[(min(i, j), max(i, j))][0]
+
+    def disk(self, center_idx, radius=1.0, tol=1e-9):
+        """Is the open geodesic disk around a cone point free of other cone points?
+
+        A cone point at distance below radius - tol is a witness against
+        emptiness.  A pair without a witness is settled when its search
+        covered the whole radius: it finished within its budget, or it ran
+        out of developments at a frontier beyond the radius.  Any unsettled
+        pair without a witness makes the check inconclusive rather than a
+        verdict.  The table's budgets cover radii up to 1.
+        """
+        if not 0.0 < radius <= 1.0:
+            raise GeodesicError("disk radius must lie in (0, 1]")
+        cps = self.gluing.cone_points
+        witness = None
+        unsettled = False
+        for k, other in enumerate(cps):
+            if k == center_idx:
+                continue
+            res, budget = self.entries[(min(k, center_idx), max(k, center_idx))]
+            if res.path is not None and res.path.length < radius - tol:
+                if witness is None or res.path.length < witness[1]:
+                    witness = (tuple(other.vertices), res.path.length)
+            elif min(budget, res.frontier) < radius:
+                unsettled = True
+        center = tuple(cps[center_idx].vertices)
+        if witness is not None:
+            return DiskReport("nonempty", center, radius, witness)
+        return DiskReport(INCONCLUSIVE if unsettled else "empty", center, radius, None)
+
+    def tetra_metric(self, fat):
+        """The six cone-point distances of a hexagon gluing as a TetraMetric.
+
+        For a fat source (the caller's validation) the three zipper
+        distances must come out 1: the glued edges are unit and nothing
+        shorter exists.
+        """
+        if len(self.gluing.cone_points) != 4:
+            raise GeodesicError("tetrahedron metric needs a hexagon gluing (4 cone points)")
+        dists = {}
+        for (i, j), name in zip(itertools.combinations(range(4), 2), PAIRS):
+            res = self.result(i, j)
+            if not res.found:
+                raise GeodesicNotFoundError(
+                    f"distance {name} not resolved (status {res.status})", status=res.status
+                )
+            d = res.path.length
+            if fat and frozenset((i, j)) in self.zipper and abs(d - 1.0) > 1e-9:
+                raise GeodesicError(f"zipper distance {name} = {d!r} deviates from 1")
+            dists["d_" + name] = d
+        metric = TetraMetric(**dists)
+        metric.check_triangle_inequalities(1e-9)
+        return metric
 
 
 # ---------------------------------------------------------------------------
@@ -498,33 +580,11 @@ def enumerate_geodesics(gluing, src_idx, dst_idx, budget, dev_cap=100000, cleara
 def disk_empty(gluing, center_idx, radius=1.0, tol=1e-9, dev_cap=100000, engine=None):
     """Is the open geodesic disk around a cone point free of other cone points?
 
-    A cone point at distance below radius - tol is a witness against
-    emptiness.  Budget exhaustion on any query without such a witness makes
-    the whole check inconclusive rather than a verdict.
+    Reads the gluing's distance table (see DistanceTable.disk); pass the
+    halving's engine to share its table.
     """
-    if radius <= 0:
-        raise GeodesicError("disk radius must be positive")
     eng = engine or DevelopmentEngine(gluing, dev_cap)
-    center = gluing.cone_points[center_idx]
-    witness = None
-    saw_inconclusive = False
-    for k, other in enumerate(gluing.cone_points):
-        if k == center_idx:
-            continue
-        res = eng.shortest_geodesic(center_idx, k, radius)
-        if res.status == FOUND and res.path.length < radius - tol:
-            if witness is None or res.path.length < witness[1]:
-                witness = (tuple(other.vertices), res.path.length)
-        elif res.status == INCONCLUSIVE:
-            if res.path is not None and res.path.length < radius - tol:
-                witness = (tuple(other.vertices), res.path.length)
-            else:
-                saw_inconclusive = True
-    if witness is not None:
-        return DiskReport("nonempty", tuple(center.vertices), radius, witness)
-    if saw_inconclusive:
-        return DiskReport(INCONCLUSIVE, tuple(center.vertices), radius, None)
-    return DiskReport("empty", tuple(center.vertices), radius, None)
+    return eng.distance_table().disk(center_idx, radius, tol)
 
 
 def overhang_audit(gluing, center_idx, radius=1.0, cfg=None):
@@ -614,53 +674,9 @@ def _excursion_width(s, a, b, radius):
 def tetra_metric(gluing, cfg=None, dev_cap=100000, clearance=1e-9):
     """Six pairwise geodesic distances between the four cone points.
 
-    The three distances along the zipped boundary get budget 1 + 1e-6 and,
-    for a fat validated source, must come out exactly 1 (the glued edges
-    are unit and nothing shorter exists).  The remaining three use the
-    shortest interior chord between representatives as budget, which always
-    suffices because that chord is itself a path on the surface.
+    Reads the gluing's distance table (see DistanceTable.tetra_metric); the
+    zipper-distance check applies when the source validates as fat.
     """
-    if len(gluing.cone_points) != 4:
-        raise GeodesicError("tetrahedron metric needs a hexagon gluing (4 cone points)")
-    engine = DevelopmentEngine(gluing, dev_cap, clearance)
-    points = gluing.polygon.as_complex()
     rep = validate(gluing.polygon) if cfg is None else validate(gluing.polygon, cfg)
-
-    zipper = set(gluing.zipper_pairs())
-    labels = ("a", "b", "c", "d")
-    dists = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if (i, j) in zipper or (j, i) in zipper:
-                budget = 1.0 + 1e-6
-            else:
-                chord = min(
-                    abs(points[u] - points[w])
-                    for u in gluing.cone_points[i].vertices
-                    for w in gluing.cone_points[j].vertices
-                )
-                budget = chord + 1e-6
-            res = engine.shortest_geodesic(i, j, budget)
-            if not res.found:
-                raise GeodesicNotFoundError(
-                    f"distance {labels[i]}{labels[j]} not resolved (status {res.status})",
-                    status=res.status,
-                )
-            d = res.path.length
-            if rep.fat_ok and ((i, j) in zipper or (j, i) in zipper):
-                if abs(d - 1.0) > 1e-9:
-                    raise GeodesicError(
-                        f"zipper distance {labels[i]}{labels[j]} = {d!r} deviates from 1"
-                    )
-            dists[labels[i] + labels[j]] = d
-
-    metric = TetraMetric(
-        d_ab=dists["ab"],
-        d_ac=dists["ac"],
-        d_ad=dists["ad"],
-        d_bc=dists["bc"],
-        d_bd=dists["bd"],
-        d_cd=dists["cd"],
-    )
-    metric.check_triangle_inequalities(1e-9)
-    return metric
+    engine = DevelopmentEngine(gluing, dev_cap, clearance)
+    return engine.distance_table().tetra_metric(rep.fat_ok)

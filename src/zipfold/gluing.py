@@ -52,10 +52,6 @@ class ConePoint:
     def curvature(self):
         return TWO_PI - self.cone_angle
 
-    @property
-    def is_fold_vertex(self):
-        return len(self.vertices) == 1
-
 
 @dataclass(frozen=True)
 class HalvingGluing:
@@ -71,12 +67,6 @@ class HalvingGluing:
     @property
     def fold_pair(self):
         return (self.fold_index, (self.fold_index + self.n // 2) % self.n)
-
-    def cone_point_of_vertex(self, v):
-        for k, cp in enumerate(self.cone_points):
-            if v in cp.vertices:
-                return k
-        raise GluingError(f"vertex {v} not in any cone point")
 
     def zipper_pairs(self):
         """Cone-point index pairs joined by a glued boundary edge, in order.

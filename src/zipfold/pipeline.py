@@ -14,19 +14,12 @@ from . import gluing as gl
 from . import net as netmod
 from .embed import congruent_tetrahedra, embed, vertex_angle_sums
 from .errors import GeodesicError, MetricError
-from .geodesic import (
-    FOUND,
-    INCONCLUSIVE,
-    DevelopmentEngine,
-    disk_empty,
-    overhang_audit,
-    tetra_metric,
-)
+from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, overhang_audit
 from .polygon import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _sample_ngon,
     check_independence,
-    sample_fat_ngon,
     validate,
 )
 
@@ -36,14 +29,14 @@ PASS = "pass"
 FAIL = "fail"
 INCONC = "inconclusive"
 
+_DISK_STATUS = {"empty": PASS, "nonempty": FAIL, INCONCLUSIVE: INCONC}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     tolerances: Tolerances = DEFAULT_TOLERANCES
     independence_bound: int = 16
     independence_tol: float = 1e-9
-    zipper_budget_slack: float = 1e-6
-    chord_budget_slack: float = 1e-6
     dev_cap: int = 100000
     sampler_max_attempts: int = 10000
     out_dir: str = "."
@@ -74,7 +67,7 @@ def _combine(statuses):
 @dataclass
 class HalvingAudit:
     fold_index: int
-    curvatures: tuple = ()
+    curvature: object = None  # CurvatureVector
     gauss_bonnet_residual: float = float("nan")
     zipper_lengths: tuple = ()
     zipper_status: str = INCONC
@@ -90,34 +83,51 @@ class HalvingAudit:
     roundtrip_status: str = INCONC
     error: str | None = None
 
-    def intrinsic_statuses(self):
-        return (self.zipper_status, self.lemma3_empty_status, self.disk_status)
 
-    def embedded_statuses(self):
-        return (self.angle_sum_status, self.net_simple_status, self.roundtrip_status)
+def fold_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
+    """Glue one halving and give it its one geodesic engine.
+
+    Returns (gluing, curvature vector, engine).  The engine builds the
+    halving's distance table on first use, so every check that reads a
+    cone-point distance shares one query per pair.
+    """
+    g = gl.glue_halving(poly, fold_index)
+    curv = gl.cone_angles(g, cfg.tolerances.tol_curvature)
+    return g, curv, DevelopmentEngine(g, cfg.dev_cap, cfg.tolerances.tol_clearance)
 
 
-def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, want_embedding=None):
+def halving_tetrahedron(engine, fat, tol):
+    """(metric, tetrahedron) of a hexagon halving, from its distance table.
+
+    `fat` is the source's validation verdict, which makes the zipper
+    distances checked against 1.
+    """
+    metric = engine.distance_table().tetra_metric(fat)
+    return metric, embed(metric, tol.tol_vol)
+
+
+def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
     """Full per-halving pipeline: gluing, curvatures, geodesics, 3D, net.
 
-    For n > 6 there is no general embedding step, so the audit stops after
-    the intrinsic checks (curvatures, zipper distances, disk emptiness).
-    Returns (audit, gluing).
+    One engine and its distance table (one shortest query per unordered
+    cone-point pair) supply the zipper lengths, the unit-disk verdicts and,
+    for hexagons, the tetrahedron metric; the "nothing shorter" check
+    enumerates geodesics on the same engine.  For n > 6 there is no general
+    embedding step, so the audit stops after the intrinsic checks
+    (curvatures, zipper distances, disk emptiness).  Returns (audit, gluing).
     """
     tol = cfg.tolerances
     audit = HalvingAudit(fold_index=fold_index)
-    g = gl.glue_halving(poly, fold_index)
-    curv = gl.cone_angles(g, tol.tol_curvature)
-    audit.curvatures = curv.curvatures
+    g, curv, engine = fold_halving(poly, fold_index, cfg)
+    audit.curvature = curv
     audit.gauss_bonnet_residual = curv.total - FOUR_PI
-
-    engine = DevelopmentEngine(g, cfg.dev_cap, tol.tol_clearance)
+    table = engine.distance_table()
 
     lengths = []
     statuses = []
     empties = []
     for i, j in g.zipper_pairs():
-        res = engine.shortest_geodesic(i, j, 1.0 + cfg.zipper_budget_slack)
+        res = table.result(i, j)
         if res.status != FOUND:
             statuses.append(INCONC if res.status == INCONCLUSIVE else FAIL)
             lengths.append(float("nan"))
@@ -133,33 +143,20 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, want_embedding=None):
     audit.zipper_status = _combine(statuses)
     audit.lemma3_empty_status = _combine(empties)
 
-    disk_statuses = []
-    for k in range(len(g.cone_points)):
-        rep = disk_empty(g, k, radius=1.0, tol=tol.tol_geodesic, engine=engine)
-        if rep.status == "nonempty":
-            disk_statuses.append(FAIL)
-            audit.disk_witness = rep.witness
-        elif rep.status == INCONCLUSIVE:
-            disk_statuses.append(INCONC)
-        else:
-            disk_statuses.append(PASS)
-    audit.disk_status = _combine(disk_statuses)
+    disks = [table.disk(k, radius=1.0, tol=tol.tol_geodesic) for k in range(len(g.cone_points))]
+    audit.disk_status = _combine(_DISK_STATUS[rep.status] for rep in disks)
+    audit.disk_witness = next((rep.witness for rep in reversed(disks) if rep.witness), None)
 
     try:
         audit.overhang_width = overhang_audit(g, 0, radius=1.0, cfg=tol).max_width
     except GeodesicError as exc:
         audit.error = str(exc)
 
-    if want_embedding is None:
-        want_embedding = poly.n == 6
-    if not want_embedding or poly.n != 6:
+    if poly.n != 6:
         return audit, g
 
     try:
-        metric = tetra_metric(g, cfg=tol, dev_cap=cfg.dev_cap, clearance=tol.tol_clearance)
-        audit.metric = metric
-        tetra = embed(metric, tol.tol_vol)
-        audit.tetra = tetra
+        audit.metric, audit.tetra = halving_tetrahedron(engine, validate(poly, tol).fat_ok, tol)
     except (GeodesicError, MetricError) as exc:
         audit.error = str(exc)
         mark = (
@@ -172,14 +169,14 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, want_embedding=None):
         audit.roundtrip_status = mark
         return audit, g
 
-    sums = vertex_angle_sums(tetra)
+    sums = vertex_angle_sums(audit.tetra)
     worst = max(
         abs((2.0 * math.pi - sums[label]) - curv.curvatures[k])
         for k, label in enumerate("abcd")
     )
     audit.angle_sum_status = _tri(worst <= tol.tol_angle_sum)
 
-    net = netmod.cut_and_unfold(tetra)
+    net = netmod.cut_and_unfold(audit.tetra)
     audit.net = net
     audit.net_simple_status = _tri(netmod.is_simple(net))
     ok, _ = netmod.congruent_to_polygon(net, poly, tol.tol_congruence)
@@ -199,6 +196,10 @@ class VerifyOutcome:
     tetra_pairwise_incongruent: str = INCONC
     status: str = INCONC
 
+    def combined(self, name):
+        """One status over every halving's `name` status (inconclusive without audits)."""
+        return _combine(getattr(a, name) for a in self.audits) if self.audits else INCONC
+
     def hypothesis_lines(self):
         rep = self.report
         return [
@@ -216,18 +217,14 @@ class VerifyOutcome:
         lines = []
         gb = max(abs(a.gauss_bonnet_residual) for a in self.audits)
         lines.append(("curvature.total_4pi", _tri(gb <= 1e-8)))
-        lines.append(("disks.unit_radius_empty", _combine(a.disk_status for a in self.audits)))
-        lines.append(("zipper.edges_length_1", _combine(a.zipper_status for a in self.audits)))
-        lines.append(
-            ("zipper.nothing_shorter", _combine(a.lemma3_empty_status for a in self.audits))
-        )
+        lines.append(("disks.unit_radius_empty", self.combined("disk_status")))
+        lines.append(("zipper.edges_length_1", self.combined("zipper_status")))
+        lines.append(("zipper.nothing_shorter", self.combined("lemma3_empty_status")))
         lines.append(("distinctness.tetrahedra", self.distinct_status()))
         if not self.intrinsic_only:
-            lines.append(
-                ("embedding.angle_sums_match", _combine(a.angle_sum_status for a in self.audits))
-            )
-            lines.append(("net.simple", _combine(a.net_simple_status for a in self.audits)))
-            lines.append(("net.matches_source", _combine(a.roundtrip_status for a in self.audits)))
+            lines.append(("embedding.angle_sums_match", self.combined("angle_sum_status")))
+            lines.append(("net.simple", self.combined("net_simple_status")))
+            lines.append(("net.matches_source", self.combined("roundtrip_status")))
         return lines
 
     def scorecard(self):
@@ -262,11 +259,17 @@ def verify_polygon(poly, cfg=DEFAULT_CONFIG, force=False):
     force the lemma checks still run (exploration mode) but the overall
     status remains "fail" because the hypotheses do not hold.
     """
+    return _verify(poly, validate(poly, cfg.tolerances), None, cfg, force)
+
+
+def _verify(poly, report, independence, cfg, force):
+    """verify_polygon on a validated polygon, reusing the independence
+    screen its sampler ran (None: screen it here)."""
     tol = cfg.tolerances
-    report = validate(poly, tol)
-    independence = check_independence(
-        report.angles, cfg.independence_bound, cfg.independence_tol
-    )
+    if independence is None:
+        independence = check_independence(
+            report.angles, cfg.independence_bound, cfg.independence_tol
+        )
     hypotheses_ok = report.theorem_ok and independence.all_independent
     outcome = VerifyOutcome(
         report=report,
@@ -279,12 +282,11 @@ def verify_polygon(poly, cfg=DEFAULT_CONFIG, force=False):
         outcome.status = FAIL
         return outcome
 
-    vectors = []
     for i in range(poly.n // 2):
-        audit, g = audit_halving(poly, i, cfg)
-        outcome.audits.append(audit)
-        vectors.append(gl.cone_angles(g, tol.tol_curvature))
-    outcome.distinct_by_curvature = gl.distinct_check(vectors, tol.tol_curvature)
+        outcome.audits.append(audit_halving(poly, i, cfg)[0])
+    outcome.distinct_by_curvature = gl.distinct_check(
+        [a.curvature for a in outcome.audits], tol.tol_curvature
+    )
 
     tets = [a.tetra for a in outcome.audits]
     if not outcome.intrinsic_only and all(t is not None for t in tets) and len(tets) >= 2:
@@ -369,7 +371,7 @@ def sweep_one(seed, n, cfg=DEFAULT_CONFIG, thin=False):
     construction.
     """
     t0 = time.perf_counter()
-    poly = sample_fat_ngon(
+    poly, rep, independence = _sample_ngon(
         n,
         seed,
         max_attempts=cfg.sampler_max_attempts,
@@ -379,23 +381,16 @@ def sweep_one(seed, n, cfg=DEFAULT_CONFIG, thin=False):
         require_independent=not thin,
         cfg=cfg.tolerances,
     )
-    rep = validate(poly, cfg.tolerances)
-    outcome = verify_polygon(poly, cfg, force=thin)
+    outcome = _verify(poly, rep, independence, cfg, force=thin)
 
     gb = float("nan")
-    zerr = float("nan")
     if outcome.audits:
         gb = max(abs(a.gauss_bonnet_residual) for a in outcome.audits)
-        errs = [
-            abs(length - 1.0)
-            for a in outcome.audits
-            for length in a.zipper_lengths
-            if not math.isnan(length)
-        ]
-        saw_nan = any(
-            math.isnan(length) for a in outcome.audits for length in a.zipper_lengths
-        )
-        zerr = float("nan") if saw_nan or not errs else max(errs)
+    # an unresolved zipper distance (nan) leaves the error unknown
+    lengths = [length for a in outcome.audits for length in a.zipper_lengths]
+    zerr = float("nan")
+    if lengths and not any(math.isnan(length) for length in lengths):
+        zerr = max(abs(length - 1.0) for length in lengths)
 
     status = outcome.lemma_status if thin else outcome.status
     record = SweepRecord(
@@ -406,21 +401,15 @@ def sweep_one(seed, n, cfg=DEFAULT_CONFIG, thin=False):
         angles=rep.angles,
         gauss_bonnet_max_abs_residual=gb,
         zipper_max_abs_error=zerr,
-        zipper_status=_combine(a.zipper_status for a in outcome.audits) if outcome.audits else INCONC,
-        nothing_shorter_status=_combine(a.lemma3_empty_status for a in outcome.audits)
-        if outcome.audits
-        else INCONC,
-        disk_status=_combine(a.disk_status for a in outcome.audits) if outcome.audits else INCONC,
+        zipper_status=outcome.combined("zipper_status"),
+        nothing_shorter_status=outcome.combined("lemma3_empty_status"),
+        disk_status=outcome.combined("disk_status"),
         curvature_multisets_distinct=_tri(outcome.distinct_by_curvature.all_incongruent)
         if outcome.distinct_by_curvature is not None
         else INCONC,
         tetra_incongruent=outcome.tetra_pairwise_incongruent,
-        net_simple_status=_combine(a.net_simple_status for a in outcome.audits)
-        if outcome.audits
-        else INCONC,
-        roundtrip_status=_combine(a.roundtrip_status for a in outcome.audits)
-        if outcome.audits
-        else INCONC,
+        net_simple_status=outcome.combined("net_simple_status"),
+        roundtrip_status=outcome.combined("roundtrip_status"),
         wall_seconds=time.perf_counter() - t0,
     )
     return record, poly

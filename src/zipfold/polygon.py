@@ -321,17 +321,16 @@ def _best_witness(x, y, bound, tol):
     ok = np.abs(ps) <= bound
     resid = np.abs(target[:, None] - ps * (math.pi / qs[None, :]))
     resid[~ok] = np.inf
-    hits = np.argwhere(resid < tol)
-    if hits.size:
-        best = None
-        for bi, qi in hits:
-            p = int(ps[bi, qi])
-            q = int(qs[qi])
-            size = abs(p) + q + int(bsize[bi])
-            key = (size, abs(p), q, abs(int(rr[bi])), int(ss[bi]))
-            if best is None or key < best[0]:
-                best = (key, (Fraction(p, q), Fraction(int(rr[bi]), int(ss[bi]))), resid[bi, qi])
-        return float(best[2]), best[1]
+    bi, qi = np.nonzero(resid < tol)
+    if bi.size:
+        p = ps[bi, qi].astype(np.int64)
+        q = qs[qi]
+        r = rr[bi]
+        s = ss[bi]
+        # lexsort is stable, so among equal keys the first hit wins
+        k = np.lexsort((s, np.abs(r), q, np.abs(p), np.abs(p) + q + bsize[bi]))[0]
+        witness = (Fraction(int(p[k]), int(q[k])), Fraction(int(r[k]), int(s[k])))
+        return float(resid[bi[k], qi[k]]), witness
     idx = np.unravel_index(np.argmin(resid), resid.shape)
     return float(resid[idx]), None
 
@@ -455,7 +454,12 @@ def regular_ngon(n):
     return res.polygons[0]
 
 
-def sample_fat_ngon(
+def sample_fat_ngon(n, seed, **kwargs):
+    """The polygon of _sample_ngon, which documents the keyword arguments."""
+    return _sample_ngon(n, seed, **kwargs)[0]
+
+
+def _sample_ngon(
     n,
     seed,
     max_attempts=10000,
@@ -472,7 +476,9 @@ def sample_fat_ngon(
     edges, and keeps the first closure branch that passes validation.  With
     fat=True only fat polygons (all angles strictly inside (pi/3, pi)) are
     accepted; with fat=False any strictly convex equilateral polygon
-    qualifies, which is how thin control samples are produced.
+    qualifies, which is how thin control samples are produced.  Returns
+    (polygon, its ValidationReport, its IndependenceReport), the last None
+    when require_independent is off and the screen did not run.
     """
     if n < 6 or n % 2:
         raise MalformedPolygonError(f"sampler needs even n >= 6, got {n}")
@@ -497,11 +503,12 @@ def sample_fat_ngon(
                 continue
             if fat and not rep.fat_ok:
                 continue
+            ind = None
             if require_independent:
                 ind = check_independence(rep.angles, independence_bound, independence_tol)
                 if not ind.all_independent:
                     continue
-            return poly
+            return poly, rep, ind
     raise SamplingBudgetError(max_attempts)
 
 

@@ -1,0 +1,141 @@
+"""Each geodesic fact of a halving is computed once, and soundly.
+
+One engine per halving, one shortest query per unordered cone-point pair,
+one independence screen per sampled polygon; and reading the disk verdicts
+from that table never turns a verdict the direct radius-1 queries would
+leave open or decide the other way into pass or fail.
+"""
+
+import collections
+
+import pytest
+
+from zipfold import glue_halving, polygon, sample_fat_ngon
+from zipfold import pipeline
+from zipfold.geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, disk_empty
+from zipfold.pipeline import FAIL, INCONC, PASS, PipelineConfig, audit_halving, sweep_one
+
+
+@pytest.fixture()
+def counts(monkeypatch):
+    seen = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        DevelopmentEngine, "__init__", counted("engines", DevelopmentEngine.__init__)
+    )
+    monkeypatch.setattr(
+        DevelopmentEngine,
+        "shortest_geodesic",
+        counted("shortest", DevelopmentEngine.shortest_geodesic),
+    )
+    screen = counted("screens", polygon.check_independence)
+    monkeypatch.setattr(polygon, "check_independence", screen)
+    monkeypatch.setattr(pipeline, "check_independence", screen)
+    return seen
+
+
+def test_hexagon_verify_queries_each_pair_once(fat_pool_small, counts):
+    assert pipeline.verify_polygon(fat_pool_small[0]).status == PASS
+    assert counts["engines"] == 3
+    assert counts["shortest"] == 3 * 6
+    assert counts["screens"] == 1
+
+
+def test_octagon_verify_queries_each_pair_once(counts):
+    poly = sample_fat_ngon(8, 5)
+    counts.clear()
+    assert pipeline.verify_polygon(poly).status == PASS
+    assert counts["engines"] == 4
+    assert counts["shortest"] == 4 * 10
+
+
+def test_sweep_screens_each_polygon_once(counts):
+    record, _ = sweep_one(0, 8)
+    assert record.status == PASS
+    assert counts["screens"] == 1
+
+
+def _reference_disk_status(gluing, dev_cap):
+    """Per-center radius-1 queries in both directions, settled only when found or
+    finished within radius 1."""
+    eng = DevelopmentEngine(gluing, dev_cap=dev_cap)
+    statuses = []
+    m = len(gluing.cone_points)
+    for k in range(m):
+        status = PASS
+        for other in range(m):
+            if other == k:
+                continue
+            res = eng.shortest_geodesic(k, other, 1.0)
+            if res.path is not None and res.path.length < 1.0 - 1e-9:
+                status = FAIL
+                break
+            if res.status == INCONCLUSIVE:
+                status = INCONC
+        statuses.append(status)
+    return pipeline._combine(statuses)
+
+
+def _disk_empty_status(gluing, dev_cap):
+    eng = DevelopmentEngine(gluing, dev_cap=dev_cap)
+    mapping = {"empty": PASS, "nonempty": FAIL, INCONCLUSIVE: INCONC}
+    return pipeline._combine(
+        mapping[disk_empty(gluing, k, engine=eng).status] for k in range(len(gluing.cone_points))
+    )
+
+
+def test_small_cap_disk_verdicts_never_contradict(fat_pool_small, thin_hexagon):
+    thin = [thin_hexagon] + [
+        sample_fat_ngon(6, seed, fat=False, require_independent=False) for seed in range(2)
+    ]
+    polys = fat_pool_small[:8] + [sample_fat_ngon(8, seed) for seed in range(3)] + thin
+    truth = {
+        (k, i): audit_halving(poly, i)[0].disk_status
+        for k, poly in enumerate(polys)
+        for i in range(poly.n // 2)
+    }
+    assert FAIL in truth.values()  # the thin controls have crowded disks
+    decided = collections.Counter()
+    for cap in range(1, 41):
+        cfg = PipelineConfig(dev_cap=cap)
+        for (k, i), expected in truth.items():
+            audit, g = audit_halving(polys[k], i, cfg)
+            got = audit.disk_status
+            assert got == _disk_empty_status(g, cap)
+            assert got in (expected, INCONC), (cap, k, i, got, expected)
+            ref = _reference_disk_status(g, cap)
+            assert {got, ref} != {PASS, FAIL}, (cap, k, i, got, ref)
+            decided[got] += 1
+    assert decided[INCONC] > 0  # small caps do leave some disks undecided
+
+
+def test_frontier_recorded_only_when_the_search_runs_out(fat_pool_small):
+    g = glue_halving(fat_pool_small[0], 0)
+    eng = DevelopmentEngine(g, dev_cap=2)
+    res = eng.shortest_geodesic(0, 1, budget=3.0)
+    assert res.status == INCONCLUSIVE
+    assert 0.0 <= res.frontier <= 3.0
+    done = DevelopmentEngine(g).shortest_geodesic(0, 1, budget=3.0)
+    assert done.status == FOUND
+    assert done.frontier == float("inf")
+
+
+def test_query_run_out_below_radius_leaves_disk_open(fat_pool_small):
+    open_disks = 0
+    for cap in range(1, 6):
+        for i in range(3):
+            g = glue_halving(fat_pool_small[0], i)
+            table = DevelopmentEngine(g, dev_cap=cap).distance_table()
+            for k in range(4):
+                short = [table.result(k, o) for o in range(4) if o != k]
+                if any(r.status == INCONCLUSIVE and r.frontier < 1.0 for r in short):
+                    assert table.disk(k).status == INCONCLUSIVE
+                    open_disks += 1
+    assert open_disks > 0
