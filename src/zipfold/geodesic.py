@@ -28,8 +28,9 @@ a positively curved cone point).
 
 Perimeter-halving transitions come out orientation preserving: the zipped
 arcs are parameterized from the same fold vertex, so the copy across an
-edge is a rotated (never mirrored) polygon.  The mirrored flag travels with
-every transform anyway and is asserted False throughout this pipeline.
+edge is a rotated (never mirrored) polygon.  The mirrored flag still
+travels with every transform, but nothing here ever sets it; removing it is
+ROADMAP item 3.
 """
 
 import heapq
@@ -188,10 +189,14 @@ class DevelopmentEngine:
             return v
         raise GeodesicError(f"({u}, {v}) is not a boundary edge")
 
-    def _edge_points(self, j, transform):
-        a = transform.apply(self.points[j])
-        b = transform.apply(self.points[(j + 1) % self.n])
-        return a, b
+    def _develop(self, transform):
+        """The polygon's vertices in the copy placed by transform.
+
+        Edge j of the copy runs from vertex j to vertex j+1 (mod n).  The
+        engine composes only rotations, so rot*p + trans is the placement.
+        """
+        rot, trans = transform.rot, transform.trans
+        return [rot * p + trans for p in self.points]
 
     # -- direction-cone bookkeeping -----------------------------------------
 
@@ -281,23 +286,27 @@ class DevelopmentEngine:
     def _trace(self, s, end):
         """Push the straight segment s->end through the copies.
 
-        Returns (edge_path, transform_list) with the transform of every copy
-        the segment visits; grazing crossings are settled later by the
-        clearance check.
+        Returns (edge_path, transforms, copies, params): the transform and
+        the developed vertices of every copy the segment visits, and the
+        segment parameter of each crossing.  Grazing crossings are settled
+        later by the clearance check.
         """
         transform = IDENTITY
         entry = None
         u = 0.0
         edge_path = []
         transforms = [IDENTITY]
+        copies = []
+        params = []
         for _ in range(4 * self.dev_cap + 64):
+            pts = self._develop(transform)
+            copies.append(pts)
             best_t = None
             best_j = None
             for j in range(self.n):
                 if j == entry:
                     continue
-                a, b = self._edge_points(j, transform)
-                hit = segment_crossing_param(s, end, a, b)
+                hit = segment_crossing_param(s, end, pts[j], pts[(j + 1) % self.n])
                 if hit is None:
                     continue
                 t, _ = hit
@@ -307,18 +316,18 @@ class DevelopmentEngine:
                     best_t = t
                     best_j = j
             if best_t is None:
-                return edge_path, transforms
+                return edge_path, transforms, copies, params
             u = best_t
+            params.append(best_t)
             edge_path.append(best_j)
             transform = transform.compose(self.transition[best_j])
             entry = self.partner[best_j]
             transforms.append(transform)
         raise GeodesicError("trace did not terminate; development cap exceeded")
 
-    def _clear_of_cone_images(self, s, end, transforms):
-        for tr in transforms:
-            for p in self.points:
-                w = tr.apply(p)
+    def _clear_of_cone_images(self, s, end, copies):
+        for pts in copies:
+            for w in pts:
                 if abs(w - s) <= self.clearance or abs(w - end) <= self.clearance:
                     continue
                 if point_segment_distance(w, s, end) < self.clearance:
@@ -327,25 +336,18 @@ class DevelopmentEngine:
 
     def _finalize(self, source_cone, target_cone, sv, tv, node, end):
         s = self.points[sv]
-        edge_path, transforms = self._trace(s, end)
+        edge_path, transforms, copies, params = self._trace(s, end)
         if tuple(edge_path) != tuple(node.edge_path):
             return None
         final = transforms[-1]
-        if abs(final.apply(self.points[tv]) - end) > 1e-9:
+        if abs(copies[-1][tv] - end) > 1e-9:
             return None
         if not node.transform.almost_equal(final, 1e-10):
             return None
-        if not self._clear_of_cone_images(s, end, transforms):
+        if not self._clear_of_cone_images(s, end, copies):
             return None
         # split the segment at the crossing points, map pieces to local coords
-        params = [0.0]
-        transform = IDENTITY
-        for j in edge_path:
-            a, b = self._edge_points(j, transform)
-            hit = segment_crossing_param(s, end, a, b)
-            params.append(hit[0])
-            transform = transform.compose(self.transition[j])
-        params.append(1.0)
+        params = [0.0] + params + [1.0]
         seg = end - s
         locals_ = []
         for k, tr in enumerate(transforms):
@@ -393,8 +395,15 @@ class DevelopmentEngine:
                 break
             pops += 1
             transform = node.transform
+            pts = self._develop(transform)
+            # the entry edge's endpoints lie on the parent copy's boundary: a
+            # segment ending there stops on the entry edge, one crossing short
+            entry = node.entry_edge
+            on_entry = () if entry is None else (entry, (entry + 1) % self.n)
             for tv in targets:
-                end = transform.apply(self.points[tv])
+                if tv in on_entry:
+                    continue
+                end = pts[tv]
                 d = abs(end - s)
                 if d > budget + 1e-12 or d + 1e-12 < lb:
                     continue
@@ -407,9 +416,9 @@ class DevelopmentEngine:
                         collect[key] = path
                         best = min(best, path.length)
             for j in range(self.n):
-                if j == node.entry_edge:
+                if j == entry:
                     continue
-                a, b = self._edge_points(j, transform)
+                a, b = pts[j], pts[(j + 1) % self.n]
                 if abs(a - s) < 1e-12 or abs(b - s) < 1e-12:
                     continue
                 clip = self._clip_edge(s, a, b, node.cone)
@@ -597,6 +606,14 @@ def overhang_audit(gluing, center_idx, radius=1.0, cfg=None):
     1 - sqrt(3)/2; the implied entry angle 2*asin(bound/2) stays below 8
     degrees.
     """
+    fat = radius == 1.0 and (
+        validate(gluing.polygon) if cfg is None else validate(gluing.polygon, cfg)
+    ).fat_ok
+    return _overhang_report(gluing, center_idx, radius, fat)
+
+
+def _overhang_report(gluing, center_idx, radius, fat):
+    """overhang_audit with the fat-source bound check decided by the caller."""
     points = gluing.polygon.as_complex()
     n = len(points)
     center = gluing.cone_points[center_idx]
@@ -613,12 +630,10 @@ def overhang_audit(gluing, center_idx, radius=1.0, cfg=None):
             if width > 0.0:
                 per_edge.append((v, j, width))
                 max_width = max(max_width, width)
-    if radius == 1.0:
-        rep = validate(gluing.polygon) if cfg is None else validate(gluing.polygon, cfg)
-        if rep.fat_ok and max_width > OVERHANG_BOUND + 1e-9:
-            raise GeodesicError(
-                f"overhang width {max_width:.9f} exceeds {OVERHANG_BOUND:.9f} on a fat source"
-            )
+    if fat and max_width > OVERHANG_BOUND + 1e-9:
+        raise GeodesicError(
+            f"overhang width {max_width:.9f} exceeds {OVERHANG_BOUND:.9f} on a fat source"
+        )
     return OverhangReport(
         center=tuple(center.vertices),
         radius=radius,

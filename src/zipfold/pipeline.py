@@ -14,7 +14,7 @@ from . import gluing as gl
 from . import net as netmod
 from .embed import congruent_tetrahedra, embed, vertex_angle_sums
 from .errors import GeodesicError, MetricError
-from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, overhang_audit
+from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, _overhang_report
 from .polygon import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -116,6 +116,11 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
     embedding step, so the audit stops after the intrinsic checks
     (curvatures, zipper distances, disk emptiness).  Returns (audit, gluing).
     """
+    return _audit_halving(poly, fold_index, cfg, None)
+
+
+def _audit_halving(poly, fold_index, cfg, fat):
+    """audit_halving given the source's fat verdict (None: validate here)."""
     tol = cfg.tolerances
     audit = HalvingAudit(fold_index=fold_index)
     g, curv, engine = fold_halving(poly, fold_index, cfg)
@@ -147,8 +152,10 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
     audit.disk_status = _combine(_DISK_STATUS[rep.status] for rep in disks)
     audit.disk_witness = next((rep.witness for rep in reversed(disks) if rep.witness), None)
 
+    if fat is None:
+        fat = validate(poly, tol).fat_ok
     try:
-        audit.overhang_width = overhang_audit(g, 0, radius=1.0, cfg=tol).max_width
+        audit.overhang_width = _overhang_report(g, 0, 1.0, fat).max_width
     except GeodesicError as exc:
         audit.error = str(exc)
 
@@ -156,7 +163,7 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
         return audit, g
 
     try:
-        audit.metric, audit.tetra = halving_tetrahedron(engine, validate(poly, tol).fat_ok, tol)
+        audit.metric, audit.tetra = halving_tetrahedron(engine, fat, tol)
     except (GeodesicError, MetricError) as exc:
         audit.error = str(exc)
         mark = (
@@ -283,7 +290,7 @@ def _verify(poly, report, independence, cfg, force):
         return outcome
 
     for i in range(poly.n // 2):
-        outcome.audits.append(audit_halving(poly, i, cfg)[0])
+        outcome.audits.append(_audit_halving(poly, i, cfg, report.fat_ok)[0])
     outcome.distinct_by_curvature = gl.distinct_check(
         [a.curvature for a in outcome.audits], tol.tol_curvature
     )

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -292,11 +293,32 @@ class IndependenceReport:
         return all(v.status == "independent" for v in self.pairs.values())
 
 
+class _Grid(NamedTuple):
+    """Everything the screen precomputes for one height bound."""
+
+    rr: np.ndarray  # numerator r of coefficient row b = r/s
+    ss: np.ndarray  # denominator s of coefficient row b
+    bvals: np.ndarray  # r/s
+    bsize: np.ndarray  # |r| + s
+    qs: np.ndarray  # denominators q of a = p/q, one column each
+    pi_over_q: np.ndarray
+    table: np.ndarray  # every distinct p*(pi/q), |p| <= bound, sorted
+    below: np.ndarray  # table entry below each searchsorted insertion point
+    above: np.ndarray  # table entry at or above it
+
+
 def _rational_grids(bound):
     rr, ss = np.meshgrid(np.arange(-bound, bound + 1), np.arange(1, bound + 1), indexing="ij")
     rr = rr.ravel()
     ss = ss.ravel()
-    return rr, ss, rr / ss, np.abs(rr) + ss
+    qs = np.arange(1, bound + 1)
+    pi_over_q = math.pi / qs
+    # the same float products _grid_residuals forms
+    table = np.sort((np.arange(-bound, bound + 1)[:, None] * pi_over_q).ravel())
+    table = table[np.concatenate(([True], table[1:] != table[:-1]))]
+    below = np.concatenate(([-np.inf], table))
+    above = np.concatenate((table, [np.inf]))
+    return _Grid(rr, ss, rr / ss, np.abs(rr) + ss, qs, pi_over_q, table, below, above)
 
 
 _GRID_CACHE = {}
@@ -308,31 +330,77 @@ def _grids(bound):
     return _GRID_CACHE[bound]
 
 
-def _best_witness(x, y, bound, tol):
-    """Best (a, b) with y ~ a*pi + b*x over rationals of bounded height.
+def _grid_residuals(target, bound):
+    """|target - p*(pi/q)| for every q <= bound, p the nearest integer to
+    target*q/pi (inf where |p| > bound); rows are targets, columns q."""
+    grid = _grids(bound)
+    ps = np.rint(target[:, None] * grid.qs / math.pi)
+    resid = np.abs(target[:, None] - ps * grid.pi_over_q)
+    resid[~(np.abs(ps) <= bound)] = np.inf  # masks nan as well
+    return ps, resid
 
-    Returns (residual, witness) where the witness minimizes first the
-    residual-below-tolerance criterion and then |p|+|q|+|r|+|s|.
+
+def _witness_grid(target, rows, bound, tol):
+    """The full residual grid over the given coefficient rows (None: all).
+
+    Returns (residual, witness): the simplest hit below tol, ranked by
+    |p|+q+|r|+s, then |p|, q, |r|, s, first hit on ties; without a hit,
+    the smallest residual and None.
     """
-    rr, ss, bvals, bsize = _grids(bound)
-    target = y - bvals * x  # residual to be matched by a*pi
-    qs = np.arange(1, bound + 1)
-    ps = np.rint(target[:, None] * qs[None, :] / math.pi)
-    ok = np.abs(ps) <= bound
-    resid = np.abs(target[:, None] - ps * (math.pi / qs[None, :]))
-    resid[~ok] = np.inf
+    grid = _grids(bound)
+    ps, resid = _grid_residuals(target, bound)
     bi, qi = np.nonzero(resid < tol)
-    if bi.size:
-        p = ps[bi, qi].astype(np.int64)
-        q = qs[qi]
-        r = rr[bi]
-        s = ss[bi]
-        # lexsort is stable, so among equal keys the first hit wins
-        k = np.lexsort((s, np.abs(r), q, np.abs(p), np.abs(p) + q + bsize[bi]))[0]
-        witness = (Fraction(int(p[k]), int(q[k])), Fraction(int(r[k]), int(s[k])))
-        return float(resid[bi[k], qi[k]]), witness
-    idx = np.unravel_index(np.argmin(resid), resid.shape)
-    return float(resid[idx]), None
+    if not bi.size:
+        return float(resid.min()), None
+    b = bi if rows is None else rows[bi]
+    p = ps[bi, qi].astype(np.int64)
+    q = grid.qs[qi]
+    r = grid.rr[b]
+    s = grid.ss[b]
+    # one integer key in mixed radix bound+1 orders the hits as the tuple
+    # (|p|+q+|r|+s, |p|, q, |r|, s) does (it fits int64 for any bound whose
+    # grid fits in memory); argmin takes the first minimum
+    abs_p = np.abs(p)
+    key = abs_p + q + grid.bsize[b]
+    for digit in (abs_p, q, np.abs(r), s):
+        key = key * (bound + 1) + digit
+    k = np.argmin(key)
+    witness = (Fraction(int(p[k]), int(q[k])), Fraction(int(r[k]), int(s[k])))
+    return float(resid[bi[k], qi[k]]), witness
+
+
+def _best_witness(x, ys, bound, tol):
+    """(residual, witness) of y ~ a*pi + b*x for each y in ys, as the full
+    grid of rationals a = p/q, b = r/s of height <= bound would give it.
+
+    Bound, then confirm.  Row b of direction x -> y must match its target
+    y - b*x with some p*(pi/q); the distance from the target to the nearest
+    entry of the sorted table of all such values bounds every residual in
+    the row from below.  One searchsorted over all targets of all ys gives
+    these bounds.  A direction whose smallest bound reaches tol has no
+    witness, and its residual is that bound once the argmin row's own
+    residuals attain it.  A direction with bounds below tol is searched on
+    those rows alone, which hold every hit in grid order.  Anything the
+    bounds leave open falls back to the full grid.
+    """
+    grid = _grids(bound)
+    targets = ys[:, None] - grid.bvals * x  # row b: what a*pi has to match
+    at = np.searchsorted(grid.table, targets)
+    lower = np.minimum(np.abs(targets - grid.below[at]), np.abs(targets - grid.above[at]))
+    k = np.arange(len(ys))
+    best_row = lower.argmin(axis=1)
+    floor = lower[k, best_row]
+    reached = _grid_residuals(targets[k, best_row], bound)[1].min(axis=1) == floor
+    out = [(f, None) for f in floor.tolist()]
+    for d in np.flatnonzero(~((floor >= tol) & reached)):
+        if floor[d] < tol:
+            rows = np.flatnonzero(lower[d] < tol)
+            if rows.size:
+                out[d] = _witness_grid(targets[d, rows], rows, bound, tol)
+                if out[d][1] is not None:
+                    continue
+        out[d] = _witness_grid(targets[d], None, bound, tol)
+    return out
 
 
 def check_independence(angles, bound=16, tol=1e-9):
@@ -342,16 +410,27 @@ def check_independence(angles, bound=16, tol=1e-9):
     an explicit rational witness, while "independent" only means no witness
     exists up to the given height bound.  A best residual inside [tol,
     10*tol) is reported as inconclusive since it flips with the tolerance.
+    Each angle in turn is the source x of one bound-then-confirm pass
+    (_best_witness) over every other angle, so the full residual grid runs
+    only where the table bounds cannot settle a direction; the report is
+    the one the full grid gives for every directed pair.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    vals = tuple(angles.angles) if isinstance(angles, AngleProfile) else tuple(float(a) for a in angles)
+    vals = angles.angles if isinstance(angles, AngleProfile) else angles
+    arr = np.array([float(a) for a in vals])
+    m = arr.size
+    best = {}  # (x_index, y_index) -> (residual, witness)
+    for i in range(m):
+        # direction i -> j (j < i) only matters when j -> i has no witness
+        ys = [j for j in range(m) if j > i or (j < i and best[(j, i)][1] is None)]
+        if ys:
+            best.update(zip(((i, j) for j in ys), _best_witness(arr[i], arr[ys], bound, tol)))
     pairs = {}
-    m = len(vals)
     for i in range(m):
         for j in range(i + 1, m):
-            res_ij, wit_ij = _best_witness(vals[i], vals[j], bound, tol)
-            res_ji, wit_ji = _best_witness(vals[j], vals[i], bound, tol)
+            res_ij, wit_ij = best[(i, j)]
+            res_ji, wit_ji = best.get((j, i), (None, None))
             if wit_ij is not None or wit_ji is not None:
                 if wit_ij is not None:
                     witness, direction, residual = wit_ij, (i, j), res_ij
@@ -359,9 +438,9 @@ def check_independence(angles, bound=16, tol=1e-9):
                     witness, direction, residual = wit_ji, (j, i), res_ji
                 pairs[(i, j)] = PairDependence(i, j, "dependent", witness, direction, residual)
             else:
-                best = min(res_ij, res_ji)
-                status = "inconclusive" if best < 10.0 * tol else "independent"
-                pairs[(i, j)] = PairDependence(i, j, status, None, None, best)
+                best_res = min(res_ij, res_ji)
+                status = "inconclusive" if best_res < 10.0 * tol else "independent"
+                pairs[(i, j)] = PairDependence(i, j, status, None, None, best_res)
     return IndependenceReport(bound=bound, tol=tol, pairs=pairs)
 
 

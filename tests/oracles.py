@@ -6,12 +6,20 @@ arithmetic) and a different search strategy (exhaustive depth-limited DFS
 over crossing sequences, no pruning other than an admissible distance cut).
 Results are compared against the production engine; the two sides share no
 code beyond the gluing data structure.
+
+The rational-dependence screen has a reference here as well: the full
+residual grid for every directed angle pair, which the production screen
+only falls back to where its sorted-table bounds cannot settle a pair.  It
+builds the production report types so the two reports compare by repr.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
+
+from zipfold.polygon import IndependenceReport, PairDependence
 
 
 def _mat_from_pairs(src0, src1, dst0, dst1):
@@ -173,3 +181,51 @@ def metric_by_brute_force(gluing, budgets=None, max_depth=6):
         budget = chord + 1e-6 if budgets is None else budgets[(i, j)]
         out[labels[i] + labels[j]] = dev.shortest(i, j, budget, max_depth)
     return out
+
+
+def _reference_best_witness(x, y, bound, tol):
+    """Best (a, b) with y ~ a*pi + b*x from the full 33*bound x bound grid."""
+    rr, ss = np.meshgrid(np.arange(-bound, bound + 1), np.arange(1, bound + 1), indexing="ij")
+    rr = rr.ravel()
+    ss = ss.ravel()
+    bvals = rr / ss
+    bsize = np.abs(rr) + ss
+    target = y - bvals * x
+    qs = np.arange(1, bound + 1)
+    ps = np.rint(target[:, None] * qs[None, :] / math.pi)
+    ok = np.abs(ps) <= bound
+    resid = np.abs(target[:, None] - ps * (math.pi / qs[None, :]))
+    resid[~ok] = np.inf
+    bi, qi = np.nonzero(resid < tol)
+    if bi.size:
+        p = ps[bi, qi].astype(np.int64)
+        q = qs[qi]
+        r = rr[bi]
+        s = ss[bi]
+        k = np.lexsort((s, np.abs(r), q, np.abs(p), np.abs(p) + q + bsize[bi]))[0]
+        witness = (Fraction(int(p[k]), int(q[k])), Fraction(int(r[k]), int(s[k])))
+        return float(resid[bi[k], qi[k]]), witness
+    idx = np.unravel_index(np.argmin(resid), resid.shape)
+    return float(resid[idx]), None
+
+
+def reference_check_independence(angles, bound=16, tol=1e-9):
+    """check_independence with the full grid on both directions of every pair."""
+    vals = tuple(float(a) for a in angles)
+    pairs = {}
+    m = len(vals)
+    for i in range(m):
+        for j in range(i + 1, m):
+            res_ij, wit_ij = _reference_best_witness(vals[i], vals[j], bound, tol)
+            res_ji, wit_ji = _reference_best_witness(vals[j], vals[i], bound, tol)
+            if wit_ij is not None or wit_ji is not None:
+                if wit_ij is not None:
+                    witness, direction, residual = wit_ij, (i, j), res_ij
+                else:
+                    witness, direction, residual = wit_ji, (j, i), res_ji
+                pairs[(i, j)] = PairDependence(i, j, "dependent", witness, direction, residual)
+            else:
+                best = min(res_ij, res_ji)
+                status = "inconclusive" if best < 10.0 * tol else "independent"
+                pairs[(i, j)] = PairDependence(i, j, status, None, None, best)
+    return IndependenceReport(bound=bound, tol=tol, pairs=pairs)

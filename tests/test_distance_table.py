@@ -1,7 +1,8 @@
 """Each geodesic fact of a halving is computed once, and soundly.
 
 One engine per halving, one shortest query per unordered cone-point pair,
-one independence screen per sampled polygon; and reading the disk verdicts
+one independence screen per sampled polygon, one validation per verify;
+and reading the disk verdicts
 from that table never turns a verdict the direct radius-1 queries would
 leave open or decide the other way into pass or fail.
 """
@@ -10,7 +11,7 @@ import collections
 
 import pytest
 
-from zipfold import glue_halving, polygon, sample_fat_ngon
+from zipfold import geodesic, glue_halving, polygon, sample_fat_ngon
 from zipfold import pipeline
 from zipfold.geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, disk_empty
 from zipfold.pipeline import FAIL, INCONC, PASS, PipelineConfig, audit_halving, sweep_one
@@ -38,6 +39,9 @@ def counts(monkeypatch):
     screen = counted("screens", polygon.check_independence)
     monkeypatch.setattr(polygon, "check_independence", screen)
     monkeypatch.setattr(pipeline, "check_independence", screen)
+    checked = counted("validations", polygon.validate)
+    for module in (polygon, pipeline, geodesic):
+        monkeypatch.setattr(module, "validate", checked)
     return seen
 
 
@@ -46,6 +50,17 @@ def test_hexagon_verify_queries_each_pair_once(fat_pool_small, counts):
     assert counts["engines"] == 3
     assert counts["shortest"] == 3 * 6
     assert counts["screens"] == 1
+    assert counts["validations"] == 1
+
+
+def test_public_audits_still_validate(fat_pool_small, counts):
+    poly = fat_pool_small[0]
+    audit_halving(poly, 0)
+    assert counts["validations"] == 1
+    geodesic.overhang_audit(glue_halving(poly, 0), 0)
+    assert counts["validations"] == 2
+    geodesic.overhang_audit(glue_halving(poly, 0), 0, radius=0.5)
+    assert counts["validations"] == 2  # the fat bound applies at radius 1 only
 
 
 def test_octagon_verify_queries_each_pair_once(counts):
