@@ -19,6 +19,14 @@ Two facts keep the search small and exact:
   expansion admissible: once the bound exceeds the budget the search is
   complete.
 
+The order in which a search pops developments does not depend on its
+target, so one development from a source cone point serves many queries
+at once (the single-source propagation of Mitchell, Mount and
+Papadimitriou, "The discrete geodesic problem", 1987).  Each query, a
+`Goal`, retires at exactly the pop where a search for it alone would have
+stopped, and reports what that search would have reported.  A halving's
+distance table runs one such search per cone point.
+
 Candidates are never trusted from search state alone.  Each one is
 re-traced from scratch: the segment is pushed through the copies, the
 induced crossing sequence must reproduce the node's sequence, the composed
@@ -37,6 +45,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .embed import PAIRS, TetraMetric
 from .errors import GeodesicError, GeodesicNotFoundError
@@ -47,7 +56,7 @@ from .geometry import (
     rigid_from_segment,
     segment_crossing_param,
 )
-from .polygon import validate
+from .polygon import DEFAULT_TOLERANCES, validate
 
 TWO_PI = 2.0 * math.pi
 OVERHANG_BOUND = 1.0 - math.sqrt(3.0) / 2.0
@@ -104,6 +113,8 @@ class GeodesicPath:
 class ShortestResult:
     status: str
     path: GeodesicPath | None
+    # pops this query's own stop needed; a shared search may pop more for
+    # its other goals
     developments: int
     # lower bound on every path the search left unexamined when it ran out
     # of developments; inf when it did not run out
@@ -118,7 +129,7 @@ class ShortestResult:
 class EnumerationResult:
     paths: tuple
     complete: bool
-    developments: int
+    developments: int  # as in ShortestResult
 
 
 @dataclass(frozen=True)
@@ -141,6 +152,52 @@ class OverhangReport:
     @property
     def within_bound(self):
         return self.max_width <= self.bound + 1e-9
+
+
+class Goal(NamedTuple):
+    """One query a shared search serves: a target cone point and a budget.
+
+    A goal that stops at its first find is a shortest query; otherwise it
+    enumerates every geodesic within the budget.
+    """
+
+    target: int  # cone-point index
+    budget: float
+    stop_at_first: bool
+
+
+class _GoalState:
+    """A goal's progress through one shared search, across its roots."""
+
+    __slots__ = (
+        "budget", "stop_at_first", "target_cone", "targets",
+        "collect", "best", "developments", "frontier",
+    )
+
+    def __init__(self, goal, target_cone):
+        self.budget = goal.budget
+        self.stop_at_first = goal.stop_at_first
+        self.target_cone = target_cone
+        self.targets = target_cone.vertices
+        self.collect = {}  # (sv, tv, edge_path) -> GeodesicPath
+        self.best = math.inf  # shortest find of the current root
+        self.developments = 0
+        self.frontier = math.inf
+
+    def result(self):
+        paths = sorted(
+            self.collect.values(), key=lambda g: (g.length, g.source_vertex, g.edge_path)
+        )
+        exhausted = self.frontier < math.inf
+        if not self.stop_at_first:
+            return EnumerationResult(tuple(paths), not exhausted, self.developments)
+        if paths:
+            # an exhausted search may still certify its best find if nothing
+            # cheaper was left open; be conservative and flag it instead
+            status = INCONCLUSIVE if exhausted else FOUND
+            return ShortestResult(status, paths[0], self.developments, self.frontier)
+        status = INCONCLUSIVE if exhausted else NOT_FOUND
+        return ShortestResult(status, None, self.developments, self.frontier)
 
 
 class _Node:
@@ -375,24 +432,68 @@ class DevelopmentEngine:
 
     # -- search ---------------------------------------------------------------
 
-    def _search_root(self, source_cone, target_cone, sv, budget, dev_cap, collect, stop_at_first):
+    def search(self, src_idx, goals, dev_cap=None):
+        """One best-first development from a source cone serving many goals.
+
+        Returns (results, developments): per goal a ShortestResult (for a
+        goal that stops at its first find) or an EnumerationResult, each
+        identical to what a search for that goal alone would give, and the
+        number of developments this shared search popped.
+        """
+        cps = self.gluing.cone_points
+        source_cone = cps[src_idx]
+        states = []
+        for goal in goals:
+            target_cone = cps[goal.target]
+            if source_cone is target_cone:
+                raise GeodesicError("source and target cone points coincide")
+            if goal.budget <= 0:
+                raise GeodesicError("budget must be positive")
+            states.append(_GoalState(goal, target_cone))
+        if not states:
+            return [], 0
+        cap = dev_cap if dev_cap is not None else self.dev_cap
+        popped = 0
+        for sv in source_cone.vertices:
+            popped += self._search_root(source_cone, sv, states, cap)
+        return [st.result() for st in states], popped
+
+    def _search_root(self, source_cone, sv, states, dev_cap):
+        """Develop from vertex sv until every goal has retired; returns the pops.
+
+        Pushes are pruned at the largest live budget.  One with a lower
+        bound between two budgets only pops after the smaller goal has
+        retired, and a development it marks as seen can only come back at
+        a bound no smaller (pops come in bound order), so the smaller goal
+        would have pruned that one too.  Each goal therefore retires at
+        exactly the pop where its own search would have stopped, having
+        seen the same pops before it.
+        """
         s = self.points[sv]
-        targets = target_cone.vertices
+        for st in states:
+            st.best = math.inf
+        live = list(states)
+        reach = max(st.budget for st in live) + 1e-12
         heap = [(0.0, 0, _Node(IDENTITY, None, None, ()))]
         tie = 1
         seen = set()
         pops = 0
-        frontier = math.inf
-        best = math.inf
         while heap:
             lb, _, node = heapq.heappop(heap)
-            if lb > budget + 1e-12:
-                break
-            if stop_at_first and lb > best:
-                break
-            if pops >= dev_cap:
-                frontier = lb
-                break
+            kept = []
+            for st in live:
+                if lb > st.budget + 1e-12 or (st.stop_at_first and lb > st.best):
+                    st.developments += pops
+                elif pops >= dev_cap:
+                    st.developments += pops
+                    st.frontier = min(st.frontier, lb)
+                else:
+                    kept.append(st)
+            if len(kept) < len(live):
+                if not kept:
+                    return pops
+                live = kept
+                reach = max(st.budget for st in live) + 1e-12
             pops += 1
             transform = node.transform
             pts = self._develop(transform)
@@ -400,21 +501,27 @@ class DevelopmentEngine:
             # segment ending there stops on the entry edge, one crossing short
             entry = node.entry_edge
             on_entry = () if entry is None else (entry, (entry + 1) % self.n)
-            for tv in targets:
-                if tv in on_entry:
-                    continue
-                end = pts[tv]
-                d = abs(end - s)
-                if d > budget + 1e-12 or d + 1e-12 < lb:
-                    continue
-                if d > 1e-12 and not self._cone_contains(node.cone, bearing(end - s)):
-                    continue
-                path = self._finalize(source_cone, target_cone, sv, tv, node, end)
-                if path is not None:
-                    key = (sv, tv, path.edge_path)
-                    if key not in collect:
-                        collect[key] = path
-                        best = min(best, path.length)
+            finalized = {}  # target vertex -> re-traced path (None: rejected)
+            for st in live:
+                for tv in st.targets:
+                    if tv in on_entry:
+                        continue
+                    end = pts[tv]
+                    d = abs(end - s)
+                    if d > st.budget + 1e-12 or d + 1e-12 < lb:
+                        continue
+                    if d > 1e-12 and not self._cone_contains(node.cone, bearing(end - s)):
+                        continue
+                    if tv not in finalized:
+                        finalized[tv] = self._finalize(
+                            source_cone, st.target_cone, sv, tv, node, end
+                        )
+                    path = finalized[tv]
+                    if path is not None:
+                        key = (sv, tv, path.edge_path)
+                        if key not in st.collect:
+                            st.collect[key] = path
+                            st.best = min(st.best, path.length)
             for j in range(self.n):
                 if j == entry:
                     continue
@@ -426,7 +533,7 @@ class DevelopmentEngine:
                     continue
                 cone2, dist = clip
                 lb2 = max(lb, dist)
-                if lb2 > budget + 1e-12:
+                if lb2 > reach:
                     continue
                 t2 = transform.compose(self.transition[j])
                 key = t2.key() + (
@@ -442,78 +549,78 @@ class DevelopmentEngine:
                     (lb2, tie, _Node(t2, self.partner[j], cone2, node.edge_path + (j,))),
                 )
                 tie += 1
-        return pops, frontier
-
-    def _run(self, src_idx, dst_idx, budget, dev_cap, stop_at_first):
-        cps = self.gluing.cone_points
-        source_cone = cps[src_idx]
-        target_cone = cps[dst_idx]
-        if source_cone is target_cone:
-            raise GeodesicError("source and target cone points coincide")
-        if budget <= 0:
-            raise GeodesicError("budget must be positive")
-        cap = dev_cap if dev_cap is not None else self.dev_cap
-        collect = {}
-        pops = 0
-        frontier = math.inf
-        for sv in source_cone.vertices:
-            p, f = self._search_root(
-                source_cone, target_cone, sv, budget, cap, collect, stop_at_first
-            )
-            pops += p
-            frontier = min(frontier, f)
-        paths = sorted(collect.values(), key=lambda g: (g.length, g.source_vertex, g.edge_path))
-        return paths, pops, frontier
+        for st in live:
+            st.developments += pops
+        return pops
 
     def shortest_geodesic(self, src_idx, dst_idx, budget, dev_cap=None):
-        paths, pops, frontier = self._run(src_idx, dst_idx, budget, dev_cap, stop_at_first=True)
-        exhausted = frontier < math.inf
-        if paths:
-            # an exhausted search may still certify its best find if nothing
-            # cheaper was left open; be conservative and flag it instead
-            status = INCONCLUSIVE if exhausted else FOUND
-            return ShortestResult(status, paths[0], pops, frontier)
-        return ShortestResult(INCONCLUSIVE if exhausted else NOT_FOUND, None, pops, frontier)
+        results, _ = self.search(src_idx, [Goal(dst_idx, budget, True)], dev_cap)
+        return results[0]
 
     def enumerate_geodesics(self, src_idx, dst_idx, budget, dev_cap=None):
-        paths, pops, frontier = self._run(src_idx, dst_idx, budget, dev_cap, stop_at_first=False)
-        return EnumerationResult(tuple(paths), frontier == math.inf, pops)
+        results, _ = self.search(src_idx, [Goal(dst_idx, budget, False)], dev_cap)
+        return results[0]
 
-    def distance_table(self):
-        """The gluing's distance table, built on first use (see DistanceTable)."""
-        if self._table is None:
-            self._table = DistanceTable(self)
+    def distance_table(self, tol=DEFAULT_TOLERANCES):
+        """The gluing's distance table for these tolerances, built on first
+        use (see DistanceTable)."""
+        if self._table is None or self._table.tol != tol:
+            self._table = DistanceTable(self, tol)
         return self._table
 
 
 class DistanceTable:
-    """One shortest-geodesic query per unordered cone-point pair of a gluing.
+    """Every cone-point distance and zipper enumeration of a gluing.
 
     Every geodesic fact of a halving is read from here: the zipper lengths,
-    the unit-disk verdicts and, for hexagons, the tetrahedron metric.  Each
-    pair (i, j), i < j, is queried from i with budget 1 + BUDGET_SLACK,
-    enough to settle the unit disks and the unit zipper edges.  The
-    hexagon's non-zipper pairs, whose exact distance the metric needs, get
-    max(1, shortest interior chord between representatives) + BUDGET_SLACK;
-    the chord is itself a path on the surface, so it always suffices.
+    the "nothing shorter" enumerations, the unit-disk verdicts and, for
+    hexagons, the tetrahedron metric.  Each pair (i, j), i < j, is a
+    shortest query from i with budget 1 + BUDGET_SLACK, enough to settle
+    the unit disks and the unit zipper edges.  The hexagon's non-zipper
+    pairs, whose exact distance the metric needs, get max(1, shortest
+    interior chord between representatives) + BUDGET_SLACK; the chord is
+    itself a path on the surface, so it always suffices.  Each zipper pair
+    (i, j), in the zipper's direction, is also enumerated from i up to
+    1 - tol_geodesic.  All queries leaving one cone point share one search
+    (DevelopmentEngine.search), and `developments` counts what the shared
+    searches popped.
     """
 
-    def __init__(self, engine):
+    def __init__(self, engine, tol=DEFAULT_TOLERANCES):
         gluing = engine.gluing
         self.gluing = gluing
+        self.tol = tol
         self.zipper = {frozenset(p) for p in gluing.zipper_pairs()}
         self.entries = {}  # (i, j) with i < j -> (ShortestResult, budget)
-        for i, j in itertools.combinations(range(len(gluing.cone_points)), 2):
-            reach = 1.0
-            if gluing.n == 6 and frozenset((i, j)) not in self.zipper:
-                chord = min(
-                    abs(engine.points[u] - engine.points[w])
-                    for u in gluing.cone_points[i].vertices
-                    for w in gluing.cone_points[j].vertices
-                )
-                reach = max(reach, chord)
-            budget = reach + BUDGET_SLACK
-            self.entries[(i, j)] = (engine.shortest_geodesic(i, j, budget), budget)
+        # zipper pair (i, j), in the zipper's direction -> EnumerationResult
+        self.enumerations = {}
+        self.developments = 0
+        m = len(gluing.cone_points)
+        zipper_pairs = gluing.zipper_pairs()
+        for i in range(m):
+            goals = []
+            for j in range(i + 1, m):
+                reach = 1.0
+                if gluing.n == 6 and frozenset((i, j)) not in self.zipper:
+                    chord = min(
+                        abs(engine.points[u] - engine.points[w])
+                        for u in gluing.cone_points[i].vertices
+                        for w in gluing.cone_points[j].vertices
+                    )
+                    reach = max(reach, chord)
+                goals.append(Goal(j, reach + BUDGET_SLACK, True))
+            goals += [
+                Goal(j, 1.0 - tol.tol_geodesic, False)
+                for a, j in zipper_pairs
+                if a == i
+            ]
+            results, popped = engine.search(i, goals)
+            self.developments += popped
+            for goal, res in zip(goals, results):
+                if goal.stop_at_first:
+                    self.entries[(i, goal.target)] = (res, goal.budget)
+                else:
+                    self.enumerations[(i, goal.target)] = res
 
     def result(self, i, j):
         return self.entries[(min(i, j), max(i, j))][0]
@@ -551,11 +658,12 @@ class DistanceTable:
         """The six cone-point distances of a hexagon gluing as a TetraMetric.
 
         For a fat source (the caller's validation) the three zipper
-        distances must come out 1: the glued edges are unit and nothing
-        shorter exists.
+        distances must come out 1 within tol_geodesic: the glued edges are
+        unit and nothing shorter exists.
         """
         if len(self.gluing.cone_points) != 4:
             raise GeodesicError("tetrahedron metric needs a hexagon gluing (4 cone points)")
+        tol = self.tol.tol_geodesic
         dists = {}
         for (i, j), name in zip(itertools.combinations(range(4), 2), PAIRS):
             res = self.result(i, j)
@@ -564,11 +672,11 @@ class DistanceTable:
                     f"distance {name} not resolved (status {res.status})", status=res.status
                 )
             d = res.path.length
-            if fat and frozenset((i, j)) in self.zipper and abs(d - 1.0) > 1e-9:
+            if fat and frozenset((i, j)) in self.zipper and abs(d - 1.0) > tol:
                 raise GeodesicError(f"zipper distance {name} = {d!r} deviates from 1")
             dists["d_" + name] = d
         metric = TetraMetric(**dists)
-        metric.check_triangle_inequalities(1e-9)
+        metric.check_triangle_inequalities(tol)
         return metric
 
 
@@ -686,12 +794,17 @@ def _excursion_width(s, a, b, radius):
     return max(0.0, best)
 
 
-def tetra_metric(gluing, cfg=None, dev_cap=100000, clearance=1e-9):
+def tetra_metric(gluing, cfg=None, dev_cap=100000, clearance=None):
     """Six pairwise geodesic distances between the four cone points.
 
     Reads the gluing's distance table (see DistanceTable.tetra_metric); the
-    zipper-distance check applies when the source validates as fat.
+    zipper-distance check applies when the source validates as fat.  `cfg`
+    is the Tolerances to validate and check with, and its tol_clearance is
+    the clearance unless one is given.
     """
-    rep = validate(gluing.polygon) if cfg is None else validate(gluing.polygon, cfg)
-    engine = DevelopmentEngine(gluing, dev_cap, clearance)
-    return engine.distance_table().tetra_metric(rep.fat_ok)
+    tol = DEFAULT_TOLERANCES if cfg is None else cfg
+    rep = validate(gluing.polygon, tol)
+    engine = DevelopmentEngine(
+        gluing, dev_cap, tol.tol_clearance if clearance is None else clearance
+    )
+    return engine.distance_table(tol).tetra_metric(rep.fat_ok)

@@ -89,7 +89,8 @@ def fold_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
 
     Returns (gluing, curvature vector, engine).  The engine builds the
     halving's distance table on first use, so every check that reads a
-    cone-point distance shares one query per pair.
+    cone-point distance or a zipper enumeration shares one search per
+    source cone point.
     """
     g = gl.glue_halving(poly, fold_index)
     curv = gl.cone_angles(g, cfg.tolerances.tol_curvature)
@@ -100,19 +101,20 @@ def halving_tetrahedron(engine, fat, tol):
     """(metric, tetrahedron) of a hexagon halving, from its distance table.
 
     `fat` is the source's validation verdict, which makes the zipper
-    distances checked against 1.
+    distances checked against 1 within `tol.tol_geodesic`.
     """
-    metric = engine.distance_table().tetra_metric(fat)
+    metric = engine.distance_table(tol).tetra_metric(fat)
     return metric, embed(metric, tol.tol_vol)
 
 
 def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
     """Full per-halving pipeline: gluing, curvatures, geodesics, 3D, net.
 
-    One engine and its distance table (one shortest query per unordered
-    cone-point pair) supply the zipper lengths, the unit-disk verdicts and,
-    for hexagons, the tetrahedron metric; the "nothing shorter" check
-    enumerates geodesics on the same engine.  For n > 6 there is no general
+    One engine and its distance table (one shared search per cone point,
+    answering a shortest query per unordered cone-point pair and the
+    zipper enumerations) supply the zipper lengths, the "nothing shorter"
+    check, the unit-disk verdicts and, for hexagons, the tetrahedron
+    metric.  For n > 6 there is no general
     embedding step, so the audit stops after the intrinsic checks
     (curvatures, zipper distances, disk emptiness).  Returns (audit, gluing).
     """
@@ -126,7 +128,7 @@ def _audit_halving(poly, fold_index, cfg, fat):
     g, curv, engine = fold_halving(poly, fold_index, cfg)
     audit.curvature = curv
     audit.gauss_bonnet_residual = curv.total - FOUR_PI
-    table = engine.distance_table()
+    table = engine.distance_table(tol)
 
     lengths = []
     statuses = []
@@ -139,7 +141,7 @@ def _audit_halving(poly, fold_index, cfg, fat):
             continue
         lengths.append(res.path.length)
         statuses.append(_tri(abs(res.path.length - 1.0) <= tol.tol_geodesic))
-        enum = engine.enumerate_geodesics(i, j, 1.0 - tol.tol_geodesic)
+        enum = table.enumerations[(i, j)]
         if not enum.complete:
             empties.append(INCONC)
         else:

@@ -1,8 +1,9 @@
 """Each geodesic fact of a halving is computed once, and soundly.
 
-One engine per halving, one shortest query per unordered cone-point pair,
-one independence screen per sampled polygon, one validation per verify;
-and reading the disk verdicts
+One engine per halving, one shared search per source cone point answering
+each unordered cone-point pair once, one independence screen per sampled
+polygon, one validation per verify; a caller's tolerances reach every
+check read from the table; and reading the disk verdicts
 from that table never turns a verdict the direct radius-1 queries would
 leave open or decide the other way into pass or fail.
 """
@@ -15,6 +16,7 @@ from zipfold import geodesic, glue_halving, polygon, sample_fat_ngon
 from zipfold import pipeline
 from zipfold.geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, disk_empty
 from zipfold.pipeline import FAIL, INCONC, PASS, PipelineConfig, audit_halving, sweep_one
+from zipfold.polygon import Tolerances
 
 
 @pytest.fixture()
@@ -31,11 +33,21 @@ def counts(monkeypatch):
     monkeypatch.setattr(
         DevelopmentEngine, "__init__", counted("engines", DevelopmentEngine.__init__)
     )
-    monkeypatch.setattr(
-        DevelopmentEngine,
-        "shortest_geodesic",
-        counted("shortest", DevelopmentEngine.shortest_geodesic),
-    )
+    search = DevelopmentEngine.search
+    asked = set()
+
+    def counted_search(self, src_idx, goals, dev_cap=None):
+        seen["searches"] += 1
+        for goal in goals:
+            if goal.stop_at_first:
+                seen["shortest"] += 1
+                asked.add((self.gluing.fold_index, frozenset((src_idx, goal.target))))
+                seen["pairs"] = len(asked)
+            else:
+                seen["enumerations"] += 1
+        return search(self, src_idx, goals, dev_cap)
+
+    monkeypatch.setattr(DevelopmentEngine, "search", counted_search)
     screen = counted("screens", polygon.check_independence)
     monkeypatch.setattr(polygon, "check_independence", screen)
     monkeypatch.setattr(pipeline, "check_independence", screen)
@@ -48,7 +60,9 @@ def counts(monkeypatch):
 def test_hexagon_verify_queries_each_pair_once(fat_pool_small, counts):
     assert pipeline.verify_polygon(fat_pool_small[0]).status == PASS
     assert counts["engines"] == 3
-    assert counts["shortest"] == 3 * 6
+    assert counts["searches"] == 3 * 4
+    assert counts["shortest"] == counts["pairs"] == 3 * 6
+    assert counts["enumerations"] == 3 * 3
     assert counts["screens"] == 1
     assert counts["validations"] == 1
 
@@ -68,7 +82,9 @@ def test_octagon_verify_queries_each_pair_once(counts):
     counts.clear()
     assert pipeline.verify_polygon(poly).status == PASS
     assert counts["engines"] == 4
-    assert counts["shortest"] == 4 * 10
+    assert counts["searches"] == 4 * 5
+    assert counts["shortest"] == counts["pairs"] == 4 * 10
+    assert counts["enumerations"] == 4 * 4
 
 
 def test_sweep_screens_each_polygon_once(counts):
@@ -154,3 +170,35 @@ def test_query_run_out_below_radius_leaves_disk_open(fat_pool_small):
                     assert table.disk(k).status == INCONCLUSIVE
                     open_disks += 1
     assert open_disks > 0
+
+
+def test_custom_tolerances_reach_the_metric_check(fat_pool_small):
+    # seed 0's first halving has a zipper distance 1.1e-16 short of 1
+    poly = fat_pool_small[0]
+    audit, _ = audit_halving(poly, 0)
+    assert audit.zipper_status == PASS and audit.error is None
+    strict = PipelineConfig(tolerances=Tolerances(tol_geodesic=1e-17))
+    audit, _ = audit_halving(poly, 0, strict)
+    assert audit.zipper_status == FAIL
+    assert "deviates from 1" in audit.error
+    assert audit.roundtrip_status == FAIL
+    g = glue_halving(poly, 0)
+    with pytest.raises(geodesic.GeodesicError, match="deviates from 1"):
+        geodesic.tetra_metric(g, Tolerances(tol_geodesic=1e-17))
+    assert geodesic.tetra_metric(g).as_dict() == audit_halving(poly, 0)[0].metric.as_dict()
+
+
+def test_public_tetra_metric_uses_the_clearance_tolerance(fat_pool_small, monkeypatch):
+    clearances = []
+    init = DevelopmentEngine.__init__
+
+    def spy(self, gluing, dev_cap=100000, clearance=1e-9):
+        clearances.append(clearance)
+        init(self, gluing, dev_cap, clearance)
+
+    monkeypatch.setattr(DevelopmentEngine, "__init__", spy)
+    g = glue_halving(fat_pool_small[0], 0)
+    geodesic.tetra_metric(g)
+    geodesic.tetra_metric(g, Tolerances(tol_clearance=1e-7))
+    geodesic.tetra_metric(g, Tolerances(tol_clearance=1e-7), clearance=1e-8)
+    assert clearances == [1e-9, 1e-7, 1e-8]
