@@ -110,7 +110,7 @@ def cmd_validate(args):
     poly = load_polygon(args.input)
     cfg = _config(args)
     report = validate(poly, cfg.tolerances)
-    ind = check_independence(report.angles, cfg.independence_bound)
+    ind = check_independence(report.angles, cfg.independence_bound, cfg.independence_tol)
     out = report.to_dict()
     out["independence"] = {
         "bound": ind.bound,
@@ -189,7 +189,7 @@ def cmd_fold(args):
             [i, j]
             for i in sorted(tets)
             for j in sorted(tets)
-            if i < j and congruent_tetrahedra(tets[i], tets[j], 1e-9)
+            if i < j and congruent_tetrahedra(tets[i], tets[j], cfg.tolerances.tol_congruence)
         ]
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_FAIL if failures else EXIT_OK

@@ -38,7 +38,7 @@ Perimeter-halving transitions come out orientation preserving: the zipped
 arcs are parameterized from the same fold vertex, so the copy across an
 edge is a rotated (never mirrored) polygon.  The mirrored flag still
 travels with every transform, but nothing here ever sets it; removing it is
-ROADMAP item 3.
+ROADMAP item 2.
 """
 
 import heapq

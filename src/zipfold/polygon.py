@@ -19,6 +19,25 @@ from .errors import MalformedPolygonError, SamplingBudgetError, ZipfoldError
 
 TWO_PI = 2.0 * math.pi
 
+# Closure geometry: a gap chord shorter than _CLOSED_CHAIN_CUTOFF leaves no
+# room for the two closing edges, vertices nearer than _COINCIDENT_CUTOFF
+# coincide, and a corner cross product down to -_CONVEX_SLACK still counts
+# as convex.
+_CLOSED_CHAIN_CUTOFF = 1e-12
+_COINCIDENT_CUTOFF = 1e-9
+_CONVEX_SLACK = 1e-12
+
+# The sampler draws its attempts in blocks (_attempt_batch) and screens each
+# block in one numpy pass whose bounds are widened by _PREFILTER_MARGIN
+# (radians, or unit lengths for the gap chord).  The margin exceeds, by
+# orders of magnitude, both the rounding gap between the vectorized and the
+# scalar closure (about 1e-14 in a coordinate) and what it becomes through
+# the acos of a chord near 2 (about 3e-7 in an angle), so the screen never
+# drops an attempt the scalar checks would keep.
+_SAMPLE_BATCH = 32  # attempts per block for hexagons
+_SAMPLE_BATCH_CAP = 1024
+_PREFILTER_MARGIN = 1e-5
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -482,7 +501,7 @@ def solve_closure(directions):
     glen = abs(gap)
     if glen > 2.0:
         return ClosureResult((), (("*", f"gap chord length {glen:.6f} exceeds 2"),), glen)
-    if glen < 1e-12:
+    if glen < _CLOSED_CHAIN_CUTOFF:
         return ClosureResult((), (("*", "chain already closed; no room for two unit edges"),), glen)
 
     base = math.atan2(gap.imag, gap.real)
@@ -505,7 +524,7 @@ def _closure_reject_reason(verts):
     m = len(verts)
     for i in range(m):
         for j in range(i + 1, m):
-            if math.hypot(verts[i][0] - verts[j][0], verts[i][1] - verts[j][1]) < 1e-9:
+            if math.hypot(verts[i][0] - verts[j][0], verts[i][1] - verts[j][1]) < _COINCIDENT_CUTOFF:
                 return "degenerate: coincident vertices"
     area = 0.0
     for i in range(m):
@@ -518,7 +537,7 @@ def _closure_reject_reason(verts):
         ax, ay = verts[i]
         bx, by = verts[(i + 1) % m]
         cx, cy = verts[(i + 2) % m]
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < -1e-12:
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < -_CONVEX_SLACK:
             return "polygon not convex"
     return None
 
@@ -558,37 +577,85 @@ def _sample_ngon(
     qualifies, which is how thin control samples are produced.  Returns
     (polygon, its ValidationReport, its IndependenceReport), the last None
     when require_independent is off and the screen did not run.
+
+    Attempts are drawn a block at a time, from the same random stream
+    that one draw per attempt gives, and screened in one numpy pass
+    (_closable_attempts) on the turn sum, the gap chord and the three
+    closing turns of both elbow branches.  Only the survivors, in attempt
+    order, go through solve_closure, validate and the independence screen,
+    so the result and the attempt that exhausts max_attempts are those of
+    trying every attempt in turn.
     """
     if n < 6 or n % 2:
         raise MalformedPolygonError(f"sampler needs even n >= 6, got {n}")
     rng = np.random.default_rng(seed)
-    if fat:
-        lo, hi = turn_margin, TWO_PI / 3.0 - turn_margin
-    else:
-        lo, hi = turn_margin, math.pi - turn_margin
-    for attempt in range(1, max_attempts + 1):
-        turns = rng.uniform(lo, hi, size=n - 3)
-        dirs = [0.0]
-        acc = 0.0
-        for t in turns:
-            acc += t
-            dirs.append(acc)
-        if acc >= TWO_PI:
-            continue
-        res = solve_closure(dirs)
-        for poly in res.polygons:
-            rep = validate(poly, cfg)
-            if not (rep.equilateral_ok and rep.strictly_convex and rep.angle_sum_ok):
+    cap = TWO_PI / 3.0 if fat else math.pi  # largest turn of an accepted corner
+    lo, hi = turn_margin, cap - turn_margin
+    batch = _attempt_batch(n)
+    for start in range(0, max_attempts, batch):
+        block = rng.uniform(lo, hi, size=(min(batch, max_attempts - start), n - 3))
+        for turns in block[_closable_attempts(block, cap)]:
+            dirs = [0.0]
+            acc = 0.0
+            for t in turns:
+                acc += t
+                dirs.append(acc)
+            if acc >= TWO_PI:
                 continue
-            if fat and not rep.fat_ok:
-                continue
-            ind = None
-            if require_independent:
-                ind = check_independence(rep.angles, independence_bound, independence_tol)
-                if not ind.all_independent:
+            res = solve_closure(dirs)
+            for poly in res.polygons:
+                rep = validate(poly, cfg)
+                if not (rep.equilateral_ok and rep.strictly_convex and rep.angle_sum_ok):
                     continue
-            return poly, rep, ind
+                if fat and not rep.fat_ok:
+                    continue
+                ind = None
+                if require_independent:
+                    ind = check_independence(rep.angles, independence_bound, independence_tol)
+                    if not ind.all_independent:
+                        continue
+                return poly, rep, ind
     raise SamplingBudgetError(max_attempts)
+
+
+def _attempt_batch(n):
+    """Attempts drawn per block for an n-gon.
+
+    Four times as many per two more vertices: the share of draws that close
+    into a fat polygon falls about tenfold (roughly 1/4, 1/25 and 1/250 for
+    n = 6, 8 and 10), and one screening pass costs about the same for a few
+    rows as for a few hundred.
+    """
+    return min(_SAMPLE_BATCH << (n - 6), _SAMPLE_BATCH_CAP)
+
+
+def _closable_attempts(turns, cap):
+    """Mask of the attempts (rows of drawn turns) that may close validly.
+
+    An attempt is kept while its turns sum below 2*pi, its gap chord is at
+    most 2, and on one elbow branch each closing turn (at the last placed
+    vertex, at the elbow and at vertex 0) lies in (0, cap) and the chain
+    winds once.  A corner that validates as strictly convex, or fat when cap
+    is 2*pi/3, turns by such an angle, and a chain that winds twice fails
+    the angle sum.  Every bound is widened by _PREFILTER_MARGIN.
+    """
+    dirs = np.cumsum(turns, axis=1)
+    last = dirs[:, -1]
+    gap = -1.0 - np.exp(1j * dirs).sum(axis=1)  # from the last placed vertex to vertex 0
+    glen = np.abs(gap)
+    # row 0 is the + elbow branch of solve_closure, row 1 the - branch
+    delta = np.arccos(np.minimum(1.0, glen / 2.0)) * np.array([[1.0], [-1.0]])
+    th4 = np.angle(gap) + delta  # the elbow's incoming edge
+    th5 = th4 - 2.0 * delta  # the closing edge into vertex 0
+    # the closing turns, wrapped into [-margin, 2*pi - margin) so that a
+    # turn near pi stays there
+    closing = np.stack((th4 - last, th5 - th4, -th5)) + _PREFILTER_MARGIN
+    closing = np.mod(closing, TWO_PI) - _PREFILTER_MARGIN
+    # the turns of a closed chain add up to a multiple of 2*pi, and to
+    # 2*pi itself only when it winds once, as a convex polygon does
+    winds_once = last + closing.sum(axis=0) < 3.0 * math.pi
+    branch_ok = ((closing < cap + _PREFILTER_MARGIN).all(axis=0) & winds_once).any(axis=0)
+    return (last < TWO_PI + _PREFILTER_MARGIN) & (glen <= 2.0 + _PREFILTER_MARGIN) & branch_ok
 
 
 def sample_fat_hexagon(seed, **kwargs):

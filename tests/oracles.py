@@ -11,6 +11,10 @@ The rational-dependence screen has a reference here as well: the full
 residual grid for every directed angle pair, which the production screen
 only falls back to where its sorted-table bounds cannot settle a pair.  It
 builds the production report types so the two reports compare by repr.
+
+So does the polygon sampler: the reference tries one attempt at a time,
+closing and validating every draw whose turns sum below 2*pi, where the
+production sampler screens a batch of attempts in one numpy pass first.
 """
 
 import itertools
@@ -19,7 +23,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from zipfold.polygon import IndependenceReport, PairDependence
+from zipfold.errors import MalformedPolygonError, SamplingBudgetError
+from zipfold.polygon import (
+    DEFAULT_TOLERANCES,
+    TWO_PI,
+    IndependenceReport,
+    PairDependence,
+    check_independence,
+    solve_closure,
+    validate,
+)
 
 
 def _mat_from_pairs(src0, src1, dst0, dst1):
@@ -229,3 +242,56 @@ def reference_check_independence(angles, bound=16, tol=1e-9):
                 status = "inconclusive" if best < 10.0 * tol else "independent"
                 pairs[(i, j)] = PairDependence(i, j, status, None, None, best)
     return IndependenceReport(bound=bound, tol=tol, pairs=pairs)
+
+
+def reference_sample_attempts(
+    n,
+    seed,
+    max_attempts=10000,
+    require_independent=True,
+    independence_bound=16,
+    independence_tol=1e-9,
+    turn_margin=1e-3,
+    fat=True,
+    cfg=DEFAULT_TOLERANCES,
+):
+    """The sampler one attempt at a time: draw, close, validate, screen.
+
+    Returns (attempt, (polygon, ValidationReport, IndependenceReport)) for
+    the first attempt accepted, counting attempts from 1.
+    """
+    if n < 6 or n % 2:
+        raise MalformedPolygonError(f"sampler needs even n >= 6, got {n}")
+    rng = np.random.default_rng(seed)
+    if fat:
+        lo, hi = turn_margin, TWO_PI / 3.0 - turn_margin
+    else:
+        lo, hi = turn_margin, math.pi - turn_margin
+    for attempt in range(1, max_attempts + 1):
+        turns = rng.uniform(lo, hi, size=n - 3)
+        dirs = [0.0]
+        acc = 0.0
+        for t in turns:
+            acc += t
+            dirs.append(acc)
+        if acc >= TWO_PI:
+            continue
+        res = solve_closure(dirs)
+        for poly in res.polygons:
+            rep = validate(poly, cfg)
+            if not (rep.equilateral_ok and rep.strictly_convex and rep.angle_sum_ok):
+                continue
+            if fat and not rep.fat_ok:
+                continue
+            ind = None
+            if require_independent:
+                ind = check_independence(rep.angles, independence_bound, independence_tol)
+                if not ind.all_independent:
+                    continue
+            return attempt, (poly, rep, ind)
+    raise SamplingBudgetError(max_attempts)
+
+
+def reference_sample_ngon(n, seed, **kwargs):
+    """What _sample_ngon returns, found one attempt at a time."""
+    return reference_sample_attempts(n, seed, **kwargs)[1]

@@ -1,11 +1,19 @@
 import csv
+import importlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from zipfold import sample_fat_hexagon, save_polygon
+from zipfold import pipeline, sample_fat_hexagon, save_polygon
 from zipfold.cli import main
+from zipfold.polygon import DEFAULT_TOLERANCES
+
+# the package re-exports the function zipfold.embed over its module's name
+embed_module = importlib.import_module("zipfold.embed")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture()
@@ -201,3 +209,40 @@ def test_thin_sweep_reports_separately(tmp_path, capsys):
     meta = json.loads((tmp_path / "sweep_meta.json").read_text())
     assert "thin" in meta["summary"] or "fat" in meta["summary"]
     assert code in (0, 1, 3)
+
+
+def test_fold_and_verify_judge_congruence_alike(regular_file, sampled_file, capsys, monkeypatch):
+    calls = []
+    congruent = embed_module.congruent_tetrahedra
+
+    def spy(a, b, tol):
+        calls.append((tol, congruent(a, b, tol)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pipeline, "congruent_tetrahedra", spy)
+    monkeypatch.setattr(embed_module, "congruent_tetrahedra", spy)
+    for path, pairs in ((regular_file, [[0, 1], [0, 2], [1, 2]]), (sampled_file, [])):
+        calls.clear()
+        main(["verify", "--input", path, "--force"])
+        capsys.readouterr()
+        verified = list(calls)
+        calls.clear()
+        main(["fold", "--input", path, "--fold-index", "all"])
+        assert json.loads(capsys.readouterr().out)["congruent_pairs"] == pairs
+        assert {tol for tol, _ in verified + calls} == {DEFAULT_TOLERANCES.tol_congruence}
+        # verify stops at the first congruent pair; fold judges every pair
+        assert verified and calls[: len(verified)] == verified
+        assert [ok for _, ok in calls].count(True) == len(pairs)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zipfold", "validate", "--input", "tests/data/regular_hexagon.json"],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["theorem_ok"]

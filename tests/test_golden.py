@@ -3,8 +3,10 @@
 The files under tests/data were written by the code as it stood before the
 one-distance-table-per-halving refactor, with the same commands as below:
 `zipfold fold --fold-index all` on the two polygon files there, and
-`zipfold sweep --seed 0` for each (n, count, thin) case.  Any change to a
-report byte shows up here.
+`zipfold sweep --seed 0` for each (n, count, thin) case.  The decagon and
+thin octagon sweeps, where the sampler rejects most attempts, were written
+before it screened attempts in batches.  Any change to a report byte shows
+up here.
 """
 
 import os
@@ -34,6 +36,8 @@ def test_fold_report_matches_golden(name, capsysbinary):
         ("sweep_n6_seeds0-19.csv", ["--n", "6", "--count", "20"]),
         ("sweep_n8_seeds0-9.csv", ["--n", "8", "--count", "10"]),
         ("sweep_n6_thin_seeds0-19.csv", ["--n", "6", "--count", "20", "--thin"]),
+        ("sweep_n10_seeds0-9.csv", ["--n", "10", "--count", "10"]),
+        ("sweep_n8_thin_seeds0-9.csv", ["--n", "8", "--count", "10", "--thin"]),
     ],
 )
 def test_sweep_csv_matches_golden(golden, args, tmp_path, capsys):
