@@ -89,10 +89,15 @@ class Tetrahedron3D:
         )
 
     def face_areas(self):
+        """Area of each face, in scalar floats (numpy costs more on 3-vectors)."""
         areas = {}
         for face in self.FACES:
-            p, q, r = (np.asarray(self.point(k)) for k in face)
-            areas["".join(face)] = 0.5 * float(np.linalg.norm(np.cross(q - p, r - p)))
+            (px, py, pz), (qx, qy, qz), (rx, ry, rz) = (self.point(k) for k in face)
+            ux, uy, uz = qx - px, qy - py, qz - pz
+            vx, vy, vz = rx - px, ry - py, rz - pz
+            areas["".join(face)] = 0.5 * math.hypot(
+                uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+            )
         return areas
 
     def surface_area(self):
@@ -124,8 +129,11 @@ def cayley_menger_volume2(metric, tol_vol=1e-12):
     return v2
 
 
-def embed(metric, tol_vol=1e-12):
-    """Canonical 3D placement reproducing the metric to 1e-8.
+def embed(metric, tol_vol=1e-12, tol_embed=1e-8):
+    """Canonical 3D placement reproducing the metric to tol_embed.
+
+    A squared apex height below -tol_embed (on a metric that is not flat)
+    fails the placement.
 
     Deterministic and bit-stable for identical inputs: the placement is a
     fixed sequence of arithmetic with no iterative refinement.
@@ -153,7 +161,7 @@ def embed(metric, tol_vol=1e-12):
     yd = (ad * ad - cd * cd + xc * xc + yc * yc - 2.0 * xd * xc) / (2.0 * yc)
     zd2 = ad * ad - xd * xd - yd * yd
     if zd2 <= 0.0:
-        if zd2 < -1e-8 and not flat:
+        if zd2 < -tol_embed and not flat:
             raise MetricError("apex placement failed: negative squared height")
         zd2 = 0.0
     zd = math.sqrt(zd2)
@@ -164,7 +172,7 @@ def embed(metric, tol_vol=1e-12):
         abs(tet.edge_length(u, v) - metric.distance(u, v))
         for u, v in itertools.combinations("abcd", 2)
     )
-    if worst > 1e-8:
+    if worst > tol_embed:
         raise MetricError(f"embedding failed to reproduce distances (error {worst:.3e})")
     return tet
 
@@ -176,18 +184,28 @@ def vertex_angle_sums(tet):
     2*pi - omega at every cone point, so a mismatch flags either a geodesic
     mismeasurement upstream or a curvature bug.
     """
-    pts = {k: np.asarray(tet.point(k)) for k in "abcd"}
     sums = {}
     for v in "abcd":
+        vx, vy, vz = tet.point(v)
         others = [o for o in "abcd" if o != v]
         total = 0.0
         for x, y in itertools.combinations(others, 2):
-            u1 = pts[x] - pts[v]
-            u2 = pts[y] - pts[v]
-            cosang = np.dot(u1, u2) / (np.linalg.norm(u1) * np.linalg.norm(u2))
-            total += math.acos(min(1.0, max(-1.0, float(cosang))))
+            (x1, y1, z1), (x2, y2, z2) = tet.point(x), tet.point(y)
+            u1 = (x1 - vx, y1 - vy, z1 - vz)
+            u2 = (x2 - vx, y2 - vy, z2 - vz)
+            dot = u1[0] * u2[0] + u1[1] * u2[1] + u1[2] * u2[2]
+            cosang = dot / (math.hypot(*u1) * math.hypot(*u2))
+            total += math.acos(min(1.0, max(-1.0, cosang)))
         sums[v] = total
     return sums
+
+
+_EDGES = tuple(itertools.combinations("abcd", 2))
+# the image of each edge under each relabeling, in the order of permutations("abcd")
+_EDGE_IMAGES = tuple(
+    tuple((perm["abcd".index(u)], perm["abcd".index(v)]) for u, v in _EDGES)
+    for perm in itertools.permutations("abcd")
+)
 
 
 def congruent_tetrahedra(t1, t2, tol=1e-9):
@@ -196,16 +214,15 @@ def congruent_tetrahedra(t1, t2, tol=1e-9):
     Matching all six pairwise distances determines a 4-point set up to
     isometry including reflections, so mirror images count as congruent.
     """
-    d1 = {frozenset(p): t1.edge_length(*p) for p in itertools.combinations("abcd", 2)}
-    for perm in itertools.permutations("abcd"):
-        mapping = dict(zip("abcd", perm))
-        ok = True
-        for pair, length in d1.items():
-            u, v = tuple(pair)
-            if abs(length - t2.edge_length(mapping[u], mapping[v])) > tol:
-                ok = False
+    d1 = [t1.edge_length(u, v) for u, v in _EDGES]
+    d2 = {}
+    for u, v in _EDGES:
+        d2[u, v] = d2[v, u] = t2.edge_length(u, v)
+    for image in _EDGE_IMAGES:
+        for length, pair in zip(d1, image):
+            if abs(length - d2[pair]) > tol:
                 break
-        if ok:
+        else:
             return True
     return False
 

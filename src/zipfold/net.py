@@ -14,6 +14,13 @@ from dataclasses import dataclass
 from .errors import NetError
 from .geometry import best_rigid_alignment, segments_properly_intersect, triangle_area
 
+# A hinge shorter than this has coincident endpoints and fixes no line.
+HINGE_MIN_LENGTH = 1e-15
+# Squared height a face may fall below zero by and still count as a triangle.
+FACE_HEIGHT2_SLACK = 1e-9
+# Largest gap between the net's area and the tetrahedron's surface area.
+AREA_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PlanarNet:
@@ -43,13 +50,13 @@ def _third_point(u, v, du, dv, side):
     ux, uy = u
     vx, vy = v
     base = math.dist(u, v)
-    if base < 1e-15:
+    if base < HINGE_MIN_LENGTH:
         raise NetError("degenerate hinge: coincident endpoints")
     ex, ey = (vx - ux) / base, (vy - uy) / base
     nx, ny = -ey, ex
     x = (base * base + du * du - dv * dv) / (2.0 * base)
     h2 = du * du - x * x
-    if h2 < -1e-9:
+    if h2 < -FACE_HEIGHT2_SLACK:
         raise NetError("face does not satisfy the triangle inequality")
     h = math.sqrt(max(0.0, h2))
     return (ux + x * ex + side * h * nx, uy + x * ey + side * h * ny)
@@ -129,7 +136,7 @@ def cut_and_unfold(tet, zipper=(("a", "c"), ("c", "d"), ("d", "b"))):
     net = PlanarNet(boundary, labels, creases, faces, tet.flat)
 
     surface = tet.surface_area()
-    if abs(net.area() - surface) > 1e-8:
+    if abs(net.area() - surface) > AREA_TOL:
         raise NetError(
             f"net area {net.area():.12f} does not match surface area {surface:.12f}"
         )

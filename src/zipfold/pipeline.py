@@ -15,6 +15,7 @@ from . import net as netmod
 from .embed import congruent_tetrahedra, embed, vertex_angle_sums
 from .errors import GeodesicError, MetricError
 from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, _overhang_report
+from .geometry import best_rigid_alignment
 from .polygon import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -104,7 +105,31 @@ def halving_tetrahedron(engine, fat, tol):
     distances checked against 1 within `tol.tol_geodesic`.
     """
     metric = engine.distance_table(tol).tetra_metric(fat)
-    return metric, embed(metric, tol.tol_vol)
+    return metric, embed(metric, tol.tol_vol, tol.tol_embed)
+
+
+def matches_source(net, poly, apex, tol):
+    """Whether the net is the source polygon under the halving's labeling.
+
+    The net corner labeled "a" is the fold vertex, polygon vertex `apex`,
+    and the boundary runs along the polygon from there.  The labels read
+    the same both ways round from "a" (c and d each stand for two polygon
+    vertices), and the layout picks a side from edge lengths alone, so the
+    net is the source or its mirror image: two rigid alignments, not the
+    24 correspondences `congruent_to_polygon` searches.
+    """
+    src = net.boundary
+    dst = poly.vertices
+    m = len(src)
+    corner = net.boundary_labels.index("a")
+    mirror = tuple((x, -y) for x, y in reversed(src))
+    turn = (corner - apex) % m
+    back = (m - 1 - corner - apex) % m
+    dev = min(
+        best_rigid_alignment(src[turn:] + src[:turn], dst)[0],
+        best_rigid_alignment(mirror[back:] + mirror[:back], dst)[0],
+    )
+    return dev <= tol
 
 
 def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
@@ -188,8 +213,8 @@ def _audit_halving(poly, fold_index, cfg, fat):
     net = netmod.cut_and_unfold(audit.tetra)
     audit.net = net
     audit.net_simple_status = _tri(netmod.is_simple(net))
-    ok, _ = netmod.congruent_to_polygon(net, poly, tol.tol_congruence)
-    audit.roundtrip_status = _tri(ok)
+    apex = g.cone_points[0].vertices[0]
+    audit.roundtrip_status = _tri(matches_source(net, poly, apex, tol.tol_congruence))
     return audit, g
 
 

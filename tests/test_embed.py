@@ -15,7 +15,7 @@ from zipfold import (
     tetra_metric,
     vertex_angle_sums,
 )
-from zipfold.embed import obj_lines
+from zipfold.embed import Tetrahedron3D, obj_lines
 
 PI = math.pi
 
@@ -145,6 +145,58 @@ def test_congruence_symmetric_and_transitive(fat_pool_small):
     # transitivity at matched tolerances via a congruent copy chain
     base = tets[0]
     assert congruent_tetrahedra(base, base, 0.0)
+
+
+def _congruent_by_edge_queries(t1, t2, tol):
+    """congruent_tetrahedra as it read t2's edges: one query per pair per correspondence."""
+    d1 = {frozenset(p): t1.edge_length(*p) for p in itertools.combinations("abcd", 2)}
+    for perm in itertools.permutations("abcd"):
+        mapping = dict(zip("abcd", perm))
+        ok = True
+        for pair, length in d1.items():
+            u, v = tuple(pair)
+            if abs(length - t2.edge_length(mapping[u], mapping[v])) > tol:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def _relabel(tet, perm):
+    pts = dict(zip("abcd", (tet.point(k) for k in perm)))
+    return Tetrahedron3D(**pts, flat=tet.flat, volume2=tet.volume2)
+
+
+def test_congruence_reads_each_edge_once_with_the_same_verdict(fat_pool_small, monkeypatch):
+    tets = [embed(tetra_metric(g)) for p in fat_pool_small[:6] for g in enumerate_halvings(p)]
+    cases = list(itertools.combinations(tets, 2))
+    for k, tet in enumerate(tets):
+        x, y, z = tet.d
+        mirror = Tetrahedron3D(tet.a, tet.b, tet.c, (x, y, -z), tet.flat, tet.volume2)
+        cases.append((tet, mirror))
+        for perm in list(itertools.permutations("abcd"))[k % 5 :: 5]:
+            cases.append((tet, _relabel(tet, perm)))
+            cases.append((_relabel(mirror, perm), tet))
+    seen = {"edges": 0}
+    edge_length = Tetrahedron3D.edge_length
+
+    def counted(self, u, v):
+        seen["edges"] += 1
+        return edge_length(self, u, v)
+
+    verdicts = set()
+    for t1, t2 in cases:
+        for tol in (0.0, 1e-12, 1e-6, 1e-2, 0.3):
+            want = _congruent_by_edge_queries(t1, t2, tol)
+            monkeypatch.setattr(Tetrahedron3D, "edge_length", counted)
+            seen["edges"] = 0
+            got = congruent_tetrahedra(t1, t2, tol)
+            monkeypatch.setattr(Tetrahedron3D, "edge_length", edge_length)
+            assert got == want
+            assert seen["edges"] == 12
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_obj_output_structure():

@@ -6,7 +6,9 @@ one-distance-table-per-halving refactor, with the same commands as below:
 `zipfold sweep --seed 0` for each (n, count, thin) case.  The decagon and
 thin octagon sweeps, where the sampler rejects most attempts, were written
 before it screened attempts in batches.  Any change to a report byte shows
-up here.
+up here.  The verify scorecards, `exit <code>` followed by stdout for
+`zipfold verify` with and without `--force`, were written before the round
+trip was checked under each halving's own labeling.
 """
 
 import os
@@ -43,3 +45,14 @@ def test_fold_report_matches_golden(name, capsysbinary):
 def test_sweep_csv_matches_golden(golden, args, tmp_path, capsys):
     main(["sweep", "--seed", "0", "--out-dir", str(tmp_path)] + args)
     assert (tmp_path / "sweep.csv").read_bytes() == _golden(golden)
+
+
+@pytest.mark.parametrize(
+    "name", ["regular_hexagon", "hexagon_seed7", "thin_hexagon_seed0", "thin_hexagon_seed6"]
+)
+@pytest.mark.parametrize("force", [False, True])
+def test_verify_scorecard_matches_golden(name, force, capsysbinary):
+    polygon = os.path.join(DATA, f"{name}.json")
+    code = main(["verify", "--input", polygon] + (["--force"] if force else []))
+    got = f"exit {code}\n".encode() + capsysbinary.readouterr().out
+    assert got == _golden(f"verify_{name}{'_force' if force else ''}.txt")
