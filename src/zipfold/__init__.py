@@ -23,15 +23,7 @@ from .errors import (
     SamplingBudgetError,
     ZipfoldError,
 )
-from .geodesic import (
-    DevelopmentEngine,
-    GeodesicPath,
-    disk_empty,
-    enumerate_geodesics,
-    overhang_audit,
-    shortest_geodesic,
-    tetra_metric,
-)
+from .geodesic import DevelopmentEngine, GeodesicPath, overhang_audit, tetra_metric
 from .gluing import (
     ConePoint,
     CurvatureVector,
@@ -62,6 +54,6 @@ from .polygon import (
     solve_closure,
     validate,
 )
-from .svgout import emit_svg, svg_net, svg_overlay, svg_polygon
+from .svgout import svg_net, svg_polygon
 
 __version__ = "0.1.0"

@@ -12,10 +12,12 @@ import csv
 import json
 import os
 import sys
+import time
 
 from . import gluing as gl
-from .embed import write_obj
+from .embed import congruent_tetrahedra, write_obj
 from .errors import MalformedPolygonError, SamplingBudgetError, ZipfoldError
+from .net import cut_and_unfold
 from .pipeline import (
     FAIL,
     INCONC,
@@ -93,24 +95,22 @@ def _config(args):
         tol_len=args.tol, tol_ang=args.tol, tol_convex=args.tol
     )
     return PipelineConfig(
-        tolerances=tol,
-        independence_bound=args.independence_bound,
-        dev_cap=args.dev_cap,
-        out_dir=_out_dir(args),
+        tolerances=tol, independence_bound=args.independence_bound, dev_cap=args.dev_cap
     )
 
 
-def _out_dir(args):
+def _out_path(args, name):
+    """Where output file `name` goes; the directory is made on first write."""
     out = args.out_dir or os.environ.get("ZIPFOLD_OUT_DIR") or "."
     os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.join(out, name)
 
 
 def cmd_validate(args):
     poly = load_polygon(args.input)
     cfg = _config(args)
     report = validate(poly, cfg.tolerances)
-    ind = check_independence(report.angles, cfg.independence_bound, cfg.independence_tol)
+    ind = check_independence(report.angles, cfg.independence_bound)
     out = report.to_dict()
     out["independence"] = {
         "bound": ind.bound,
@@ -167,24 +167,19 @@ def cmd_fold(args):
                 entry["flat"] = tet.flat
                 entry["volume2"] = tet.volume2
                 if args.emit_obj:
-                    path = os.path.join(cfg.out_dir, f"tetra_fold{i}.obj")
+                    path = _out_path(args, f"tetra_fold{i}.obj")
                     write_obj(tet, path)
                     entry["obj"] = path
                 if args.emit_svg:
-                    from .net import cut_and_unfold
-
-                    net = cut_and_unfold(tet)
-                    path = os.path.join(cfg.out_dir, f"net_fold{i}.svg")
+                    path = _out_path(args, f"net_fold{i}.svg")
                     with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(svg_net(net))
+                        fh.write(svg_net(cut_and_unfold(tet)))
                     entry["svg"] = path
             except ZipfoldError as exc:
                 entry["error"] = str(exc)
                 failures += 1
         report["halvings"].append(entry)
     if len(tets) > 1:
-        from .embed import congruent_tetrahedra
-
         report["congruent_pairs"] = [
             [i, j]
             for i in sorted(tets)
@@ -206,8 +201,7 @@ def cmd_verify(args):
     if not outcome.hypotheses_ok and not args.force:
         print("hypothesis failure: lemma checks skipped (use --force to run them)", file=sys.stderr)
     if args.emit_svg and poly.n == 6:
-        path = os.path.join(cfg.out_dir, "source_polygon.svg")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(_out_path(args, "source_polygon.svg"), "w", encoding="utf-8") as fh:
             fh.write(svg_polygon(poly))
     if outcome.status == PASS:
         return EXIT_OK
@@ -220,8 +214,6 @@ def _run_seeds(args, save_polygons=False):
     cfg = _config(args)
     records = []
     worst = EXIT_OK
-    import time
-
     t0 = time.perf_counter()
     for seed in range(args.seed, args.seed + args.count):
         try:
@@ -232,10 +224,10 @@ def _run_seeds(args, save_polygons=False):
             continue
         records.append(record)
         if save_polygons:
-            save_polygon(poly, os.path.join(cfg.out_dir, f"polygon_seed{seed}.json"))
+            save_polygon(poly, _out_path(args, f"polygon_seed{seed}.json"))
     wall = time.perf_counter() - t0
 
-    csv_path = os.path.join(cfg.out_dir, "sweep.csv")
+    csv_path = _out_path(args, "sweep.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
@@ -246,7 +238,7 @@ def _run_seeds(args, save_polygons=False):
         "per_record_seconds": [r.wall_seconds for r in records],
         "summary": summarize_records(records),
     }
-    with open(os.path.join(cfg.out_dir, "sweep_meta.json"), "w", encoding="utf-8") as fh:
+    with open(_out_path(args, "sweep_meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
     print(json.dumps(meta["summary"], indent=2, sort_keys=True))
     print(f"wrote {csv_path} ({len(records)} records)")

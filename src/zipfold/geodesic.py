@@ -36,9 +36,7 @@ a positively curved cone point).
 
 Perimeter-halving transitions come out orientation preserving: the zipped
 arcs are parameterized from the same fold vertex, so the copy across an
-edge is a rotated (never mirrored) polygon.  The mirrored flag still
-travels with every transform, but nothing here ever sets it; removing it is
-ROADMAP item 2.
+edge is a rotated (never mirrored) polygon.
 """
 
 import heapq
@@ -60,7 +58,6 @@ from .polygon import DEFAULT_TOLERANCES, validate
 
 TWO_PI = 2.0 * math.pi
 OVERHANG_BOUND = 1.0 - math.sqrt(3.0) / 2.0
-ENTRY_ANGLE = 2.0 * math.asin(OVERHANG_BOUND / 2.0)
 # added to every distance-table budget so a distance of exactly the budget
 # is still found
 BUDGET_SLACK = 1e-6
@@ -80,33 +77,11 @@ class GeodesicPath:
     edge_path: tuple  # polygon edge indices crossed, in order
     identifications: tuple  # ((a0, a1), (b0, b1)) per crossing
     local_segments: tuple  # per-copy ((x, y), (x, y)) pieces in polygon coords
-    transforms: tuple  # (rot_re, rot_im, tr_re, tr_im, mirrored) per copy
+    transforms: tuple  # (rot_re, rot_im, tr_re, tr_im) per copy
 
     @property
     def crossings(self):
         return len(self.edge_path)
-
-    def to_dict(self):
-        """Structured dump: crossing sequence plus per-copy transforms."""
-        return {
-            "source": list(self.source),
-            "target": list(self.target),
-            "source_vertex": self.source_vertex,
-            "target_vertex": self.target_vertex,
-            "length": self.length,
-            "crossings": [
-                {"edge_a": list(a), "edge_b": list(b)} for a, b in self.identifications
-            ],
-            "segments": [[list(p), list(q)] for p, q in self.local_segments],
-            "transforms": [
-                {
-                    "rot": [t[0], t[1]],
-                    "translation": [t[2], t[3]],
-                    "mirrored": t[4],
-                }
-                for t in self.transforms
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -147,7 +122,6 @@ class OverhangReport:
     max_width: float
     per_edge: tuple  # (vertex, edge_index, width)
     bound: float
-    beta_rad: float
 
     @property
     def within_bound(self):
@@ -425,8 +399,7 @@ class DevelopmentEngine:
             identifications=idents,
             local_segments=tuple(locals_),
             transforms=tuple(
-                (t.rot.real, t.rot.imag, t.trans.real, t.trans.imag, t.mirrored)
-                for t in transforms
+                (t.rot.real, t.rot.imag, t.trans.real, t.trans.imag) for t in transforms
             ),
         )
 
@@ -684,27 +657,7 @@ class DistanceTable:
 # high-level queries
 # ---------------------------------------------------------------------------
 
-def shortest_geodesic(gluing, src_idx, dst_idx, budget, dev_cap=100000, clearance=1e-9):
-    engine = DevelopmentEngine(gluing, dev_cap, clearance)
-    return engine.shortest_geodesic(src_idx, dst_idx, budget)
-
-
-def enumerate_geodesics(gluing, src_idx, dst_idx, budget, dev_cap=100000, clearance=1e-9):
-    engine = DevelopmentEngine(gluing, dev_cap, clearance)
-    return engine.enumerate_geodesics(src_idx, dst_idx, budget)
-
-
-def disk_empty(gluing, center_idx, radius=1.0, tol=1e-9, dev_cap=100000, engine=None):
-    """Is the open geodesic disk around a cone point free of other cone points?
-
-    Reads the gluing's distance table (see DistanceTable.disk); pass the
-    halving's engine to share its table.
-    """
-    eng = engine or DevelopmentEngine(gluing, dev_cap)
-    return eng.distance_table().disk(center_idx, radius, tol)
-
-
-def overhang_audit(gluing, center_idx, radius=1.0, cfg=None):
+def overhang_audit(gluing, center_idx, radius=1.0, cfg=None, *, fat=None):
     """Measure how far the radius-r disk at a cone point pokes past the copy.
 
     For every boundary edge not incident to a representative of the cone
@@ -712,16 +665,13 @@ def overhang_audit(gluing, center_idx, radius=1.0, cfg=None):
     the edge line reached by disk points whose ray from the center actually
     passes through the open edge segment.  Fat hexagons must stay within
     1 - sqrt(3)/2; the implied entry angle 2*asin(bound/2) stays below 8
-    degrees.
+    degrees.  `fat` says whether to raise past that bound; None checks it
+    at radius 1 only, for a source that validates as fat under `cfg`.
     """
-    fat = radius == 1.0 and (
-        validate(gluing.polygon) if cfg is None else validate(gluing.polygon, cfg)
-    ).fat_ok
-    return _overhang_report(gluing, center_idx, radius, fat)
-
-
-def _overhang_report(gluing, center_idx, radius, fat):
-    """overhang_audit with the fat-source bound check decided by the caller."""
+    if fat is None:
+        fat = radius == 1.0 and (
+            validate(gluing.polygon) if cfg is None else validate(gluing.polygon, cfg)
+        ).fat_ok
     points = gluing.polygon.as_complex()
     n = len(points)
     center = gluing.cone_points[center_idx]
@@ -748,7 +698,6 @@ def _overhang_report(gluing, center_idx, radius, fat):
         max_width=max_width,
         per_edge=tuple(per_edge),
         bound=OVERHANG_BOUND,
-        beta_rad=ENTRY_ANGLE,
     )
 
 
@@ -794,17 +743,14 @@ def _excursion_width(s, a, b, radius):
     return max(0.0, best)
 
 
-def tetra_metric(gluing, cfg=None, dev_cap=100000, clearance=None):
+def tetra_metric(gluing, cfg=None):
     """Six pairwise geodesic distances between the four cone points.
 
     Reads the gluing's distance table (see DistanceTable.tetra_metric); the
     zipper-distance check applies when the source validates as fat.  `cfg`
-    is the Tolerances to validate and check with, and its tol_clearance is
-    the clearance unless one is given.
+    is the Tolerances to validate, search and check with.
     """
     tol = DEFAULT_TOLERANCES if cfg is None else cfg
     rep = validate(gluing.polygon, tol)
-    engine = DevelopmentEngine(
-        gluing, dev_cap, tol.tol_clearance if clearance is None else clearance
-    )
+    engine = DevelopmentEngine(gluing, clearance=tol.tol_clearance)
     return engine.distance_table(tol).tetra_metric(rep.fat_ok)

@@ -2,25 +2,16 @@
 
 Fast paths (the development search) represent points as complex numbers;
 module boundaries use (x, y) tuples.  Rigid motions are stored as
-(rot, trans, mirrored) with rot a unit complex number:
+(rot, trans) with rot a unit complex number, acting as
 
-    z  ->  rot * conj(z) + trans   if mirrored
-    z  ->  rot * z + trans         otherwise
+    z  ->  rot * z + trans
+
+Perimeter halving glues arcs that run from the same fold vertex, so every
+transition between developed copies preserves orientation and no
+reflection is needed.
 """
 
 import math
-
-TWO_PI = 2.0 * math.pi
-
-
-def wrap_angle(theta):
-    """Normalize an angle into (-pi, pi]."""
-    theta = math.fmod(theta, TWO_PI)
-    if theta <= -math.pi:
-        theta += TWO_PI
-    elif theta > math.pi:
-        theta -= TWO_PI
-    return theta
 
 
 def cross2(a, b):
@@ -67,29 +58,20 @@ def segment_crossing_param(p0, p1, a, b):
 
 
 class Rigid:
-    """Orientation-aware planar isometry with complex rotation part."""
+    """Orientation-preserving planar isometry with complex rotation part."""
 
-    __slots__ = ("rot", "trans", "mirrored")
+    __slots__ = ("rot", "trans")
 
-    def __init__(self, rot=1.0 + 0.0j, trans=0.0j, mirrored=False):
+    def __init__(self, rot=1.0 + 0.0j, trans=0.0j):
         self.rot = rot
         self.trans = trans
-        self.mirrored = mirrored
 
     def apply(self, z):
-        if self.mirrored:
-            z = z.conjugate()
         return self.rot * z + self.trans
 
     def compose(self, other):
         """self after other: (self . other)(z) = self(other(z))."""
-        if self.mirrored:
-            rot = self.rot * other.rot.conjugate()
-            trans = self.rot * other.trans.conjugate() + self.trans
-        else:
-            rot = self.rot * other.rot
-            trans = self.rot * other.trans + self.trans
-        return Rigid(rot, trans, self.mirrored ^ other.mirrored)
+        return Rigid(self.rot * other.rot, self.rot * other.trans + self.trans)
 
     def key(self, quantum=1e-8):
         return (
@@ -97,18 +79,13 @@ class Rigid:
             round(self.rot.imag / quantum),
             round(self.trans.real / quantum),
             round(self.trans.imag / quantum),
-            self.mirrored,
         )
 
     def almost_equal(self, other, tol=1e-10):
-        return (
-            self.mirrored == other.mirrored
-            and abs(self.rot - other.rot) <= tol
-            and abs(self.trans - other.trans) <= tol
-        )
+        return abs(self.rot - other.rot) <= tol and abs(self.trans - other.trans) <= tol
 
     def __repr__(self):
-        return f"Rigid(rot={self.rot!r}, trans={self.trans!r}, mirrored={self.mirrored})"
+        return f"Rigid(rot={self.rot!r}, trans={self.trans!r})"
 
 
 IDENTITY = Rigid()
@@ -123,7 +100,7 @@ def rigid_from_segment(src0, src1, dst0, dst1):
     dd = dst1 - dst0
     rot = dd / ds
     rot /= abs(rot)
-    return Rigid(rot, dst0 - rot * src0, False)
+    return Rigid(rot, dst0 - rot * src0)
 
 
 def polygon_signed_area(points):

@@ -230,7 +230,7 @@ def curvature_collision_relations(angles, tol=1e-9):
     )
 
 
-def gluing_report_json(gluing, curvatures=None, indent=2):
+def gluing_report_json(gluing, curvatures=None):
     data = gluing.to_dict()
     if curvatures is not None:
         data["curvature_total"] = curvatures.total
@@ -239,4 +239,4 @@ def gluing_report_json(gluing, curvatures=None, indent=2):
         "fold vertices keep their full interior angle as cone angle; "
         "curvature is 2*pi minus cone angle (total must be 4*pi)"
     )
-    return json.dumps(data, indent=indent, sort_keys=True)
+    return json.dumps(data, indent=2, sort_keys=True)

@@ -14,7 +14,7 @@ from . import gluing as gl
 from . import net as netmod
 from .embed import congruent_tetrahedra, embed, vertex_angle_sums
 from .errors import GeodesicError, MetricError
-from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, _overhang_report
+from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, overhang_audit
 from .geometry import best_rigid_alignment
 from .polygon import (
     DEFAULT_TOLERANCES,
@@ -35,18 +35,19 @@ _DISK_STATUS = {"empty": PASS, "nonempty": FAIL, INCONCLUSIVE: INCONC}
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """What the CLI lets a run choose.  The independence screen's residual
+    tolerance and the sampler's attempt budget are the defaults of
+    check_independence and _sample_ngon."""
+
     tolerances: Tolerances = DEFAULT_TOLERANCES
     independence_bound: int = 16
-    independence_tol: float = 1e-9
     dev_cap: int = 100000
-    sampler_max_attempts: int = 10000
-    out_dir: str = "."
 
     def __post_init__(self):
         if self.independence_bound < 1:
             raise ValueError("independence bound must be >= 1")
-        if self.dev_cap < 1 or self.sampler_max_attempts < 1:
-            raise ValueError("caps must be >= 1")
+        if self.dev_cap < 1:
+            raise ValueError("dev cap must be >= 1")
 
 
 DEFAULT_CONFIG = PipelineConfig()
@@ -74,12 +75,9 @@ class HalvingAudit:
     zipper_status: str = INCONC
     lemma3_empty_status: str = INCONC
     disk_status: str = INCONC
-    disk_witness: tuple | None = None
-    overhang_width: float = float("nan")
     metric: object = None
     tetra: object = None
     angle_sum_status: str = INCONC
-    net: object = None
     net_simple_status: str = INCONC
     roundtrip_status: str = INCONC
     error: str | None = None
@@ -132,7 +130,7 @@ def matches_source(net, poly, apex, tol):
     return dev <= tol
 
 
-def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
+def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None):
     """Full per-halving pipeline: gluing, curvatures, geodesics, 3D, net.
 
     One engine and its distance table (one shared search per cone point,
@@ -141,13 +139,10 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
     check, the unit-disk verdicts and, for hexagons, the tetrahedron
     metric.  For n > 6 there is no general
     embedding step, so the audit stops after the intrinsic checks
-    (curvatures, zipper distances, disk emptiness).  Returns (audit, gluing).
+    (curvatures, zipper distances, disk emptiness).  `fat` is the source's
+    validation verdict when the caller has it (None: validate here).
+    Returns (audit, gluing).
     """
-    return _audit_halving(poly, fold_index, cfg, None)
-
-
-def _audit_halving(poly, fold_index, cfg, fat):
-    """audit_halving given the source's fat verdict (None: validate here)."""
     tol = cfg.tolerances
     audit = HalvingAudit(fold_index=fold_index)
     g, curv, engine = fold_halving(poly, fold_index, cfg)
@@ -175,14 +170,15 @@ def _audit_halving(poly, fold_index, cfg, fat):
     audit.zipper_status = _combine(statuses)
     audit.lemma3_empty_status = _combine(empties)
 
-    disks = [table.disk(k, radius=1.0, tol=tol.tol_geodesic) for k in range(len(g.cone_points))]
-    audit.disk_status = _combine(_DISK_STATUS[rep.status] for rep in disks)
-    audit.disk_witness = next((rep.witness for rep in reversed(disks) if rep.witness), None)
+    audit.disk_status = _combine(
+        _DISK_STATUS[table.disk(k, radius=1.0, tol=tol.tol_geodesic).status]
+        for k in range(len(g.cone_points))
+    )
 
     if fat is None:
         fat = validate(poly, tol).fat_ok
     try:
-        audit.overhang_width = _overhang_report(g, 0, 1.0, fat).max_width
+        overhang_audit(g, 0, fat=fat)  # raises past the fat-source bound
     except GeodesicError as exc:
         audit.error = str(exc)
 
@@ -211,7 +207,6 @@ def _audit_halving(poly, fold_index, cfg, fat):
     audit.angle_sum_status = _tri(worst <= tol.tol_angle_sum)
 
     net = netmod.cut_and_unfold(audit.tetra)
-    audit.net = net
     audit.net_simple_status = _tri(netmod.is_simple(net))
     apex = g.cone_points[0].vertices[0]
     audit.roundtrip_status = _tri(matches_source(net, poly, apex, tol.tol_congruence))
@@ -286,24 +281,21 @@ class VerifyOutcome:
         return self.tetra_pairwise_incongruent
 
 
-def verify_polygon(poly, cfg=DEFAULT_CONFIG, force=False):
+def verify_polygon(poly, cfg=DEFAULT_CONFIG, force=False, *, report=None, independence=None):
     """The full audit: hypotheses, then the lemma chain per halving.
 
     Without force, hypothesis failure short-circuits (status "fail"); with
     force the lemma checks still run (exploration mode) but the overall
-    status remains "fail" because the hypotheses do not hold.
+    status remains "fail" because the hypotheses do not hold.  `report`
+    and `independence` are the polygon's validation report and
+    independence screen when the caller already has them, as a sweep has
+    from its sampler (None: compute them here).
     """
-    return _verify(poly, validate(poly, cfg.tolerances), None, cfg, force)
-
-
-def _verify(poly, report, independence, cfg, force):
-    """verify_polygon on a validated polygon, reusing the independence
-    screen its sampler ran (None: screen it here)."""
     tol = cfg.tolerances
+    if report is None:
+        report = validate(poly, tol)
     if independence is None:
-        independence = check_independence(
-            report.angles, cfg.independence_bound, cfg.independence_tol
-        )
+        independence = check_independence(report.angles, cfg.independence_bound)
     hypotheses_ok = report.theorem_ok and independence.all_independent
     outcome = VerifyOutcome(
         report=report,
@@ -317,7 +309,7 @@ def _verify(poly, report, independence, cfg, force):
         return outcome
 
     for i in range(poly.n // 2):
-        outcome.audits.append(_audit_halving(poly, i, cfg, report.fat_ok)[0])
+        outcome.audits.append(audit_halving(poly, i, cfg, fat=report.fat_ok)[0])
     outcome.distinct_by_curvature = gl.distinct_check(
         [a.curvature for a in outcome.audits], tol.tol_curvature
     )
@@ -408,14 +400,12 @@ def sweep_one(seed, n, cfg=DEFAULT_CONFIG, thin=False):
     poly, rep, independence = _sample_ngon(
         n,
         seed,
-        max_attempts=cfg.sampler_max_attempts,
         independence_bound=cfg.independence_bound,
-        independence_tol=cfg.independence_tol,
         fat=not thin,
         require_independent=not thin,
         cfg=cfg.tolerances,
     )
-    outcome = _verify(poly, rep, independence, cfg, force=thin)
+    outcome = verify_polygon(poly, cfg, force=thin, report=rep, independence=independence)
 
     gb = float("nan")
     if outcome.audits:

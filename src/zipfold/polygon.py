@@ -37,6 +37,7 @@ _CONVEX_SLACK = 1e-12
 _SAMPLE_BATCH = 32  # attempts per block for hexagons
 _SAMPLE_BATCH_CAP = 1024
 _PREFILTER_MARGIN = 1e-5
+_TURN_MARGIN = 1e-3  # free turns are drawn from (margin, cap - margin)
 
 
 @dataclass(frozen=True)
@@ -564,7 +565,6 @@ def _sample_ngon(
     require_independent=True,
     independence_bound=16,
     independence_tol=1e-9,
-    turn_margin=1e-3,
     fat=True,
     cfg=DEFAULT_TOLERANCES,
 ):
@@ -590,7 +590,7 @@ def _sample_ngon(
         raise MalformedPolygonError(f"sampler needs even n >= 6, got {n}")
     rng = np.random.default_rng(seed)
     cap = TWO_PI / 3.0 if fat else math.pi  # largest turn of an accepted corner
-    lo, hi = turn_margin, cap - turn_margin
+    lo, hi = _TURN_MARGIN, cap - _TURN_MARGIN
     batch = _attempt_batch(n)
     for start in range(0, max_attempts, batch):
         block = rng.uniform(lo, hi, size=(min(batch, max_attempts - start), n - 3))

@@ -1,12 +1,10 @@
-"""Deterministic SVG emitters for polygons, nets, and development overlays.
+"""Deterministic SVG emitters for the source polygon and the unfolded net.
 
+These are the files `verify --emit-svg` and `fold --emit-svg` write.
 Coordinates are written with 9 decimal digits and no timestamps, so equal
 inputs produce byte-identical documents.  The y axis is flipped into screen
 convention via a group transform rather than by touching coordinates.
 """
-
-from .errors import ZipfoldError
-from .geometry import Rigid
 
 _PRECISION = 9
 
@@ -36,21 +34,18 @@ def _document(points, body):
     return head + body + "</g>\n</svg>\n"
 
 
-def _poly_element(points, stroke, fill="none", width=0.02, dashed=False, cls=None):
+def _poly_element(points, stroke, width, cls):
     coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-    dash = ' stroke-dasharray="0.08,0.05"' if dashed else ""
-    klass = f' class="{cls}"' if cls else ""
     return (
-        f'<polygon{klass} points="{coords}" fill="{fill}" stroke="{stroke}" '
-        f'stroke-width="{_fmt(width)}"{dash} />\n'
+        f'<polygon class="{cls}" points="{coords}" fill="none" stroke="{stroke}" '
+        f'stroke-width="{_fmt(width)}" />\n'
     )
 
 
-def _line_element(p, q, stroke, width=0.015, dashed=True):
-    dash = ' stroke-dasharray="0.06,0.05"' if dashed else ""
+def _crease_element(p, q):
     return (
         f'<line x1="{_fmt(p[0])}" y1="{_fmt(p[1])}" x2="{_fmt(q[0])}" y2="{_fmt(q[1])}" '
-        f'stroke="{stroke}" stroke-width="{_fmt(width)}"{dash} />\n'
+        f'stroke="#305090" stroke-width="{_fmt(0.015)}" stroke-dasharray="0.06,0.05" />\n'
     )
 
 
@@ -63,56 +58,17 @@ def _label_element(p, text):
 
 def svg_polygon(poly):
     pts = poly.vertices
-    body = _poly_element(pts, "#1a1a1a", cls="boundary")
+    body = _poly_element(pts, "#1a1a1a", 0.02, "boundary")
     for i, p in enumerate(pts):
         body += _label_element(p, f"v{i}")
     return _document(pts, body)
 
 
 def svg_net(net):
-    body = _poly_element(net.boundary, "#b03030", width=0.025, cls="zipper-boundary")
-    for p, q, name in net.creases:
-        body += _line_element(p, q, "#305090", dashed=True)
+    body = _poly_element(net.boundary, "#b03030", 0.025, "zipper-boundary")
+    for p, q, _ in net.creases:
+        body += _crease_element(p, q)
     for p, label in zip(net.boundary, net.boundary_labels):
         body += _label_element(p, label)
     return _document(net.boundary, body)
 
-
-def svg_overlay(gluing, path):
-    """Developed copies of the polygon with the straightened geodesic on top."""
-    base = gluing.polygon.vertices
-    pts_all = []
-    body = ""
-    for rot_re, rot_im, tr_re, tr_im, mirrored in path.transforms:
-        tr = Rigid(complex(rot_re, rot_im), complex(tr_re, tr_im), mirrored)
-        copy = [
-            (tr.apply(complex(x, y)).real, tr.apply(complex(x, y)).imag) for x, y in base
-        ]
-        pts_all.extend(copy)
-        body += _poly_element(copy, "#999999", width=0.012, cls="copy")
-    start = path.transforms[0]
-    tr0 = Rigid(complex(start[0], start[1]), complex(start[2], start[3]), start[4])
-    p0 = tr0.apply(complex(*base[path.source_vertex]))
-    last = path.transforms[-1]
-    trn = Rigid(complex(last[0], last[1]), complex(last[2], last[3]), last[4])
-    p1 = trn.apply(complex(*base[path.target_vertex]))
-    body += _line_element((p0.real, p0.imag), (p1.real, p1.imag), "#b03030", width=0.03, dashed=False)
-    pts_all.extend([(p0.real, p0.imag), (p1.real, p1.imag)])
-    return _document(pts_all, body)
-
-
-def emit_svg(obj, gluing=None):
-    """Dispatch on the object kind; raises on empty/unsupported input."""
-    if obj is None:
-        raise ZipfoldError("nothing to render")
-    if hasattr(obj, "creases"):
-        return svg_net(obj)
-    if hasattr(obj, "vertices"):
-        if not obj.vertices:
-            raise ZipfoldError("nothing to render")
-        return svg_polygon(obj)
-    if hasattr(obj, "transforms"):
-        if gluing is None:
-            raise ZipfoldError("geodesic overlays need the gluing for context")
-        return svg_overlay(gluing, obj)
-    raise ZipfoldError(f"cannot render object of type {type(obj).__name__}")

@@ -1,5 +1,4 @@
 import csv
-import importlib
 import json
 import os
 import subprocess
@@ -7,12 +6,10 @@ import sys
 
 import pytest
 
-from zipfold import pipeline, sample_fat_hexagon, save_polygon
+from zipfold import cli, pipeline, sample_fat_hexagon, save_polygon
 from zipfold.cli import main
 from zipfold.polygon import DEFAULT_TOLERANCES
 
-# the package re-exports the function zipfold.embed over its module's name
-embed_module = importlib.import_module("zipfold.embed")
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -190,6 +187,13 @@ def test_out_dir_env_var(tmp_path, monkeypatch, sampled_file):
     assert (tmp_path / "envout" / "tetra_fold0.obj").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "verify", "fold"])
+def test_out_dir_made_only_for_files(command, tmp_path, sampled_file, capsys):
+    new = tmp_path / "never"
+    main([command, "--input", sampled_file, "--out-dir", str(new)])
+    assert not new.exists()
+
+
 def test_verify_tiny_dev_cap_exits_inconclusive(sampled_file):
     assert main(["verify", "--input", sampled_file, "--dev-cap", "1"]) == 3
 
@@ -213,14 +217,14 @@ def test_thin_sweep_reports_separately(tmp_path, capsys):
 
 def test_fold_and_verify_judge_congruence_alike(regular_file, sampled_file, capsys, monkeypatch):
     calls = []
-    congruent = embed_module.congruent_tetrahedra
+    congruent = pipeline.congruent_tetrahedra
 
     def spy(a, b, tol):
         calls.append((tol, congruent(a, b, tol)))
         return calls[-1][1]
 
     monkeypatch.setattr(pipeline, "congruent_tetrahedra", spy)
-    monkeypatch.setattr(embed_module, "congruent_tetrahedra", spy)
+    monkeypatch.setattr(cli, "congruent_tetrahedra", spy)
     for path, pairs in ((regular_file, [[0, 1], [0, 2], [1, 2]]), (sampled_file, [])):
         calls.clear()
         main(["verify", "--input", path, "--force"])

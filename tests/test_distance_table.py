@@ -2,10 +2,11 @@
 
 One engine per halving, one shared search per source cone point answering
 each unordered cone-point pair once, one independence screen per sampled
-polygon, one validation per verify; a caller's tolerances reach every
-check read from the table; and reading the disk verdicts
-from that table never turns a verdict the direct radius-1 queries would
-leave open or decide the other way into pass or fail.
+polygon, one validation per verify, with each audit reached through its
+public pipeline name; a caller's tolerances reach every check read from
+the table; and reading the disk verdicts from that table never turns a
+verdict the direct radius-1 queries would leave open or decide the other
+way into pass or fail.
 """
 
 import collections
@@ -14,7 +15,7 @@ import pytest
 
 from zipfold import geodesic, glue_halving, polygon, sample_fat_ngon
 from zipfold import pipeline
-from zipfold.geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, disk_empty
+from zipfold.geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine
 from zipfold.pipeline import FAIL, INCONC, PASS, PipelineConfig, audit_halving, sweep_one
 from zipfold.polygon import Tolerances
 
@@ -54,6 +55,8 @@ def counts(monkeypatch):
     checked = counted("validations", polygon.validate)
     for module in (polygon, pipeline, geodesic):
         monkeypatch.setattr(module, "validate", checked)
+    for name in ("audit_halving", "overhang_audit", "verify_polygon"):
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
     return seen
 
 
@@ -65,6 +68,7 @@ def test_hexagon_verify_queries_each_pair_once(fat_pool_small, counts):
     assert counts["enumerations"] == 3 * 3
     assert counts["screens"] == 1
     assert counts["validations"] == 1
+    assert counts["audit_halving"] == counts["overhang_audit"] == 3
 
 
 def test_public_audits_still_validate(fat_pool_small, counts):
@@ -75,6 +79,8 @@ def test_public_audits_still_validate(fat_pool_small, counts):
     assert counts["validations"] == 2
     geodesic.overhang_audit(glue_halving(poly, 0), 0, radius=0.5)
     assert counts["validations"] == 2  # the fat bound applies at radius 1 only
+    geodesic.overhang_audit(glue_halving(poly, 0), 0, fat=True)
+    assert counts["validations"] == 2  # the caller's verdict stands
 
 
 def test_octagon_verify_queries_each_pair_once(counts):
@@ -91,6 +97,9 @@ def test_sweep_screens_each_polygon_once(counts):
     record, _ = sweep_one(0, 8)
     assert record.status == PASS
     assert counts["screens"] == 1
+    assert counts["validations"] == 1
+    assert counts["verify_polygon"] == 1
+    assert counts["audit_halving"] == counts["overhang_audit"] == 4
 
 
 def _reference_disk_status(gluing, dev_cap):
@@ -118,7 +127,7 @@ def _disk_empty_status(gluing, dev_cap):
     eng = DevelopmentEngine(gluing, dev_cap=dev_cap)
     mapping = {"empty": PASS, "nonempty": FAIL, INCONCLUSIVE: INCONC}
     return pipeline._combine(
-        mapping[disk_empty(gluing, k, engine=eng).status] for k in range(len(gluing.cone_points))
+        mapping[eng.distance_table().disk(k).status] for k in range(len(gluing.cone_points))
     )
 
 
@@ -200,5 +209,4 @@ def test_public_tetra_metric_uses_the_clearance_tolerance(fat_pool_small, monkey
     g = glue_halving(fat_pool_small[0], 0)
     geodesic.tetra_metric(g)
     geodesic.tetra_metric(g, Tolerances(tol_clearance=1e-7))
-    geodesic.tetra_metric(g, Tolerances(tol_clearance=1e-7), clearance=1e-8)
-    assert clearances == [1e-9, 1e-7, 1e-8]
+    assert clearances == [1e-9, 1e-7]

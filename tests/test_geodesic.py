@@ -3,15 +3,7 @@ import math
 
 import pytest
 
-from zipfold import (
-    GeodesicError,
-    disk_empty,
-    enumerate_geodesics,
-    glue_halving,
-    overhang_audit,
-    shortest_geodesic,
-    tetra_metric,
-)
+from zipfold import GeodesicError, glue_halving, overhang_audit, tetra_metric
 from zipfold.geodesic import (
     FOUND,
     NOT_FOUND,
@@ -45,7 +37,7 @@ def test_regular_hexagon_metric_matches_oracle(regular_hexagon):
 
 def test_regular_hexagon_fold_vertex_distance_in_range(regular_hexagon):
     g = glue_halving(regular_hexagon, 0)
-    res = shortest_geodesic(g, 0, 1, budget=2 + 1e-6)
+    res = DevelopmentEngine(g).shortest_geodesic(0, 1, budget=2 + 1e-6)
     assert res.found
     assert 1.0 < res.path.length <= 2.0
     assert res.path.length == pytest.approx(2.0, abs=1e-12)
@@ -59,7 +51,7 @@ def test_regular_hexagon_metric_symmetric_under_fold(regular_hexagon):
 def test_zipper_edge_is_unit_geodesic(fat_pool_small):
     for poly in fat_pool_small[:20]:
         g = glue_halving(poly, 0)
-        res = shortest_geodesic(g, 0, 2, budget=1.5)
+        res = DevelopmentEngine(g).shortest_geodesic(0, 2, budget=1.5)
         assert res.found
         assert res.path.length == pytest.approx(1.0, abs=1e-12)
         assert res.path.edge_path == ()  # the boundary edge itself
@@ -69,7 +61,7 @@ def test_zipper_enumeration_below_one_empty(fat_pool_small):
     for poly in fat_pool_small[:20]:
         g = glue_halving(poly, 1)
         for i, j in g.zipper_pairs():
-            enum = enumerate_geodesics(g, i, j, budget=1 - 1e-9)
+            enum = DevelopmentEngine(g).enumerate_geodesics(i, j, budget=1 - 1e-9)
             assert enum.complete
             assert enum.paths == ()
 
@@ -85,7 +77,7 @@ def test_square_pillow_metric(degenerate_hexagon):
 
 def test_square_pillow_adjacent_corners_two_unit_geodesics(degenerate_hexagon):
     g = glue_halving(degenerate_hexagon, 1)
-    enum = enumerate_geodesics(g, 0, 2, budget=1.01)
+    enum = DevelopmentEngine(g).enumerate_geodesics(0, 2, budget=1.01)
     assert enum.complete
     assert [round(p.length, 12) for p in enum.paths] == [1.0, 1.0]
     # the two are the front/back traversals of one edge of the surface
@@ -96,14 +88,14 @@ def test_square_pillow_adjacent_corners_two_unit_geodesics(degenerate_hexagon):
 def test_square_pillow_small_disks_empty(degenerate_hexagon):
     g = glue_halving(degenerate_hexagon, 1)
     for k in range(4):
-        assert disk_empty(g, k, radius=0.5).status == "empty"
+        assert DevelopmentEngine(g).distance_table().disk(k, radius=0.5).status == "empty"
 
 
 def test_budget_below_distance_gives_empty_enumeration(regular_hexagon):
     g = glue_halving(regular_hexagon, 0)
-    enum = enumerate_geodesics(g, 0, 2, budget=0.9)
+    enum = DevelopmentEngine(g).enumerate_geodesics(0, 2, budget=0.9)
     assert enum.complete and enum.paths == ()
-    res = shortest_geodesic(g, 0, 2, budget=0.9)
+    res = DevelopmentEngine(g).shortest_geodesic(0, 2, budget=0.9)
     assert res.status == NOT_FOUND and res.path is None
 
 
@@ -163,8 +155,7 @@ def test_paths_reverify_their_development(fat_pool_small):
             tr = Rigid()
             for edge in path.edge_path:
                 tr = tr.compose(eng.transition[edge])
-            rr, ri, tre, tri, mir = path.transforms[-1]
-            assert not mir  # perimeter halving develops without mirroring
+            rr, ri, tre, tri = path.transforms[-1]
             assert abs(tr.rot - complex(rr, ri)) <= 1e-10
             assert abs(tr.trans - complex(tre, tri)) <= 1e-10
             checked += 1
@@ -197,13 +188,13 @@ def test_disks_empty_on_fat_sources(fat_pool_small):
             g = glue_halving(poly, i)
             eng = DevelopmentEngine(g)
             for k in range(4):
-                assert disk_empty(g, k, engine=eng).status == "empty"
+                assert eng.distance_table().disk(k).status == "empty"
 
 
 def test_thin_hexagon_disk_not_empty(thin_hexagon):
     # one angle below pi/3 pulls a paired cone point inside the unit disk
     g = glue_halving(thin_hexagon, 0)
-    report = disk_empty(g, 0)
+    report = DevelopmentEngine(g).distance_table().disk(0)
     assert report.status == "nonempty"
     vertices, dist = report.witness
     assert dist < 1.0 - 1e-9
@@ -213,7 +204,7 @@ def test_thin_hexagon_disk_not_empty(thin_hexagon):
 def test_source_and_target_must_differ(regular_hexagon):
     g = glue_halving(regular_hexagon, 0)
     with pytest.raises(GeodesicError):
-        shortest_geodesic(g, 1, 1, budget=1.0)
+        DevelopmentEngine(g).shortest_geodesic(1, 1, budget=1.0)
 
 
 def test_tetra_metric_rejects_larger_polygons():
@@ -269,7 +260,7 @@ def test_spiral_candidates_stay_above_one(fat_pool_small):
     # the two unit boundary traversals come first, spirals strictly later
     poly = fat_pool_small[3]
     g = glue_halving(poly, 0)
-    enum = enumerate_geodesics(g, 0, 2, budget=1.5)
+    enum = DevelopmentEngine(g).enumerate_geodesics(0, 2, budget=1.5)
     assert enum.complete
     lengths = [p.length for p in enum.paths]
     assert lengths == sorted(lengths)

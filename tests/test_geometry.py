@@ -11,16 +11,7 @@ from zipfold.geometry import (
     rigid_from_segment,
     segment_crossing_param,
     segments_properly_intersect,
-    wrap_angle,
 )
-
-
-def test_wrap_angle_range():
-    for k in range(-8, 9):
-        th = wrap_angle(0.3 + k * 2 * math.pi)
-        assert -math.pi < th <= math.pi
-        assert th == pytest.approx(0.3, abs=1e-12)
-    assert wrap_angle(math.pi) == pytest.approx(math.pi)
 
 
 def test_rigid_roundtrip_composition():
@@ -30,22 +21,12 @@ def test_rigid_roundtrip_composition():
     assert r1.compose(r2).apply(z) == pytest.approx(r1.apply(r2.apply(z)), abs=1e-14)
 
 
-def test_rigid_mirrored_composition():
-    m = Rigid(cmath.exp(0.4j), 0.2 + 0.1j, mirrored=True)
-    r = Rigid(cmath.exp(-0.9j), 1.0j)
-    z = -0.4 + 0.7j
-    assert m.compose(r).apply(z) == pytest.approx(m.apply(r.apply(z)), abs=1e-14)
-    assert m.compose(r).mirrored
-    assert m.compose(m).mirrored is False
-
-
 def test_rigid_from_segment_maps_endpoints():
     src0, src1 = 0.2 + 0.1j, 1.2 + 0.1j
     dst0, dst1 = 1j, 1 + 1j  # same length, rotated/translated
     tr = rigid_from_segment(src0, src1, dst0, dst1)
     assert tr.apply(src0) == pytest.approx(dst0, abs=1e-14)
     assert tr.apply(src1) == pytest.approx(dst1, abs=1e-14)
-    assert not tr.mirrored
 
 
 def test_point_segment_distance_cases():

@@ -8,7 +8,7 @@ from zipfold import (
     validate,
     verify_polygon,
 )
-from zipfold.geodesic import DevelopmentEngine, INCONCLUSIVE, disk_empty
+from zipfold.geodesic import DevelopmentEngine, INCONCLUSIVE
 from zipfold.pipeline import FAIL, INCONC, PASS, audit_halving, sweep_one, summarize_records
 
 
@@ -73,7 +73,7 @@ def test_tiny_dev_cap_goes_inconclusive(fat_pool_small):
     eng = DevelopmentEngine(g, dev_cap=1)
     res = eng.shortest_geodesic(0, 1, budget=3.0)
     assert res.status == INCONCLUSIVE
-    rep = disk_empty(g, 0, engine=eng)
+    rep = eng.distance_table().disk(0)
     assert rep.status in (INCONCLUSIVE, "nonempty", "empty")
     cfg = PipelineConfig(dev_cap=1)
     out = verify_polygon(poly, cfg)
@@ -127,13 +127,3 @@ def test_config_validation():
         Tolerances(tol_len=0.0)
     with pytest.raises(ValueError):
         Tolerances(tol_congruence=-1e-6)
-
-
-def test_geodesic_path_dump_structure(fat_pool_small):
-    g = glue_halving(fat_pool_small[0], 0)
-    eng = DevelopmentEngine(g)
-    path = eng.shortest_geodesic(0, 1, budget=3.0).path
-    dump = path.to_dict()
-    assert set(dump) >= {"source", "target", "length", "crossings", "segments", "transforms"}
-    assert len(dump["transforms"]) == len(dump["segments"])
-    assert all(not t["mirrored"] for t in dump["transforms"])

@@ -1,17 +1,4 @@
-import pytest
-
-from zipfold import (
-    ZipfoldError,
-    cut_and_unfold,
-    embed,
-    emit_svg,
-    enumerate_geodesics,
-    glue_halving,
-    svg_net,
-    svg_overlay,
-    svg_polygon,
-    tetra_metric,
-)
+from zipfold import cut_and_unfold, embed, glue_halving, svg_net, svg_polygon, tetra_metric
 
 
 def test_polygon_svg_structure(regular_hexagon):
@@ -44,25 +31,3 @@ def test_coordinates_have_nine_decimals(regular_hexagon):
     assert len(x.split(".")[1]) == 9
     assert len(y.split(".")[1]) == 9
 
-
-def test_overlay_draws_copies_and_path(regular_hexagon):
-    import math
-
-    g = glue_halving(regular_hexagon, 0)
-    enum = enumerate_geodesics(g, 0, 1, budget=math.sqrt(7) + 1e-6)
-    spiral = next(p for p in enum.paths if p.crossings > 0)
-    doc = svg_overlay(g, spiral)
-    assert doc.count("<polygon") == len(spiral.transforms)
-    assert doc.count("<line") == 1
-
-
-def test_emit_svg_dispatch(regular_hexagon):
-    tet = embed(tetra_metric(glue_halving(regular_hexagon, 0)))
-    net = cut_and_unfold(tet)
-    assert emit_svg(net) == svg_net(net)
-    assert emit_svg(regular_hexagon) == svg_polygon(regular_hexagon)
-
-
-def test_emit_svg_rejects_empty():
-    with pytest.raises(ZipfoldError):
-        emit_svg(None)
