@@ -38,6 +38,12 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
+# thin samples are controls, not polygons outside the fat range
+_THIN_HELP = (
+    "controls: accept any strictly convex polygon, fat or not (most samples are fat); "
+    "the sampler skips the independence screen and the audit runs even when hypotheses fail"
+)
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -76,7 +82,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--thin", action="store_true", help="sample outside the fat range (controls)")
+    p.add_argument("--thin", action="store_true", help=_THIN_HELP)
     p.add_argument("--save-polygons", action="store_true")
     add_common(p)
 
@@ -84,7 +90,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--thin", action="store_true")
+    p.add_argument("--thin", action="store_true", help=_THIN_HELP)
     add_common(p)
 
     return parser

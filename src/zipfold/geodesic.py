@@ -61,6 +61,18 @@ OVERHANG_BOUND = 1.0 - math.sqrt(3.0) / 2.0
 # added to every distance-table budget so a distance of exactly the budget
 # is still found
 BUDGET_SLACK = 1e-6
+# The search compares a distance or lower bound with a budget, or a target's
+# distance with its development's lower bound, up to _BOUND_SLACK, and treats
+# a developed vertex within _AT_SOURCE of the source as the source itself.
+_BOUND_SLACK = 1e-12
+_AT_SOURCE = 1e-12
+# A re-traced segment crosses an edge only between _CROSSING_SLACK past its
+# last crossing and _CROSSING_SLACK short of its end.  The candidate it
+# re-traces must end within _END_POINT_TOL of the developed target vertex and
+# carry a transform within _TRANSFORM_TOL of the final copy's.
+_CROSSING_SLACK = 1e-12
+_END_POINT_TOL = 1e-9
+_TRANSFORM_TOL = 1e-10
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -341,7 +353,7 @@ class DevelopmentEngine:
                 if hit is None:
                     continue
                 t, _ = hit
-                if t <= u + 1e-12 or t >= 1.0 - 1e-12:
+                if t <= u + _CROSSING_SLACK or t >= 1.0 - _CROSSING_SLACK:
                     continue
                 if best_t is None or t < best_t:
                     best_t = t
@@ -371,9 +383,9 @@ class DevelopmentEngine:
         if tuple(edge_path) != tuple(node.edge_path):
             return None
         final = transforms[-1]
-        if abs(copies[-1][tv] - end) > 1e-9:
+        if abs(copies[-1][tv] - end) > _END_POINT_TOL:
             return None
-        if not node.transform.almost_equal(final, 1e-10):
+        if not node.transform.almost_equal(final, _TRANSFORM_TOL):
             return None
         if not self._clear_of_cone_images(s, end, copies):
             return None
@@ -446,7 +458,7 @@ class DevelopmentEngine:
         for st in states:
             st.best = math.inf
         live = list(states)
-        reach = max(st.budget for st in live) + 1e-12
+        reach = max(st.budget for st in live) + _BOUND_SLACK
         heap = [(0.0, 0, _Node(IDENTITY, None, None, ()))]
         tie = 1
         seen = set()
@@ -455,7 +467,7 @@ class DevelopmentEngine:
             lb, _, node = heapq.heappop(heap)
             kept = []
             for st in live:
-                if lb > st.budget + 1e-12 or (st.stop_at_first and lb > st.best):
+                if lb > st.budget + _BOUND_SLACK or (st.stop_at_first and lb > st.best):
                     st.developments += pops
                 elif pops >= dev_cap:
                     st.developments += pops
@@ -466,7 +478,7 @@ class DevelopmentEngine:
                 if not kept:
                     return pops
                 live = kept
-                reach = max(st.budget for st in live) + 1e-12
+                reach = max(st.budget for st in live) + _BOUND_SLACK
             pops += 1
             transform = node.transform
             pts = self._develop(transform)
@@ -481,9 +493,9 @@ class DevelopmentEngine:
                         continue
                     end = pts[tv]
                     d = abs(end - s)
-                    if d > st.budget + 1e-12 or d + 1e-12 < lb:
+                    if d > st.budget + _BOUND_SLACK or d + _BOUND_SLACK < lb:
                         continue
-                    if d > 1e-12 and not self._cone_contains(node.cone, bearing(end - s)):
+                    if d > _AT_SOURCE and not self._cone_contains(node.cone, bearing(end - s)):
                         continue
                     if tv not in finalized:
                         finalized[tv] = self._finalize(
@@ -499,7 +511,7 @@ class DevelopmentEngine:
                 if j == entry:
                     continue
                 a, b = pts[j], pts[(j + 1) % self.n]
-                if abs(a - s) < 1e-12 or abs(b - s) < 1e-12:
+                if abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
                     continue
                 clip = self._clip_edge(s, a, b, node.cone)
                 if clip is None:

@@ -392,9 +392,10 @@ class SweepRecord:
 def sweep_one(seed, n, cfg=DEFAULT_CONFIG, thin=False):
     """Sample one polygon for the seed and run the full pipeline on it.
 
-    Thin mode samples outside the fat range (control experiments); its per
-    record status is the lemma status, since the hypotheses fail there by
-    construction.
+    Thin mode (control experiments) accepts any strictly convex polygon,
+    with or without independent angles, so most thin samples are fat
+    anyway; the audit runs whether or not the hypotheses hold, and its per
+    record status is the lemma status.
     """
     t0 = time.perf_counter()
     poly, rep, independence = _sample_ngon(

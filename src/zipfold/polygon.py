@@ -7,6 +7,7 @@ pipeline, while weakly convex ones (some angle equal to pi) are kept around
 as flagged degenerate inputs for control experiments.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -320,17 +321,36 @@ class _Grid(NamedTuple):
     ss: np.ndarray  # denominator s of coefficient row b
     bvals: np.ndarray  # r/s
     bsize: np.ndarray  # |r| + s
+    coeffs: np.ndarray  # the distinct floats of bvals, in order of first row
+    coeff_of_row: np.ndarray  # index into coeffs of each row's b
     qs: np.ndarray  # denominators q of a = p/q, one column each
     pi_over_q: np.ndarray
     table: np.ndarray  # every distinct p*(pi/q), |p| <= bound, sorted
     below: np.ndarray  # table entry below each searchsorted insertion point
     above: np.ndarray  # table entry at or above it
+    buckets_per_unit: float  # the bucket of v is floor((v - table[0]) * this)
+    starts: np.ndarray  # table entries in the buckets below each bucket
+    spill: int  # most table entries in one bucket
+
+
+# buckets per table entry: at bound 16 the 327 entries fall at most 2 to a
+# bucket (two entries can be one ulp apart, as 5*(pi/1) and 15*(pi/3) are)
+_BUCKETS_PER_ENTRY = 16
+# _best_witness bounds its directions in blocks of at most this many
+# targets (16 directions at bound 16), which keeps its arrays the size the
+# screen used when it ran one pass per source angle
+_BLOCK_TARGETS = 5120
 
 
 def _rational_grids(bound):
     rr, ss = np.meshgrid(np.arange(-bound, bound + 1), np.arange(1, bound + 1), indexing="ij")
     rr = rr.ravel()
     ss = ss.ravel()
+    bvals = rr / ss
+    # 2/6 and 1/3 are one float: every row-wise fact about a target y - b*x
+    # holds for the float b, so the bounds run once per distinct b
+    _, first, inverse = np.unique(bvals, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # sorted distinct b -> first-row order
     qs = np.arange(1, bound + 1)
     pi_over_q = math.pi / qs
     # the same float products _grid_residuals forms
@@ -338,7 +358,17 @@ def _rational_grids(bound):
     table = table[np.concatenate(([True], table[1:] != table[:-1]))]
     below = np.concatenate(([-np.inf], table))
     above = np.concatenate((table, [np.inf]))
-    return _Grid(rr, ss, rr / ss, np.abs(rr) + ss, qs, pi_over_q, table, below, above)
+    # a bucket index over [table[0], table[-1]]: the bucket of a value is a
+    # nondecreasing function of it, so every entry in a lower bucket is
+    # below it and every entry in a higher one above it
+    per_unit = _BUCKETS_PER_ENTRY * table.size / (table[-1] - table[0])
+    entry_bucket = ((table - table[0]) * per_unit).astype(np.intp)
+    starts = np.searchsorted(entry_bucket, np.arange(entry_bucket[-1] + 1))
+    spill = int(np.bincount(entry_bucket).max())
+    return _Grid(
+        rr, ss, bvals, np.abs(rr) + ss, bvals[np.sort(first)], rank[inverse],
+        qs, pi_over_q, table, below, above, per_unit, starts, spill,
+    )
 
 
 _GRID_CACHE = {}
@@ -389,37 +419,87 @@ def _witness_grid(target, rows, bound, tol):
     return float(resid[bi[k], qi[k]]), witness
 
 
-def _best_witness(x, ys, bound, tol):
-    """(residual, witness) of y ~ a*pi + b*x for each y in ys, as the full
-    grid of rationals a = p/q, b = r/s of height <= bound would give it.
+def _table_index(grid, targets):
+    """np.searchsorted(grid.table, targets), from the bucket index.
 
-    Bound, then confirm.  Row b of direction x -> y must match its target
-    y - b*x with some p*(pi/q); the distance from the target to the nearest
-    entry of the sorted table of all such values bounds every residual in
-    the row from below.  One searchsorted over all targets of all ys gives
-    these bounds.  A direction whose smallest bound reaches tol has no
-    witness, and its residual is that bound once the argmin row's own
-    residuals attain it.  A direction with bounds below tol is searched on
-    those rows alone, which hold every hit in grid order.  Anything the
-    bounds leave open falls back to the full grid.
+    A target's bucket start counts the table entries below its bucket; at
+    most spill entries share its bucket, and one forward compare apiece
+    steps past those below the target.  Targets outside the table's span
+    take the first or last bucket, whose compares then give 0 or the table
+    size, as searchsorted does; a nan target sends the whole lookup to
+    searchsorted.
+    """
+    if np.isnan(targets).any():
+        return np.searchsorted(grid.table, targets)
+    lo = grid.table[0]
+    buf = np.clip(targets, lo, grid.table[-1])
+    buf -= lo
+    buf *= grid.buckets_per_unit
+    at = grid.starts.take(buf.astype(np.intp))
+    for _ in range(grid.spill):
+        # at never passes the table size, so "clip" clips nothing; it lets
+        # take write into buf without a buffer of its own
+        grid.above.take(at, out=buf, mode="clip")
+        at += buf < targets
+    return at
+
+
+def _lower_bounds(grid, xs, ys):
+    """(lower, targets): row c of direction d targets ys[d] - coeffs[c]*xs[d],
+    and lower[d, c] is its distance to the nearest table entry."""
+    targets = grid.coeffs * xs[:, None]
+    np.subtract(ys[:, None], targets, out=targets)  # what a*pi has to match
+    at = _table_index(grid, targets)
+    # below[at] < target <= above[at], so both differences are >= 0
+    lower = grid.below.take(at)
+    np.subtract(targets, lower, out=lower)
+    gap = grid.above.take(at)
+    gap -= targets
+    np.minimum(lower, gap, out=lower)
+    return lower, targets
+
+
+def _best_witness(xs, ys, bound, tol):
+    """(residual, witness) of ys[d] ~ a*pi + b*xs[d] for every direction d,
+    as the full grid of rationals a = p/q, b = r/s of height <= bound would
+    give it.
+
+    Bound, then confirm, for all directions together.  Row b of direction
+    x -> y must match its target y - b*x with some p*(pi/q); the distance
+    from the target to the nearest entry of the sorted table of all such
+    values bounds every residual in the row from below.  Rows with the same
+    float b share their target, so the bounds come from bucket-index
+    lookups (_table_index) of every distinct coefficient of every
+    direction, in blocks of _BLOCK_TARGETS targets.
+    A direction whose smallest bound reaches tol has no witness, and its
+    residual is that bound once the argmin row's own residuals attain it.
+    A direction with bounds below tol is searched on those rows alone,
+    which hold every hit in grid order.  Anything the bounds leave open
+    falls back to the full grid.
     """
     grid = _grids(bound)
-    targets = ys[:, None] - grid.bvals * x  # row b: what a*pi has to match
-    at = np.searchsorted(grid.table, targets)
-    lower = np.minimum(np.abs(targets - grid.below[at]), np.abs(targets - grid.above[at]))
-    k = np.arange(len(ys))
-    best_row = lower.argmin(axis=1)
-    floor = lower[k, best_row]
-    reached = _grid_residuals(targets[k, best_row], bound)[1].min(axis=1) == floor
+    floor = np.empty(len(ys))
+    best_target = np.empty(len(ys))
+    step = max(1, _BLOCK_TARGETS // grid.coeffs.size)
+    for start in range(0, len(ys), step):
+        block = slice(start, start + step)
+        lower, targets = _lower_bounds(grid, xs[block], ys[block])
+        k = np.arange(len(lower))
+        best = lower.argmin(axis=1)
+        floor[block] = lower[k, best]
+        best_target[block] = targets[k, best]
+    reached = _grid_residuals(best_target, bound)[1].min(axis=1) == floor
     out = [(f, None) for f in floor.tolist()]
     for d in np.flatnonzero(~((floor >= tol) & reached)):
+        x, y = xs[d], ys[d]
         if floor[d] < tol:
-            rows = np.flatnonzero(lower[d] < tol)
+            lower = _lower_bounds(grid, xs[d : d + 1], ys[d : d + 1])[0][0]
+            rows = np.flatnonzero(lower[grid.coeff_of_row] < tol)
             if rows.size:
-                out[d] = _witness_grid(targets[d, rows], rows, bound, tol)
+                out[d] = _witness_grid(y - grid.bvals[rows] * x, rows, bound, tol)
                 if out[d][1] is not None:
                     continue
-        out[d] = _witness_grid(targets[d], None, bound, tol)
+        out[d] = _witness_grid(y - grid.bvals * x, None, bound, tol)
     return out
 
 
@@ -430,37 +510,42 @@ def check_independence(angles, bound=16, tol=1e-9):
     an explicit rational witness, while "independent" only means no witness
     exists up to the given height bound.  A best residual inside [tol,
     10*tol) is reported as inconclusive since it flips with the tolerance.
-    Each angle in turn is the source x of one bound-then-confirm pass
-    (_best_witness) over every other angle, so the full residual grid runs
-    only where the table bounds cannot settle a direction; the report is
-    the one the full grid gives for every directed pair.
+    Two batched bound-then-confirm passes (_best_witness) screen every
+    directed pair: the first every direction i -> j with i < j, the second
+    j -> i for the pairs the first left without a witness, since only then
+    does the report read it.  The full residual grid runs only where the
+    table bounds cannot settle a direction; the report is the one the full
+    grid gives for every directed pair.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     vals = angles.angles if isinstance(angles, AngleProfile) else angles
     arr = np.array([float(a) for a in vals])
-    m = arr.size
     best = {}  # (x_index, y_index) -> (residual, witness)
-    for i in range(m):
-        # direction i -> j (j < i) only matters when j -> i has no witness
-        ys = [j for j in range(m) if j > i or (j < i and best[(j, i)][1] is None)]
-        if ys:
-            best.update(zip(((i, j) for j in ys), _best_witness(arr[i], arr[ys], bound, tol)))
+
+    def screen(directions):
+        if directions:
+            xi, yi = np.array(directions).T
+            best.update(zip(directions, _best_witness(arr[xi], arr[yi], bound, tol)))
+
+    forward = list(itertools.combinations(range(arr.size), 2))
+    screen(forward)
+    # direction j -> i only matters when i -> j has no witness
+    screen([(j, i) for i, j in forward if best[(i, j)][1] is None])
     pairs = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            res_ij, wit_ij = best[(i, j)]
-            res_ji, wit_ji = best.get((j, i), (None, None))
-            if wit_ij is not None or wit_ji is not None:
-                if wit_ij is not None:
-                    witness, direction, residual = wit_ij, (i, j), res_ij
-                else:
-                    witness, direction, residual = wit_ji, (j, i), res_ji
-                pairs[(i, j)] = PairDependence(i, j, "dependent", witness, direction, residual)
+    for i, j in forward:
+        res_ij, wit_ij = best[(i, j)]
+        res_ji, wit_ji = best.get((j, i), (None, None))
+        if wit_ij is not None or wit_ji is not None:
+            if wit_ij is not None:
+                witness, direction, residual = wit_ij, (i, j), res_ij
             else:
-                best_res = min(res_ij, res_ji)
-                status = "inconclusive" if best_res < 10.0 * tol else "independent"
-                pairs[(i, j)] = PairDependence(i, j, status, None, None, best_res)
+                witness, direction, residual = wit_ji, (j, i), res_ji
+            pairs[(i, j)] = PairDependence(i, j, "dependent", witness, direction, residual)
+        else:
+            best_res = min(res_ij, res_ji)
+            status = "inconclusive" if best_res < 10.0 * tol else "independent"
+            pairs[(i, j)] = PairDependence(i, j, status, None, None, best_res)
     return IndependenceReport(bound=bound, tol=tol, pairs=pairs)
 
 

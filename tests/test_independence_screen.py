@@ -1,5 +1,7 @@
 """The bound-then-confirm independence screen reports exactly what the full
-residual grid reports, and it does so without pulling in numpy.ma.
+residual grid reports, in at most two batched passes per screen, and it
+does so without pulling in numpy.ma.  Its bucket index over the table of
+every p*(pi/q) finds what np.searchsorted finds.
 
 The reference is the full-grid screen in tests/oracles.py.  Reports are
 compared by repr, pairs included, so every status, witness, direction and
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_check_independence
 from zipfold import polygon, sample_fat_ngon, validate
@@ -89,14 +93,15 @@ def test_screen_matches_full_grid(family):
 
 def test_screen_takes_every_path(monkeypatch):
     """Bounds settle most directions; the row search and the full-grid
-    fallback each run somewhere in the seeded sets."""
+    fallback each run somewhere in the seeded sets.  _best_witness(xs, ys,
+    bound, tol) screens the directions xs[d] -> ys[d]."""
     seen = collections.Counter()
     best_witness = polygon._best_witness
     witness_grid = polygon._witness_grid
 
-    def directions(x, ys, bound, tol):
+    def directions(xs, ys, bound, tol):
         seen["directions"] += len(ys)
-        return best_witness(x, ys, bound, tol)
+        return best_witness(xs, ys, bound, tol)
 
     def grid(target, rows, bound, tol):
         seen["full grid" if rows is None else "rows"] += 1
@@ -110,6 +115,132 @@ def test_screen_takes_every_path(monkeypatch):
                 polygon.check_independence(vals, bound, TOL)
     assert seen["rows"] > 0 and seen["full grid"] > 0
     assert seen["directions"] > 2 * (seen["rows"] + seen["full grid"])
+
+
+def test_two_batched_passes_per_screen(monkeypatch):
+    """One _best_witness pass over the directions i -> j with i < j, and one
+    over j -> i for the pairs the first left without a witness."""
+    calls = []
+    best_witness = polygon._best_witness
+
+    def spy(xs, ys, bound, tol):
+        calls.append(len(ys))
+        return best_witness(xs, ys, bound, tol)
+
+    monkeypatch.setattr(polygon, "_best_witness", spy)
+    for make in FAMILIES.values():
+        for vals in make():
+            for bound in BOUNDS:
+                calls.clear()
+                report = polygon.check_independence(vals, bound, TOL)
+                m = len(vals)
+                assert len(calls) <= 2
+                assert calls[:1] == ([m * (m - 1) // 2] if m > 1 else [])
+                unwitnessed = sum(
+                    p.direction != (i, j) for (i, j), p in report.pairs.items()
+                )
+                assert sum(calls[1:]) == unwitnessed
+
+    decagon = sample_fat_ngon(10, 0)
+    calls.clear()
+    report = polygon.check_independence(validate(decagon).angles)
+    assert report.all_independent
+    assert calls == [45, 45]
+
+
+def _searchsorted_probes(grid):
+    """Every table entry and both its neighbouring floats, and every bucket
+    edge (the least float in its bucket) with the float below it."""
+    table = grid.table
+    lo = table[0]
+
+    def bucket(v):
+        return np.floor((np.clip(v, lo, table[-1]) - lo) * grid.buckets_per_unit)
+
+    # bisect each bucket's least float between guesses half a bucket away
+    k = np.arange(1, grid.starts.size)
+    below = lo + (k - 0.5) / grid.buckets_per_unit
+    edge = lo + (k + 0.5) / grid.buckets_per_unit
+    assert (bucket(below) < k).all() and (bucket(edge) >= k).all()
+    for _ in range(2000):
+        mid = below + (edge - below) / 2
+        if not ((mid != below) & (mid != edge)).any():
+            break
+        in_k = bucket(mid) >= k
+        edge = np.where(in_k, mid, edge)
+        below = np.where(in_k, below, mid)
+    assert (bucket(edge) == k).all()
+    assert (bucket(np.nextafter(edge, -np.inf)) == k - 1).all()
+    edge = np.append(lo, edge)
+    return np.concatenate((
+        table,
+        np.nextafter(table, -np.inf),
+        np.nextafter(table, np.inf),
+        edge,
+        np.nextafter(edge, -np.inf),
+    ))
+
+
+@pytest.mark.parametrize("bound", (16, 5, 2, 1))
+def test_bucket_lookup_is_searchsorted(bound):
+    grid = polygon._grids(bound)
+    assert grid.spill == np.diff(np.append(grid.starts, grid.table.size)).max()
+    lo, hi = grid.table[0], grid.table[-1]
+    beyond = np.array([lo - 1.0, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), hi + 1.0,
+                       -1e300, 1e300, -np.inf, np.inf])
+    probes = np.concatenate((_searchsorted_probes(grid), beyond))
+    rng = np.random.default_rng(bound)
+    for targets in (probes, rng.permutation(probes).reshape(-1, 1), probes.reshape(1, -1)):
+        got = polygon._table_index(grid, targets)
+        assert got.shape == targets.shape
+        assert (got == np.searchsorted(grid.table, targets)).all()
+    with_nan = np.concatenate((probes[:5], [np.nan, -np.inf, np.inf, np.nan]))
+    assert (polygon._table_index(grid, with_nan) == np.searchsorted(grid.table, with_nan)).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "vals",
+    [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [0.5, 1e300, 2.0]],
+    ids=["nan", "inf", "minus_inf", "huge"],
+)
+def test_screen_matches_full_grid_on_extremes(vals):
+    for bound in BOUNDS:
+        got = polygon.check_independence(vals, bound, TOL)
+        want = reference_check_independence(vals, bound, TOL)
+        assert repr(got) == repr(want)
+        assert repr(got.pairs) == repr(want.pairs)
+
+
+@st.composite
+def _planted_sets(draw):
+    """m angles, one of them planted at (p/q)*pi + (r/s)*x + delta on another,
+    with delta on the relation, inside tol, in [tol, 10*tol) or at 20*tol."""
+    m = draw(st.integers(2, 10))
+    angle = st.floats(0.05, math.pi, allow_nan=False, allow_infinity=False)
+    vals = draw(st.lists(angle, min_size=m, max_size=m))
+    i, j = draw(st.permutations(range(m)))[:2]
+    p, r = draw(st.integers(-16, 16)), draw(st.integers(-16, 16))
+    q, s = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    size = draw(st.one_of(
+        st.just(0.0),
+        st.just(0.5),
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.just(20.0),
+    ))
+    vals[j] = p / q * math.pi + r / s * vals[i] + sign * size * TOL
+    return vals
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(_planted_sets())
+def test_planted_relations_match_full_grid(vals):
+    for bound in (1, 5, 16):
+        got = polygon.check_independence(vals, bound, TOL)
+        want = reference_check_independence(vals, bound, TOL)
+        assert repr(got) == repr(want)
+        assert repr(got.pairs) == repr(want.pairs)
 
 
 def test_screen_does_not_import_numpy_ma():
