@@ -8,7 +8,7 @@ the source vertex to some developed image of the target vertex.  The search
 therefore works on "developments": placements of polygon copies reached by
 a sequence of edge crossings.
 
-Two facts keep the search small and exact:
+Three facts keep the search small and exact:
 
 * A valid candidate is a straight segment from the source, so only
   directions that thread every crossed edge in order can matter.  Each node
@@ -18,6 +18,11 @@ Two facts keep the search small and exact:
   is a lower bound for every path through that node, which makes best-first
   expansion admissible: once the bound exceeds the budget the search is
   complete.
+* That clipped distance is at least the distance from the source to the
+  edge's line, and at least the distance to the whole edge.  An edge of a
+  popped copy that lies beyond the largest live budget by either measure
+  is skipped before it is clipped: its clip would be dropped anyway, so
+  the prefilter saves the bearing arithmetic and changes no push.
 
 The order in which a search pops developments does not depend on its
 target, so one development from a source cone point serves many queries
@@ -48,11 +53,12 @@ from typing import NamedTuple
 from .embed import PAIRS, TetraMetric
 from .errors import GeodesicError, GeodesicNotFoundError
 from .geometry import (
+    DEGENERATE_SQ,
     IDENTITY,
+    KEY_QUANTUM,
     bearing,
     point_segment_distance,
     rigid_from_segment,
-    segment_crossing_param,
 )
 from .polygon import DEFAULT_TOLERANCES, validate
 
@@ -73,6 +79,15 @@ _AT_SOURCE = 1e-12
 _CROSSING_SLACK = 1e-12
 _END_POINT_TOL = 1e-9
 _TRANSFORM_TOL = 1e-10
+# Two directions whose cross product is below _PARALLEL count as parallel.
+_PARALLEL = 1e-15
+# An edge is clipped only when it may come within the search's reach: its
+# line and the edge itself lie within reach + _REACH_MARGIN of the source.
+# The margin covers the clip's rounding, so every edge the prefilter skips
+# is one whose clip would be dropped.
+_REACH_MARGIN = 1e-9
+# A width within _OVERHANG_SLACK of OVERHANG_BOUND is within the bound.
+_OVERHANG_SLACK = 1e-9
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -137,7 +152,7 @@ class OverhangReport:
 
     @property
     def within_bound(self):
-        return self.max_width <= self.bound + 1e-9
+        return self.max_width <= self.bound + _OVERHANG_SLACK
 
 
 class Goal(NamedTuple):
@@ -199,12 +214,16 @@ class _Node:
 class DevelopmentEngine:
     """Per-gluing machinery for developing copies and searching geodesics."""
 
-    def __init__(self, gluing, dev_cap=100000, clearance=1e-9):
+    def __init__(self, gluing, dev_cap=100000, clearance=DEFAULT_TOLERANCES.tol_clearance):
         self.gluing = gluing
         self.dev_cap = int(dev_cap)
         self.clearance = float(clearance)
         self.points = gluing.polygon.as_complex()
         self.n = len(self.points)
+        # every developed copy of edge j has this length, up to rounding
+        self.edge_lengths = [
+            abs(self.points[(j + 1) % self.n] - self.points[j]) for j in range(self.n)
+        ]
         # edge j joins vertex j and j+1 (mod n)
         self.partner = [None] * self.n
         self.transition = [None] * self.n
@@ -272,7 +291,7 @@ class DevelopmentEngine:
         d = complex(math.cos(theta), math.sin(theta))
         ab = b - a
         denom = d.real * ab.imag - d.imag * ab.real
-        if abs(denom) < 1e-15:
+        if abs(denom) < _PARALLEL:
             return a
         w = a - s
         u = (w.real * d.imag - w.imag * d.real) / denom
@@ -334,6 +353,8 @@ class DevelopmentEngine:
         segment parameter of each crossing.  Grazing crossings are settled
         later by the clearance check.
         """
+        n = self.n
+        seg = end - s
         transform = IDENTITY
         entry = None
         u = 0.0
@@ -346,13 +367,20 @@ class DevelopmentEngine:
             copies.append(pts)
             best_t = None
             best_j = None
-            for j in range(self.n):
+            for j in range(n):
                 if j == entry:
                     continue
-                hit = segment_crossing_param(s, end, pts[j], pts[(j + 1) % self.n])
-                if hit is None:
+                # the segment crosses edge j at s + t*seg = a + v*ab, v in (0, 1)
+                a = pts[j]
+                ab = pts[(j + 1) % n] - a
+                denom = seg.real * ab.imag - seg.imag * ab.real
+                if abs(denom) < _PARALLEL:
                     continue
-                t, _ = hit
+                w = a - s
+                v = (w.real * seg.imag - w.imag * seg.real) / denom
+                if v <= 0.0 or v >= 1.0:
+                    continue
+                t = (w.real * ab.imag - w.imag * ab.real) / denom
                 if t <= u + _CROSSING_SLACK or t >= 1.0 - _CROSSING_SLACK:
                     continue
                 if best_t is None or t < best_t:
@@ -369,11 +397,19 @@ class DevelopmentEngine:
         raise GeodesicError("trace did not terminate; development cap exceeded")
 
     def _clear_of_cone_images(self, s, end, copies):
+        clearance = self.clearance
+        seg = end - s
+        denom = seg.real * seg.real + seg.imag * seg.imag
+        if denom < DEGENERATE_SQ:
+            return True  # a point: a vertex not within clearance of s is clear of it
         for pts in copies:
             for w in pts:
-                if abs(w - s) <= self.clearance or abs(w - end) <= self.clearance:
+                ws = w - s
+                if abs(ws) <= clearance or abs(w - end) <= clearance:
                     continue
-                if point_segment_distance(w, s, end) < self.clearance:
+                # past either end the nearest point is that end, skipped above
+                t = (ws.real * seg.real + ws.imag * seg.imag) / denom
+                if 0.0 < t < 1.0 and abs(w - (s + t * seg)) < clearance:
                     return False
         return True
 
@@ -482,6 +518,7 @@ class DevelopmentEngine:
             pops += 1
             transform = node.transform
             pts = self._develop(transform)
+            offs = [p - s for p in pts]
             # the entry edge's endpoints lie on the parent copy's boundary: a
             # segment ending there stops on the entry edge, one crossing short
             entry = node.entry_edge
@@ -491,15 +528,14 @@ class DevelopmentEngine:
                 for tv in st.targets:
                     if tv in on_entry:
                         continue
-                    end = pts[tv]
-                    d = abs(end - s)
+                    d = abs(offs[tv])
                     if d > st.budget + _BOUND_SLACK or d + _BOUND_SLACK < lb:
                         continue
-                    if d > _AT_SOURCE and not self._cone_contains(node.cone, bearing(end - s)):
+                    if d > _AT_SOURCE and not self._cone_contains(node.cone, bearing(offs[tv])):
                         continue
                     if tv not in finalized:
                         finalized[tv] = self._finalize(
-                            source_cone, st.target_cone, sv, tv, node, end
+                            source_cone, st.target_cone, sv, tv, node, pts[tv]
                         )
                     path = finalized[tv]
                     if path is not None:
@@ -507,13 +543,8 @@ class DevelopmentEngine:
                         if key not in st.collect:
                             st.collect[key] = path
                             st.best = min(st.best, path.length)
-            for j in range(self.n):
-                if j == entry:
-                    continue
-                a, b = pts[j], pts[(j + 1) % self.n]
-                if abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
-                    continue
-                clip = self._clip_edge(s, a, b, node.cone)
+            for j in self._edges_in_reach(s, pts, offs, node, reach):
+                clip = self._clip_edge(s, pts[j], pts[(j + 1) % self.n], node.cone)
                 if clip is None:
                     continue
                 cone2, dist = clip
@@ -521,10 +552,11 @@ class DevelopmentEngine:
                 if lb2 > reach:
                     continue
                 t2 = transform.compose(self.transition[j])
+                # the cone is rounded like the transform's key
                 key = t2.key() + (
                     self.partner[j],
-                    round(cone2[0] / 1e-8),
-                    round(cone2[1] / 1e-8),
+                    round(cone2[0] / KEY_QUANTUM),
+                    round(cone2[1] / KEY_QUANTUM),
                 )
                 if key in seen:
                     continue
@@ -537,6 +569,37 @@ class DevelopmentEngine:
         for st in live:
             st.developments += pops
         return pops
+
+    def _edges_in_reach(self, s, pts, offs, node, reach):
+        """The edges of a popped copy worth clipping against its cone.
+
+        `pts` is the copy's developed vertices and `offs` their offsets
+        from the source s.  The entry edge and edges with an endpoint at
+        the source are left out, and so is every edge whose line, or the
+        edge itself, lies farther than reach + _REACH_MARGIN from s.  The
+        clip keeps part of the edge, so its distance is at least both of
+        these; the node's bound is at most reach at every pop that expands,
+        so the clip of a skipped edge would give no push.
+        """
+        n = self.n
+        limit = reach + _REACH_MARGIN
+        lengths = self.edge_lengths
+        entry = node.entry_edge
+        kept = []
+        for j in range(n):
+            if j == entry:
+                continue
+            k = (j + 1) % n
+            wa, wb = offs[j], offs[k]
+            # |cross2(a - s, b - s)| / |b - a| is the distance to the line
+            if abs(wa.real * wb.imag - wa.imag * wb.real) > limit * lengths[j]:
+                continue
+            if abs(wa) < _AT_SOURCE or abs(wb) < _AT_SOURCE:
+                continue
+            if point_segment_distance(s, pts[j], pts[k]) > limit:
+                continue
+            kept.append(j)
+        return kept
 
     def shortest_geodesic(self, src_idx, dst_idx, budget, dev_cap=None):
         results, _ = self.search(src_idx, [Goal(dst_idx, budget, True)], dev_cap)
@@ -610,7 +673,7 @@ class DistanceTable:
     def result(self, i, j):
         return self.entries[(min(i, j), max(i, j))][0]
 
-    def disk(self, center_idx, radius=1.0, tol=1e-9):
+    def disk(self, center_idx, radius=1.0, tol=DEFAULT_TOLERANCES.tol_geodesic):
         """Is the open geodesic disk around a cone point free of other cone points?
 
         A cone point at distance below radius - tol is a witness against
@@ -700,7 +763,7 @@ def overhang_audit(gluing, center_idx, radius=1.0, cfg=None, *, fat=None):
             if width > 0.0:
                 per_edge.append((v, j, width))
                 max_width = max(max_width, width)
-    if fat and max_width > OVERHANG_BOUND + 1e-9:
+    if fat and max_width > OVERHANG_BOUND + _OVERHANG_SLACK:
         raise GeodesicError(
             f"overhang width {max_width:.9f} exceeds {OVERHANG_BOUND:.9f} on a fat source"
         )

@@ -13,6 +13,12 @@ reflection is needed.
 
 import math
 
+# Rigid.key rounds each coordinate to a multiple of KEY_QUANTUM, so transforms
+# that agree to about that precision share a key.
+KEY_QUANTUM = 1e-8
+# A segment whose squared length is below DEGENERATE_SQ counts as a point.
+DEGENERATE_SQ = 1e-30
+
 
 def cross2(a, b):
     return a.real * b.imag - a.imag * b.real
@@ -26,7 +32,7 @@ def point_segment_distance(p, a, b):
     """Distance from complex point p to the closed segment [a, b]."""
     ab = b - a
     denom = ab.real * ab.real + ab.imag * ab.imag
-    if denom < 1e-30:
+    if denom < DEGENERATE_SQ:
         return abs(p - a)
     t = dot2(p - a, ab) / denom
     if t <= 0.0:
@@ -34,27 +40,6 @@ def point_segment_distance(p, a, b):
     if t >= 1.0:
         return abs(p - b)
     return abs(p - (a + t * ab))
-
-
-def segment_crossing_param(p0, p1, a, b):
-    """Parameter t where segment p0->p1 transversally crosses segment a->b.
-
-    Returns (t, u) with t the parameter along p0->p1 and u along a->b, or
-    None when the segments are parallel or the crossing falls outside the
-    open interior (0, 1) of a->b.  Openness along p0->p1 is the caller's
-    concern.
-    """
-    d1 = p1 - p0
-    d2 = b - a
-    denom = cross2(d1, d2)
-    if abs(denom) < 1e-15:
-        return None
-    w = a - p0
-    t = cross2(w, d2) / denom
-    u = cross2(w, d1) / denom
-    if u <= 0.0 or u >= 1.0:
-        return None
-    return t, u
 
 
 class Rigid:
@@ -73,7 +58,7 @@ class Rigid:
         """self after other: (self . other)(z) = self(other(z))."""
         return Rigid(self.rot * other.rot, self.rot * other.trans + self.trans)
 
-    def key(self, quantum=1e-8):
+    def key(self, quantum=KEY_QUANTUM):
         return (
             round(self.rot.real / quantum),
             round(self.rot.imag / quantum),

@@ -515,12 +515,15 @@ def check_independence(angles, bound=16, tol=1e-9):
     j -> i for the pairs the first left without a witness, since only then
     does the report read it.  The full residual grid runs only where the
     table bounds cannot settle a direction; the report is the one the full
-    grid gives for every directed pair.
+    grid gives for every directed pair.  A bound below 1 or a non-finite
+    angle raises ValueError: no residual can certify such an angle.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     vals = angles.angles if isinstance(angles, AngleProfile) else angles
     arr = np.array([float(a) for a in vals])
+    if not np.isfinite(arr).all():
+        raise ValueError("angles must be finite")
     best = {}  # (x_index, y_index) -> (residual, witness)
 
     def screen(directions):

@@ -6,15 +6,22 @@ reported before the search stopped re-tracing targets on a copy's entry
 edge: skipping them changes no result, only the work.  The distance
 table's shared searches pop fewer developments than the queries report
 together, since the queries leaving one cone point share their pops.
+
+The search clips only the edges its reach prefilter keeps.  Every edge the
+prefilter skips, clipped in full, gives no cone or a distance beyond the
+reach, so the clip would have been dropped and no push is lost.
 """
 
 import collections
+import os
 
 import pytest
 
-from zipfold import sample_fat_ngon
-from zipfold.geodesic import DevelopmentEngine
+from zipfold import EquilateralPolygon, glue_halving, load_polygon, sample_fat_ngon
+from zipfold.geodesic import _AT_SOURCE, DevelopmentEngine, Goal
 from zipfold.pipeline import fold_halving
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 # (n, seed) -> developments per halving, summed over the distance table's
 # shortest queries and zipper enumerations
@@ -43,6 +50,21 @@ POPPED = {
     (6, 18): (20, 19, 22), (6, 19): (25, 23, 21),
     (8, 0): (20, 22, 20, 21), (8, 1): (19, 20, 21, 19), (8, 2): (20, 22, 20, 21),
     (8, 3): (20, 19, 20, 21), (8, 4): (19, 20, 20, 19),
+}
+
+
+# (n, seed) -> _clip_edge calls per halving while the distance table is
+# built, on the POPPED seeds
+CLIPPED = {
+    (6, 0): (43, 42, 47), (6, 1): (44, 43, 41), (6, 2): (49, 37, 37),
+    (6, 3): (38, 54, 36), (6, 4): (53, 42, 54), (6, 5): (50, 44, 48),
+    (6, 6): (37, 37, 38), (6, 7): (37, 39, 44), (6, 8): (35, 37, 40),
+    (6, 9): (45, 41, 42), (6, 10): (49, 45, 54), (6, 11): (37, 40, 34),
+    (6, 12): (35, 33, 54), (6, 13): (57, 42, 41), (6, 14): (34, 42, 43),
+    (6, 15): (37, 43, 34), (6, 16): (40, 39, 46), (6, 17): (35, 46, 36),
+    (6, 18): (35, 40, 42), (6, 19): (42, 43, 42),
+    (8, 0): (30, 38, 32, 37), (8, 1): (31, 30, 32, 31), (8, 2): (30, 36, 30, 31),
+    (8, 3): (34, 27, 28, 35), (8, 4): (30, 30, 28, 29),
 }
 
 
@@ -88,3 +110,99 @@ def test_no_rejected_candidates_on_a_hundred_fat_hexagons(finalized):
         _tables(6, seed)
     assert finalized["accepted"] > 0
     assert finalized["finalized"] == finalized["accepted"]
+
+
+def test_clip_calls_pinned(monkeypatch):
+    calls = [0]
+    clip_edge = DevelopmentEngine._clip_edge
+
+    def count_clip(self, *args):
+        calls[0] += 1
+        return clip_edge(self, *args)
+
+    monkeypatch.setattr(DevelopmentEngine, "_clip_edge", count_clip)
+    got = {}
+    for n, seed in CLIPPED:
+        poly = sample_fat_ngon(n, seed)
+        row = []
+        for i in range(n // 2):
+            calls[0] = 0
+            fold_halving(poly, i)[2].distance_table()
+            row.append(calls[0])
+        got[(n, seed)] = tuple(row)
+    assert got == CLIPPED
+
+
+@pytest.fixture()
+def prefilter_spy(monkeypatch):
+    """Clip in full every edge the reach prefilter skips.
+
+    A skipped clip must give no cone or a distance beyond the reach.  The
+    popped bound is at most the reach at every pop that expands, so that is
+    max(lb, dist) > reach, the test that drops a clip.
+    """
+    seen = collections.Counter()
+    unsound = []
+    edges_in_reach = DevelopmentEngine._edges_in_reach
+
+    def checked(self, s, pts, offs, node, reach):
+        kept = edges_in_reach(self, s, pts, offs, node, reach)
+        for j in range(self.n):
+            a, b = pts[j], pts[(j + 1) % self.n]
+            if j == node.entry_edge or abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
+                assert j not in kept
+                continue
+            if j in kept:
+                continue
+            clip = self._clip_edge(s, a, b, node.cone)
+            if clip is not None:
+                seen["skipped_cones"] += 1
+                if not clip[1] > reach:
+                    unsound.append((s, a, b, node.cone, reach, clip))
+        seen["kept"] += len(kept)
+        return kept
+
+    monkeypatch.setattr(DevelopmentEngine, "_edges_in_reach", checked)
+    return seen, unsound
+
+
+def _spy_gluings():
+    polys = [sample_fat_ngon(6, seed) for seed in range(20)]
+    polys += [sample_fat_ngon(8, seed) for seed in range(5)]
+    polys.append(load_polygon(os.path.join(DATA, "thin_hexagon_seed0.json")))
+    return [glue_halving(poly, i) for poly in polys for i in range(poly.n // 2)]
+
+
+@pytest.mark.parametrize("cap", [None, 3], ids=["default_cap", "cap3"])
+def test_prefilter_skips_only_dropped_clips(prefilter_spy, cap):
+    seen, unsound = prefilter_spy
+    kwargs = {} if cap is None else {"dev_cap": cap}
+    for g in _spy_gluings():
+        DevelopmentEngine(g, **kwargs).distance_table()
+    assert unsound == []
+    assert seen["skipped_cones"] > 0 and seen["kept"] > 0
+
+
+def test_prefilter_is_sound_at_exact_reach(prefilter_spy):
+    """Budgets equal to found distances put a target's developed vertex,
+    and the clipped part of its edges, right at the reach."""
+    seen, unsound = prefilter_spy
+    for g in _spy_gluings():
+        engine = DevelopmentEngine(g)
+        for (i, j), (res, _) in engine.distance_table().entries.items():
+            if res.path is not None:
+                engine.search(i, [Goal(j, res.path.length, False)])
+    assert unsound == []
+    assert seen["skipped_cones"] > 0
+
+
+def test_prefilter_is_sound_on_long_edges(prefilter_spy):
+    """The line distance divides by the edge length, which is not always 1."""
+    seen, unsound = prefilter_spy
+    for seed in range(5):
+        poly = sample_fat_ngon(6, seed)
+        big = EquilateralPolygon(tuple((3.0 * x, 3.0 * y) for x, y in poly.vertices))
+        for i in range(3):
+            DevelopmentEngine(glue_halving(big, i)).distance_table()
+    assert unsound == []
+    assert seen["skipped_cones"] > 0

@@ -9,7 +9,6 @@ from zipfold.geometry import (
     point_segment_distance,
     polygon_signed_area,
     rigid_from_segment,
-    segment_crossing_param,
     segments_properly_intersect,
 )
 
@@ -34,29 +33,6 @@ def test_point_segment_distance_cases():
     assert point_segment_distance(1 + 1j, a, b) == pytest.approx(1.0)
     assert point_segment_distance(-1 + 0j, a, b) == pytest.approx(1.0)
     assert point_segment_distance(3 + 4j, a, b) == pytest.approx(math.hypot(1, 4))
-
-
-def test_segment_crossing_param_transversal():
-    hit = segment_crossing_param(0j, 2 + 2j, 2 + 0j, 0 + 2j)
-    assert hit is not None
-    t, u = hit
-    assert t == pytest.approx(0.5)
-    assert u == pytest.approx(0.5)
-
-
-def test_segment_crossing_param_misses():
-    assert segment_crossing_param(0j, 1 + 0j, 0 + 1j, 1 + 1j) is None  # parallel
-    # trimming t to (0, 1) is the caller's concern: crossings beyond the end
-    # still report their parameter
-    t, u = segment_crossing_param(0j, 1 + 0j, 2 + 1j, 2 - 1j)
-    assert t == pytest.approx(2.0) and u == pytest.approx(0.5)
-    # but a crossing outside the interior of the crossed segment is rejected
-    assert segment_crossing_param(0j, 1 + 0j, 0.5 + 1j, 0.5 + 2j) is None
-
-
-def test_segment_crossing_open_endpoints():
-    # crossing exactly at an endpoint of the crossed segment does not count
-    assert segment_crossing_param(0j, 2 + 0j, 1 + 0j, 1 + 1j) is None
 
 
 def test_proper_intersection_predicate():
