@@ -8,12 +8,13 @@ the source vertex to some developed image of the target vertex.  The search
 therefore works on "developments": placements of polygon copies reached by
 a sequence of edge crossings.
 
-Three facts keep the search small and exact:
+Four facts keep the search small and exact:
 
 * A valid candidate is a straight segment from the source, so only
   directions that thread every crossed edge in order can matter.  Each node
-  carries the interval of admissible directions (always narrower than pi),
-  and edges are clipped against it; an empty clip kills the branch.
+  carries the cone of admissible directions as its two boundary rays
+  (always less than pi apart), and edges are clipped against it by the
+  signs of cross products; an empty clip kills the branch.
 * The distance from the source to the clipped part of the last crossed edge
   is a lower bound for every path through that node, which makes best-first
   expansion admissible: once the bound exceeds the budget the search is
@@ -22,7 +23,11 @@ Three facts keep the search small and exact:
   edge's line, and at least the distance to the whole edge.  An edge of a
   popped copy that lies beyond the largest live budget by either measure
   is skipped before it is clipped: its clip would be dropped anyway, so
-  the prefilter saves the bearing arithmetic and changes no push.
+  the prefilter saves the clip and changes no push.
+* A ray from the source crosses one sequence of edges, so the clips of a
+  copy's edges split its cone into disjoint pieces.  No two developments
+  share a copy, an entry edge and a cone, and the search keeps no record
+  of what it has pushed.
 
 The order in which a search pops developments does not depend on its
 target, so one development from a source cone point serves many queries
@@ -55,14 +60,13 @@ from .errors import GeodesicError, GeodesicNotFoundError
 from .geometry import (
     DEGENERATE_SQ,
     IDENTITY,
-    KEY_QUANTUM,
-    bearing,
+    cross2,
+    dot2,
     point_segment_distance,
     rigid_from_segment,
 )
 from .polygon import DEFAULT_TOLERANCES, validate
 
-TWO_PI = 2.0 * math.pi
 OVERHANG_BOUND = 1.0 - math.sqrt(3.0) / 2.0
 # added to every distance-table budget so a distance of exactly the budget
 # is still found
@@ -81,6 +85,12 @@ _END_POINT_TOL = 1e-9
 _TRANSFORM_TOL = 1e-10
 # Two directions whose cross product is below _PARALLEL count as parallel.
 _PARALLEL = 1e-15
+# A direction cone, or an edge seen from the source, whose width has a sine
+# below _SLIVER is empty.  A candidate whose direction lies within
+# _CONE_SLACK of its development's cone, by the sine of the angle, is
+# re-traced; the re-trace decides it.
+_SLIVER = 1e-14
+_CONE_SLACK = 1e-9
 # An edge is clipped only when it may come within the search's reach: its
 # line and the edge itself lie within reach + _REACH_MARGIN of the source.
 # The margin covers the clip's rounding, so every edge the prefilter skips
@@ -207,8 +217,20 @@ class _Node:
     def __init__(self, transform, entry_edge, cone, edge_path):
         self.transform = transform
         self.entry_edge = entry_edge
-        self.cone = cone  # None = all directions, else (lo, width)
+        self.cone = cone  # None (all directions) or rays (lo, hi), hi ccw of lo by < pi
         self.edge_path = edge_path
+
+
+def _between(lo, hi, v):
+    """Whether direction v lies in the closed cone from lo counterclockwise
+    to hi, a cone narrower than pi."""
+    return cross2(lo, v) >= 0.0 and cross2(v, hi) >= 0.0
+
+
+def _sliver(lo, hi):
+    """Whether the cone from lo counterclockwise to hi is empty: narrower
+    than _SLIVER, or turning clockwise."""
+    return cross2(lo, hi) < _SLIVER * abs(lo) * abs(hi)
 
 
 class DevelopmentEngine:
@@ -263,85 +285,55 @@ class DevelopmentEngine:
     # -- direction-cone bookkeeping -----------------------------------------
 
     @staticmethod
-    def _interval_of_segment(s, a, b):
-        """Bearing interval subtended at s by segment [a, b], width < pi.
-
-        Returns (lo, width, p_lo, p_hi) with p_lo/p_hi the segment endpoints
-        at the interval boundaries, or None for radially aligned segments.
-        """
-        wa = a - s
-        wb = b - s
-        ta = math.atan2(wa.imag, wa.real)
-        tb = math.atan2(wb.imag, wb.real)
-        width = math.fmod(tb - ta, TWO_PI)
-        if width <= -math.pi:
-            width += TWO_PI
-        elif width > math.pi:
-            width -= TWO_PI
-        if width < 0:
-            ta, tb = tb, ta
-            a, b = b, a
-            width = -width
-        if width < 1e-14:
-            return None
-        return ta, width, a, b
-
-    @staticmethod
-    def _ray_on_line(s, theta, a, b):
-        d = complex(math.cos(theta), math.sin(theta))
+    def _ray_on_line(s, d, a, b):
+        """Where the ray from s along d meets the line of [a, b]."""
         ab = b - a
-        denom = d.real * ab.imag - d.imag * ab.real
+        denom = cross2(d, ab)
         if abs(denom) < _PARALLEL:
             return a
-        w = a - s
-        u = (w.real * d.imag - w.imag * d.real) / denom
+        u = cross2(a - s, d) / denom
         # the clip stays inside the segment by construction; clamp for safety
         return a + min(1.0, max(0.0, u)) * ab
 
     def _clip_edge(self, s, a, b, cone):
         """Clip developed edge [a, b] against the direction cone from s.
 
-        Returns (new_cone, min_distance) or None when no admissible
-        direction meets the edge.
+        Returns (new_cone, min_distance) or None when no direction of the
+        cone meets the edge in more than a sliver.
         """
-        sub = self._interval_of_segment(s, a, b)
-        if sub is None:
-            return None
-        ta, width, pa, pb = sub
+        wa = a - s
+        wb = b - s
+        if cross2(wa, wb) < 0.0:
+            a, b, wa, wb = b, a, wb, wa
+        if _sliver(wa, wb):
+            return None  # the edge is radial from s
         if cone is None:
-            lo, w = ta, width
-            qa, qb = pa, pb
+            return (wa, wb), point_segment_distance(s, a, b)
+        lo, hi = cone
+        # both cones are narrower than pi, so they meet in one cone or none,
+        # and it starts at whichever start lies in the other
+        if _between(lo, hi, wa):
+            start, qa = wa, a
+        elif _between(wa, wb, lo):
+            start, qa = lo, self._ray_on_line(s, lo, a, b)
         else:
-            clo, cw = cone
-            off = math.fmod(ta - clo, TWO_PI)
-            if off < 0:
-                off += TWO_PI
-            # edge interval occupies [off, off + width] relative to the cone start
-            if off <= cw:
-                o1, o2 = off, min(off + width, cw)
-            elif off + width >= TWO_PI:
-                o1, o2 = 0.0, min(cw, off + width - TWO_PI)
-            else:
-                return None
-            if o2 - o1 < 1e-14:
-                return None
-            lo, w = clo + o1, o2 - o1
-            qa = pa if abs(o1 - off) < 1e-15 else self._ray_on_line(s, clo + o1, pa, pb)
-            if abs((off + width) - o2) < 1e-15 or abs((off + width - TWO_PI) - o2) < 1e-15:
-                qb = pb
-            else:
-                qb = self._ray_on_line(s, clo + o2, pa, pb)
-        return (lo, w), point_segment_distance(s, qa, qb)
+            return None
+        if _between(lo, hi, wb):
+            end, qb = wb, b
+        else:
+            end, qb = hi, self._ray_on_line(s, hi, a, b)
+        if _sliver(start, end):
+            return None
+        return (start, end), point_segment_distance(s, qa, qb)
 
     @staticmethod
-    def _cone_contains(cone, theta, slack=1e-9):
+    def _cone_contains(cone, v):
+        """Whether direction v lies within _CONE_SLACK of the cone."""
         if cone is None:
             return True
-        lo, w = cone
-        off = math.fmod(theta - lo, TWO_PI)
-        if off < 0:
-            off += TWO_PI
-        return off <= w + slack or off >= TWO_PI - slack
+        lo, hi = cone
+        slack = _CONE_SLACK * abs(v)
+        return cross2(lo, v) >= -slack * abs(lo) and cross2(v, hi) >= -slack * abs(hi)
 
     # -- candidate validation ------------------------------------------------
 
@@ -484,11 +476,12 @@ class DevelopmentEngine:
 
         Pushes are pruned at the largest live budget.  One with a lower
         bound between two budgets only pops after the smaller goal has
-        retired, and a development it marks as seen can only come back at
-        a bound no smaller (pops come in bound order), so the smaller goal
-        would have pruned that one too.  Each goal therefore retires at
-        exactly the pop where its own search would have stopped, having
-        seen the same pops before it.
+        retired (pops come in bound order), and so do its descendants,
+        whose bounds are no smaller; the smaller goal's own search would
+        have pruned it.  The pushes both searches make come in the same
+        order, so ties pop alike.  Each goal therefore retires at exactly
+        the pop where its own search would have stopped, having seen the
+        same pops before it.
         """
         s = self.points[sv]
         for st in states:
@@ -497,7 +490,6 @@ class DevelopmentEngine:
         reach = max(st.budget for st in live) + _BOUND_SLACK
         heap = [(0.0, 0, _Node(IDENTITY, None, None, ()))]
         tie = 1
-        seen = set()
         pops = 0
         while heap:
             lb, _, node = heapq.heappop(heap)
@@ -531,7 +523,7 @@ class DevelopmentEngine:
                     d = abs(offs[tv])
                     if d > st.budget + _BOUND_SLACK or d + _BOUND_SLACK < lb:
                         continue
-                    if d > _AT_SOURCE and not self._cone_contains(node.cone, bearing(offs[tv])):
+                    if d > _AT_SOURCE and not self._cone_contains(node.cone, offs[tv]):
                         continue
                     if tv not in finalized:
                         finalized[tv] = self._finalize(
@@ -552,15 +544,6 @@ class DevelopmentEngine:
                 if lb2 > reach:
                     continue
                 t2 = transform.compose(self.transition[j])
-                # the cone is rounded like the transform's key
-                key = t2.key() + (
-                    self.partner[j],
-                    round(cone2[0] / KEY_QUANTUM),
-                    round(cone2[1] / KEY_QUANTUM),
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
                 heapq.heappush(
                     heap,
                     (lb2, tie, _Node(t2, self.partner[j], cone2, node.edge_path + (j,))),
@@ -787,34 +770,22 @@ def _excursion_width(s, a, b, radius):
     if radius <= 0.0:
         return 0.0
     ab = b - a
-    lab = abs(ab)
-    if lab < 1e-15:
+    if dot2(ab, ab) < DEGENERATE_SQ:
         return 0.0
-    n = complex(ab.imag, -ab.real) / lab  # outward normal
-    fs = (s - a).real * n.real + (s - a).imag * n.imag
+    n = complex(ab.imag, -ab.real) / abs(ab)  # outward normal
+    fs = dot2(s - a, n)
     if fs >= 0.0:
         return 0.0  # center not strictly inside relative to this edge
-    ta = math.atan2((a - s).imag, (a - s).real)
-    tb = math.atan2((b - s).imag, (b - s).real)
-    span = math.fmod(tb - ta, TWO_PI)
-    if span <= -math.pi:
-        span += TWO_PI
-    elif span > math.pi:
-        span -= TWO_PI
-    if span < 0:
-        ta, tb = tb, ta
-        span = -span
-    if span < 1e-14:
+    # s lies left of a -> b, so b is counterclockwise of a as seen from s
+    wa = a - s
+    wb = b - s
+    if _sliver(wa, wb):
         return 0.0
-    tn = math.atan2(n.imag, n.real)
-    off = math.fmod(tn - ta, TWO_PI)
-    if off < 0:
-        off += TWO_PI
-    if off <= span:
+    if _between(wa, wb, n):
         best = radius + fs  # the perpendicular ray exits through the segment
     else:
-        gap = min(off - span, TWO_PI - off)
-        best = radius * math.cos(gap) + fs
+        # the ray through the endpoint nearer to n in angle reaches deepest
+        best = radius * max(dot2(wa, n) / abs(wa), dot2(wb, n) / abs(wb)) + fs
     return max(0.0, best)
 
 

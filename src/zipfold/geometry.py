@@ -13,9 +13,6 @@ reflection is needed.
 
 import math
 
-# Rigid.key rounds each coordinate to a multiple of KEY_QUANTUM, so transforms
-# that agree to about that precision share a key.
-KEY_QUANTUM = 1e-8
 # A segment whose squared length is below DEGENERATE_SQ counts as a point.
 DEGENERATE_SQ = 1e-30
 
@@ -57,14 +54,6 @@ class Rigid:
     def compose(self, other):
         """self after other: (self . other)(z) = self(other(z))."""
         return Rigid(self.rot * other.rot, self.rot * other.trans + self.trans)
-
-    def key(self, quantum=KEY_QUANTUM):
-        return (
-            round(self.rot.real / quantum),
-            round(self.rot.imag / quantum),
-            round(self.trans.real / quantum),
-            round(self.trans.imag / quantum),
-        )
 
     def almost_equal(self, other, tol=1e-10):
         return abs(self.rot - other.rot) <= tol and abs(self.trans - other.trans) <= tol
@@ -167,7 +156,3 @@ def best_rigid_alignment(src, dst):
         ey = s * ax + c * ay + ty - by
         max_dev = max(max_dev, math.hypot(ex, ey))
     return max_dev, angle, (tx, ty)
-
-
-def bearing(z):
-    return math.atan2(z.imag, z.real)

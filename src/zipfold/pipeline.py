@@ -224,6 +224,7 @@ class VerifyOutcome:
     distinct_by_curvature: object = None
     tetra_pairwise_incongruent: str = INCONC
     status: str = INCONC
+    tolerances: Tolerances = DEFAULT_TOLERANCES
 
     def combined(self, name):
         """One status over every halving's `name` status (inconclusive without audits)."""
@@ -245,7 +246,7 @@ class VerifyOutcome:
             return []
         lines = []
         gb = max(abs(a.gauss_bonnet_residual) for a in self.audits)
-        lines.append(("curvature.total_4pi", _tri(gb <= 1e-8)))
+        lines.append(("curvature.total_4pi", _tri(gb <= self.tolerances.tol_curvature)))
         lines.append(("disks.unit_radius_empty", self.combined("disk_status")))
         lines.append(("zipper.edges_length_1", self.combined("zipper_status")))
         lines.append(("zipper.nothing_shorter", self.combined("lemma3_empty_status")))
@@ -303,6 +304,7 @@ def verify_polygon(poly, cfg=DEFAULT_CONFIG, force=False, *, report=None, indepe
         hypotheses_ok=hypotheses_ok,
         forced=force and not hypotheses_ok,
         intrinsic_only=poly.n != 6,
+        tolerances=tol,
     )
     if not hypotheses_ok and not force:
         outcome.status = FAIL

@@ -15,6 +15,11 @@ builds the production report types so the two reports compare by repr.
 So does the polygon sampler: the reference tries one attempt at a time,
 closing and validating every draw whose turns sum below 2*pi, where the
 production sampler screens a batch of attempts in one numpy pass first.
+
+The geodesic search's direction cones have a reference too: the clip,
+containment and overhang excursion width kept as bearings (`atan2` angles
+wrapped with `fmod`), where the engine keeps each cone as its two boundary
+rays and decides with orientation signs.
 """
 
 import itertools
@@ -295,3 +300,133 @@ def reference_sample_attempts(
 def reference_sample_ngon(n, seed, **kwargs):
     """What _sample_ngon returns, found one attempt at a time."""
     return reference_sample_attempts(n, seed, **kwargs)[1]
+
+
+def _reference_segment_distance(p, a, b):
+    ab = b - a
+    denom = ab.real * ab.real + ab.imag * ab.imag
+    if denom < 1e-30:
+        return abs(p - a)
+    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom
+    if t <= 0.0:
+        return abs(p - a)
+    if t >= 1.0:
+        return abs(p - b)
+    return abs(p - (a + t * ab))
+
+
+def _reference_interval_of_segment(s, a, b):
+    """Bearing interval (lo, width, p_lo, p_hi) subtended at s by [a, b],
+    width < pi, or None for a radially aligned segment."""
+    wa = a - s
+    wb = b - s
+    ta = math.atan2(wa.imag, wa.real)
+    tb = math.atan2(wb.imag, wb.real)
+    width = math.fmod(tb - ta, TWO_PI)
+    if width <= -math.pi:
+        width += TWO_PI
+    elif width > math.pi:
+        width -= TWO_PI
+    if width < 0:
+        ta, tb = tb, ta
+        a, b = b, a
+        width = -width
+    if width < 1e-14:
+        return None
+    return ta, width, a, b
+
+
+def _reference_ray_on_line(s, theta, a, b):
+    d = complex(math.cos(theta), math.sin(theta))
+    ab = b - a
+    denom = d.real * ab.imag - d.imag * ab.real
+    if abs(denom) < 1e-15:
+        return a
+    w = a - s
+    u = (w.real * d.imag - w.imag * d.real) / denom
+    return a + min(1.0, max(0.0, u)) * ab
+
+
+def reference_clip_edge(s, a, b, cone):
+    """Clip edge [a, b] against a direction cone kept as bearings.
+
+    `cone` is None (every direction) or (lo, width): the directions from
+    lo counterclockwise to lo + width, width < pi.  Returns
+    ((lo, width), distance from s to the clipped edge), or None when no
+    direction of the cone meets the edge.
+    """
+    sub = _reference_interval_of_segment(s, a, b)
+    if sub is None:
+        return None
+    ta, width, pa, pb = sub
+    if cone is None:
+        lo, w = ta, width
+        qa, qb = pa, pb
+    else:
+        clo, cw = cone
+        off = math.fmod(ta - clo, TWO_PI)
+        if off < 0:
+            off += TWO_PI
+        # the edge occupies [off, off + width] relative to the cone start
+        if off <= cw:
+            o1, o2 = off, min(off + width, cw)
+        elif off + width >= TWO_PI:
+            o1, o2 = 0.0, min(cw, off + width - TWO_PI)
+        else:
+            return None
+        if o2 - o1 < 1e-14:
+            return None
+        lo, w = clo + o1, o2 - o1
+        qa = pa if abs(o1 - off) < 1e-15 else _reference_ray_on_line(s, clo + o1, pa, pb)
+        if abs((off + width) - o2) < 1e-15 or abs((off + width - TWO_PI) - o2) < 1e-15:
+            qb = pb
+        else:
+            qb = _reference_ray_on_line(s, clo + o2, pa, pb)
+    return (lo, w), _reference_segment_distance(s, qa, qb)
+
+
+def reference_cone_contains(cone, theta, slack=1e-9):
+    """Whether bearing theta lies in a bearing cone, up to slack radians."""
+    if cone is None:
+        return True
+    lo, w = cone
+    off = math.fmod(theta - lo, TWO_PI)
+    if off < 0:
+        off += TWO_PI
+    return off <= w + slack or off >= TWO_PI - slack
+
+
+def reference_excursion_width(s, a, b, radius):
+    """The overhang excursion width, with the edge's directions as bearings."""
+    if radius <= 0.0:
+        return 0.0
+    ab = b - a
+    lab = abs(ab)
+    if lab < 1e-15:
+        return 0.0
+    n = complex(ab.imag, -ab.real) / lab  # outward normal
+    fs = (s - a).real * n.real + (s - a).imag * n.imag
+    if fs >= 0.0:
+        return 0.0
+    ta = math.atan2((a - s).imag, (a - s).real)
+    tb = math.atan2((b - s).imag, (b - s).real)
+    span = math.fmod(tb - ta, TWO_PI)
+    if span <= -math.pi:
+        span += TWO_PI
+    elif span > math.pi:
+        span -= TWO_PI
+    if span < 0:
+        ta, tb = tb, ta
+        span = -span
+    if span < 1e-14:
+        return 0.0
+    tn = math.atan2(n.imag, n.real)
+    off = math.fmod(tn - ta, TWO_PI)
+    if off < 0:
+        off += TWO_PI
+    if off <= span:
+        best = radius + fs  # the perpendicular ray exits through the segment
+    else:
+        gap = min(off - span, TWO_PI - off)
+        best = radius * math.cos(gap) + fs
+    return max(0.0, best)

@@ -1,23 +1,36 @@
 """The geodesic search's work on fixed fat polygons, pinned.
 
 Every candidate the search hands to `_finalize` for a full re-trace passes
-it, and each halving's queries report exactly the developments they
-reported before the search stopped re-tracing targets on a copy's entry
-edge: skipping them changes no result, only the work.  The distance
-table's shared searches pop fewer developments than the queries report
-together, since the queries leaving one cone point share their pops.
+it, and each halving's queries report the pinned developments.  A pin
+moves when a lower bound moves by a few units in the last place at an
+exact tie, with another development's bound or with a found length.  The
+distance table's shared searches pop fewer developments than the queries
+report together, since the queries leaving one cone point share their
+pops.
 
 The search clips only the edges its reach prefilter keeps.  Every edge the
 prefilter skips, clipped in full, gives no cone or a distance beyond the
 reach, so the clip would have been dropped and no push is lost.
+
+The search keeps no record of what it has pushed: the clips of a copy's
+edges split its cone into disjoint pieces, so no search pushes one copy
+across one entry edge twice.
 """
 
 import collections
+import heapq
+import itertools
 import os
 
 import pytest
 
-from zipfold import EquilateralPolygon, glue_halving, load_polygon, sample_fat_ngon
+from zipfold import (
+    EquilateralPolygon,
+    glue_halving,
+    load_polygon,
+    regular_ngon,
+    sample_fat_ngon,
+)
 from zipfold.geodesic import _AT_SOURCE, DevelopmentEngine, Goal
 from zipfold.pipeline import fold_halving
 
@@ -26,13 +39,13 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # (n, seed) -> developments per halving, summed over the distance table's
 # shortest queries and zipper enumerations
 DEVELOPMENTS = {
-    (6, 0): (36, 36, 42), (6, 1): (44, 39, 38), (6, 2): (39, 36, 34),
-    (6, 3): (39, 42, 37), (6, 4): (44, 45, 45), (6, 5): (47, 40, 40),
-    (6, 6): (32, 35, 32), (6, 7): (34, 38, 37), (6, 8): (32, 33, 34),
-    (6, 9): (43, 40, 37), (6, 10): (46, 48, 45), (6, 11): (32, 33, 33),
-    (6, 12): (36, 35, 40), (6, 13): (43, 39, 46), (6, 14): (34, 35, 36),
-    (6, 15): (34, 34, 33), (6, 16): (36, 37, 39), (6, 17): (34, 37, 34),
-    (6, 18): (33, 33, 33), (6, 19): (44, 39, 36),
+    (6, 0): (35, 35, 42), (6, 1): (44, 39, 37), (6, 2): (38, 35, 34),
+    (6, 3): (39, 42, 37), (6, 4): (43, 42, 45), (6, 5): (46, 40, 40),
+    (6, 6): (30, 35, 32), (6, 7): (34, 38, 38), (6, 8): (31, 33, 34),
+    (6, 9): (44, 40, 37), (6, 10): (46, 47, 44), (6, 11): (32, 33, 33),
+    (6, 12): (35, 35, 37), (6, 13): (42, 38, 46), (6, 14): (34, 35, 35),
+    (6, 15): (34, 34, 33), (6, 16): (36, 37, 39), (6, 17): (33, 38, 34),
+    (6, 18): (33, 32, 32), (6, 19): (43, 38, 35),
     (8, 0): (47, 47, 47, 48), (8, 1): (44, 44, 49, 45), (8, 2): (48, 51, 48, 47),
     (8, 3): (45, 44, 45, 44), (8, 4): (45, 44, 44, 44),
 }
@@ -41,13 +54,13 @@ DEVELOPMENTS = {
 # (n, seed) -> developments the distance table's shared searches popped per
 # halving
 POPPED = {
-    (6, 0): (22, 21, 25), (6, 1): (25, 23, 23), (6, 2): (25, 22, 20),
-    (6, 3): (22, 26, 22), (6, 4): (26, 26, 27), (6, 5): (27, 23, 25),
-    (6, 6): (21, 21, 20), (6, 7): (19, 23, 23), (6, 8): (19, 20, 21),
-    (6, 9): (24, 22, 23), (6, 10): (27, 27, 27), (6, 11): (20, 20, 20),
-    (6, 12): (22, 19, 26), (6, 13): (27, 22, 25), (6, 14): (20, 21, 22),
+    (6, 0): (22, 20, 25), (6, 1): (25, 23, 22), (6, 2): (24, 22, 20),
+    (6, 3): (22, 26, 22), (6, 4): (26, 23, 27), (6, 5): (26, 23, 25),
+    (6, 6): (19, 21, 20), (6, 7): (19, 23, 24), (6, 8): (19, 20, 21),
+    (6, 9): (25, 22, 23), (6, 10): (27, 27, 26), (6, 11): (20, 20, 20),
+    (6, 12): (22, 19, 24), (6, 13): (26, 21, 25), (6, 14): (20, 21, 22),
     (6, 15): (20, 20, 20), (6, 16): (22, 21, 24), (6, 17): (19, 23, 21),
-    (6, 18): (20, 19, 22), (6, 19): (25, 23, 21),
+    (6, 18): (20, 18, 21), (6, 19): (24, 22, 21),
     (8, 0): (20, 22, 20, 21), (8, 1): (19, 20, 21, 19), (8, 2): (20, 22, 20, 21),
     (8, 3): (20, 19, 20, 21), (8, 4): (19, 20, 20, 19),
 }
@@ -56,13 +69,13 @@ POPPED = {
 # (n, seed) -> _clip_edge calls per halving while the distance table is
 # built, on the POPPED seeds
 CLIPPED = {
-    (6, 0): (43, 42, 47), (6, 1): (44, 43, 41), (6, 2): (49, 37, 37),
-    (6, 3): (38, 54, 36), (6, 4): (53, 42, 54), (6, 5): (50, 44, 48),
-    (6, 6): (37, 37, 38), (6, 7): (37, 39, 44), (6, 8): (35, 37, 40),
-    (6, 9): (45, 41, 42), (6, 10): (49, 45, 54), (6, 11): (37, 40, 34),
-    (6, 12): (35, 33, 54), (6, 13): (57, 42, 41), (6, 14): (34, 42, 43),
+    (6, 0): (43, 40, 47), (6, 1): (44, 43, 40), (6, 2): (48, 37, 37),
+    (6, 3): (38, 54, 36), (6, 4): (53, 39, 54), (6, 5): (48, 44, 48),
+    (6, 6): (35, 37, 38), (6, 7): (37, 39, 45), (6, 8): (35, 37, 40),
+    (6, 9): (46, 41, 42), (6, 10): (49, 45, 53), (6, 11): (37, 40, 34),
+    (6, 12): (35, 33, 52), (6, 13): (55, 40, 41), (6, 14): (34, 42, 43),
     (6, 15): (37, 43, 34), (6, 16): (40, 39, 46), (6, 17): (35, 46, 36),
-    (6, 18): (35, 40, 42), (6, 19): (42, 43, 42),
+    (6, 18): (35, 38, 41), (6, 19): (40, 42, 42),
     (8, 0): (30, 38, 32, 37), (8, 1): (31, 30, 32, 31), (8, 2): (30, 36, 30, 31),
     (8, 3): (34, 27, 28, 35), (8, 4): (30, 30, 28, 29),
 }
@@ -206,3 +219,46 @@ def test_prefilter_is_sound_on_long_edges(prefilter_spy):
             DevelopmentEngine(glue_halving(big, i)).distance_table()
     assert unsound == []
     assert seen["skipped_cones"] > 0
+
+
+@pytest.fixture()
+def push_spy(monkeypatch):
+    """Each push's copy, its transform rounded to 1e-8, and entry edge,
+    collected per search root; a key pushed twice by one root is a repeat."""
+    seen = collections.Counter()
+    repeats = []
+    keys = set()
+    search_root = DevelopmentEngine._search_root
+    heappush = heapq.heappush
+
+    def root(self, *args):
+        keys.clear()
+        return search_root(self, *args)
+
+    def push(heap, item):
+        node = item[-1]
+        t = node.transform
+        key = tuple(round(x / 1e-8) for x in (t.rot.real, t.rot.imag, t.trans.real, t.trans.imag))
+        key += (node.entry_edge,)
+        if key in keys:
+            repeats.append(key)
+        keys.add(key)
+        seen["pushes"] += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr(DevelopmentEngine, "_search_root", root)
+    monkeypatch.setattr(heapq, "heappush", push)
+    return seen, repeats
+
+
+def test_no_copy_pushed_twice_across_one_edge(push_spy):
+    seen, repeats = push_spy
+    gluings = _spy_gluings()
+    gluings += [glue_halving(regular_ngon(n), i) for n in (6, 8) for i in range(n // 2)]
+    for g in gluings:
+        engine = DevelopmentEngine(g)
+        engine.distance_table()
+        for i, j in itertools.permutations(range(len(g.cone_points)), 2):
+            engine.enumerate_geodesics(i, j, 2.5)
+    assert repeats == []
+    assert seen["pushes"] > 0
