@@ -17,6 +17,7 @@ import time
 from . import gluing as gl
 from .embed import congruent_tetrahedra, write_obj
 from .errors import MalformedPolygonError, SamplingBudgetError, ZipfoldError
+from .geodesic import RootFans
 from .net import cut_and_unfold
 from .pipeline import (
     FAIL,
@@ -162,8 +163,9 @@ def cmd_fold(args):
     }
     failures = 0
     tets = {}
+    fans = RootFans(poly, cfg.tolerances.tol_clearance)
     for i in indices:
-        g, curv, engine = fold_halving(poly, i, cfg)
+        g, curv, engine = fold_halving(poly, i, cfg, fans=fans)
         entry = json.loads(gl.gluing_report_json(g, curv))
         if n == 6:
             try:

@@ -8,7 +8,7 @@ the source vertex to some developed image of the target vertex.  The search
 therefore works on "developments": placements of polygon copies reached by
 a sequence of edge crossings.
 
-Four facts keep the search small and exact:
+Five facts keep the search small and exact:
 
 * A valid candidate is a straight segment from the source, so only
   directions that thread every crossed edge in order can matter.  Each node
@@ -28,6 +28,12 @@ Four facts keep the search small and exact:
   copy's edges split its cone into disjoint pieces.  No two developments
   share a copy, an entry edge and a cone, and the search keeps no record
   of what it has pushed.
+* Every search root is a vertex of the untransformed polygon, so the root
+  copy, and with it the root's first pop, does not depend on the gluing:
+  the chord to each vertex, the clip of each edge against all directions
+  (the root fan) and the re-trace of each chord, which is rejected as soon
+  as it crosses an edge, whatever lies across it.  The halvings of one
+  polygon share these through one `RootFans`.
 
 The order in which a search pops developments does not depend on its
 target, so one development from a source cone point serves many queries
@@ -96,8 +102,11 @@ _CONE_SLACK = 1e-9
 # The margin covers the clip's rounding, so every edge the prefilter skips
 # is one whose clip would be dropped.
 _REACH_MARGIN = 1e-9
-# A width within _OVERHANG_SLACK of OVERHANG_BOUND is within the bound.
+# A width within _OVERHANG_SLACK of OVERHANG_BOUND is within the bound.  An
+# edge whose width is at most _WIDTH_FLOOR is not listed: an edge whose
+# nearest endpoint lies exactly at the radius has width 0 up to rounding.
 _OVERHANG_SLACK = 1e-9
+_WIDTH_FLOOR = 1e-12
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -196,9 +205,9 @@ class _GoalState:
         self.frontier = math.inf
 
     def result(self):
-        paths = sorted(
-            self.collect.values(), key=lambda g: (g.length, g.source_vertex, g.edge_path)
-        )
+        paths = list(self.collect.values())
+        if len(paths) > 1:
+            paths.sort(key=lambda g: (g.length, g.source_vertex, g.edge_path))
         exhausted = self.frontier < math.inf
         if not self.stop_at_first:
             return EnumerationResult(tuple(paths), not exhausted, self.developments)
@@ -221,6 +230,41 @@ class _Node:
         self.edge_path = edge_path
 
 
+# every search root: the untransformed polygon, entered through no edge
+_ROOT = _Node(IDENTITY, None, None, ())
+
+
+class RootFans:
+    """One polygon's root copy as seen from each of its vertices.
+
+    Every search root is a vertex of the untransformed polygon, whatever
+    the gluing, so a root's first pop computes the same things in every
+    halving of the polygon.  This holds them, filled in by the engines
+    that share it as their roots first need them:
+
+    * `by_vertex[sv]`, the fan of vertex sv: the chord length from sv to
+      every vertex, and the clip (edge, cone, distance) of every edge not
+      incident to sv that is not a sliver, in edge order;
+    * `chords[(sv, tv)]`: the re-trace of the chord from sv to tv, as
+      `DevelopmentEngine._finalize` returns it.  A chord that crosses an
+      edge is rejected before anything across that edge is looked at.
+
+    The re-trace reads the clearance, so fans serve only engines of the
+    same polygon and clearance.
+    """
+
+    def __init__(self, polygon, clearance=DEFAULT_TOLERANCES.tol_clearance):
+        self.polygon = polygon
+        self.clearance = float(clearance)
+        self.points = polygon.as_complex()
+        n = len(self.points)
+        # every developed copy of edge j has this length, up to rounding
+        self.edge_lengths = [abs(self.points[(j + 1) % n] - self.points[j]) for j in range(n)]
+        self.root_copy = [IDENTITY.apply(p) for p in self.points]
+        self.by_vertex = {}
+        self.chords = {}
+
+
 def _between(lo, hi, v):
     """Whether direction v lies in the closed cone from lo counterclockwise
     to hi, a cone narrower than pi."""
@@ -233,19 +277,40 @@ def _sliver(lo, hi):
     return cross2(lo, hi) < _SLIVER * abs(lo) * abs(hi)
 
 
-class DevelopmentEngine:
-    """Per-gluing machinery for developing copies and searching geodesics."""
+def _take(st, path):
+    """Record a re-traced path (None: rejected) as one of the goal's finds."""
+    if path is not None:
+        key = (path.source_vertex, path.target_vertex, path.edge_path)
+        if key not in st.collect:
+            st.collect[key] = path
+            st.best = min(st.best, path.length)
 
-    def __init__(self, gluing, dev_cap=100000, clearance=DEFAULT_TOLERANCES.tol_clearance):
+
+class DevelopmentEngine:
+    """Per-gluing machinery for developing copies and searching geodesics.
+
+    `fans` are the polygon's RootFans, shared by the engines of its
+    halvings; an engine given none makes its own.
+    """
+
+    def __init__(
+        self, gluing, dev_cap=100000, clearance=DEFAULT_TOLERANCES.tol_clearance, fans=None
+    ):
         self.gluing = gluing
         self.dev_cap = int(dev_cap)
         self.clearance = float(clearance)
-        self.points = gluing.polygon.as_complex()
+        if fans is None:
+            fans = RootFans(gluing.polygon, self.clearance)
+        elif fans.polygon != gluing.polygon:
+            raise GeodesicError("root fans were built for another polygon")
+        elif fans.clearance != self.clearance:
+            raise GeodesicError(
+                f"root fans were built for clearance {fans.clearance!r}, not {self.clearance!r}"
+            )
+        self.fans = fans
+        self.points = fans.points
         self.n = len(self.points)
-        # every developed copy of edge j has this length, up to rounding
-        self.edge_lengths = [
-            abs(self.points[(j + 1) % self.n] - self.points[j]) for j in range(self.n)
-        ]
+        self.edge_lengths = fans.edge_lengths
         # edge j joins vertex j and j+1 (mod n)
         self.partner = [None] * self.n
         self.transition = [None] * self.n
@@ -301,24 +366,29 @@ class DevelopmentEngine:
         Returns (new_cone, min_distance) or None when no direction of the
         cone meets the edge in more than a sliver.
         """
+        # cross2 and _between spelled out on real and imaginary parts, with
+        # the same operations in the same order: most clips come out empty
         wa = a - s
         wb = b - s
-        if cross2(wa, wb) < 0.0:
+        ax, ay, bx, by = wa.real, wa.imag, wb.real, wb.imag
+        if ax * by - ay * bx < 0.0:
             a, b, wa, wb = b, a, wb, wa
+            ax, ay, bx, by = bx, by, ax, ay
         if _sliver(wa, wb):
             return None  # the edge is radial from s
         if cone is None:
             return (wa, wb), point_segment_distance(s, a, b)
         lo, hi = cone
+        lx, ly, hx, hy = lo.real, lo.imag, hi.real, hi.imag
         # both cones are narrower than pi, so they meet in one cone or none,
         # and it starts at whichever start lies in the other
-        if _between(lo, hi, wa):
+        if lx * ay - ly * ax >= 0.0 and ax * hy - ay * hx >= 0.0:
             start, qa = wa, a
-        elif _between(wa, wb, lo):
+        elif ax * ly - ay * lx >= 0.0 and lx * by - ly * bx >= 0.0:
             start, qa = lo, self._ray_on_line(s, lo, a, b)
         else:
             return None
-        if _between(lo, hi, wb):
+        if lx * by - ly * bx >= 0.0 and bx * hy - by * hx >= 0.0:
             end, qb = wb, b
         else:
             end, qb = hi, self._ray_on_line(s, hi, a, b)
@@ -329,33 +399,32 @@ class DevelopmentEngine:
     @staticmethod
     def _cone_contains(cone, v):
         """Whether direction v lies within _CONE_SLACK of the cone."""
-        if cone is None:
-            return True
         lo, hi = cone
         slack = _CONE_SLACK * abs(v)
         return cross2(lo, v) >= -slack * abs(lo) and cross2(v, hi) >= -slack * abs(hi)
 
     # -- candidate validation ------------------------------------------------
 
-    def _trace(self, s, end):
-        """Push the straight segment s->end through the copies.
+    def _trace(self, s, end, edge_path):
+        """Push the straight segment s->end through the copies along edge_path.
 
-        Returns (edge_path, transforms, copies, params): the transform and
-        the developed vertices of every copy the segment visits, and the
-        segment parameter of each crossing.  Grazing crossings are settled
-        later by the clearance check.
+        Returns (transforms, copies, params): the transform and the
+        developed vertices of every copy the segment visits, and the
+        segment parameter of each crossing.  Returns None as soon as the
+        segment crosses an edge other than the next one of edge_path, or
+        leaves the last copy, or ends short of it.  Grazing crossings are
+        settled later by the clearance check.
         """
         n = self.n
         seg = end - s
         transform = IDENTITY
+        pts = self.fans.root_copy
         entry = None
         u = 0.0
-        edge_path = []
         transforms = [IDENTITY]
         copies = []
         params = []
-        for _ in range(4 * self.dev_cap + 64):
-            pts = self._develop(transform)
+        for want in edge_path + (None,):
             copies.append(pts)
             best_t = None
             best_j = None
@@ -378,15 +447,16 @@ class DevelopmentEngine:
                 if best_t is None or t < best_t:
                     best_t = t
                     best_j = j
-            if best_t is None:
-                return edge_path, transforms, copies, params
+            if best_j != want:
+                return None
+            if want is None:
+                return transforms, copies, params
             u = best_t
             params.append(best_t)
-            edge_path.append(best_j)
             transform = transform.compose(self.transition[best_j])
             entry = self.partner[best_j]
             transforms.append(transform)
-        raise GeodesicError("trace did not terminate; development cap exceeded")
+            pts = self._develop(transform)
 
     def _clear_of_cone_images(self, s, end, copies):
         clearance = self.clearance
@@ -405,11 +475,19 @@ class DevelopmentEngine:
                     return False
         return True
 
-    def _finalize(self, source_cone, target_cone, sv, tv, node, end):
+    def _finalize(self, sv, tv, node, end):
+        """Re-trace the candidate from vertex sv to `end`, the image of
+        vertex tv in the node's copy, from scratch.
+
+        Returns (length, local_segments, transforms), the parts of its
+        GeodesicPath that do not depend on the cone points, or None when
+        the re-trace rejects it.
+        """
         s = self.points[sv]
-        edge_path, transforms, copies, params = self._trace(s, end)
-        if tuple(edge_path) != tuple(node.edge_path):
+        traced = self._trace(s, end, node.edge_path)
+        if traced is None:
             return None
+        transforms, copies, params = traced
         final = transforms[-1]
         if abs(copies[-1][tv] - end) > _END_POINT_TOL:
             return None
@@ -428,20 +506,57 @@ class DevelopmentEngine:
             q0 = inv_rot * (p0 - tr.trans)
             q1 = inv_rot * (p1 - tr.trans)
             locals_.append(((q0.real, q0.imag), (q1.real, q1.imag)))
-        idents = tuple(self.ident_of_edge[j].as_pairs() for j in edge_path)
+        return (
+            abs(seg),
+            tuple(locals_),
+            tuple((t.rot.real, t.rot.imag, t.trans.real, t.trans.imag) for t in transforms),
+        )
+
+    def _path(self, source_cone, target_cone, sv, tv, edge_path, traced):
+        """The GeodesicPath of a re-traced candidate (None: rejected)."""
+        if traced is None:
+            return None
+        length, local_segments, transforms = traced
         return GeodesicPath(
             source=tuple(source_cone.vertices),
             target=tuple(target_cone.vertices),
             source_vertex=sv,
             target_vertex=tv,
-            length=abs(seg),
-            edge_path=tuple(edge_path),
-            identifications=idents,
-            local_segments=tuple(locals_),
-            transforms=tuple(
-                (t.rot.real, t.rot.imag, t.trans.real, t.trans.imag) for t in transforms
-            ),
+            length=length,
+            edge_path=edge_path,
+            identifications=tuple(self.ident_of_edge[j].as_pairs() for j in edge_path),
+            local_segments=local_segments,
+            transforms=transforms,
         )
+
+    # -- the root fan ---------------------------------------------------------
+
+    def _root_fan(self, sv):
+        """Vertex sv's fan (see RootFans), built on first use."""
+        fan = self.fans.by_vertex.get(sv)
+        if fan is None:
+            n = self.n
+            s = self.points[sv]
+            pts = self.fans.root_copy
+            clips = []
+            for j in range(n):
+                a, b = pts[j], pts[(j + 1) % n]
+                if abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
+                    continue
+                clip = self._clip_edge(s, a, b, None)
+                if clip is not None:
+                    clips.append((j, *clip))
+            fan = self.fans.by_vertex[sv] = ([abs(p - s) for p in pts], tuple(clips))
+        return fan
+
+    def _root_chord(self, sv, tv):
+        """The re-trace of the chord from vertex sv to vertex tv, made once
+        per RootFans."""
+        key = (sv, tv)
+        chords = self.fans.chords
+        if key not in chords:
+            chords[key] = self._finalize(sv, tv, _ROOT, self.fans.root_copy[tv])
+        return chords[key]
 
     # -- search ---------------------------------------------------------------
 
@@ -482,13 +597,17 @@ class DevelopmentEngine:
         order, so ties pop alike.  Each goal therefore retires at exactly
         the pop where its own search would have stopped, having seen the
         same pops before it.
+
+        The first pop reads the root fan.  It pushes the fan's edges within
+        reach, which are the edges the prefilter and the clip would have
+        kept, in the same order.
         """
         s = self.points[sv]
         for st in states:
             st.best = math.inf
         live = list(states)
         reach = max(st.budget for st in live) + _BOUND_SLACK
-        heap = [(0.0, 0, _Node(IDENTITY, None, None, ()))]
+        heap = [(0.0, 0, _ROOT)]
         tie = 1
         pops = 0
         while heap:
@@ -508,42 +627,51 @@ class DevelopmentEngine:
                 live = kept
                 reach = max(st.budget for st in live) + _BOUND_SLACK
             pops += 1
-            transform = node.transform
-            pts = self._develop(transform)
-            offs = [p - s for p in pts]
-            # the entry edge's endpoints lie on the parent copy's boundary: a
-            # segment ending there stops on the entry edge, one crossing short
-            entry = node.entry_edge
-            on_entry = () if entry is None else (entry, (entry + 1) % self.n)
             finalized = {}  # target vertex -> re-traced path (None: rejected)
-            for st in live:
-                for tv in st.targets:
-                    if tv in on_entry:
-                        continue
-                    d = abs(offs[tv])
-                    if d > st.budget + _BOUND_SLACK or d + _BOUND_SLACK < lb:
-                        continue
-                    if d > _AT_SOURCE and not self._cone_contains(node.cone, offs[tv]):
-                        continue
-                    if tv not in finalized:
-                        finalized[tv] = self._finalize(
-                            source_cone, st.target_cone, sv, tv, node, pts[tv]
-                        )
-                    path = finalized[tv]
-                    if path is not None:
-                        key = (sv, tv, path.edge_path)
-                        if key not in st.collect:
-                            st.collect[key] = path
-                            st.best = min(st.best, path.length)
-            for j in self._edges_in_reach(s, pts, offs, node, reach):
-                clip = self._clip_edge(s, pts[j], pts[(j + 1) % self.n], node.cone)
-                if clip is None:
-                    continue
-                cone2, dist = clip
+            if node is _ROOT:
+                lengths, clips = self._root_fan(sv)
+                for st in live:
+                    for tv in st.targets:
+                        if lengths[tv] > st.budget + _BOUND_SLACK:
+                            continue
+                        if tv not in finalized:
+                            finalized[tv] = self._path(
+                                source_cone, st.target_cone, sv, tv, (), self._root_chord(sv, tv)
+                            )
+                        _take(st, finalized[tv])
+            else:
+                pts = self._develop(node.transform)
+                offs = [p - s for p in pts]
+                # the entry edge's endpoints lie on the parent copy's boundary:
+                # a segment ending there stops on the entry edge, one crossing
+                # short
+                entry = node.entry_edge
+                on_entry = (entry, (entry + 1) % self.n)
+                for st in live:
+                    for tv in st.targets:
+                        if tv in on_entry:
+                            continue
+                        d = abs(offs[tv])
+                        if d > st.budget + _BOUND_SLACK or d + _BOUND_SLACK < lb:
+                            continue
+                        if d > _AT_SOURCE and not self._cone_contains(node.cone, offs[tv]):
+                            continue
+                        if tv not in finalized:
+                            finalized[tv] = self._path(
+                                source_cone, st.target_cone, sv, tv, node.edge_path,
+                                self._finalize(sv, tv, node, pts[tv]),
+                            )
+                        _take(st, finalized[tv])
+                clips = []
+                for j in self._edges_in_reach(s, pts, offs, node, reach):
+                    clip = self._clip_edge(s, pts[j], pts[(j + 1) % self.n], node.cone)
+                    if clip is not None:
+                        clips.append((j, *clip))
+            for j, cone2, dist in clips:
                 lb2 = max(lb, dist)
                 if lb2 > reach:
                     continue
-                t2 = transform.compose(self.transition[j])
+                t2 = node.transform.compose(self.transition[j])
                 heapq.heappush(
                     heap,
                     (lb2, tie, _Node(t2, self.partner[j], cone2, node.edge_path + (j,))),
@@ -721,10 +849,12 @@ def overhang_audit(gluing, center_idx, radius=1.0, cfg=None, *, fat=None):
     For every boundary edge not incident to a representative of the cone
     point, the excursion width is the largest perpendicular distance beyond
     the edge line reached by disk points whose ray from the center actually
-    passes through the open edge segment.  Fat hexagons must stay within
-    1 - sqrt(3)/2; the implied entry angle 2*asin(bound/2) stays below 8
-    degrees.  `fat` says whether to raise past that bound; None checks it
-    at radius 1 only, for a source that validates as fat under `cfg`.
+    passes through the open edge segment.  `per_edge` lists the edges whose
+    width exceeds _WIDTH_FLOOR, and `max_width` is the largest width of
+    any edge.  Fat hexagons must stay within 1 - sqrt(3)/2; the implied
+    entry angle 2*asin(bound/2) stays below 8 degrees.  `fat` says whether
+    to raise past that bound; None checks it at radius 1 only, for a
+    source that validates as fat under `cfg`.
     """
     if fat is None:
         fat = radius == 1.0 and (
@@ -743,9 +873,9 @@ def overhang_audit(gluing, center_idx, radius=1.0, cfg=None, *, fat=None):
             a = points[j]
             b = points[(j + 1) % n]
             width = _excursion_width(s, a, b, radius)
-            if width > 0.0:
+            max_width = max(max_width, width)
+            if width > _WIDTH_FLOOR:
                 per_edge.append((v, j, width))
-                max_width = max(max_width, width)
     if fat and max_width > OVERHANG_BOUND + _OVERHANG_SLACK:
         raise GeodesicError(
             f"overhang width {max_width:.9f} exceeds {OVERHANG_BOUND:.9f} on a fat source"

@@ -14,7 +14,7 @@ from . import gluing as gl
 from . import net as netmod
 from .embed import congruent_tetrahedra, embed, vertex_angle_sums
 from .errors import GeodesicError, MetricError
-from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, overhang_audit
+from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, RootFans, overhang_audit
 from .geometry import best_rigid_alignment
 from .polygon import (
     DEFAULT_TOLERANCES,
@@ -83,17 +83,19 @@ class HalvingAudit:
     error: str | None = None
 
 
-def fold_halving(poly, fold_index, cfg=DEFAULT_CONFIG):
+def fold_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fans=None):
     """Glue one halving and give it its one geodesic engine.
 
     Returns (gluing, curvature vector, engine).  The engine builds the
     halving's distance table on first use, so every check that reads a
     cone-point distance or a zipper enumeration shares one search per
-    source cone point.
+    source cone point.  `fans` are the polygon's RootFans, which the
+    engines of all its halvings share (None: the engine makes its own).
     """
     g = gl.glue_halving(poly, fold_index)
     curv = gl.cone_angles(g, cfg.tolerances.tol_curvature)
-    return g, curv, DevelopmentEngine(g, cfg.dev_cap, cfg.tolerances.tol_clearance)
+    engine = DevelopmentEngine(g, cfg.dev_cap, cfg.tolerances.tol_clearance, fans=fans)
+    return g, curv, engine
 
 
 def halving_tetrahedron(engine, fat, tol):
@@ -130,7 +132,7 @@ def matches_source(net, poly, apex, tol):
     return dev <= tol
 
 
-def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None):
+def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
     """Full per-halving pipeline: gluing, curvatures, geodesics, 3D, net.
 
     One engine and its distance table (one shared search per cone point,
@@ -140,12 +142,13 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None):
     metric.  For n > 6 there is no general
     embedding step, so the audit stops after the intrinsic checks
     (curvatures, zipper distances, disk emptiness).  `fat` is the source's
-    validation verdict when the caller has it (None: validate here).
-    Returns (audit, gluing).
+    validation verdict when the caller has it (None: validate here), and
+    `fans` the polygon's RootFans (see fold_halving).  Returns (audit,
+    gluing).
     """
     tol = cfg.tolerances
     audit = HalvingAudit(fold_index=fold_index)
-    g, curv, engine = fold_halving(poly, fold_index, cfg)
+    g, curv, engine = fold_halving(poly, fold_index, cfg, fans=fans)
     audit.curvature = curv
     audit.gauss_bonnet_residual = curv.total - FOUR_PI
     table = engine.distance_table(tol)
@@ -310,8 +313,9 @@ def verify_polygon(poly, cfg=DEFAULT_CONFIG, force=False, *, report=None, indepe
         outcome.status = FAIL
         return outcome
 
+    fans = RootFans(poly, tol.tol_clearance)
     for i in range(poly.n // 2):
-        outcome.audits.append(audit_halving(poly, i, cfg, fat=report.fat_ok)[0])
+        outcome.audits.append(audit_halving(poly, i, cfg, fat=report.fat_ok, fans=fans)[0])
     outcome.distinct_by_curvature = gl.distinct_check(
         [a.curvature for a in outcome.audits], tol.tol_curvature
     )

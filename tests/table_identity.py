@@ -7,7 +7,9 @@ The first form builds the `DistanceTable` of every halving of fat hexagon
 seeds 0-39, thin hexagon seeds 0-14, octagon seeds 0-11 and decagon seeds
 0-4, at development caps 1, 3, 7, 15, 40 and 100000 (1,428 tables), and
 writes each table's statuses, paths, frontiers, enumerations and
-developments as canonical JSON, floats as `repr`.  It imports `zipfold`
+developments as canonical JSON, floats as `repr`.  As in the pipeline,
+the engines of one polygon share one `RootFans`, here across its halvings
+and caps.  It imports `zipfold`
 from the `src/` next to this script, so a dump made from another checkout
 describes that checkout's search.
 
@@ -36,7 +38,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from zipfold import glue_halving, sample_fat_ngon  # noqa: E402
-from zipfold.geodesic import DevelopmentEngine  # noqa: E402
+from zipfold.geodesic import DevelopmentEngine, RootFans  # noqa: E402
 
 CAPS = (1, 3, 7, 15, 40, 100000)
 EXACT_CAPS = (1, 15, 40, 100000)
@@ -82,10 +84,11 @@ def dump(out):
     for name, n, seeds, kwargs in POLYGONS:
         for seed in seeds:
             poly = sample_fat_ngon(n, seed, **kwargs)
+            fans = RootFans(poly)
             for fold in range(n // 2):
                 gluing = glue_halving(poly, fold)
                 for cap in CAPS:
-                    table = DevelopmentEngine(gluing, dev_cap=cap).distance_table()
+                    table = DevelopmentEngine(gluing, dev_cap=cap, fans=fans).distance_table()
                     tables[f"{name}/{seed}/{fold}/{cap}"] = _table_record(table)
     with open(out, "w") as fh:
         json.dump(tables, fh, indent=1, sort_keys=True)

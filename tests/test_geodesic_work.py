@@ -8,9 +8,12 @@ distance table's shared searches pop fewer developments than the queries
 report together, since the queries leaving one cone point share their
 pops.
 
-The search clips only the edges its reach prefilter keeps.  Every edge the
-prefilter skips, clipped in full, gives no cone or a distance beyond the
-reach, so the clip would have been dropped and no push is lost.
+The search clips only the edges its reach prefilter keeps, below the root.
+Every edge the prefilter skips, clipped in full, gives no cone or a
+distance beyond the reach, so the clip would have been dropped and no push
+is lost.  The root pop reads its vertex's root fan instead, which holds the
+clip of every edge; the halvings of one polygon share the fans, as the
+pipeline runs them.
 
 The search keeps no record of what it has pushed: the clips of a copy's
 edges split its cone into disjoint pieces, so no search pushes one copy
@@ -31,7 +34,7 @@ from zipfold import (
     regular_ngon,
     sample_fat_ngon,
 )
-from zipfold.geodesic import _AT_SOURCE, DevelopmentEngine, Goal
+from zipfold.geodesic import _AT_SOURCE, DevelopmentEngine, Goal, RootFans
 from zipfold.pipeline import fold_halving
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -67,17 +70,19 @@ POPPED = {
 
 
 # (n, seed) -> _clip_edge calls per halving while the distance table is
-# built, on the POPPED seeds
+# built, on the POPPED seeds, with one RootFans per polygon shared by its
+# halvings in order: the first halving to start from a vertex clips that
+# vertex's root fan, and later halvings read it
 CLIPPED = {
-    (6, 0): (43, 40, 47), (6, 1): (44, 43, 40), (6, 2): (48, 37, 37),
-    (6, 3): (38, 54, 36), (6, 4): (53, 39, 54), (6, 5): (48, 44, 48),
-    (6, 6): (35, 37, 38), (6, 7): (37, 39, 45), (6, 8): (35, 37, 40),
-    (6, 9): (46, 41, 42), (6, 10): (49, 45, 53), (6, 11): (37, 40, 34),
-    (6, 12): (35, 33, 52), (6, 13): (55, 40, 41), (6, 14): (34, 42, 43),
-    (6, 15): (37, 43, 34), (6, 16): (40, 39, 46), (6, 17): (35, 46, 36),
-    (6, 18): (35, 38, 41), (6, 19): (40, 42, 42),
-    (8, 0): (30, 38, 32, 37), (8, 1): (31, 30, 32, 31), (8, 2): (30, 36, 30, 31),
-    (8, 3): (34, 27, 28, 35), (8, 4): (30, 30, 28, 29),
+    (6, 0): (52, 25, 31), (6, 1): (52, 28, 25), (6, 2): (57, 21, 22),
+    (6, 3): (47, 39, 21), (6, 4): (61, 24, 38), (6, 5): (56, 29, 33),
+    (6, 6): (43, 22, 22), (6, 7): (46, 23, 30), (6, 8): (44, 22, 25),
+    (6, 9): (54, 26, 27), (6, 10): (57, 30, 37), (6, 11): (46, 25, 19),
+    (6, 12): (44, 18, 37), (6, 13): (64, 25, 25), (6, 14): (42, 27, 28),
+    (6, 15): (46, 28, 19), (6, 16): (49, 24, 30), (6, 17): (44, 31, 21),
+    (6, 18): (44, 23, 26), (6, 19): (48, 27, 27),
+    (8, 0): (62, 22, 16, 21), (8, 1): (63, 14, 16, 15), (8, 2): (62, 20, 14, 15),
+    (8, 3): (66, 11, 12, 19), (8, 4): (62, 14, 12, 13),
 }
 
 
@@ -98,7 +103,8 @@ def finalized(monkeypatch):
 
 def _tables(n, seed):
     poly = sample_fat_ngon(n, seed)
-    return [fold_halving(poly, i)[2].distance_table() for i in range(n // 2)]
+    fans = RootFans(poly)
+    return [fold_halving(poly, i, fans=fans)[2].distance_table() for i in range(n // 2)]
 
 
 def test_no_rejected_candidates_and_developments_unchanged(finalized):
@@ -137,10 +143,11 @@ def test_clip_calls_pinned(monkeypatch):
     got = {}
     for n, seed in CLIPPED:
         poly = sample_fat_ngon(n, seed)
+        fans = RootFans(poly)
         row = []
         for i in range(n // 2):
             calls[0] = 0
-            fold_halving(poly, i)[2].distance_table()
+            fold_halving(poly, i, fans=fans)[2].distance_table()
             row.append(calls[0])
         got[(n, seed)] = tuple(row)
     assert got == CLIPPED

@@ -1,0 +1,124 @@
+"""The halvings of one polygon share its root fans and lose nothing by it.
+
+Every search root is a vertex of the untransformed polygon, so the root
+fan (the chord to each vertex, the clip of each edge) and the re-trace of
+each chord come out the same in every halving.  A distance table built
+through one shared `RootFans` must equal, `repr` for `repr`, the table an
+engine with its own fans builds, whichever halving fills the fans first.
+"""
+
+import os
+
+import pytest
+
+from zipfold import EquilateralPolygon, GeodesicError, glue_halving, load_polygon, sample_fat_ngon
+from zipfold.geodesic import DevelopmentEngine, RootFans, _excursion_width, overhang_audit
+from zipfold.pipeline import verify_polygon
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+CAPS = (1, 3, 100000)
+
+
+def _notched(poly, v):
+    """The polygon with vertex v reflected across the chord of its two
+    neighbours: still equilateral, and no longer convex."""
+    pts = poly.as_complex()
+    a, b = pts[v - 1], pts[(v + 1) % poly.n]
+    d = (b - a) / abs(b - a)
+    pts[v] = a + ((pts[v] - a) / d).conjugate() * d
+    return EquilateralPolygon(tuple((p.real, p.imag) for p in pts))
+
+
+def _polygons():
+    polys = [(f"fat6_{seed}", sample_fat_ngon(6, seed)) for seed in range(10)]
+    polys += [(f"fat8_{seed}", sample_fat_ngon(8, seed)) for seed in range(3)]
+    polys.append(("thin6_0", load_polygon(os.path.join(DATA, "thin_hexagon_seed0.json"))))
+    polys.append(("notched6_0", _notched(sample_fat_ngon(6, 0), 1)))
+    return [pytest.param(poly, id=name) for name, poly in polys]
+
+
+def _record(table):
+    return (
+        repr(sorted(table.entries.items())),
+        repr(sorted(table.enumerations.items())),
+        table.developments,
+    )
+
+
+def _tables(poly, folds, caps, fans=None):
+    gluings = {fold: glue_halving(poly, fold) for fold in folds}
+    return {
+        (fold, cap): _record(
+            DevelopmentEngine(gluings[fold], dev_cap=cap, fans=fans).distance_table()
+        )
+        for cap in caps
+        for fold in folds
+    }
+
+
+@pytest.mark.parametrize("poly", _polygons())
+def test_shared_fans_give_the_tables_of_fresh_engines(poly):
+    folds = list(range(poly.n // 2))
+    fresh = _tables(poly, folds, CAPS)
+    fans = RootFans(poly)
+    assert _tables(poly, folds, CAPS, fans) == fresh
+    backwards = RootFans(poly)
+    assert _tables(poly, folds[::-1], CAPS[::-1], backwards) == fresh
+    # every vertex is some cone point's representative, so every fan is built
+    assert sorted(fans.by_vertex) == sorted(backwards.by_vertex) == list(range(poly.n))
+    assert fans.chords == backwards.chords
+
+
+def test_a_rejected_chord_is_cached_and_stays_rejected():
+    poly = _notched(sample_fat_ngon(6, 0), 1)
+    fans = RootFans(poly)
+    for fold in range(3):
+        DevelopmentEngine(glue_halving(poly, fold), fans=fans).distance_table()
+    rejected = sorted(key for key, traced in fans.chords.items() if traced is None)
+    # the chords from 0 to 3 and from 2 to 5 pass through the notch at vertex 1
+    assert rejected == [(0, 3), (2, 5)]
+    for sv, tv in rejected:
+        for fold in range(3):
+            engine = DevelopmentEngine(glue_halving(poly, fold))
+            assert engine._root_chord(sv, tv) is None
+
+
+def test_verify_shares_one_fans_per_polygon(monkeypatch):
+    built = []
+    init = RootFans.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(RootFans, "__init__", spy)
+    verify_polygon(sample_fat_ngon(6, 0))
+    assert len(built) == 1
+    assert sorted(built[0].by_vertex) == list(range(6))
+
+
+def test_fans_of_another_polygon_are_refused():
+    fans = RootFans(sample_fat_ngon(6, 0))
+    with pytest.raises(GeodesicError, match="another polygon"):
+        DevelopmentEngine(glue_halving(sample_fat_ngon(6, 1), 0), fans=fans)
+
+
+def test_fans_of_another_clearance_are_refused():
+    poly = sample_fat_ngon(6, 0)
+    fans = RootFans(poly, clearance=1e-7)
+    with pytest.raises(GeodesicError, match="clearance"):
+        DevelopmentEngine(glue_halving(poly, 0), fans=fans)
+    DevelopmentEngine(glue_halving(poly, 0), clearance=1e-7, fans=fans)
+
+
+def test_overhang_leaves_out_an_edge_whose_width_is_rounding():
+    """Edge 4 of fat hexagon seed 0 runs from vertex 4 to vertex 5, one unit
+    edge from vertex 0: its nearest endpoint lies exactly at radius 1, and
+    its width is 0 but for the last bit."""
+    g = glue_halving(sample_fat_ngon(6, 0), 0)
+    pts = g.polygon.as_complex()
+    assert g.cone_points[0].vertices == (0,)
+    assert 0.0 < _excursion_width(pts[0], pts[4], pts[5], 1.0) <= 1e-15
+    rep = overhang_audit(g, 0)
+    assert [(v, j) for v, j, _ in rep.per_edge] == [(0, 1)]
+    assert rep.max_width == rep.per_edge[0][2] > 0.02
