@@ -9,6 +9,7 @@ byte-identical artifacts.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ import time
 
 from . import gluing as gl
 from .embed import congruent_tetrahedra, write_obj
-from .errors import MalformedPolygonError, SamplingBudgetError, ZipfoldError
+from .errors import ConfigError, MalformedPolygonError, SamplingBudgetError, ZipfoldError
 from .geodesic import RootFans
 from .net import cut_and_unfold
 from .pipeline import (
@@ -46,7 +47,10 @@ _THIN_HELP = (
 )
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first main() call and kept for the
+    process: building it costs more than a screen-only verify."""
     parser = argparse.ArgumentParser(
         prog="zipfold",
         description=(
@@ -279,7 +283,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (MalformedPolygonError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, MalformedPolygonError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ZipfoldError as exc:

@@ -9,6 +9,11 @@ class MalformedPolygonError(ZipfoldError):
     """Input polygon is structurally unusable (odd n, n too small, repeats)."""
 
 
+class ConfigError(ZipfoldError, ValueError):
+    """A run setting is out of range: a tolerance, height bound or
+    development cap below its least value."""
+
+
 class SamplingBudgetError(ZipfoldError):
     """Rejection sampler ran out of attempts."""
 

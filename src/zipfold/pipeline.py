@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import gluing as gl
 from . import net as netmod
 from .embed import congruent_tetrahedra, embed, vertex_angle_sums
-from .errors import GeodesicError, MetricError
+from .errors import ConfigError, GeodesicError, MetricError
 from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, RootFans, overhang_audit
 from .geometry import best_rigid_alignment
 from .polygon import (
@@ -45,9 +45,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.independence_bound < 1:
-            raise ValueError("independence bound must be >= 1")
+            raise ConfigError(f"independence bound must be >= 1, got {self.independence_bound}")
         if self.dev_cap < 1:
-            raise ValueError("dev cap must be >= 1")
+            raise ConfigError(f"dev cap must be >= 1, got {self.dev_cap}")
 
 
 DEFAULT_CONFIG = PipelineConfig()

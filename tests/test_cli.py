@@ -250,3 +250,88 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["theorem_ok"]
+
+
+def test_importing_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import zipfold.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_parser_built_once_for_many_calls(sampled_file, regular_file, monkeypatch, capsys):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", spy)
+    cli._build_parser.cache_clear()
+    assert main(["validate", "--input", sampled_file]) == 0
+    assert built.count("zipfold") == 1
+    first = len(built)
+    assert main(["verify", "--input", regular_file]) == 1
+    assert main(["validate", "--input", regular_file]) == 0
+    assert len(built) == first
+
+
+def test_a_reused_parser_answers_as_a_fresh_process(sampled_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])  # --input missing
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    code = main(["verify", "--input", sampled_file])
+    out = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zipfold", "verify", "--input", sampled_file],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (code, out) == (proc.returncode, proc.stdout)
+
+
+def test_flags_do_not_carry_to_the_next_call(sampled_file, regular_file, capsys):
+    assert main(["verify", "--input", regular_file, "--force", "--dev-cap", "1"]) == 1
+    assert "lemma checks ran under --force" in capsys.readouterr().err
+    assert main(["verify", "--input", sampled_file]) == 0  # 3 if --dev-cap 1 stayed
+    capsys.readouterr()
+    assert main(["verify", "--input", regular_file]) == 1
+    assert "lemma checks skipped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    ["--dev-cap", "0"],
+    ["--dev-cap", "-3"],
+    ["--independence-bound", "0"],
+    ["--independence-bound", "-1"],
+    ["--tol", "0"],
+])
+@pytest.mark.parametrize("command", ["validate", "fold", "verify", "sample", "sweep"])
+def test_out_of_range_setting_is_an_input_error(command, setting, sampled_file, tmp_path, capsys):
+    where = ["--input", sampled_file] if command in ("validate", "fold", "verify") else ["--count", "1"]
+    assert main([command, *where, *setting, "--out-dir", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

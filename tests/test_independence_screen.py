@@ -1,5 +1,6 @@
 """The bound-then-confirm independence screen reports exactly what the full
-residual grid reports, in at most two batched passes per screen, and it
+residual grid reports, in at most two batched passes per screen, each with
+at most one stacked row search and one stacked full-grid fallback, and it
 does so without pulling in numpy.ma.  Its bucket index over the table of
 every p*(pi/q) finds what np.searchsorted finds.
 
@@ -92,9 +93,11 @@ def test_screen_matches_full_grid(family):
 
 
 def test_screen_takes_every_path(monkeypatch):
-    """Bounds settle most directions; the row search and the full-grid
-    fallback each run somewhere in the seeded sets.  _best_witness(xs, ys,
-    bound, tol) screens the directions xs[d] -> ys[d]."""
+    """Bounds settle most directions; the stacked row search and the stacked
+    full-grid fallback each run somewhere in the seeded sets.
+    _best_witness(xs, ys, bound, tol) screens the directions xs[d] -> ys[d];
+    _witness_grid(xs, ys, dirs, rows, bound, tol) searches direction dirs[k]
+    on row rows[k], or every row of each direction in dirs when rows is None."""
     seen = collections.Counter()
     best_witness = polygon._best_witness
     witness_grid = polygon._witness_grid
@@ -103,9 +106,11 @@ def test_screen_takes_every_path(monkeypatch):
         seen["directions"] += len(ys)
         return best_witness(xs, ys, bound, tol)
 
-    def grid(target, rows, bound, tol):
-        seen["full grid" if rows is None else "rows"] += 1
-        return witness_grid(target, rows, bound, tol)
+    def grid(xs, ys, dirs, rows, bound, tol):
+        path = "full grid" if rows is None else "rows"
+        seen[path] += 1
+        seen["searched"] += np.unique(dirs).size
+        return witness_grid(xs, ys, dirs, rows, bound, tol)
 
     monkeypatch.setattr(polygon, "_best_witness", directions)
     monkeypatch.setattr(polygon, "_witness_grid", grid)
@@ -114,7 +119,95 @@ def test_screen_takes_every_path(monkeypatch):
             for bound in BOUNDS:
                 polygon.check_independence(vals, bound, TOL)
     assert seen["rows"] > 0 and seen["full grid"] > 0
-    assert seen["directions"] > 2 * (seen["rows"] + seen["full grid"])
+    assert seen["directions"] > 2 * seen["searched"]
+
+
+def test_one_stacked_pass_per_path(monkeypatch):
+    """Each _best_witness call bounds each block of directions once, then
+    runs the row search and the full-grid fallback at most once each, over
+    every direction it leaves open, however many that is; the fallback
+    searches no direction the row search found a witness for."""
+    calls = []
+    best_witness = polygon._best_witness
+    lower_bounds = polygon._lower_bounds
+    witness_grid = polygon._witness_grid
+
+    def spy(xs, ys, bound, tol):
+        calls.append(
+            {"directions": len(ys), "bound": bound, "bounds": 0, "rows": [], "full": [], "witnessed": set()}
+        )
+        return best_witness(xs, ys, bound, tol)
+
+    def bounds(grid, xs, ys):
+        calls[-1]["bounds"] += 1
+        return lower_bounds(grid, xs, ys)
+
+    def grid(xs, ys, dirs, rows, bound, tol):
+        call = calls[-1]
+        call["full" if rows is None else "rows"].append(np.unique(dirs).size)
+        assert not call["full"] or rows is None  # rows first, then the fallback
+        found = witness_grid(xs, ys, dirs, rows, bound, tol)
+        if rows is None:  # the fallback searches no direction the rows settled
+            assert not call["witnessed"] & set(dirs.tolist())
+        else:
+            call["witnessed"] = {d for d, (_, witness) in found.items() if witness is not None}
+        return found
+
+    monkeypatch.setattr(polygon, "_best_witness", spy)
+    monkeypatch.setattr(polygon, "_lower_bounds", bounds)
+    monkeypatch.setattr(polygon, "_witness_grid", grid)
+    for make in FAMILIES.values():
+        for vals in make():
+            for bound in BOUNDS:
+                polygon.check_independence(vals, bound, TOL)
+    for call in calls:
+        step = max(1, polygon._BLOCK_TARGETS // polygon._grids(call["bound"]).coeffs.size)
+        assert call["bounds"] == -(-call["directions"] // step)
+        assert len(call["rows"]) <= 1 and len(call["full"]) <= 1
+    assert max(n for call in calls for n in call["rows"]) >= 15
+    assert max(n for call in calls for n in call["full"]) >= 2
+
+
+@pytest.mark.parametrize("cap", (600, 30))
+def test_stacked_rows_keep_the_block_cap(monkeypatch, cap):
+    """A stacked grid goes through _grid_residuals in runs of whole
+    directions, at most _BLOCK_TARGETS residuals (rows times the bound's q
+    columns) to a run unless one direction alone has more (a full-grid
+    direction has 55 rows at bound 5), and the reports stay those of the
+    full grid."""
+    runs = []
+    inside = []
+    witness_grid = polygon._witness_grid
+    grid_residuals = polygon._grid_residuals
+
+    def stacked(xs, ys, dirs, rows, bound, tol):
+        if rows is None:
+            widest = total = polygon._grids(bound).bvals.size
+            total *= dirs.size
+        else:
+            widest, total = np.unique(dirs, return_counts=True)[1].max(), dirs.size
+        runs.append([])
+        inside.append(True)
+        found = witness_grid(xs, ys, dirs, rows, bound, tol)
+        inside.pop()
+        assert sum(runs[-1]) == total
+        assert max(runs[-1]) <= max(cap // bound, widest)
+        return found
+
+    def residuals(target, bound):
+        if inside:
+            runs[-1].append(len(target))
+        return grid_residuals(target, bound)
+
+    monkeypatch.setattr(polygon, "_BLOCK_TARGETS", cap)
+    monkeypatch.setattr(polygon, "_witness_grid", stacked)
+    monkeypatch.setattr(polygon, "_grid_residuals", residuals)
+    for vals in _rational_sets() + _out_of_range_sets():
+        for bound in (16, 5):
+            got = polygon.check_independence(vals, bound, TOL)
+            want = reference_check_independence(vals, bound, TOL)
+            assert repr(got.pairs) == repr(want.pairs)
+    assert max(len(r) for r in runs) > 1
 
 
 def test_two_batched_passes_per_screen(monkeypatch):
@@ -242,6 +335,41 @@ def _planted_sets(draw):
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(_planted_sets())
 def test_planted_relations_match_full_grid(vals):
+    for bound in (1, 5, 16):
+        got = polygon.check_independence(vals, bound, TOL)
+        want = reference_check_independence(vals, bound, TOL)
+        assert repr(got) == repr(want)
+        assert repr(got.pairs) == repr(want.pairs)
+
+
+@st.composite
+def _dependent_sets(draw):
+    """3 to 10 angles, most of them tied to others: repeats of an earlier
+    angle, rational multiples of pi and relations planted on an earlier
+    angle.  Many directions of one set then hold hits, and repeated angles
+    give hits whose keys tie across directions."""
+    m = draw(st.integers(3, 10))
+    angle = st.floats(0.05, math.pi, allow_nan=False, allow_infinity=False)
+    ratio = st.tuples(st.integers(-16, 16), st.integers(1, 16))
+    vals = [draw(angle)]
+    for _ in range(m - 1):
+        kind = draw(st.sampled_from(("repeat", "rational", "planted", "free")))
+        if kind == "repeat":
+            vals.append(draw(st.sampled_from(vals)))
+        elif kind == "rational":
+            p, q = draw(ratio)
+            vals.append(p / q * math.pi)
+        elif kind == "planted":
+            (p, q), (r, s) = draw(ratio), draw(ratio)
+            vals.append(p / q * math.pi + r / s * draw(st.sampled_from(vals)))
+        else:
+            vals.append(draw(angle))
+    return vals
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(_dependent_sets())
+def test_many_dependent_directions_match_full_grid(vals):
     for bound in (1, 5, 16):
         got = polygon.check_independence(vals, bound, TOL)
         want = reference_check_independence(vals, bound, TOL)
