@@ -9,6 +9,12 @@ before it screened attempts in batches.  Any change to a report byte shows
 up here.  The verify scorecards, `exit <code>` followed by stdout for
 `zipfold verify` with and without `--force`, were written before the round
 trip was checked under each halving's own labeling.
+
+Three goldens were written before the lemma verdicts moved into one table
+of scorecard lines and CSV columns: the intrinsic-only scorecard of
+octagon_seed5.json (written by `zipfold sample --n 8 --seed 5 --count 1
+--save-polygons`), the hexagon_seed7 scorecard at `--dev-cap 2`, and the
+n=6 sweep at `--dev-cap 1`.
 """
 
 import os
@@ -40,6 +46,7 @@ def test_fold_report_matches_golden(name, capsysbinary):
         ("sweep_n6_thin_seeds0-19.csv", ["--n", "6", "--count", "20", "--thin"]),
         ("sweep_n10_seeds0-9.csv", ["--n", "10", "--count", "10"]),
         ("sweep_n8_thin_seeds0-9.csv", ["--n", "8", "--count", "10", "--thin"]),
+        ("sweep_n6_seeds0-19_dev_cap1.csv", ["--n", "6", "--count", "20", "--dev-cap", "1"]),
     ],
 )
 def test_sweep_csv_matches_golden(golden, args, tmp_path, capsys):
@@ -47,12 +54,19 @@ def test_sweep_csv_matches_golden(golden, args, tmp_path, capsys):
     assert (tmp_path / "sweep.csv").read_bytes() == _golden(golden)
 
 
-@pytest.mark.parametrize(
-    "name", ["regular_hexagon", "hexagon_seed7", "thin_hexagon_seed0", "thin_hexagon_seed6"]
-)
+# (golden name, polygon file, extra verify arguments)
+VERIFY_CASES = [
+    pytest.param(name, name, [], id=name)
+    for name in (
+        "regular_hexagon", "hexagon_seed7", "thin_hexagon_seed0", "thin_hexagon_seed6", "octagon_seed5"
+    )
+] + [pytest.param("hexagon_seed7_dev_cap2", "hexagon_seed7", ["--dev-cap", "2"], id="hexagon_seed7_dev_cap2")]
+
+
+@pytest.mark.parametrize("name, polygon, extra", VERIFY_CASES)
 @pytest.mark.parametrize("force", [False, True])
-def test_verify_scorecard_matches_golden(name, force, capsysbinary):
-    polygon = os.path.join(DATA, f"{name}.json")
-    code = main(["verify", "--input", polygon] + (["--force"] if force else []))
+def test_verify_scorecard_matches_golden(name, polygon, extra, force, capsysbinary):
+    polygon = os.path.join(DATA, f"{polygon}.json")
+    code = main(["verify", "--input", polygon, *extra] + (["--force"] if force else []))
     got = f"exit {code}\n".encode() + capsysbinary.readouterr().out
     assert got == _golden(f"verify_{name}{'_force' if force else ''}.txt")
