@@ -157,6 +157,8 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
     statuses = []
     empties = []
     for i, j in g.zipper_pairs():
+        enum = table.enumerations[(i, j)]
+        empties.append(_tri(len(enum.paths) == 0) if enum.complete else INCONC)
         res = table.result(i, j)
         if res.status != FOUND:
             statuses.append(INCONC if res.status == INCONCLUSIVE else FAIL)
@@ -164,11 +166,6 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
             continue
         lengths.append(res.path.length)
         statuses.append(_tri(abs(res.path.length - 1.0) <= tol.tol_geodesic))
-        enum = table.enumerations[(i, j)]
-        if not enum.complete:
-            empties.append(INCONC)
-        else:
-            empties.append(_tri(len(enum.paths) == 0))
     audit.zipper_lengths = tuple(lengths)
     audit.zipper_status = _combine(statuses)
     audit.lemma3_empty_status = _combine(empties)

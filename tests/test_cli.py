@@ -194,8 +194,12 @@ def test_out_dir_made_only_for_files(command, tmp_path, sampled_file, capsys):
     assert not new.exists()
 
 
-def test_verify_tiny_dev_cap_exits_inconclusive(sampled_file):
+def test_verify_tiny_dev_cap_exits_inconclusive(sampled_file, capsys):
     assert main(["verify", "--input", sampled_file, "--dev-cap", "1"]) == 3
+    lines = dict(reversed(line.split()) for line in capsys.readouterr().out.splitlines())
+    # the zipper enumerations ran out of developments too
+    assert lines["zipper.edges_length_1"] == "INCONCLUSIVE"
+    assert lines["zipper.nothing_shorter"] == "INCONCLUSIVE"
 
 
 def test_fold_congruent_pairs_noted(regular_file, sampled_file, capsys):

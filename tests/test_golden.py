@@ -14,7 +14,10 @@ Three goldens were written before the lemma verdicts moved into one table
 of scorecard lines and CSV columns: the intrinsic-only scorecard of
 octagon_seed5.json (written by `zipfold sample --n 8 --seed 5 --count 1
 --save-polygons`), the hexagon_seed7 scorecard at `--dev-cap 2`, and the
-n=6 sweep at `--dev-cap 1`.
+n=6 sweep at `--dev-cap 1`.  That sweep was written again once "nothing
+shorter" read the enumeration of every zipper pair: in the 14 rows whose
+unfinished enumerations it used to skip, `nothing_shorter_status` went
+from pass to inconclusive, and no other cell moved.
 """
 
 import os

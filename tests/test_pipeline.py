@@ -9,7 +9,15 @@ from zipfold import (
     verify_polygon,
 )
 from zipfold.geodesic import DevelopmentEngine, INCONCLUSIVE
-from zipfold.pipeline import FAIL, INCONC, PASS, audit_halving, sweep_one, summarize_records
+from zipfold.pipeline import (
+    FAIL,
+    INCONC,
+    PASS,
+    audit_halving,
+    fold_halving,
+    summarize_records,
+    sweep_one,
+)
 
 
 def test_verify_sampled_hexagon_all_pass(fat_pool_small):
@@ -78,6 +86,29 @@ def test_tiny_dev_cap_goes_inconclusive(fat_pool_small):
     cfg = PipelineConfig(dev_cap=1)
     out = verify_polygon(poly, cfg)
     assert out.status == INCONC
+
+
+def test_nothing_shorter_reads_every_zipper_enumeration(fat_pool_small):
+    """An unfinished enumeration leaves "nothing shorter" open, also when the
+    zipper pair's own shortest query ran out of developments."""
+    cfg = PipelineConfig(dev_cap=1)
+    unfound = 0
+    for poly in fat_pool_small[:10]:
+        for fold in range(3):
+            audit, g = audit_halving(poly, fold, cfg)
+            table = fold_halving(poly, fold, cfg)[2].distance_table(cfg.tolerances)
+            enums = [table.enumerations[p] for p in g.zipper_pairs()]
+            if not all(e.complete for e in enums):
+                assert audit.lemma3_empty_status == INCONC
+            elif any(e.paths for e in enums):
+                assert audit.lemma3_empty_status == FAIL
+            else:
+                assert audit.lemma3_empty_status == PASS
+            unfound += sum(
+                not table.result(*p).found and not e.complete
+                for p, e in zip(g.zipper_pairs(), enums)
+            )
+    assert unfound  # the case that used to read as pass
 
 
 def test_sweep_record_roundtrip():
