@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import gluing as gl
-from .embed import congruent_tetrahedra, write_obj
+from .embed import write_obj
 from .errors import ConfigError, MalformedPolygonError, SamplingBudgetError, ZipfoldError
 from .geodesic import RootFans
 from .net import cut_and_unfold
@@ -26,6 +26,8 @@ from .pipeline import (
     PASS,
     PipelineConfig,
     SWEEP_COLUMNS,
+    combine,
+    congruent_pairs,
     fold_halving,
     halving_tetrahedron,
     summarize_records,
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_CODES = {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONC: EXIT_INCONCLUSIVE}
 
 # thin samples are controls, not polygons outside the fat range
 _THIN_HELP = (
@@ -193,10 +196,7 @@ def cmd_fold(args):
         report["halvings"].append(entry)
     if len(tets) > 1:
         report["congruent_pairs"] = [
-            [i, j]
-            for i in sorted(tets)
-            for j in sorted(tets)
-            if i < j and congruent_tetrahedra(tets[i], tets[j], cfg.tolerances.tol_congruence)
+            list(pair) for pair in congruent_pairs(tets, cfg.tolerances.tol_congruence)
         ]
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_FAIL if failures else EXIT_OK
@@ -215,26 +215,27 @@ def cmd_verify(args):
     if args.emit_svg and poly.n == 6:
         with open(_out_path(args, "source_polygon.svg"), "w", encoding="utf-8") as fh:
             fh.write(svg_polygon(poly))
-    if outcome.status == PASS:
-        return EXIT_OK
-    if outcome.status == INCONC:
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAIL
+    return EXIT_CODES[outcome.status]
 
 
 def _run_seeds(args, save_polygons=False):
     cfg = _config(args)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    if args.count < 0:
+        raise ConfigError(f"count must be >= 0, got {args.count}")
     records = []
-    worst = EXIT_OK
+    statuses = []
     t0 = time.perf_counter()
     for seed in range(args.seed, args.seed + args.count):
         try:
             record, poly = sweep_one(seed, args.n, cfg, thin=args.thin)
         except SamplingBudgetError as exc:
             print(f"seed {seed}: {exc}", file=sys.stderr)
-            worst = max(worst, EXIT_INCONCLUSIVE)
+            statuses.append(INCONC)
             continue
         records.append(record)
+        statuses.append(record.status)
         if save_polygons:
             save_polygon(poly, _out_path(args, f"polygon_seed{seed}.json"))
     wall = time.perf_counter() - t0
@@ -254,13 +255,7 @@ def _run_seeds(args, save_polygons=False):
         json.dump(meta, fh, indent=2)
     print(json.dumps(meta["summary"], indent=2, sort_keys=True))
     print(f"wrote {csv_path} ({len(records)} records)")
-
-    statuses = {r.status for r in records}
-    if FAIL in statuses:
-        return EXIT_FAIL
-    if INCONC in statuses or worst == EXIT_INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_CODES[combine(statuses)]
 
 
 def cmd_sample(args):

@@ -1,11 +1,24 @@
 """Orchestration of the fold / verify / sweep pipelines.
 
 Everything here is pure computation over one polygon (or one seed range);
-the CLI layer only parses arguments, calls in, and formats.  Verdict fields
-are tri-state ("pass" / "fail" / "inconclusive"): an exhausted geodesic
-search never silently counts as either success or failure.
+the CLI layer only parses arguments, calls in, and formats.  Verdicts are
+tri-state ("pass" / "fail" / "inconclusive"): an exhausted geodesic search
+never silently counts as either success or failure.
+
+VERDICTS is the one table of lemma verdicts.  A row names a verdict's
+`verify` scorecard line and its sweep CSV column, where it has them, and
+what judges it: each halving (SURFACE), each halving of a hexagon, which
+alone is embedded in 3D (SOLID), or the polygon as a whole (POLYGON).
+`audit_halving` keys a halving's statuses by scorecard line,
+`verify_polygon` combines them over the halvings and adds the polygon's
+own verdicts, and the scorecard, the CSV header, `SweepRecord` and
+`sweep_one` are read off the table.  A verdict that was not judged (3D
+lines of other polygons, or every lemma line when failed hypotheses
+skip the audit) is left off the scorecard and is "inconclusive" in the
+CSV.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -57,7 +70,8 @@ def _tri(ok):
     return PASS if ok else FAIL
 
 
-def _combine(statuses):
+def combine(statuses):
+    """One status over many: any fail fails, else any inconclusive stays open."""
     statuses = list(statuses)
     if any(s == FAIL for s in statuses):
         return FAIL
@@ -66,20 +80,49 @@ def _combine(statuses):
     return PASS
 
 
+SURFACE, SOLID, POLYGON = "surface", "solid", "polygon"
+
+# The lemma verdicts in scorecard order: scorecard line, sweep CSV column,
+# the column's place among the CSV status columns (they keep the order
+# they were first written in), and what judges it.  None marks a report
+# that does not show the verdict.  A verdict is keyed by its line, or by
+# its column when it has no line.  audit_halving and verify_polygon give
+# the verdicts of each scope in this order.
+VERDICTS = (
+    ("curvature.total_4pi", None, None, POLYGON),
+    ("disks.unit_radius_empty", "disk_status", 2, SURFACE),
+    ("zipper.edges_length_1", "zipper_status", 0, SURFACE),
+    ("zipper.nothing_shorter", "nothing_shorter_status", 1, SURFACE),
+    (None, "curvature_multisets_distinct", 3, POLYGON),
+    (None, "tetra_incongruent", 4, POLYGON),
+    ("distinctness.tetrahedra", None, None, POLYGON),
+    ("embedding.angle_sums_match", None, None, SOLID),
+    ("net.simple", "net_simple_status", 5, SOLID),
+    ("net.matches_source", "roundtrip_status", 6, SOLID),
+)
+
+
+def _keys(scope):
+    return tuple(line or column for line, column, _, s in VERDICTS if s == scope)
+
+
+_SURFACE_LINES, _SOLID_LINES, _POLYGON_KEYS = _keys(SURFACE), _keys(SOLID), _keys(POLYGON)
+# sweep CSV status column -> verdict key, in column order
+_CSV_KEYS = {
+    column: line or column
+    for line, column, _, _ in sorted((row for row in VERDICTS if row[1]), key=lambda row: row[2])
+}
+
+
 @dataclass
 class HalvingAudit:
     fold_index: int
     curvature: object = None  # CurvatureVector
     gauss_bonnet_residual: float = float("nan")
     zipper_lengths: tuple = ()
-    zipper_status: str = INCONC
-    lemma3_empty_status: str = INCONC
-    disk_status: str = INCONC
+    statuses: dict = field(default_factory=dict)  # scorecard line -> status
     metric: object = None
     tetra: object = None
-    angle_sum_status: str = INCONC
-    net_simple_status: str = INCONC
-    roundtrip_status: str = INCONC
     error: str | None = None
 
 
@@ -167,13 +210,11 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
         lengths.append(res.path.length)
         statuses.append(_tri(abs(res.path.length - 1.0) <= tol.tol_geodesic))
     audit.zipper_lengths = tuple(lengths)
-    audit.zipper_status = _combine(statuses)
-    audit.lemma3_empty_status = _combine(empties)
-
-    audit.disk_status = _combine(
+    disks = combine(
         _DISK_STATUS[table.disk(k, radius=1.0, tol=tol.tol_geodesic).status]
         for k in range(len(g.cone_points))
     )
+    audit.statuses = dict(zip(_SURFACE_LINES, (disks, combine(statuses), combine(empties))))
 
     if fat is None:
         fat = validate(poly, tol).fat_ok
@@ -194,9 +235,7 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
             if getattr(exc, "status", None) == INCONCLUSIVE
             else FAIL
         )
-        audit.angle_sum_status = mark
-        audit.net_simple_status = mark
-        audit.roundtrip_status = mark
+        audit.statuses.update(dict.fromkeys(_SOLID_LINES, mark))
         return audit, g
 
     sums = vertex_angle_sums(audit.tetra)
@@ -204,13 +243,25 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
         abs((2.0 * math.pi - sums[label]) - curv.curvatures[k])
         for k, label in enumerate("abcd")
     )
-    audit.angle_sum_status = _tri(worst <= tol.tol_angle_sum)
-
     net = netmod.cut_and_unfold(audit.tetra)
-    audit.net_simple_status = _tri(netmod.is_simple(net))
     apex = g.cone_points[0].vertices[0]
-    audit.roundtrip_status = _tri(matches_source(net, poly, apex, tol.tol_congruence))
+    audit.statuses.update(zip(_SOLID_LINES, (
+        _tri(worst <= tol.tol_angle_sum),
+        _tri(netmod.is_simple(net)),
+        _tri(matches_source(net, poly, apex, tol.tol_congruence)),
+    )))
     return audit, g
+
+
+def congruent_pairs(tets, tol):
+    """The pairs (i, j), i < j, of keys of `tets` whose tetrahedra are
+    congruent within `tol`, lazily and in order: `fold` lists them all,
+    `verify` stops at the first."""
+    return (
+        (i, j)
+        for i, j in itertools.combinations(sorted(tets), 2)
+        if congruent_tetrahedra(tets[i], tets[j], tol)
+    )
 
 
 @dataclass
@@ -219,16 +270,11 @@ class VerifyOutcome:
     independence: object
     hypotheses_ok: bool
     forced: bool
-    intrinsic_only: bool = False
     audits: list = field(default_factory=list)
-    distinct_by_curvature: object = None
-    tetra_pairwise_incongruent: str = INCONC
+    verdicts: dict = field(default_factory=dict)  # verdict key (see VERDICTS) -> status
+    gauss_bonnet_max: float = float("nan")  # over the halvings' |curvature total - 4 pi|
+    lemma_status: str = INCONC  # the lemma lines combined
     status: str = INCONC
-    tolerances: Tolerances = DEFAULT_TOLERANCES
-
-    def combined(self, name):
-        """One status over every halving's `name` status (inconclusive without audits)."""
-        return _combine(getattr(a, name) for a in self.audits) if self.audits else INCONC
 
     def hypothesis_lines(self):
         rep = self.report
@@ -241,45 +287,11 @@ class VerifyOutcome:
         ]
 
     def lemma_lines(self):
-        """The lemma chain on the folded surfaces (skipped without audits)."""
-        if not self.audits:
-            return []
-        lines = []
-        gb = max(abs(a.gauss_bonnet_residual) for a in self.audits)
-        lines.append(("curvature.total_4pi", _tri(gb <= self.tolerances.tol_curvature)))
-        lines.append(("disks.unit_radius_empty", self.combined("disk_status")))
-        lines.append(("zipper.edges_length_1", self.combined("zipper_status")))
-        lines.append(("zipper.nothing_shorter", self.combined("lemma3_empty_status")))
-        lines.append(("distinctness.tetrahedra", self.distinct_status()))
-        if not self.intrinsic_only:
-            lines.append(("embedding.angle_sums_match", self.combined("angle_sum_status")))
-            lines.append(("net.simple", self.combined("net_simple_status")))
-            lines.append(("net.matches_source", self.combined("roundtrip_status")))
-        return lines
+        """The lemma chain on the folded surfaces, as far as it was judged."""
+        return [(line, self.verdicts[line]) for line, *_ in VERDICTS if line in self.verdicts]
 
     def scorecard(self):
         return self.hypothesis_lines() + self.lemma_lines()
-
-    @property
-    def lemma_status(self):
-        lines = self.lemma_lines()
-        return _combine(s for _, s in lines) if lines else INCONC
-
-    def distinct_status(self):
-        """Combined distinctness verdict.
-
-        Curvature multiset mismatch alone certifies incongruence; matching
-        multisets stay undecided until the embedded congruence test runs.
-        """
-        curv_ok = (
-            self.distinct_by_curvature is not None
-            and self.distinct_by_curvature.all_incongruent
-        )
-        if self.intrinsic_only:
-            return PASS if curv_ok else INCONC
-        if self.tetra_pairwise_incongruent == PASS or curv_ok:
-            return PASS
-        return self.tetra_pairwise_incongruent
 
 
 def verify_polygon(poly, cfg=DEFAULT_CONFIG, force=False, *, report=None, independence=None):
@@ -291,6 +303,10 @@ def verify_polygon(poly, cfg=DEFAULT_CONFIG, force=False, *, report=None, indepe
     and `independence` are the polygon's validation report and
     independence screen when the caller already has them, as a sweep has
     from its sampler (None: compute them here).
+
+    Distinct curvature multisets alone certify distinct tetrahedra;
+    matching multisets leave it to the embedded congruence test, which
+    only hexagons get.
     """
     tol = cfg.tolerances
     if report is None:
@@ -303,33 +319,33 @@ def verify_polygon(poly, cfg=DEFAULT_CONFIG, force=False, *, report=None, indepe
         independence=independence,
         hypotheses_ok=hypotheses_ok,
         forced=force and not hypotheses_ok,
-        intrinsic_only=poly.n != 6,
-        tolerances=tol,
     )
     if not hypotheses_ok and not force:
         outcome.status = FAIL
         return outcome
 
     fans = RootFans(poly, tol.tol_clearance)
-    for i in range(poly.n // 2):
-        outcome.audits.append(audit_halving(poly, i, cfg, fat=report.fat_ok, fans=fans)[0])
-    outcome.distinct_by_curvature = gl.distinct_check(
-        [a.curvature for a in outcome.audits], tol.tol_curvature
-    )
-
-    tets = [a.tetra for a in outcome.audits]
-    if not outcome.intrinsic_only and all(t is not None for t in tets) and len(tets) >= 2:
-        incong = all(
-            not congruent_tetrahedra(tets[i], tets[j], tol.tol_congruence)
-            for i in range(len(tets))
-            for j in range(i + 1, len(tets))
-        )
-        outcome.tetra_pairwise_incongruent = _tri(incong)
-
-    if hypotheses_ok:
-        outcome.status = _combine(s for _, s in outcome.lemma_lines())
-    else:
-        outcome.status = FAIL
+    audits = outcome.audits = [
+        audit_halving(poly, i, cfg, fat=report.fat_ok, fans=fans)[0] for i in range(poly.n // 2)
+    ]
+    outcome.verdicts = {
+        line: combine(a.statuses[line] for a in audits) for line in audits[0].statuses
+    }
+    outcome.gauss_bonnet_max = max(abs(a.gauss_bonnet_residual) for a in audits)
+    curvature = gl.distinct_check([a.curvature for a in audits], tol.tol_curvature)
+    by_curvature = _tri(curvature.all_incongruent)
+    tets = {a.fold_index: a.tetra for a in audits}
+    by_tetra = INCONC
+    if all(t is not None for t in tets.values()):
+        by_tetra = _tri(next(congruent_pairs(tets, tol.tol_congruence), None) is None)
+    outcome.verdicts.update(zip(_POLYGON_KEYS, (
+        _tri(outcome.gauss_bonnet_max <= tol.tol_curvature),
+        by_curvature,
+        by_tetra,
+        PASS if PASS in (by_curvature, by_tetra) else by_tetra,
+    )))
+    outcome.lemma_status = combine(s for _, s in outcome.lemma_lines())
+    outcome.status = outcome.lemma_status if hypotheses_ok else FAIL
     return outcome
 
 
@@ -345,14 +361,7 @@ SWEEP_COLUMNS = (
     "angles",
     "gauss_bonnet_max_abs_residual",
     "zipper_max_abs_error",
-    "zipper_status",
-    "nothing_shorter_status",
-    "disk_status",
-    "curvature_multisets_distinct",
-    "tetra_incongruent",
-    "net_simple_status",
-    "roundtrip_status",
-)
+) + tuple(_CSV_KEYS)
 
 
 @dataclass
@@ -364,13 +373,7 @@ class SweepRecord:
     angles: tuple
     gauss_bonnet_max_abs_residual: float
     zipper_max_abs_error: float
-    zipper_status: str
-    nothing_shorter_status: str
-    disk_status: str
-    curvature_multisets_distinct: str
-    tetra_incongruent: str
-    net_simple_status: str
-    roundtrip_status: str
+    statuses: dict  # sweep CSV status column -> status
     wall_seconds: float  # kept out of the CSV so reports stay byte-stable
 
     def to_row(self):
@@ -382,14 +385,7 @@ class SweepRecord:
             ";".join(f"{a:.17g}" for a in self.angles),
             f"{self.gauss_bonnet_max_abs_residual:.3e}",
             f"{self.zipper_max_abs_error:.3e}",
-            self.zipper_status,
-            self.nothing_shorter_status,
-            self.disk_status,
-            self.curvature_multisets_distinct,
-            self.tetra_incongruent,
-            self.net_simple_status,
-            self.roundtrip_status,
-        ]
+        ] + [self.statuses[column] for column in _CSV_KEYS]
 
 
 def sweep_one(seed, n, cfg=DEFAULT_CONFIG, thin=False):
@@ -411,33 +407,21 @@ def sweep_one(seed, n, cfg=DEFAULT_CONFIG, thin=False):
     )
     outcome = verify_polygon(poly, cfg, force=thin, report=rep, independence=independence)
 
-    gb = float("nan")
-    if outcome.audits:
-        gb = max(abs(a.gauss_bonnet_residual) for a in outcome.audits)
     # an unresolved zipper distance (nan) leaves the error unknown
     lengths = [length for a in outcome.audits for length in a.zipper_lengths]
     zerr = float("nan")
     if lengths and not any(math.isnan(length) for length in lengths):
         zerr = max(abs(length - 1.0) for length in lengths)
 
-    status = outcome.lemma_status if thin else outcome.status
     record = SweepRecord(
         seed=seed,
         n=n,
         fat=rep.fat_ok,
-        status=status,
+        status=outcome.lemma_status if thin else outcome.status,
         angles=rep.angles,
-        gauss_bonnet_max_abs_residual=gb,
+        gauss_bonnet_max_abs_residual=outcome.gauss_bonnet_max,
         zipper_max_abs_error=zerr,
-        zipper_status=outcome.combined("zipper_status"),
-        nothing_shorter_status=outcome.combined("lemma3_empty_status"),
-        disk_status=outcome.combined("disk_status"),
-        curvature_multisets_distinct=_tri(outcome.distinct_by_curvature.all_incongruent)
-        if outcome.distinct_by_curvature is not None
-        else INCONC,
-        tetra_incongruent=outcome.tetra_pairwise_incongruent,
-        net_simple_status=outcome.combined("net_simple_status"),
-        roundtrip_status=outcome.combined("roundtrip_status"),
+        statuses={column: outcome.verdicts.get(key, INCONC) for column, key in _CSV_KEYS.items()},
         wall_seconds=time.perf_counter() - t0,
     )
     return record, poly

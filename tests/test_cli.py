@@ -227,8 +227,7 @@ def test_fold_and_verify_judge_congruence_alike(regular_file, sampled_file, caps
         calls.append((tol, congruent(a, b, tol)))
         return calls[-1][1]
 
-    monkeypatch.setattr(pipeline, "congruent_tetrahedra", spy)
-    monkeypatch.setattr(cli, "congruent_tetrahedra", spy)
+    monkeypatch.setattr(pipeline, "congruent_tetrahedra", spy)  # fold and verify both judge here
     for path, pairs in ((regular_file, [[0, 1], [0, 2], [1, 2]]), (sampled_file, [])):
         calls.clear()
         main(["verify", "--input", path, "--force"])
@@ -324,14 +323,21 @@ def test_flags_do_not_carry_to_the_next_call(sampled_file, regular_file, capsys)
     assert "lemma checks skipped" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", [
+SETTINGS = [
     ["--dev-cap", "0"],
     ["--dev-cap", "-3"],
     ["--independence-bound", "0"],
     ["--independence-bound", "-1"],
     ["--tol", "0"],
+]
+SEED_SETTINGS = [["--seed", "-1"], ["--count", "-3"], ["--seed", "-1", "--count", "0"]]
+
+
+@pytest.mark.parametrize("command, setting", [
+    pytest.param(command, setting, id=f"{command}-setting{k}")
+    for command in ["validate", "fold", "verify", "sample", "sweep"]
+    for k, setting in enumerate(SETTINGS + (SEED_SETTINGS if command in ("sample", "sweep") else []))
 ])
-@pytest.mark.parametrize("command", ["validate", "fold", "verify", "sample", "sweep"])
 def test_out_of_range_setting_is_an_input_error(command, setting, sampled_file, tmp_path, capsys):
     where = ["--input", sampled_file] if command in ("validate", "fold", "verify") else ["--count", "1"]
     assert main([command, *where, *setting, "--out-dir", str(tmp_path / "out")]) == 2

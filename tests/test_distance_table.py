@@ -120,13 +120,13 @@ def _reference_disk_status(gluing, dev_cap):
             if res.status == INCONCLUSIVE:
                 status = INCONC
         statuses.append(status)
-    return pipeline._combine(statuses)
+    return pipeline.combine(statuses)
 
 
 def _disk_empty_status(gluing, dev_cap):
     eng = DevelopmentEngine(gluing, dev_cap=dev_cap)
     mapping = {"empty": PASS, "nonempty": FAIL, INCONCLUSIVE: INCONC}
-    return pipeline._combine(
+    return pipeline.combine(
         mapping[eng.distance_table().disk(k).status] for k in range(len(gluing.cone_points))
     )
 
@@ -137,7 +137,7 @@ def test_small_cap_disk_verdicts_never_contradict(fat_pool_small, thin_hexagon):
     ]
     polys = fat_pool_small[:8] + [sample_fat_ngon(8, seed) for seed in range(3)] + thin
     truth = {
-        (k, i): audit_halving(poly, i)[0].disk_status
+        (k, i): audit_halving(poly, i)[0].statuses["disks.unit_radius_empty"]
         for k, poly in enumerate(polys)
         for i in range(poly.n // 2)
     }
@@ -147,7 +147,7 @@ def test_small_cap_disk_verdicts_never_contradict(fat_pool_small, thin_hexagon):
         cfg = PipelineConfig(dev_cap=cap)
         for (k, i), expected in truth.items():
             audit, g = audit_halving(polys[k], i, cfg)
-            got = audit.disk_status
+            got = audit.statuses["disks.unit_radius_empty"]
             assert got == _disk_empty_status(g, cap)
             assert got in (expected, INCONC), (cap, k, i, got, expected)
             ref = _reference_disk_status(g, cap)
@@ -185,12 +185,12 @@ def test_custom_tolerances_reach_the_metric_check(fat_pool_small):
     # seed 0's first halving has a zipper distance 1.1e-16 short of 1
     poly = fat_pool_small[0]
     audit, _ = audit_halving(poly, 0)
-    assert audit.zipper_status == PASS and audit.error is None
+    assert audit.statuses["zipper.edges_length_1"] == PASS and audit.error is None
     strict = PipelineConfig(tolerances=Tolerances(tol_geodesic=1e-17))
     audit, _ = audit_halving(poly, 0, strict)
-    assert audit.zipper_status == FAIL
+    assert audit.statuses["zipper.edges_length_1"] == FAIL
     assert "deviates from 1" in audit.error
-    assert audit.roundtrip_status == FAIL
+    assert audit.statuses["net.matches_source"] == FAIL
     g = glue_halving(poly, 0)
     with pytest.raises(geodesic.GeodesicError, match="deviates from 1"):
         geodesic.tetra_metric(g, Tolerances(tol_geodesic=1e-17))

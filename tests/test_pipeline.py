@@ -66,13 +66,17 @@ def test_audit_octagon_intrinsic_only():
     poly = sample_fat_ngon(8, 5)
     audit, g = audit_halving(poly, 0)
     assert audit.tetra is None
-    assert audit.zipper_status == PASS
+    assert audit.statuses == {
+        "disks.unit_radius_empty": PASS,
+        "zipper.edges_length_1": PASS,
+        "zipper.nothing_shorter": PASS,
+    }
     assert len(audit.zipper_lengths) == 4
     out = verify_polygon(poly)
-    assert out.intrinsic_only
     assert out.status == PASS
     names = [name for name, _ in out.scorecard()]
     assert "net.matches_source" not in names
+    assert not [name for name in names if name.startswith(("embedding.", "net."))]
 
 
 def test_tiny_dev_cap_goes_inconclusive(fat_pool_small):
@@ -99,11 +103,11 @@ def test_nothing_shorter_reads_every_zipper_enumeration(fat_pool_small):
             table = fold_halving(poly, fold, cfg)[2].distance_table(cfg.tolerances)
             enums = [table.enumerations[p] for p in g.zipper_pairs()]
             if not all(e.complete for e in enums):
-                assert audit.lemma3_empty_status == INCONC
+                assert audit.statuses["zipper.nothing_shorter"] == INCONC
             elif any(e.paths for e in enums):
-                assert audit.lemma3_empty_status == FAIL
+                assert audit.statuses["zipper.nothing_shorter"] == FAIL
             else:
-                assert audit.lemma3_empty_status == PASS
+                assert audit.statuses["zipper.nothing_shorter"] == PASS
             unfound += sum(
                 not table.result(*p).found and not e.complete
                 for p, e in zip(g.zipper_pairs(), enums)
