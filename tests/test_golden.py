@@ -18,6 +18,11 @@ n=6 sweep at `--dev-cap 1`.  That sweep was written again once "nothing
 shorter" read the enumeration of every zipper pair: in the 14 rows whose
 unfinished enumerations it used to skip, `nothing_shorter_status` went
 from pass to inconclusive, and no other cell moved.
+
+The `zipfold validate` goldens, `exit <code>` followed by stdout and a
+second file with stderr, were written before the independence report
+built its pairs only when they are first read.  The stderr of
+regular_hexagon.json lists a witness for each of its 15 dependent pairs.
 """
 
 import os
@@ -73,3 +78,13 @@ def test_verify_scorecard_matches_golden(name, polygon, extra, force, capsysbina
     code = main(["verify", "--input", polygon, *extra] + (["--force"] if force else []))
     got = f"exit {code}\n".encode() + capsysbinary.readouterr().out
     assert got == _golden(f"verify_{name}{'_force' if force else ''}.txt")
+
+
+@pytest.mark.parametrize(
+    "name", ["regular_hexagon", "hexagon_seed7", "thin_hexagon_seed0", "octagon_seed5"]
+)
+def test_validate_report_matches_golden(name, capsysbinary):
+    code = main(["validate", "--input", os.path.join(DATA, f"{name}.json")])
+    out = capsysbinary.readouterr()
+    assert f"exit {code}\n".encode() + out.out == _golden(f"validate_{name}.txt")
+    assert out.err == _golden(f"validate_{name}_stderr.txt")
