@@ -797,11 +797,23 @@ def sample_fat_hexagon(seed, **kwargs):
 # file io
 # ---------------------------------------------------------------------------
 
+def _finite(value, what):
+    """float(value), or MalformedPolygonError when that is not a finite float."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedPolygonError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise MalformedPolygonError(f"{what} must be finite, got {value!r}")
+    return x
+
+
 def polygon_from_dict(data):
     """Decode the polygon file schema: either "vertices" or "turns".
 
     "vertices" is an [[x, y], ...] loop; "turns" is the list of edge
-    directions handed to solve_closure.  Mixed files are rejected.
+    directions handed to solve_closure.  Mixed files, and any coordinate or
+    direction that is not a finite number, are rejected.
     """
     if not isinstance(data, dict):
         raise MalformedPolygonError("polygon file must contain a JSON object")
@@ -811,14 +823,16 @@ def polygon_from_dict(data):
         raise MalformedPolygonError('polygon file mixes "vertices" and "turns"')
     if has_v:
         verts = data["vertices"]
-        if not isinstance(verts, list) or any(len(p) != 2 for p in verts):
+        if not isinstance(verts, list) or any(not isinstance(p, list) or len(p) != 2 for p in verts):
             raise MalformedPolygonError('"vertices" must be a list of [x, y] pairs')
-        return EquilateralPolygon(tuple((float(x), float(y)) for x, y in verts))
+        return EquilateralPolygon(tuple(
+            (_finite(x, f"vertex {k} x"), _finite(y, f"vertex {k} y")) for k, (x, y) in enumerate(verts)
+        ))
     if has_t:
         turns = data["turns"]
         if not isinstance(turns, list) or len(turns) < 4:
             raise MalformedPolygonError('"turns" must list at least 4 edge directions')
-        res = solve_closure([float(t) for t in turns])
+        res = solve_closure([_finite(t, f"turn {k}") for k, t in enumerate(turns)])
         if not res.ok:
             reasons = "; ".join(r for _, r in res.rejected)
             raise MalformedPolygonError(f"turns do not close into a convex polygon: {reasons}")
@@ -830,7 +844,7 @@ def load_polygon(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
             raise MalformedPolygonError(f"invalid JSON: {exc}") from exc
     return polygon_from_dict(data)
 

@@ -345,3 +345,36 @@ def test_out_of_range_setting_is_an_input_error(command, setting, sampled_file, 
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# a fat hexagon's first five vertices; each case appends one bad sixth
+HEAD = [[0.0, 0.0], [1.0, 0.0], [1.5, 0.8660254037844386], [1.0, 1.7320508075688772],
+        [0.0, 1.7320508075688772]]
+BAD_NUMBERS = {
+    "string-coordinate": '{"vertices": %s}' % json.dumps(HEAD + [[1, "x"]]),
+    "null-coordinate": '{"vertices": %s}' % json.dumps(HEAD + [[None, 0.8]]),
+    "list-coordinate": '{"vertices": %s}' % json.dumps(HEAD + [[[-0.5], 0.8]]),
+    "number-as-vertex": '{"vertices": %s}' % json.dumps(HEAD + [7]),
+    "huge-coordinate": '{"vertices": %s}' % json.dumps(HEAD + [[-0.5, "X"]]).replace('"X"', "1e400"),
+    "string-turn": '{"turns": [1, "a", 1, 1, 1]}',
+    "huge-turn": '{"turns": [0, 1e400, 2, 3]}',
+    "nan-turn": '{"turns": [0, NaN, 2, 3]}',
+    "long-integer-turn": '{"turns": [0, 1%s, 2, 3]}' % ("0" * 400),
+    "too-long-integer-turn": '{"turns": [0, 1%s, 2, 3]}' % ("0" * 5000),
+    "not-utf8": b"\xff\xfe{",
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "fold", "verify"])
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_number_in_polygon_file_is_an_input_error(command, case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    text = BAD_NUMBERS[case]
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    assert main([command, "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
