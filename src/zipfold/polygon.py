@@ -8,10 +8,11 @@ as flagged degenerate inputs for control experiments.
 """
 
 import bisect
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -296,11 +297,30 @@ class PairDependence:
     residual: float
 
 
-@dataclass(frozen=True)
 class IndependenceReport:
-    bound: int
-    tol: float
-    pairs: dict = field(repr=False, default_factory=dict)
+    """The screen's verdict on every angle pair at one height bound and tol.
+
+    all_independent is true when every pair is "independent".  pairs maps
+    each pair (i, j), i < j, to its PairDependence.  A report made by
+    check_independence comes with all_independent already decided, and
+    builds pairs, with every witness and residual, only when pairs is first
+    read; a report made from a pairs dict reads both off that dict.
+    """
+
+    def __init__(self, bound, tol, pairs=None, all_independent=None):
+        self.bound = bound
+        self.tol = tol
+        self._pairs = {} if pairs is None else pairs  # a dict, or a function that builds it
+        self._all_independent = all_independent
+
+    def __repr__(self):
+        return f"IndependenceReport(bound={self.bound!r}, tol={self.tol!r})"
+
+    @property
+    def pairs(self):
+        if callable(self._pairs):
+            self._pairs = self._pairs()
+        return self._pairs
 
     @property
     def dependent_pairs(self):
@@ -312,7 +332,9 @@ class IndependenceReport:
 
     @property
     def all_independent(self):
-        return all(v.status == "independent" for v in self.pairs.values())
+        if self._all_independent is None:
+            self._all_independent = all(v.status == "independent" for v in self.pairs.values())
+        return self._all_independent
 
 
 class _Grid(NamedTuple):
@@ -543,29 +565,37 @@ def _best_witness(xs, ys, bound, tol):
     return out
 
 
-def check_independence(angles, bound=16, tol=1e-9):
-    """Screen all angle pairs for rational dependence y = a*pi + b*x.
+def _decide_independent(arr, bound, tol):
+    """Whether every pair of the angles arr is independent: no residual
+    below 10*tol in either direction of any pair, which is exactly when
+    check_independence calls every pair "independent".
 
-    This is a bounded search, not a proof: a hit certifies dependence with
-    an explicit rational witness, while "independent" only means no witness
-    exists up to the given height bound.  A best residual inside [tol,
-    10*tol) is reported as inconclusive since it flips with the tolerance.
-    Two batched bound-then-confirm passes (_best_witness) screen every
-    directed pair: the first every direction i -> j with i < j, the second
-    j -> i for the pairs the first left without a witness, since only then
-    does the report read it.  Each pass settles all its dependent
-    directions in one stacked row search, and the full residual grid runs,
-    once per pass and stacked, only where neither the table bounds nor the
-    row search settle a direction; the report is the one the full grid
-    gives for every directed pair.  A bound below 1 or a non-finite
-    angle raises ValueError: no residual can certify such an angle.
+    One pass bounds both directions of every pair with _lower_bounds, in
+    blocks of _BLOCK_TARGETS targets.  The table holds the same float
+    products that _grid_residuals forms, so no row's bound exceeds its grid
+    residual: a row whose bound reaches 10*tol needs no grid.  The targets
+    of the other rows go through _grid_residuals, and the first block where
+    one leaves a residual below 10*tol decides False.  Only a target that
+    overflowed to inf or nan has a nan bound, and all its grid residuals
+    are inf, so skipping it changes nothing.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    vals = angles.angles if isinstance(angles, AngleProfile) else angles
-    arr = np.array([float(a) for a in vals])
-    if not np.isfinite(arr).all():
-        raise ValueError("angles must be finite")
+    grid = _grids(bound)
+    edge = 10.0 * tol
+    i, j = np.triu_indices(arr.size, 1)
+    xs = np.concatenate((arr[i], arr[j]))
+    ys = np.concatenate((arr[j], arr[i]))
+    step = max(1, _BLOCK_TARGETS // grid.coeffs.size)
+    for start in range(0, xs.size, step):
+        block = slice(start, start + step)
+        lower, targets = _lower_bounds(grid, xs[block], ys[block])
+        near = lower < edge
+        if near.any() and (_grid_residuals(targets[near], bound)[1] < edge).any():
+            return False
+    return True
+
+
+def _pair_dependences(arr, bound, tol):
+    """{(i, j): PairDependence} for every pair i < j of the angles arr."""
     best = {}  # (x_index, y_index) -> (residual, witness)
 
     def screen(directions):
@@ -591,7 +621,40 @@ def check_independence(angles, bound=16, tol=1e-9):
             best_res = min(res_ij, res_ji)
             status = "inconclusive" if best_res < 10.0 * tol else "independent"
             pairs[(i, j)] = PairDependence(i, j, status, None, None, best_res)
-    return IndependenceReport(bound=bound, tol=tol, pairs=pairs)
+    return pairs
+
+
+def check_independence(angles, bound=16, tol=1e-9):
+    """Screen all angle pairs for rational dependence y = a*pi + b*x.
+
+    This is a bounded search, not a proof: a hit certifies dependence with
+    an explicit rational witness, while "independent" only means no witness
+    exists up to the given height bound.  A best residual inside [tol,
+    10*tol) is reported as inconclusive since it flips with the tolerance.
+
+    The report's all_independent is decided here, in one bounds pass over
+    both directions of every pair (_decide_independent).  Its pairs are
+    built on first read, by two batched bound-then-confirm passes
+    (_best_witness): the first over every direction i -> j with i < j, the
+    second over j -> i for the pairs the first left without a witness,
+    since only then does the report read it.  Each pass settles all its
+    dependent directions in one stacked row search, and the full residual
+    grid runs, once per pass and stacked, only where neither the table
+    bounds nor the row search settle a direction; the pairs are those the
+    full grid gives for every directed pair.  A bound below 1 or a
+    non-finite angle raises ValueError here: no residual can certify such
+    an angle.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    vals = angles.angles if isinstance(angles, AngleProfile) else angles
+    arr = np.array([float(a) for a in vals])
+    if not np.isfinite(arr).all():
+        raise ValueError("angles must be finite")
+    return IndependenceReport(
+        bound, tol, functools.partial(_pair_dependences, arr, bound, tol),
+        all_independent=_decide_independent(arr, bound, tol),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@
 
 The first form runs `check_independence` at height bounds 16, 5 and 1 on
 2,942 angle sets (8,826 reports) and writes, for each set and bound, the
-`repr` of the report and of its `pairs`, or the error it raised.  The
-sets are:
+`repr` of the report and of its `pairs`, with its `all_independent` read
+before its `pairs`, or the error it raised.  The sets are:
 
 * the angles of fat hexagon seeds 0-299, fat octagon seeds 0-149, fat
   decagon seeds 0-79 and thin octagon seeds 0-59 (the sweep's `--thin`
@@ -103,18 +103,21 @@ def angle_sets():
 
 
 def _report(vals, bound):
+    """The record of one screen: the error it raised, or the report's
+    `all_independent`, read before its `pairs`, and the `repr` of both."""
     try:
         report = check_independence(vals, bound, TOL)
     except ValueError as exc:
-        return f"ValueError: {exc}"
-    return f"{report!r} {report.pairs!r}"
+        return {"report": f"ValueError: {exc}"}
+    decided = report.all_independent
+    return {"all_independent": decided, "report": f"{report!r} {report.pairs!r}"}
 
 
 def dump(out):
     records = {}
     for name, vals in angle_sets():
         for bound in BOUNDS:
-            records[f"{name}@{bound}"] = {"angles": repr(vals), "report": _report(vals, bound)}
+            records[f"{name}@{bound}"] = {"angles": repr(vals), **_report(vals, bound)}
     with open(out, "w") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")

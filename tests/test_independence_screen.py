@@ -2,7 +2,10 @@
 residual grid reports, in at most two batched passes per screen, each with
 at most one stacked row search and one stacked full-grid fallback, and it
 does so without pulling in numpy.ma.  Its bucket index over the table of
-every p*(pi/q) finds what np.searchsorted finds.
+every p*(pi/q) finds what np.searchsorted finds.  The report decides
+all_independent in one bounds pass of its own, with the full grid's
+verdict, and makes those passes only when its pairs are first read, so
+`zipfold verify` builds no pair.
 
 The reference is the full-grid screen in tests/oracles.py.  Reports are
 compared by repr, pairs included, so every status, witness, direction and
@@ -10,6 +13,8 @@ residual has to agree to the last bit.
 """
 
 import collections
+import importlib.util
+import json
 import math
 import subprocess
 import sys
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_check_independence
 from zipfold import polygon, sample_fat_ngon, validate
+from zipfold.cli import main
 
 BOUNDS = (16, 5, 1)
 TOL = 1e-9
@@ -117,7 +123,7 @@ def test_screen_takes_every_path(monkeypatch):
     for make in FAMILIES.values():
         for vals in make():
             for bound in BOUNDS:
-                polygon.check_independence(vals, bound, TOL)
+                polygon.check_independence(vals, bound, TOL).pairs
     assert seen["rows"] > 0 and seen["full grid"] > 0
     assert seen["directions"] > 2 * seen["searched"]
 
@@ -132,14 +138,21 @@ def test_one_stacked_pass_per_path(monkeypatch):
     lower_bounds = polygon._lower_bounds
     witness_grid = polygon._witness_grid
 
+    inside = []
+
     def spy(xs, ys, bound, tol):
         calls.append(
             {"directions": len(ys), "bound": bound, "bounds": 0, "rows": [], "full": [], "witnessed": set()}
         )
-        return best_witness(xs, ys, bound, tol)
+        inside.append(True)
+        try:
+            return best_witness(xs, ys, bound, tol)
+        finally:
+            inside.pop()
 
     def bounds(grid, xs, ys):
-        calls[-1]["bounds"] += 1
+        if inside:  # the decision pass bounds its own blocks, outside any pass
+            calls[-1]["bounds"] += 1
         return lower_bounds(grid, xs, ys)
 
     def grid(xs, ys, dirs, rows, bound, tol):
@@ -159,7 +172,7 @@ def test_one_stacked_pass_per_path(monkeypatch):
     for make in FAMILIES.values():
         for vals in make():
             for bound in BOUNDS:
-                polygon.check_independence(vals, bound, TOL)
+                polygon.check_independence(vals, bound, TOL).pairs
     for call in calls:
         step = max(1, polygon._BLOCK_TARGETS // polygon._grids(call["bound"]).coeffs.size)
         assert call["bounds"] == -(-call["directions"] // step)
@@ -212,7 +225,8 @@ def test_stacked_rows_keep_the_block_cap(monkeypatch, cap):
 
 def test_two_batched_passes_per_screen(monkeypatch):
     """One _best_witness pass over the directions i -> j with i < j, and one
-    over j -> i for the pairs the first left without a witness."""
+    over j -> i for the pairs the first left without a witness, both made
+    when the report's pairs are first read and none before."""
     calls = []
     best_witness = polygon._best_witness
 
@@ -226,6 +240,8 @@ def test_two_batched_passes_per_screen(monkeypatch):
             for bound in BOUNDS:
                 calls.clear()
                 report = polygon.check_independence(vals, bound, TOL)
+                assert calls == []
+                report.pairs
                 m = len(vals)
                 assert len(calls) <= 2
                 assert calls[:1] == ([m * (m - 1) // 2] if m > 1 else [])
@@ -238,6 +254,8 @@ def test_two_batched_passes_per_screen(monkeypatch):
     calls.clear()
     report = polygon.check_independence(validate(decagon).angles)
     assert report.all_independent
+    assert calls == []
+    report.pairs
     assert calls == [45, 45]
 
 
@@ -294,8 +312,8 @@ def test_bucket_lookup_is_searchsorted(bound):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "vals",
-    [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [0.5, 1e300, 2.0]],
-    ids=["nan", "inf", "minus_inf", "huge"],
+    [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [0.5, 1e300, 2.0], [1e308, -1e308, 1.0]],
+    ids=["nan", "inf", "minus_inf", "huge", "overflow"],
 )
 def test_screen_matches_full_grid_on_extremes(vals):
     if not all(math.isfinite(v) for v in vals):
@@ -307,6 +325,7 @@ def test_screen_matches_full_grid_on_extremes(vals):
     for bound in BOUNDS:
         got = polygon.check_independence(vals, bound, TOL)
         want = reference_check_independence(vals, bound, TOL)
+        assert got.all_independent == want.all_independent
         assert repr(got) == repr(want)
         assert repr(got.pairs) == repr(want.pairs)
 
@@ -377,6 +396,49 @@ def test_many_dependent_directions_match_full_grid(vals):
         assert repr(got.pairs) == repr(want.pairs)
 
 
+@st.composite
+def _edge_sets(draw):
+    """m angles, one planted at (p/q)*pi + (r/s)*x +- delta on another, in
+    either direction of their pair, with delta at 9.5, 10 or 10.5 tol: on
+    both sides of the 10*tol edge between "inconclusive" and "independent"."""
+    m = draw(st.integers(2, 6))
+    angle = st.floats(0.05, math.pi, allow_nan=False, allow_infinity=False)
+    vals = draw(st.lists(angle, min_size=m, max_size=m))
+    i, j = draw(st.permutations(range(m)))[:2]
+    p, r = draw(st.integers(-16, 16)), draw(st.integers(-16, 16))
+    q, s = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    size = draw(st.sampled_from((9.5, 10.0, 10.5)))
+    vals[j] = p / q * math.pi + r / s * vals[i] + sign * size * TOL
+    return vals
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_edge_sets())
+def test_decision_matches_full_grid_at_the_edge(vals):
+    """all_independent, read before pairs, is the full grid's verdict, and
+    the verdict that the pairs built afterwards give."""
+    for bound in (1, 5, 16):
+        report = polygon.check_independence(vals, bound, TOL)
+        decided = report.all_independent
+        assert decided == reference_check_independence(vals, bound, TOL).all_independent
+        assert decided == all(p.status == "independent" for p in report.pairs.values())
+
+
+def test_decision_reads_no_pairs(monkeypatch):
+    """all_independent is decided without a _best_witness pass, and the
+    seeded sets reach both verdicts."""
+    passes = []
+    monkeypatch.setattr(polygon, "_best_witness", lambda *args: passes.append(args))
+    verdicts = collections.Counter()
+    for make in FAMILIES.values():
+        for vals in make():
+            for bound in BOUNDS:
+                verdicts[polygon.check_independence(vals, bound, TOL).all_independent] += 1
+    assert passes == []
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
 def test_screen_does_not_import_numpy_ma():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
@@ -390,3 +452,63 @@ def test_screen_does_not_import_numpy_ma():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _screen_files(tmp_path, seed, families):
+    """The benchmark's `screen` files of one seed that belong to families."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    files = []
+    for k, (data, family, _) in enumerate(inputs.screen_cases(seed, 12)):
+        if family in families:
+            files.append(tmp_path / f"{family}_{k}.json")
+            files[-1].write_text(json.dumps(data))
+    return files
+
+
+@pytest.fixture
+def screen_calls(monkeypatch):
+    """Calls per name of the screen's helpers, and PairDependence records
+    built, counted from here on."""
+    seen = collections.Counter()
+
+    def counted(name):
+        real = getattr(polygon, name)
+
+        def spy(*args, **kwargs):
+            seen[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(polygon, name, spy)
+
+    for name in ("_lower_bounds", "_grid_residuals", "_witness_grid", "_best_witness", "PairDependence"):
+        counted(name)
+    return seen
+
+
+def test_verify_builds_no_pairs_on_dependent_files(tmp_path, screen_calls, capsys):
+    """A hexagon with dependent angles fails hypothesis.independent on the
+    decision pass alone: its first block of bounds meets a near row whose
+    grid residual is below 10*tol, and no witness or pair is built."""
+    files = [DATA / "regular_hexagon.json"] + _screen_files(tmp_path, 7, ("rational", "straight"))
+    assert len(files) == 9
+    for path in files:
+        screen_calls.clear()
+        assert main(["verify", "--input", str(path)]) == 1
+        assert "FAIL          hypothesis.independent" in capsys.readouterr().out
+        assert screen_calls == {"_lower_bounds": 1, "_grid_residuals": 1}, path.name
+
+
+def test_verify_bounds_an_independent_hexagon_once(screen_calls, capsys):
+    """hexagon_seed7.json passes hypothesis.independent on one _lower_bounds
+    call per block of both directions of its 15 pairs, every bound at least
+    10*tol, so no grid residual, witness or pair is computed."""
+    assert main(["verify", "--input", str(DATA / "hexagon_seed7.json")]) == 0
+    capsys.readouterr()
+    step = max(1, polygon._BLOCK_TARGETS // polygon._grids(16).coeffs.size)
+    assert screen_calls == {"_lower_bounds": -(-30 // step)}
