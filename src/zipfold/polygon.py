@@ -7,7 +7,6 @@ pipeline, while weakly convex ones (some angle equal to pi) are kept around
 as flagged degenerate inputs for control experiments.
 """
 
-import bisect
 import functools
 import itertools
 import json
@@ -345,7 +344,6 @@ class _Grid(NamedTuple):
     bvals: np.ndarray  # r/s
     bsize: np.ndarray  # |r| + s
     coeffs: np.ndarray  # the distinct floats of bvals, in order of first row
-    coeff_of_row: np.ndarray  # index into coeffs of each row's b
     qs: np.ndarray  # denominators q of a = p/q, one column each
     pi_over_q: np.ndarray
     table: np.ndarray  # every distinct p*(pi/q), |p| <= bound, sorted
@@ -359,10 +357,9 @@ class _Grid(NamedTuple):
 # buckets per table entry: at bound 16 the 327 entries fall at most 2 to a
 # bucket (two entries can be one ulp apart, as 5*(pi/1) and 15*(pi/3) are)
 _BUCKETS_PER_ENTRY = 16
-# _best_witness bounds its directions in blocks of at most this many
-# targets (16 directions at bound 16), and _witness_grid stacks at most this
-# many residuals (320 rows at bound 16), which keeps their arrays the size
-# the screen used when it ran one pass per source angle
+# _decide_independent bounds its directions in blocks of at most this many
+# targets (16 directions at bound 16), which keeps its arrays the size the
+# screen used when it ran one pass per source angle
 _BLOCK_TARGETS = 5120
 
 
@@ -373,8 +370,7 @@ def _rational_grids(bound):
     bvals = rr / ss
     # 2/6 and 1/3 are one float: every row-wise fact about a target y - b*x
     # holds for the float b, so the bounds run once per distinct b
-    _, first, inverse = np.unique(bvals, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))  # sorted distinct b -> first-row order
+    _, first = np.unique(bvals, return_index=True)
     qs = np.arange(1, bound + 1)
     pi_over_q = math.pi / qs
     # the same float products _grid_residuals forms
@@ -390,7 +386,7 @@ def _rational_grids(bound):
     starts = np.searchsorted(entry_bucket, np.arange(entry_bucket[-1] + 1))
     spill = int(np.bincount(entry_bucket).max())
     return _Grid(
-        rr, ss, bvals, np.abs(rr) + ss, bvals[np.sort(first)], rank[inverse],
+        rr, ss, bvals, np.abs(rr) + ss, bvals[np.sort(first)],
         qs, pi_over_q, table, below, above, per_unit, starts, spill,
     )
 
@@ -414,63 +410,24 @@ def _grid_residuals(target, bound):
     return ps, resid
 
 
-def _witness_grid(xs, ys, dirs, rows, bound, tol):
-    """The residual grid of many directions at once: direction dirs[k] on
-    coefficient row rows[k], dirs nondecreasing and rows ascending within a
-    direction (rows None: every row of each direction in dirs).
-
-    Returns {d: (residual, witness)} for every direction in dirs: the
-    simplest hit below tol among the direction's own rows, ranked by
-    |p|+q+|r|+s, then |p|, q, |r|, s, first hit in row and q order on ties;
-    without a hit, the direction's smallest residual and None.  The rows go
-    through _grid_residuals in runs of whole directions, each of at most
-    _BLOCK_TARGETS residuals (one per row and q) unless one direction alone
-    has more.  Runs of up to 5120 rows were slower on ten rational
-    multiples of pi, and allocated 3.9 MB at their peak against 0.6 MB.
-    """
+def _direction_witness(x, y, bound, tol):
+    """(residual, witness) of y ~ a*pi + b*x over the full grid of rationals
+    a = p/q, b = r/s of height <= bound: the simplest hit below tol, ranked
+    by |p|+q+|r|+s, then |p|, q, |r|, s, the first hit in row and q order on
+    ties; without a hit, the grid's smallest residual and None."""
     grid = _grids(bound)
-    if rows is None:
-        rows = np.tile(np.arange(grid.bvals.size), dirs.size)
-        dirs = np.repeat(dirs, grid.bvals.size)
-    starts = np.flatnonzero(np.concatenate(([True], dirs[1:] != dirs[:-1])))
-    edges = starts.tolist() + [dirs.size]  # direction i has rows edges[i]:edges[i + 1]
-    run_rows = _BLOCK_TARGETS // grid.qs.size
-    out = {}
-    i = 0
-    while i < starts.size:
-        j = max(i + 1, bisect.bisect_right(edges, edges[i] + run_rows) - 1)
-        lo, hi = edges[i], edges[j]
-        first = starts[i:j] - lo
-        i = j
-        d, b = dirs[lo:hi], rows[lo:hi]
-        ps, resid = _grid_residuals(ys[d] - grid.bvals[b] * xs[d], bound)
-        bi, qi = np.nonzero(resid < tol)
-        # bi ascends, so the hits of the run's k-th direction are at[k]:at[k + 1]
-        at = np.append(np.searchsorted(bi, first), bi.size)
-        hit = at[:-1] < at[1:]
-        if not hit.all():
-            least = np.minimum.reduceat(resid.min(axis=1), first)
-            for k in np.flatnonzero(~hit).tolist():
-                out[int(d[first[k]])] = (float(least[k]), None)
-        if not bi.size:
-            continue
-        b = b[bi]
-        p = ps[bi, qi].astype(np.int64)
-        q = grid.qs[qi]
-        r = grid.rr[b]
-        s = grid.ss[b]
-        # one integer key in mixed radix bound+1 orders the hits as the tuple
-        # (|p|+q+|r|+s, |p|, q, |r|, s) does (it fits int64 for any bound whose
-        # grid fits in memory); lexsort is stable and keeps each direction's
-        # hits at at[k]:at[k + 1], so at[k] takes its first minimum
-        abs_p = np.abs(p)
-        key = abs_p + q + grid.bsize[b]
-        for digit in (abs_p, q, np.abs(r), s):
-            key = key * (bound + 1) + digit
-        for k in np.lexsort((key, d[bi]))[at[:-1][hit]].tolist():
-            witness = (Fraction(int(p[k]), int(q[k])), Fraction(int(r[k]), int(s[k])))
-            out[int(d[bi[k]])] = (float(resid[bi[k], qi[k]]), witness)
-    return out
+    ps, resid = _grid_residuals(y - grid.bvals * x, bound)
+    bi, qi = np.nonzero(resid < tol)
+    if not bi.size:
+        return float(resid.min()), None
+    p = ps[bi, qi].astype(np.int64)
+    q = grid.qs[qi]
+    r = grid.rr[bi]
+    s = grid.ss[bi]
+    # lexsort is stable, so a tie keeps the first hit in row and q order
+    k = np.lexsort((s, np.abs(r), q, np.abs(p), np.abs(p) + q + grid.bsize[bi]))[0]
+    witness = (Fraction(int(p[k]), int(q[k])), Fraction(int(r[k]), int(s[k])))
+    return float(resid[bi[k], qi[k]]), witness
 
 
 def _table_index(grid, targets):
@@ -513,58 +470,6 @@ def _lower_bounds(grid, xs, ys):
     return lower, targets
 
 
-def _best_witness(xs, ys, bound, tol):
-    """(residual, witness) of ys[d] ~ a*pi + b*xs[d] for every direction d,
-    as the full grid of rationals a = p/q, b = r/s of height <= bound would
-    give it.
-
-    Bound, then confirm, for all directions together.  Row b of direction
-    x -> y must match its target y - b*x with some p*(pi/q); the distance
-    from the target to the nearest entry of the sorted table of all such
-    values bounds every residual in the row from below.  Rows with the same
-    float b share their target, so the bounds come from bucket-index
-    lookups (_table_index) of every distinct coefficient of every
-    direction, in blocks of _BLOCK_TARGETS targets.
-    A direction whose smallest bound reaches tol has no witness, and its
-    residual is that bound once the argmin row's own residuals attain it.
-    The block pass keeps its bounds: a direction's rows with bounds below
-    tol hold all its hits, in grid order, and one stacked row search
-    (_witness_grid) over those rows of every such direction settles them
-    together.  Whatever the bounds and the row search leave open goes
-    through one stacked full grid.
-    """
-    grid = _grids(bound)
-    floor = np.empty(len(ys))
-    best_target = np.empty(len(ys))
-    lowers = []
-    step = max(1, _BLOCK_TARGETS // grid.coeffs.size)
-    for start in range(0, len(ys), step):
-        block = slice(start, start + step)
-        lower, targets = _lower_bounds(grid, xs[block], ys[block])
-        k = np.arange(len(lower))
-        best = lower.argmin(axis=1)
-        floor[block] = lower[k, best]
-        best_target[block] = targets[k, best]
-        lowers.append(lower)
-    reached = _grid_residuals(best_target, bound)[1].min(axis=1) == floor
-    out = [(f, None) for f in floor.tolist()]
-    unsettled = np.flatnonzero(~((floor >= tol) & reached))
-    if not unsettled.size:
-        return out
-    near = unsettled[floor[unsettled] < tol]
-    if near.size:
-        # the rows whose bound is below tol hold every hit of their direction
-        di, rows = np.nonzero((np.concatenate(lowers)[near] < tol)[:, grid.coeff_of_row])
-        for d, found in _witness_grid(xs, ys, near[di], rows, bound, tol).items():
-            if found[1] is not None:
-                out[d] = found
-    rest = [d for d in unsettled.tolist() if out[d][1] is None]
-    if rest:
-        for d, res in _witness_grid(xs, ys, np.array(rest), None, bound, tol).items():
-            out[d] = res
-    return out
-
-
 def _decide_independent(arr, bound, tol):
     """Whether every pair of the angles arr is independent: no residual
     below 10*tol in either direction of any pair, which is exactly when
@@ -596,31 +501,20 @@ def _decide_independent(arr, bound, tol):
 
 def _pair_dependences(arr, bound, tol):
     """{(i, j): PairDependence} for every pair i < j of the angles arr."""
-    best = {}  # (x_index, y_index) -> (residual, witness)
-
-    def screen(directions):
-        if directions:
-            xi, yi = np.array(directions).T
-            best.update(zip(directions, _best_witness(arr[xi], arr[yi], bound, tol)))
-
-    forward = list(itertools.combinations(range(arr.size), 2))
-    screen(forward)
-    # direction j -> i only matters when i -> j has no witness
-    screen([(j, i) for i, j in forward if best[(i, j)][1] is None])
     pairs = {}
-    for i, j in forward:
-        res_ij, wit_ij = best[(i, j)]
-        res_ji, wit_ji = best.get((j, i), (None, None))
-        if wit_ij is not None or wit_ji is not None:
-            if wit_ij is not None:
-                witness, direction, residual = wit_ij, (i, j), res_ij
-            else:
-                witness, direction, residual = wit_ji, (j, i), res_ji
-            pairs[(i, j)] = PairDependence(i, j, "dependent", witness, direction, residual)
+    for i, j in itertools.combinations(range(arr.size), 2):
+        res_ij, witness = _direction_witness(arr[i], arr[j], bound, tol)
+        if witness is not None:
+            pairs[(i, j)] = PairDependence(i, j, "dependent", witness, (i, j), res_ij)
+            continue
+        # direction j -> i only matters when i -> j has no witness
+        res_ji, witness = _direction_witness(arr[j], arr[i], bound, tol)
+        if witness is not None:
+            pairs[(i, j)] = PairDependence(i, j, "dependent", witness, (j, i), res_ji)
         else:
-            best_res = min(res_ij, res_ji)
-            status = "inconclusive" if best_res < 10.0 * tol else "independent"
-            pairs[(i, j)] = PairDependence(i, j, status, None, None, best_res)
+            residual = min(res_ij, res_ji)
+            status = "inconclusive" if residual < 10.0 * tol else "independent"
+            pairs[(i, j)] = PairDependence(i, j, status, None, None, residual)
     return pairs
 
 
@@ -634,16 +528,11 @@ def check_independence(angles, bound=16, tol=1e-9):
 
     The report's all_independent is decided here, in one bounds pass over
     both directions of every pair (_decide_independent).  Its pairs are
-    built on first read, by two batched bound-then-confirm passes
-    (_best_witness): the first over every direction i -> j with i < j, the
-    second over j -> i for the pairs the first left without a witness,
-    since only then does the report read it.  Each pass settles all its
-    dependent directions in one stacked row search, and the full residual
-    grid runs, once per pass and stacked, only where neither the table
-    bounds nor the row search settle a direction; the pairs are those the
-    full grid gives for every directed pair.  A bound below 1 or a
-    non-finite angle raises ValueError here: no residual can certify such
-    an angle.
+    built on first read: each pair i < j runs the full residual grid of
+    direction i -> j (_direction_witness), and that of j -> i only when
+    i -> j has no witness, since only then does the report read it.  A
+    bound below 1 or a non-finite angle raises ValueError here: no residual
+    can certify such an angle.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -861,10 +750,13 @@ def sample_fat_hexagon(seed, **kwargs):
 # ---------------------------------------------------------------------------
 
 def _finite(value, what):
-    """float(value), or MalformedPolygonError when that is not a finite float."""
+    """float(value), or MalformedPolygonError unless value is an int or a
+    float (a bool is neither, as in JSON) whose float is finite."""
     try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
         x = float(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise MalformedPolygonError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(x):
         raise MalformedPolygonError(f"{what} must be finite, got {value!r}")
@@ -876,7 +768,9 @@ def polygon_from_dict(data):
 
     "vertices" is an [[x, y], ...] loop; "turns" is the list of edge
     directions handed to solve_closure.  Mixed files, and any coordinate or
-    direction that is not a finite number, are rejected.
+    direction that is not a finite number, are rejected.  data has the
+    shape json.load gives a polygon file, also when it comes from Python:
+    lists, not tuples, and numbers, not numeric strings or booleans.
     """
     if not isinstance(data, dict):
         raise MalformedPolygonError("polygon file must contain a JSON object")

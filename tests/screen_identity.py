@@ -93,7 +93,8 @@ def angle_sets():
     for k, vals in enumerate(_planted_sets()):
         yield f"planted/{k}", vals
     for k, verts in enumerate(inputs.fat_hexagons(7, 100)):
-        yield f"hex-verify/{k}", list(validate(polygon_from_dict({"vertices": verts})).angles)
+        poly = polygon_from_dict({"vertices": [list(v) for v in verts]})
+        yield f"hex-verify/{k}", list(validate(poly).angles)
     for seed in (1, 7):
         for k, (data, family, _) in enumerate(inputs.screen_cases(seed, 120)):
             poly = polygon_from_dict(data)

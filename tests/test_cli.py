@@ -356,6 +356,9 @@ BAD_NUMBERS = {
     "list-coordinate": '{"vertices": %s}' % json.dumps(HEAD + [[[-0.5], 0.8]]),
     "number-as-vertex": '{"vertices": %s}' % json.dumps(HEAD + [7]),
     "huge-coordinate": '{"vertices": %s}' % json.dumps(HEAD + [[-0.5, "X"]]).replace('"X"', "1e400"),
+    "bool-coordinate": '{"vertices": %s}' % json.dumps(HEAD + [[True, 0.8660254037844386]]),
+    "numeric-string-coordinate": '{"vertices": %s}' % json.dumps(HEAD + [["-0.5", 0.8660254037844386]]),
+    "bool-turn": '{"turns": [0, true, 2, 3]}',
     "string-turn": '{"turns": [1, "a", 1, 1, 1]}',
     "huge-turn": '{"turns": [0, 1e400, 2, 3]}',
     "nan-turn": '{"turns": [0, NaN, 2, 3]}',

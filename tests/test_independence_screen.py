@@ -1,11 +1,11 @@
-"""The bound-then-confirm independence screen reports exactly what the full
-residual grid reports, in at most two batched passes per screen, each with
-at most one stacked row search and one stacked full-grid fallback, and it
-does so without pulling in numpy.ma.  Its bucket index over the table of
-every p*(pi/q) finds what np.searchsorted finds.  The report decides
+"""The independence screen reports exactly what the full residual grid
+reports, and it does so without pulling in numpy.ma.  The report decides
 all_independent in one bounds pass of its own, with the full grid's
-verdict, and makes those passes only when its pairs are first read, so
-`zipfold verify` builds no pair.
+verdict: a bucket index over the table of every p*(pi/q), which finds what
+np.searchsorted finds, bounds both directions of every pair, and only the
+rows whose bound is near go through the grid.  The pairs are built only
+when first read, one full grid per direction i -> j and one for j -> i
+where i -> j has no witness, so `zipfold verify` builds no pair.
 
 The reference is the full-grid screen in tests/oracles.py.  Reports are
 compared by repr, pairs included, so every status, witness, direction and
@@ -98,165 +98,77 @@ def test_screen_matches_full_grid(family):
         assert statuses["inconclusive"] > 0 and statuses["dependent"] > 0
 
 
-def test_screen_takes_every_path(monkeypatch):
-    """Bounds settle most directions; the stacked row search and the stacked
-    full-grid fallback each run somewhere in the seeded sets.
-    _best_witness(xs, ys, bound, tol) screens the directions xs[d] -> ys[d];
-    _witness_grid(xs, ys, dirs, rows, bound, tol) searches direction dirs[k]
-    on row rows[k], or every row of each direction in dirs when rows is None."""
-    seen = collections.Counter()
-    best_witness = polygon._best_witness
-    witness_grid = polygon._witness_grid
-
-    def directions(xs, ys, bound, tol):
-        seen["directions"] += len(ys)
-        return best_witness(xs, ys, bound, tol)
-
-    def grid(xs, ys, dirs, rows, bound, tol):
-        path = "full grid" if rows is None else "rows"
-        seen[path] += 1
-        seen["searched"] += np.unique(dirs).size
-        return witness_grid(xs, ys, dirs, rows, bound, tol)
-
-    monkeypatch.setattr(polygon, "_best_witness", directions)
-    monkeypatch.setattr(polygon, "_witness_grid", grid)
-    for make in FAMILIES.values():
-        for vals in make():
-            for bound in BOUNDS:
-                polygon.check_independence(vals, bound, TOL).pairs
-    assert seen["rows"] > 0 and seen["full grid"] > 0
-    assert seen["directions"] > 2 * seen["searched"]
-
-
-def test_one_stacked_pass_per_path(monkeypatch):
-    """Each _best_witness call bounds each block of directions once, then
-    runs the row search and the full-grid fallback at most once each, over
-    every direction it leaves open, however many that is; the fallback
-    searches no direction the row search found a witness for."""
-    calls = []
-    best_witness = polygon._best_witness
-    lower_bounds = polygon._lower_bounds
-    witness_grid = polygon._witness_grid
-
-    inside = []
-
-    def spy(xs, ys, bound, tol):
-        calls.append(
-            {"directions": len(ys), "bound": bound, "bounds": 0, "rows": [], "full": [], "witnessed": set()}
-        )
-        inside.append(True)
-        try:
-            return best_witness(xs, ys, bound, tol)
-        finally:
-            inside.pop()
-
-    def bounds(grid, xs, ys):
-        if inside:  # the decision pass bounds its own blocks, outside any pass
-            calls[-1]["bounds"] += 1
-        return lower_bounds(grid, xs, ys)
-
-    def grid(xs, ys, dirs, rows, bound, tol):
-        call = calls[-1]
-        call["full" if rows is None else "rows"].append(np.unique(dirs).size)
-        assert not call["full"] or rows is None  # rows first, then the fallback
-        found = witness_grid(xs, ys, dirs, rows, bound, tol)
-        if rows is None:  # the fallback searches no direction the rows settled
-            assert not call["witnessed"] & set(dirs.tolist())
-        else:
-            call["witnessed"] = {d for d, (_, witness) in found.items() if witness is not None}
-        return found
-
-    monkeypatch.setattr(polygon, "_best_witness", spy)
-    monkeypatch.setattr(polygon, "_lower_bounds", bounds)
-    monkeypatch.setattr(polygon, "_witness_grid", grid)
-    for make in FAMILIES.values():
-        for vals in make():
-            for bound in BOUNDS:
-                polygon.check_independence(vals, bound, TOL).pairs
-    for call in calls:
-        step = max(1, polygon._BLOCK_TARGETS // polygon._grids(call["bound"]).coeffs.size)
-        assert call["bounds"] == -(-call["directions"] // step)
-        assert len(call["rows"]) <= 1 and len(call["full"]) <= 1
-    assert max(n for call in calls for n in call["rows"]) >= 15
-    assert max(n for call in calls for n in call["full"]) >= 2
-
-
 @pytest.mark.parametrize("cap", (600, 30))
 def test_stacked_rows_keep_the_block_cap(monkeypatch, cap):
-    """A stacked grid goes through _grid_residuals in runs of whole
-    directions, at most _BLOCK_TARGETS residuals (rows times the bound's q
-    columns) to a run unless one direction alone has more (a full-grid
-    direction has 55 rows at bound 5), and the reports stay those of the
-    full grid."""
-    runs = []
-    inside = []
-    witness_grid = polygon._witness_grid
+    """The decision pass bounds its directions in blocks of at most
+    _BLOCK_TARGETS targets unless one direction alone has more (a direction
+    has 319 distinct coefficients at bound 16), stacks the near rows of a
+    block into one _grid_residuals call, and decides as the full grid does."""
+    blocks = []
+    lower_bounds = polygon._lower_bounds
     grid_residuals = polygon._grid_residuals
 
-    def stacked(xs, ys, dirs, rows, bound, tol):
-        if rows is None:
-            widest = total = polygon._grids(bound).bvals.size
-            total *= dirs.size
-        else:
-            widest, total = np.unique(dirs, return_counts=True)[1].max(), dirs.size
-        runs.append([])
-        inside.append(True)
-        found = witness_grid(xs, ys, dirs, rows, bound, tol)
-        inside.pop()
-        assert sum(runs[-1]) == total
-        assert max(runs[-1]) <= max(cap // bound, widest)
-        return found
+    def bounds(grid, xs, ys):
+        blocks[-1].append(len(ys) * grid.coeffs.size)
+        return lower_bounds(grid, xs, ys)
 
     def residuals(target, bound):
-        if inside:
-            runs[-1].append(len(target))
+        assert len(target) <= blocks[-1][-1]
         return grid_residuals(target, bound)
 
     monkeypatch.setattr(polygon, "_BLOCK_TARGETS", cap)
-    monkeypatch.setattr(polygon, "_witness_grid", stacked)
+    monkeypatch.setattr(polygon, "_lower_bounds", bounds)
     monkeypatch.setattr(polygon, "_grid_residuals", residuals)
     for vals in _rational_sets() + _out_of_range_sets():
         for bound in (16, 5):
-            got = polygon.check_independence(vals, bound, TOL)
-            want = reference_check_independence(vals, bound, TOL)
-            assert repr(got.pairs) == repr(want.pairs)
-    assert max(len(r) for r in runs) > 1
+            blocks.append([])
+            got = polygon.check_independence(vals, bound, TOL).all_independent
+            assert got == reference_check_independence(vals, bound, TOL).all_independent
+            assert max(blocks[-1]) <= max(cap, polygon._grids(bound).coeffs.size)
+    assert max(len(b) for b in blocks) > 1
 
 
-def test_two_batched_passes_per_screen(monkeypatch):
-    """One _best_witness pass over the directions i -> j with i < j, and one
-    over j -> i for the pairs the first left without a witness, both made
-    when the report's pairs are first read and none before."""
-    calls = []
-    best_witness = polygon._best_witness
+def test_pairs_built_on_first_read(monkeypatch):
+    """No PairDependence is built before the report's pairs are first read,
+    and one per pair after.  Each pair i < j runs the full grid of i -> j,
+    and that of j -> i only when i -> j has no witness."""
+    built = []
+    directions = []
+    pair_dependence = polygon.PairDependence
+    direction_witness = polygon._direction_witness
 
-    def spy(xs, ys, bound, tol):
-        calls.append(len(ys))
-        return best_witness(xs, ys, bound, tol)
+    def record(*args):
+        built.append(args)
+        return pair_dependence(*args)
 
-    monkeypatch.setattr(polygon, "_best_witness", spy)
+    def witness(x, y, bound, tol):
+        directions.append((x, y))
+        return direction_witness(x, y, bound, tol)
+
+    monkeypatch.setattr(polygon, "PairDependence", record)
+    monkeypatch.setattr(polygon, "_direction_witness", witness)
     for make in FAMILIES.values():
         for vals in make():
             for bound in BOUNDS:
-                calls.clear()
+                built.clear()
+                directions.clear()
                 report = polygon.check_independence(vals, bound, TOL)
-                assert calls == []
+                report.all_independent
+                assert built == [] and directions == []
+                report.pairs
                 report.pairs
                 m = len(vals)
-                assert len(calls) <= 2
-                assert calls[:1] == ([m * (m - 1) // 2] if m > 1 else [])
-                unwitnessed = sum(
-                    p.direction != (i, j) for (i, j), p in report.pairs.items()
-                )
-                assert sum(calls[1:]) == unwitnessed
+                assert len(built) == m * (m - 1) // 2
+                unwitnessed = sum(p.direction != (i, j) for (i, j), p in report.pairs.items())
+                assert len(directions) == len(built) + unwitnessed
 
     decagon = sample_fat_ngon(10, 0)
-    calls.clear()
+    built.clear()
     report = polygon.check_independence(validate(decagon).angles)
     assert report.all_independent
-    assert calls == []
+    assert built == []
     report.pairs
-    assert calls == [45, 45]
+    assert len(built) == 45
 
 
 def _searchsorted_probes(grid):
@@ -426,10 +338,10 @@ def test_decision_matches_full_grid_at_the_edge(vals):
 
 
 def test_decision_reads_no_pairs(monkeypatch):
-    """all_independent is decided without a _best_witness pass, and the
+    """all_independent is decided without building the pairs, and the
     seeded sets reach both verdicts."""
     passes = []
-    monkeypatch.setattr(polygon, "_best_witness", lambda *args: passes.append(args))
+    monkeypatch.setattr(polygon, "_pair_dependences", lambda *args: passes.append(args))
     verdicts = collections.Counter()
     for make in FAMILIES.values():
         for vals in make():
@@ -486,7 +398,7 @@ def screen_calls(monkeypatch):
 
         monkeypatch.setattr(polygon, name, spy)
 
-    for name in ("_lower_bounds", "_grid_residuals", "_witness_grid", "_best_witness", "PairDependence"):
+    for name in ("_lower_bounds", "_grid_residuals", "_direction_witness", "PairDependence"):
         counted(name)
     return seen
 
@@ -512,3 +424,23 @@ def test_verify_bounds_an_independent_hexagon_once(screen_calls, capsys):
     capsys.readouterr()
     step = max(1, polygon._BLOCK_TARGETS // polygon._grids(16).coeffs.size)
     assert screen_calls == {"_lower_bounds": -(-30 // step)}
+
+
+def test_screen_identity_script_runs(monkeypatch):
+    """tests/screen_identity.py enumerates its whole angle-set collection,
+    and records a report for the first set of each section of it."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds src/ and perfbench/
+    script = importlib.import_module("screen_identity")
+    sections = {}
+    count = 0
+    for name, vals in script.angle_sets():
+        count += 1
+        sections.setdefault(name.split("/")[0], vals)
+    assert count == 2942
+    assert sorted(sections) == [
+        "extreme", "fat10", "fat6", "fat8", "hex-verify", "planted", "screen1", "screen7", "thin8",
+    ]
+    for vals in sections.values():
+        record = script._report(vals, 16)
+        assert record["report"].startswith(("IndependenceReport(bound=16, ", "ValueError: "))
+    assert script._report(sections["extreme"], 16) == {"report": "ValueError: angles must be finite"}
