@@ -78,16 +78,6 @@ class Tetrahedron3D:
         q = self.point(v)
         return math.dist(p, q)
 
-    def metric(self):
-        return TetraMetric(
-            d_ab=self.edge_length("a", "b"),
-            d_ac=self.edge_length("a", "c"),
-            d_ad=self.edge_length("a", "d"),
-            d_bc=self.edge_length("b", "c"),
-            d_bd=self.edge_length("b", "d"),
-            d_cd=self.edge_length("c", "d"),
-        )
-
     def face_areas(self):
         """Area of each face, in scalar floats (numpy costs more on 3-vectors)."""
         areas = {}

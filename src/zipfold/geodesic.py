@@ -121,13 +121,6 @@ class GeodesicPath:
     target_vertex: int  # representative whose image the segment ends at
     length: float
     edge_path: tuple  # polygon edge indices crossed, in order
-    identifications: tuple  # ((a0, a1), (b0, b1)) per crossing
-    local_segments: tuple  # per-copy ((x, y), (x, y)) pieces in polygon coords
-    transforms: tuple  # (rot_re, rot_im, tr_re, tr_im) per copy
-
-    @property
-    def crossings(self):
-        return len(self.edge_path)
 
 
 @dataclass(frozen=True)
@@ -245,9 +238,10 @@ class RootFans:
     * `by_vertex[sv]`, the fan of vertex sv: the chord length from sv to
       every vertex, and the clip (edge, cone, distance) of every edge not
       incident to sv that is not a sliver, in edge order;
-    * `chords[(sv, tv)]`: the re-trace of the chord from sv to tv, as
-      `DevelopmentEngine._finalize` returns it.  A chord that crosses an
-      edge is rejected before anything across that edge is looked at.
+    * `chords[(sv, tv)]`: the re-traced length of the chord from sv to
+      tv, as `DevelopmentEngine._finalize` returns it.  A chord that
+      crosses an edge is rejected before anything across that edge is
+      looked at.
 
     The re-trace reads the clearance, so fans serve only engines of the
     same polygon and clearance.
@@ -314,7 +308,6 @@ class DevelopmentEngine:
         # edge j joins vertex j and j+1 (mod n)
         self.partner = [None] * self.n
         self.transition = [None] * self.n
-        self.ident_of_edge = [None] * self.n
         for ident in gluing.identifications:
             ea = self._edge_index(ident.a0, ident.a1)
             eb = self._edge_index(ident.b0, ident.b1)
@@ -325,8 +318,6 @@ class DevelopmentEngine:
             # crossing out through edge a: lay a copy with its edge b on a
             self.transition[ea] = rigid_from_segment(pb0, pb1, pa0, pa1)
             self.transition[eb] = rigid_from_segment(pa0, pa1, pb0, pb1)
-            self.ident_of_edge[ea] = ident
-            self.ident_of_edge[eb] = ident
         if any(p is None for p in self.partner):
             raise GeodesicError("gluing does not cover every boundary edge")
         self._table = None
@@ -408,12 +399,11 @@ class DevelopmentEngine:
     def _trace(self, s, end, edge_path):
         """Push the straight segment s->end through the copies along edge_path.
 
-        Returns (transforms, copies, params): the transform and the
-        developed vertices of every copy the segment visits, and the
-        segment parameter of each crossing.  Returns None as soon as the
-        segment crosses an edge other than the next one of edge_path, or
-        leaves the last copy, or ends short of it.  Grazing crossings are
-        settled later by the clearance check.
+        Returns (transform, copies): the last copy's transform and the
+        developed vertices of every copy the segment visits.  Returns None
+        as soon as the segment crosses an edge other than the next one of
+        edge_path, or leaves the last copy, or ends short of it.  Grazing
+        crossings are settled later by the clearance check.
         """
         n = self.n
         seg = end - s
@@ -421,9 +411,7 @@ class DevelopmentEngine:
         pts = self.fans.root_copy
         entry = None
         u = 0.0
-        transforms = [IDENTITY]
         copies = []
-        params = []
         for want in edge_path + (None,):
             copies.append(pts)
             best_t = None
@@ -450,12 +438,10 @@ class DevelopmentEngine:
             if best_j != want:
                 return None
             if want is None:
-                return transforms, copies, params
+                return transform, copies
             u = best_t
-            params.append(best_t)
             transform = transform.compose(self.transition[best_j])
             entry = self.partner[best_j]
-            transforms.append(transform)
             pts = self._develop(transform)
 
     def _clear_of_cone_images(self, s, end, copies):
@@ -479,44 +465,25 @@ class DevelopmentEngine:
         """Re-trace the candidate from vertex sv to `end`, the image of
         vertex tv in the node's copy, from scratch.
 
-        Returns (length, local_segments, transforms), the parts of its
-        GeodesicPath that do not depend on the cone points, or None when
-        the re-trace rejects it.
+        Returns its length, or None when the re-trace rejects it.
         """
         s = self.points[sv]
         traced = self._trace(s, end, node.edge_path)
         if traced is None:
             return None
-        transforms, copies, params = traced
-        final = transforms[-1]
+        final, copies = traced
         if abs(copies[-1][tv] - end) > _END_POINT_TOL:
             return None
         if not node.transform.almost_equal(final, _TRANSFORM_TOL):
             return None
         if not self._clear_of_cone_images(s, end, copies):
             return None
-        # split the segment at the crossing points, map pieces to local coords
-        params = [0.0] + params + [1.0]
-        seg = end - s
-        locals_ = []
-        for k, tr in enumerate(transforms):
-            p0 = s + params[k] * seg
-            p1 = s + params[k + 1] * seg
-            inv_rot = tr.rot.conjugate()
-            q0 = inv_rot * (p0 - tr.trans)
-            q1 = inv_rot * (p1 - tr.trans)
-            locals_.append(((q0.real, q0.imag), (q1.real, q1.imag)))
-        return (
-            abs(seg),
-            tuple(locals_),
-            tuple((t.rot.real, t.rot.imag, t.trans.real, t.trans.imag) for t in transforms),
-        )
+        return abs(end - s)
 
-    def _path(self, source_cone, target_cone, sv, tv, edge_path, traced):
+    def _path(self, source_cone, target_cone, sv, tv, edge_path, length):
         """The GeodesicPath of a re-traced candidate (None: rejected)."""
-        if traced is None:
+        if length is None:
             return None
-        length, local_segments, transforms = traced
         return GeodesicPath(
             source=tuple(source_cone.vertices),
             target=tuple(target_cone.vertices),
@@ -524,9 +491,6 @@ class DevelopmentEngine:
             target_vertex=tv,
             length=length,
             edge_path=edge_path,
-            identifications=tuple(self.ident_of_edge[j].as_pairs() for j in edge_path),
-            local_segments=local_segments,
-            transforms=transforms,
         )
 
     # -- the root fan ---------------------------------------------------------

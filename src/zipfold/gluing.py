@@ -37,9 +37,6 @@ class EdgeIdentification:
     b0: int
     b1: int
 
-    def as_pairs(self):
-        return ((self.a0, self.a1), (self.b0, self.b1))
-
 
 @dataclass(frozen=True)
 class ConePoint:

@@ -27,7 +27,7 @@ from . import gluing as gl
 from . import net as netmod
 from .embed import congruent_tetrahedra, embed, vertex_angle_sums
 from .errors import ConfigError, GeodesicError, MetricError
-from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, RootFans, overhang_audit
+from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, RootFans
 from .geometry import best_rigid_alignment
 from .polygon import (
     DEFAULT_TOLERANCES,
@@ -185,9 +185,9 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
     metric.  For n > 6 there is no general
     embedding step, so the audit stops after the intrinsic checks
     (curvatures, zipper distances, disk emptiness).  `fat` is the source's
-    validation verdict when the caller has it (None: validate here), and
-    `fans` the polygon's RootFans (see fold_halving).  Returns (audit,
-    gluing).
+    validation verdict, which only the tetrahedron reads, when the caller
+    has it (None: a hexagon validates here), and `fans` the polygon's
+    RootFans (see fold_halving).  Returns (audit, gluing).
     """
     tol = cfg.tolerances
     audit = HalvingAudit(fold_index=fold_index)
@@ -216,16 +216,11 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
     )
     audit.statuses = dict(zip(_SURFACE_LINES, (disks, combine(statuses), combine(empties))))
 
-    if fat is None:
-        fat = validate(poly, tol).fat_ok
-    try:
-        overhang_audit(g, 0, fat=fat)  # raises past the fat-source bound
-    except GeodesicError as exc:
-        audit.error = str(exc)
-
     if poly.n != 6:
         return audit, g
 
+    if fat is None:
+        fat = validate(poly, tol).fat_ok
     try:
         audit.metric, audit.tetra = halving_tetrahedron(engine, fat, tol)
     except (GeodesicError, MetricError) as exc:

@@ -63,8 +63,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerance {name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"tolerance {name} must be finite and positive, got {value}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -35,6 +35,20 @@ CAPS = (1, 2, 3, 5, 8, 13, 20, 40, 100000)
 SEEDS = ((6, range(40)), (8, range(12)), (10, range(6)))
 
 
+def _run_record(seed, n, cap, thin):
+    cfg = PipelineConfig(dev_cap=cap)
+    try:
+        record, poly = sweep_one(seed, n, cfg, thin=thin)
+    except SamplingBudgetError as exc:
+        return {"error": str(exc)}
+    outcome = verify_polygon(poly, cfg, force=thin)
+    return {
+        "row": dict(zip(SWEEP_COLUMNS, record.to_row())),
+        "scorecard": dict(outcome.scorecard()),
+        "status": outcome.status,
+    }
+
+
 def dump(out):
     runs = {}
     for n, seeds in SEEDS:
@@ -42,18 +56,7 @@ def dump(out):
             for seed in seeds:
                 for cap in CAPS:
                     key = f"{'thin' if thin else 'fat'}{n}/{seed}/{cap}"
-                    cfg = PipelineConfig(dev_cap=cap)
-                    try:
-                        record, poly = sweep_one(seed, n, cfg, thin=thin)
-                    except SamplingBudgetError as exc:
-                        runs[key] = {"error": str(exc)}
-                        continue
-                    outcome = verify_polygon(poly, cfg, force=thin)
-                    runs[key] = {
-                        "row": dict(zip(SWEEP_COLUMNS, record.to_row())),
-                        "scorecard": dict(outcome.scorecard()),
-                        "status": outcome.status,
-                    }
+                    runs[key] = _run_record(seed, n, cap, thin)
     with open(out, "w") as fh:
         json.dump(runs, fh, indent=1, sort_keys=True)
         fh.write("\n")

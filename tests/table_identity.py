@@ -7,9 +7,10 @@ The first form builds the `DistanceTable` of every halving of fat hexagon
 seeds 0-39, thin hexagon seeds 0-14, octagon seeds 0-11 and decagon seeds
 0-4, at development caps 1, 3, 7, 15, 40 and 100000 (1,428 tables), and
 writes each table's statuses, paths, frontiers, enumerations and
-developments as canonical JSON, floats as `repr`.  As in the pipeline,
-the engines of one polygon share one `RootFans`, here across its halvings
-and caps.  It imports `zipfold`
+developments as canonical JSON, floats as `repr`.  A path is written as
+its source, target, source and target vertex, length and crossed edges.
+As in the pipeline, the engines of one polygon share one `RootFans`, here
+across its halvings and caps.  It imports `zipfold`
 from the `src/` next to this script, so a dump made from another checkout
 describes that checkout's search.
 
@@ -54,7 +55,12 @@ POLYGONS = (
 
 
 def _path(path):
-    return None if path is None else repr(path)
+    if path is None:
+        return None
+    return [
+        list(path.source), list(path.target), path.source_vertex, path.target_vertex,
+        repr(path.length), list(path.edge_path),
+    ]
 
 
 def _table_record(table):

@@ -329,6 +329,8 @@ SETTINGS = [
     ["--independence-bound", "0"],
     ["--independence-bound", "-1"],
     ["--tol", "0"],
+    ["--tol", "nan"],
+    ["--tol", "inf"],
 ]
 SEED_SETTINGS = [["--seed", "-1"], ["--count", "-3"], ["--seed", "-1", "--count", "0"]]
 

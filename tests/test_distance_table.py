@@ -55,8 +55,12 @@ def counts(monkeypatch):
     checked = counted("validations", polygon.validate)
     for module in (polygon, pipeline, geodesic):
         monkeypatch.setattr(module, "validate", checked)
-    for name in ("audit_halving", "overhang_audit", "verify_polygon"):
+    for name in ("audit_halving", "verify_polygon"):
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    # a spy wherever the pipeline could look the overhang audit up
+    overhang = counted("overhang_audit", geodesic.overhang_audit)
+    monkeypatch.setattr(geodesic, "overhang_audit", overhang)
+    monkeypatch.setattr(pipeline, "overhang_audit", overhang, raising=False)
     return seen
 
 
@@ -68,11 +72,16 @@ def test_hexagon_verify_queries_each_pair_once(fat_pool_small, counts):
     assert counts["enumerations"] == 3 * 3
     assert counts["screens"] == 1
     assert counts["validations"] == 1
-    assert counts["audit_halving"] == counts["overhang_audit"] == 3
+    assert counts["audit_halving"] == 3
+    assert counts["overhang_audit"] == 0
 
 
 def test_public_audits_still_validate(fat_pool_small, counts):
     poly = fat_pool_small[0]
+    octagon = sample_fat_ngon(8, 5)
+    counts.clear()
+    audit_halving(octagon, 0)
+    assert counts["validations"] == 0  # only a hexagon's tetrahedron reads `fat`
     audit_halving(poly, 0)
     assert counts["validations"] == 1
     geodesic.overhang_audit(glue_halving(poly, 0), 0)
@@ -91,6 +100,7 @@ def test_octagon_verify_queries_each_pair_once(counts):
     assert counts["searches"] == 4 * 5
     assert counts["shortest"] == counts["pairs"] == 4 * 10
     assert counts["enumerations"] == 4 * 4
+    assert counts["overhang_audit"] == 0
 
 
 def test_sweep_screens_each_polygon_once(counts):
@@ -99,7 +109,8 @@ def test_sweep_screens_each_polygon_once(counts):
     assert counts["screens"] == 1
     assert counts["validations"] == 1
     assert counts["verify_polygon"] == 1
-    assert counts["audit_halving"] == counts["overhang_audit"] == 4
+    assert counts["audit_halving"] == 4
+    assert counts["overhang_audit"] == 0
 
 
 def _reference_disk_status(gluing, dev_cap):

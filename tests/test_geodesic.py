@@ -8,6 +8,7 @@ from zipfold.geodesic import (
     FOUND,
     NOT_FOUND,
     OVERHANG_BOUND,
+    _ROOT,
     DevelopmentEngine,
 )
 from zipfold.geometry import Rigid
@@ -142,24 +143,42 @@ def test_triangle_inequality_on_metric(fat_pool_small):
             m.check_triangle_inequalities(1e-9)  # raises on violation
 
 
-def test_paths_reverify_their_development(fat_pool_small):
-    # recomposing the transition isometries along the crossing sequence must
-    # reproduce the stored final transform
-    poly = fat_pool_small[0]
-    g = glue_halving(poly, 0)
-    eng = DevelopmentEngine(g)
+def test_retrace_follows_the_crossing_sequence(fat_pool_small):
+    # the re-trace rebuilds the final copy's transform along the crossing
+    # sequence, and refuses a sequence the segment does not cross
+    eng = DevelopmentEngine(glue_halving(fat_pool_small[0], 1))
     checked = 0
     for i, j in itertools.combinations(range(4), 2):
-        enum = eng.enumerate_geodesics(i, j, 2.2)
-        for path in enum.paths:
+        for path in eng.enumerate_geodesics(i, j, 3.0).paths:
+            if not path.edge_path:
+                continue
             tr = Rigid()
             for edge in path.edge_path:
                 tr = tr.compose(eng.transition[edge])
-            rr, ri, tre, tri = path.transforms[-1]
-            assert abs(tr.rot - complex(rr, ri)) <= 1e-10
-            assert abs(tr.trans - complex(tre, tri)) <= 1e-10
+            s = eng.points[path.source_vertex]
+            end = tr.apply(eng.points[path.target_vertex])
+            final, copies = eng._trace(s, end, path.edge_path)
+            assert final.almost_equal(tr, 1e-10)
+            assert len(copies) == len(path.edge_path) + 1
+            wrong = ((path.edge_path[0] + 1) % eng.n,) + path.edge_path[1:]
+            assert eng._trace(s, end, wrong) is None
             checked += 1
     assert checked >= 6
+
+
+def test_retrace_rejects_a_segment_short_of_its_target(fat_pool_small):
+    eng = DevelopmentEngine(glue_halving(fat_pool_small[0], 0))
+    p0, p3 = eng.points[0], eng.points[3]
+    assert eng._finalize(0, 3, _ROOT, p3) == abs(p3 - p0)
+    assert eng._finalize(0, 3, _ROOT, (p0 + p3) / 2) is None
+
+
+def test_retrace_rejects_a_chord_through_a_cone_point(degenerate_hexagon):
+    # vertex 1 is straight, so the chord from vertex 0 to vertex 2 runs
+    # through it without crossing an edge
+    eng = DevelopmentEngine(glue_halving(degenerate_hexagon, 0))
+    assert eng._root_chord(0, 2) is None
+    assert eng._root_chord(0, 3) == pytest.approx(math.sqrt(5.0), abs=1e-12)
 
 
 def test_no_immediate_recross_in_any_path(fat_pool_small):
@@ -170,16 +189,6 @@ def test_no_immediate_recross_in_any_path(fat_pool_small):
         for path in eng.enumerate_geodesics(i, j, 2.0).paths:
             for k in range(1, len(path.edge_path)):
                 assert path.edge_path[k] != eng.partner[path.edge_path[k - 1]]
-
-
-def test_local_segments_concatenate_to_length(fat_pool_small):
-    poly = fat_pool_small[2]
-    g = glue_halving(poly, 0)
-    eng = DevelopmentEngine(g)
-    for i, j in itertools.combinations(range(4), 2):
-        for path in eng.enumerate_geodesics(i, j, 2.0).paths:
-            total = sum(math.dist(p, q) for p, q in path.local_segments)
-            assert total == pytest.approx(path.length, abs=1e-10)
 
 
 def test_disks_empty_on_fat_sources(fat_pool_small):

@@ -92,10 +92,10 @@ def finalized(monkeypatch):
     finalize = DevelopmentEngine._finalize
 
     def count_finalize(self, *args, **kwargs):
-        path = finalize(self, *args, **kwargs)
+        length = finalize(self, *args, **kwargs)
         seen["finalized"] += 1
-        seen["accepted"] += path is not None
-        return path
+        seen["accepted"] += length is not None
+        return length
 
     monkeypatch.setattr(DevelopmentEngine, "_finalize", count_finalize)
     return seen

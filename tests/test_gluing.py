@@ -21,7 +21,7 @@ FOUR_PI = 4 * PI
 
 def test_hexagon_fold0_identifications(regular_hexagon):
     g = glue_halving(regular_hexagon, 0)
-    assert [i.as_pairs() for i in g.identifications] == [
+    assert [((i.a0, i.a1), (i.b0, i.b1)) for i in g.identifications] == [
         ((0, 1), (0, 5)),
         ((1, 2), (5, 4)),
         ((2, 3), (4, 3)),

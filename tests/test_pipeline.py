@@ -162,3 +162,5 @@ def test_config_validation():
         Tolerances(tol_len=0.0)
     with pytest.raises(ValueError):
         Tolerances(tol_congruence=-1e-6)
+    with pytest.raises(ValueError):
+        Tolerances(tol_geodesic=float("nan"))
