@@ -19,6 +19,13 @@ from .errors import MetricError
 
 PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
 
+# Squared height of c over line ab that may fall below zero and still
+# count as zero.
+ANCHOR_HEIGHT2_SLACK = 1e-12
+# A height of c over line ab below this collapses triangle abc, which then
+# fixes no frame.
+ANCHOR_MIN_HEIGHT = 1e-12
+
 
 @dataclass(frozen=True)
 class TetraMetric:
@@ -139,11 +146,11 @@ def embed(metric, tol_vol=1e-12, tol_embed=1e-8):
     xc = (ab * ab + ac * ac - bc * bc) / (2.0 * ab)
     yc2 = ac * ac - xc * xc
     if yc2 <= 0.0:
-        if yc2 < -1e-12:
+        if yc2 < -ANCHOR_HEIGHT2_SLACK:
             raise MetricError("triangle abc is degenerate beyond tolerance")
         yc2 = 0.0
     yc = math.sqrt(yc2)
-    if yc < 1e-12:
+    if yc < ANCHOR_MIN_HEIGHT:
         raise MetricError("triangle abc collapses to a segment; cannot anchor the frame")
     c = (xc, yc, 0.0)
 

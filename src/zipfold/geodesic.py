@@ -244,7 +244,10 @@ class RootFans:
       looked at.
 
     The re-trace reads the clearance, so fans serve only engines of the
-    same polygon and clearance.
+    same polygon and clearance.  The search assumes a convex polygon, in
+    which a chord that crosses no edge stays inside, so a polygon that
+    turns clockwise anywhere by more than tol_convex raises GeodesicError;
+    a straight vertex is allowed.
     """
 
     def __init__(self, polygon, clearance=DEFAULT_TOLERANCES.tol_clearance):
@@ -252,6 +255,12 @@ class RootFans:
         self.clearance = float(clearance)
         self.points = polygon.as_complex()
         n = len(self.points)
+        for k in range(n):
+            a, b = self.points[k - 1], self.points[k]
+            if cross2(b - a, self.points[(k + 1) % n] - a) < -DEFAULT_TOLERANCES.tol_convex:
+                raise GeodesicError(
+                    f"polygon is not convex at vertex {k}; the geodesic search needs a convex one"
+                )
         # every developed copy of edge j has this length, up to rounding
         self.edge_lengths = [abs(self.points[(j + 1) % n] - self.points[j]) for j in range(n)]
         self.root_copy = [IDENTITY.apply(p) for p in self.points]

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GaussBonnetError, GluingError
-from .polygon import EquilateralPolygon, interior_angles
+from .polygon import DEFAULT_TOLERANCES, EquilateralPolygon, interior_angles
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -131,7 +131,7 @@ def glue_halving(poly, fold_index):
         b1 = (fold_index - k - 1) % n
         la = lengths[a0]
         lb = lengths[b1]  # edge (b1, b0) stored under its lower endpoint index
-        if abs(la - lb) > 1e-9:
+        if abs(la - lb) > DEFAULT_TOLERANCES.tol_len:
             raise GluingError(f"identified edges {a0} and {b1} differ in length")
         idents.append(EdgeIdentification(a0, a1, b0, b1))
 

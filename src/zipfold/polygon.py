@@ -28,6 +28,8 @@ TWO_PI = 2.0 * math.pi
 _CLOSED_CHAIN_CUTOFF = 1e-12
 _COINCIDENT_CUTOFF = 1e-9
 _CONVEX_SLACK = 1e-12
+# two vertices of an input polygon nearer than this are one repeated vertex
+_REPEATED_VERTEX_CUTOFF = 1e-12
 
 # The sampler draws its attempts in blocks (_attempt_batch) and screens each
 # block in one numpy pass whose bounds are widened by _PREFILTER_MARGIN
@@ -183,7 +185,7 @@ def _check_malformed(poly):
     pts = poly.vertices
     for i in range(n):
         for j in range(i + 1, n):
-            if math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) < 1e-12:
+            if math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) < _REPEATED_VERTEX_CUTOFF:
                 raise MalformedPolygonError(f"repeated vertex: indices {i} and {j}")
 
 
@@ -344,7 +346,9 @@ class _Grid(NamedTuple):
     ss: np.ndarray  # denominator s of coefficient row b
     bvals: np.ndarray  # r/s
     bsize: np.ndarray  # |r| + s
-    coeffs: np.ndarray  # the distinct floats of bvals, in order of first row
+    # the distinct floats of bvals, in order of first row, split in two:
+    simple: np.ndarray  # those some row of height |r| + s <= _SIMPLE_HEIGHT gives
+    rest: np.ndarray  # and the others
     qs: np.ndarray  # denominators q of a = p/q, one column each
     pi_over_q: np.ndarray
     table: np.ndarray  # every distinct p*(pi/q), |p| <= bound, sorted
@@ -358,9 +362,16 @@ class _Grid(NamedTuple):
 # buckets per table entry: at bound 16 the 327 entries fall at most 2 to a
 # bucket (two entries can be one ulp apart, as 5*(pi/1) and 15*(pi/3) are)
 _BUCKETS_PER_ENTRY = 16
-# _decide_independent bounds its directions in blocks of at most this many
-# targets (16 directions at bound 16), which keeps its arrays the size the
-# screen used when it ran one pass per source angle
+# _decide_independent bounds every direction on the simple coefficients
+# first, b = r/s with |r| + s <= _SIMPLE_HEIGHT (0, +-1/2, +-1, +-2), where
+# rational multiples of pi and equal, supplementary, doubled or halved
+# angles show.  Its second pass bounds the rest of the coefficients in
+# blocks of at most _BLOCK_TARGETS targets (16 directions at bound 16),
+# which keeps its arrays the size the screen used when it ran one pass per
+# source angle.  Every target is bounded once whichever pass it falls in,
+# and the decision only asks whether some target is near, so neither the
+# split nor the order can move a verdict.
+_SIMPLE_HEIGHT = 3
 _BLOCK_TARGETS = 5120
 
 
@@ -369,9 +380,12 @@ def _rational_grids(bound):
     rr = rr.ravel()
     ss = ss.ravel()
     bvals = rr / ss
+    bsize = np.abs(rr) + ss
     # 2/6 and 1/3 are one float: every row-wise fact about a target y - b*x
     # holds for the float b, so the bounds run once per distinct b
     _, first = np.unique(bvals, return_index=True)
+    coeffs = bvals[np.sort(first)]
+    is_simple = (coeffs[:, None] == bvals[bsize <= _SIMPLE_HEIGHT]).any(axis=1)
     qs = np.arange(1, bound + 1)
     pi_over_q = math.pi / qs
     # the same float products _grid_residuals forms
@@ -387,7 +401,7 @@ def _rational_grids(bound):
     starts = np.searchsorted(entry_bucket, np.arange(entry_bucket[-1] + 1))
     spill = int(np.bincount(entry_bucket).max())
     return _Grid(
-        rr, ss, bvals, np.abs(rr) + ss, bvals[np.sort(first)],
+        rr, ss, bvals, bsize, coeffs[is_simple], coeffs[~is_simple],
         qs, pi_over_q, table, below, above, per_unit, starts, spill,
     )
 
@@ -456,10 +470,10 @@ def _table_index(grid, targets):
     return at
 
 
-def _lower_bounds(grid, xs, ys):
+def _lower_bounds(grid, coeffs, xs, ys):
     """(lower, targets): row c of direction d targets ys[d] - coeffs[c]*xs[d],
     and lower[d, c] is its distance to the nearest table entry."""
-    targets = grid.coeffs * xs[:, None]
+    targets = coeffs * xs[:, None]
     np.subtract(ys[:, None], targets, out=targets)  # what a*pi has to match
     at = _table_index(grid, targets)
     # below[at] < target <= above[at], so both differences are >= 0
@@ -471,29 +485,48 @@ def _lower_bounds(grid, xs, ys):
     return lower, targets
 
 
+_DIRECTION_CACHE = {}
+
+
+def _directions(m):
+    """(xi, yi): the source and target index of both directions of every
+    pair of m angles, i -> j for every i < j and then j -> i."""
+    if m not in _DIRECTION_CACHE:
+        i, j = np.triu_indices(m, 1)
+        _DIRECTION_CACHE[m] = (np.concatenate((i, j)), np.concatenate((j, i)))
+    return _DIRECTION_CACHE[m]
+
+
 def _decide_independent(arr, bound, tol):
     """Whether every pair of the angles arr is independent: no residual
     below 10*tol in either direction of any pair, which is exactly when
     check_independence calls every pair "independent".
 
-    One pass bounds both directions of every pair with _lower_bounds, in
-    blocks of _BLOCK_TARGETS targets.  The table holds the same float
-    products that _grid_residuals forms, so no row's bound exceeds its grid
-    residual: a row whose bound reaches 10*tol needs no grid.  The targets
-    of the other rows go through _grid_residuals, and the first block where
-    one leaves a residual below 10*tol decides False.  Only a target that
+    Each target y - b*x, one per direction and distinct b, is bounded once
+    with _lower_bounds.  The table holds the same float products that
+    _grid_residuals forms, so no target's bound exceeds its grid residual:
+    a target whose bound reaches 10*tol needs no grid.  The other targets
+    go through _grid_residuals, and the first call that leaves a residual
+    below 10*tol decides False.  The decision asks only whether any target
+    has one, so the order of the targets cannot change it; they are taken
+    simplest first.  One call bounds every direction on the simple rows,
+    where a dependent polygon's witness most often lies (an equal or
+    supplementary angle, a rational multiple of pi), and then the other
+    rows go in blocks of _BLOCK_TARGETS targets.  Only a target that
     overflowed to inf or nan has a nan bound, and all its grid residuals
     are inf, so skipping it changes nothing.
     """
     grid = _grids(bound)
     edge = 10.0 * tol
-    i, j = np.triu_indices(arr.size, 1)
-    xs = np.concatenate((arr[i], arr[j]))
-    ys = np.concatenate((arr[j], arr[i]))
-    step = max(1, _BLOCK_TARGETS // grid.coeffs.size)
-    for start in range(0, xs.size, step):
-        block = slice(start, start + step)
-        lower, targets = _lower_bounds(grid, xs[block], ys[block])
+    xi, yi = _directions(arr.size)
+    xs = arr.take(xi)
+    ys = arr.take(yi)
+    passes = [(grid.simple, slice(None))]
+    if grid.rest.size:
+        step = max(1, _BLOCK_TARGETS // grid.rest.size)
+        passes += [(grid.rest, slice(k, k + step)) for k in range(0, xs.size, step)]
+    for coeffs, block in passes:
+        lower, targets = _lower_bounds(grid, coeffs, xs[block], ys[block])
         near = lower < edge
         if near.any() and (_grid_residuals(targets[near], bound)[1] < edge).any():
             return False
@@ -527,8 +560,12 @@ def check_independence(angles, bound=16, tol=1e-9):
     exists up to the given height bound.  A best residual inside [tol,
     10*tol) is reported as inconclusive since it flips with the tolerance.
 
-    The report's all_independent is decided here, in one bounds pass over
-    both directions of every pair (_decide_independent).  Its pairs are
+    The report's all_independent is decided here, by bounding both
+    directions of every pair (_decide_independent): first on the simple
+    coefficients b, where a dependent polygon's witness most often lies,
+    then on the rest.  Each target is bounded once, and the decision only
+    asks whether some target is near, so the order moves no verdict.  Its
+    pairs are
     built on first read: each pair i < j runs the full residual grid of
     direction i -> j (_direction_witness), and that of j -> i only when
     i -> j has no witness, since only then does the report read it.  A

@@ -1,4 +1,4 @@
-"""The distance-table and report identity scripts still run.
+"""The distance-table, report and screen identity scripts still run.
 
 Each script compares two checkouts and so runs outside the suite; these
 tests build one of its records and check that `compare` finds no
@@ -49,4 +49,16 @@ def test_report_identity_script_runs(script, tmp_path, capsys):
     altered = json.loads(json.dumps(record))
     altered["scorecard"]["net.simple"] = "fail"
     assert _compare(module, [{"fat6/0/100000": record}, {"fat6/0/100000": altered}], tmp_path) == 1
+    assert "1 differences" in capsys.readouterr().out
+
+
+def test_screen_identity_script_compares(script, tmp_path, capsys):
+    module = script("screen_identity")
+    name, vals = next(module.angle_sets())
+    records = {f"{name}@{bound}": module._report(vals, bound) for bound in module.BOUNDS}
+    assert records["fat6/0@16"]["all_independent"] is True
+    assert _compare(module, [records] * 2, tmp_path) == 0
+    flipped = json.loads(json.dumps(records))
+    flipped["fat6/0@16"]["all_independent"] = False
+    assert _compare(module, [records, flipped], tmp_path) == 1
     assert "1 differences" in capsys.readouterr().out

@@ -2,7 +2,8 @@
 reports, and it does so without pulling in numpy.ma.  The report decides
 all_independent in one bounds pass of its own, with the full grid's
 verdict: a bucket index over the table of every p*(pi/q), which finds what
-np.searchsorted finds, bounds both directions of every pair, and only the
+np.searchsorted finds, bounds both directions of every pair, on the simple
+rows (b in 0, +-1/2, +-1, +-2) first and then on the rest, and only the
 rows whose bound is near go through the grid.  The pairs are built only
 when first read, one full grid per direction i -> j and one for j -> i
 where i -> j has no witness, so `zipfold verify` builds no pair.
@@ -100,32 +101,72 @@ def test_screen_matches_full_grid(family):
 
 @pytest.mark.parametrize("cap", (600, 30))
 def test_stacked_rows_keep_the_block_cap(monkeypatch, cap):
-    """The decision pass bounds its directions in blocks of at most
-    _BLOCK_TARGETS targets unless one direction alone has more (a direction
-    has 319 distinct coefficients at bound 16), stacks the near rows of a
-    block into one _grid_residuals call, and decides as the full grid does."""
+    """The decision pass first bounds every direction on the simple rows in
+    one call, then the other rows in blocks of at most _BLOCK_TARGETS
+    targets unless one direction alone has more (a direction has 312 other
+    rows at bound 16), stacks the near rows of a call into one
+    _grid_residuals call, and decides as the full grid does."""
     blocks = []
     lower_bounds = polygon._lower_bounds
     grid_residuals = polygon._grid_residuals
 
-    def bounds(grid, xs, ys):
-        blocks[-1].append(len(ys) * grid.coeffs.size)
-        return lower_bounds(grid, xs, ys)
+    def bounds(grid, coeffs, xs, ys):
+        blocks[-1].append((coeffs, len(ys)))
+        return lower_bounds(grid, coeffs, xs, ys)
 
     def residuals(target, bound):
-        assert len(target) <= blocks[-1][-1]
+        coeffs, directions = blocks[-1][-1]
+        assert len(target) <= directions * coeffs.size
         return grid_residuals(target, bound)
 
     monkeypatch.setattr(polygon, "_BLOCK_TARGETS", cap)
     monkeypatch.setattr(polygon, "_lower_bounds", bounds)
     monkeypatch.setattr(polygon, "_grid_residuals", residuals)
     for vals in _rational_sets() + _out_of_range_sets():
+        m = len(vals)
         for bound in (16, 5):
+            grid = polygon._grids(bound)
             blocks.append([])
             got = polygon.check_independence(vals, bound, TOL).all_independent
             assert got == reference_check_independence(vals, bound, TOL).all_independent
-            assert max(blocks[-1]) <= max(cap, polygon._grids(bound).coeffs.size)
-    assert max(len(b) for b in blocks) > 1
+            (first, directions), *later = blocks[-1]
+            assert first is grid.simple and directions == m * (m - 1)
+            for coeffs, directions in later:
+                assert coeffs is grid.rest
+                assert directions * coeffs.size <= max(cap, grid.rest.size)
+    assert max(len(b) for b in blocks) > 2
+
+
+SIMPLE_COEFFS = {0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0}
+
+
+@pytest.mark.parametrize("bound", (1, 2, 5, 16))
+def test_independent_screens_bound_each_target_once(monkeypatch, bound):
+    """On all-independent angle sets, every direction of every pair is
+    bounded exactly once for each distinct float b = r/s of height at most
+    the bound, the simple ones (0, +-1/2, +-1, +-2) in the first call.  At
+    bounds 1 and 2 every b is simple, and that call is the only one."""
+    calls = []
+    lower_bounds = polygon._lower_bounds
+
+    def bounds(grid, coeffs, xs, ys):
+        calls.append((coeffs.tolist(), xs.tolist(), ys.tolist()))
+        return lower_bounds(grid, coeffs, xs, ys)
+
+    monkeypatch.setattr(polygon, "_lower_bounds", bounds)
+    distinct = {r / s for r in range(-bound, bound + 1) for s in range(1, bound + 1)}
+    rng = np.random.default_rng(15 + bound)
+    for m in range(2, 11):
+        vals = rng.uniform(0.05, math.pi, m).tolist()
+        calls.clear()
+        assert polygon.check_independence(vals, bound, TOL).all_independent
+        bounded = collections.Counter(
+            (x, y, b) for coeffs, xs, ys in calls for x, y in zip(xs, ys) for b in coeffs
+        )
+        want = {(x, y, b) for x in vals for y in vals if x != y for b in distinct}
+        assert bounded.keys() == want and set(bounded.values()) == {1}
+        assert set(calls[0][0]) == distinct & SIMPLE_COEFFS
+        assert (len(calls) == 1) == (bound <= 2)
 
 
 def test_pairs_built_on_first_read(monkeypatch):
@@ -337,6 +378,38 @@ def test_decision_matches_full_grid_at_the_edge(vals):
         assert decided == all(p.status == "independent" for p in report.pairs.values())
 
 
+# b = r/s in lowest terms of height |r| + s = 3, the highest simple rows,
+# and of height 4, the lowest of the rest
+HEIGHT_3 = ((2, 1), (-2, 1), (1, 2), (-1, 2))
+HEIGHT_4 = ((3, 1), (-3, 1), (1, 3), (-1, 3))
+
+
+@st.composite
+def _cutoff_sets(draw):
+    """m angles, one planted at (p/q)*pi + b*x +- delta on another, with b of
+    height 3 or 4 and delta at 9.5, 10 or 10.5 tol."""
+    m = draw(st.integers(2, 6))
+    angle = st.floats(0.05, math.pi, allow_nan=False, allow_infinity=False)
+    vals = draw(st.lists(angle, min_size=m, max_size=m))
+    i, j = draw(st.permutations(range(m)))[:2]
+    p, q = draw(st.integers(-16, 16)), draw(st.integers(1, 16))
+    r, s = draw(st.sampled_from(HEIGHT_3 + HEIGHT_4))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    size = draw(st.sampled_from((9.5, 10.0, 10.5)))
+    vals[j] = p / q * math.pi + r / s * vals[i] + sign * size * TOL
+    return vals
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_cutoff_sets())
+def test_decision_matches_full_grid_across_the_simple_cutoff(vals):
+    """A relation planted just inside or just outside the simple rows, near
+    the 10*tol edge, is decided as the full grid decides it."""
+    for bound in (2, 3, 5, 16):
+        got = polygon.check_independence(vals, bound, TOL).all_independent
+        assert got == reference_check_independence(vals, bound, TOL).all_independent
+
+
 def test_decision_reads_no_pairs(monkeypatch):
     """all_independent is decided without building the pairs, and the
     seeded sets reach both verdicts."""
@@ -405,8 +478,9 @@ def screen_calls(monkeypatch):
 
 def test_verify_builds_no_pairs_on_dependent_files(tmp_path, screen_calls, capsys):
     """A hexagon with dependent angles fails hypothesis.independent on the
-    decision pass alone: its first block of bounds meets a near row whose
-    grid residual is below 10*tol, and no witness or pair is built."""
+    decision pass alone: its first call, on the simple rows, meets a near
+    row whose grid residual is below 10*tol, and no witness or pair is
+    built."""
     files = [DATA / "regular_hexagon.json"] + _screen_files(tmp_path, 7, ("rational", "straight"))
     assert len(files) == 9
     for path in files:
@@ -418,12 +492,13 @@ def test_verify_builds_no_pairs_on_dependent_files(tmp_path, screen_calls, capsy
 
 def test_verify_bounds_an_independent_hexagon_once(screen_calls, capsys):
     """hexagon_seed7.json passes hypothesis.independent on one _lower_bounds
-    call per block of both directions of its 15 pairs, every bound at least
-    10*tol, so no grid residual, witness or pair is computed."""
+    call over the simple rows of both directions of its 15 pairs and one per
+    block of them over the other rows, every bound at least 10*tol, so no
+    grid residual, witness or pair is computed."""
     assert main(["verify", "--input", str(DATA / "hexagon_seed7.json")]) == 0
     capsys.readouterr()
-    step = max(1, polygon._BLOCK_TARGETS // polygon._grids(16).coeffs.size)
-    assert screen_calls == {"_lower_bounds": -(-30 // step)}
+    step = max(1, polygon._BLOCK_TARGETS // polygon._grids(16).rest.size)
+    assert screen_calls == {"_lower_bounds": 1 + -(-30 // step)}
 
 
 def test_screen_identity_script_runs(monkeypatch):

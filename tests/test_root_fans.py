@@ -5,18 +5,31 @@ fan (the chord to each vertex, the clip of each edge) and the re-trace of
 each chord come out the same in every halving.  A distance table built
 through one shared `RootFans` must equal, `repr` for `repr`, the table an
 engine with its own fans builds, whichever halving fills the fans first.
+The search assumes a convex polygon, so fans refuse one that is not.
 """
 
+import itertools
 import os
 
 import pytest
 
-from zipfold import EquilateralPolygon, GeodesicError, glue_halving, load_polygon, sample_fat_ngon
+from zipfold import (
+    EquilateralPolygon,
+    GeodesicError,
+    glue_halving,
+    load_polygon,
+    sample_fat_ngon,
+    save_polygon,
+)
+from zipfold.cli import main
 from zipfold.geodesic import DevelopmentEngine, RootFans, _excursion_width, overhang_audit
 from zipfold.pipeline import verify_polygon
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CAPS = (1, 3, 100000)
+# the degenerate_hexagon fixture: a 1x2 rectangle whose vertices 1 and 4
+# are straight, so the chords 0-2 and 3-5 run through a cone point
+DEGENERATE = EquilateralPolygon(((0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)))
 
 
 def _notched(poly, v):
@@ -33,7 +46,7 @@ def _polygons():
     polys = [(f"fat6_{seed}", sample_fat_ngon(6, seed)) for seed in range(10)]
     polys += [(f"fat8_{seed}", sample_fat_ngon(8, seed)) for seed in range(3)]
     polys.append(("thin6_0", load_polygon(os.path.join(DATA, "thin_hexagon_seed0.json"))))
-    polys.append(("notched6_0", _notched(sample_fat_ngon(6, 0), 1)))
+    polys.append(("degenerate6", DEGENERATE))
     return [pytest.param(poly, id=name) for name, poly in polys]
 
 
@@ -70,17 +83,39 @@ def test_shared_fans_give_the_tables_of_fresh_engines(poly):
 
 
 def test_a_rejected_chord_is_cached_and_stays_rejected():
-    poly = _notched(sample_fat_ngon(6, 0), 1)
-    fans = RootFans(poly)
+    """Every chord re-traced through fans shared by all three halvings,
+    from every vertex to every other, is what an engine with its own fans
+    gives; the chords through a straight vertex are cached as rejected."""
+    fans = RootFans(DEGENERATE)
     for fold in range(3):
-        DevelopmentEngine(glue_halving(poly, fold), fans=fans).distance_table()
+        shared = DevelopmentEngine(glue_halving(DEGENERATE, fold), fans=fans)
+        for sv, tv in itertools.permutations(range(6), 2):
+            fresh = DevelopmentEngine(glue_halving(DEGENERATE, fold))
+            assert shared._root_chord(sv, tv) == fresh._root_chord(sv, tv)
     rejected = sorted(key for key, traced in fans.chords.items() if traced is None)
-    # the chords from 0 to 3 and from 2 to 5 pass through the notch at vertex 1
-    assert rejected == [(0, 3), (2, 5)]
-    for sv, tv in rejected:
-        for fold in range(3):
-            engine = DevelopmentEngine(glue_halving(poly, fold))
-            assert engine._root_chord(sv, tv) is None
+    assert rejected == [(0, 2), (2, 0), (3, 5), (5, 3)]
+    assert fans.chords[(1, 2)] == 1.0
+
+
+def test_fans_refuse_a_polygon_that_is_not_convex():
+    """The notched hexagon turns clockwise at vertex 1: a chord from vertex
+    0 to vertex 2 crosses no edge there, yet runs outside the polygon."""
+    poly = _notched(sample_fat_ngon(6, 0), 1)
+    with pytest.raises(GeodesicError, match="not convex at vertex 1"):
+        RootFans(poly)
+    for fold in range(3):
+        with pytest.raises(GeodesicError, match="not convex at vertex 1"):
+            DevelopmentEngine(glue_halving(poly, fold))
+
+
+@pytest.mark.parametrize("command", (["verify", "--force"], ["fold"]))
+def test_commands_refuse_a_polygon_that_is_not_convex(tmp_path, capsys, command):
+    path = str(tmp_path / "notched.json")
+    save_polygon(_notched(sample_fat_ngon(6, 0), 1), path)
+    assert main([command[0], "--input", path, *command[1:], "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: polygon is not convex at vertex 1; the geodesic search needs a convex one"
+    ]
 
 
 def test_verify_shares_one_fans_per_polygon(monkeypatch):
