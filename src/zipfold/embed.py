@@ -18,6 +18,8 @@ import numpy as np
 from .errors import MetricError
 
 PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
+# (u, v) in either order -> the TetraMetric field holding its distance
+_DISTANCE_FIELD = {(u, v): "d_" + name for name in PAIRS for u, v in (name, name[::-1])}
 
 # Squared height of c over line ab that may fall below zero and still
 # count as zero.
@@ -43,8 +45,7 @@ class TetraMetric:
                 raise MetricError(f"distance {name} must be positive, got {v!r}")
 
     def distance(self, u, v):
-        key = "".join(sorted((u, v)))
-        return getattr(self, f"d_{key}")
+        return getattr(self, _DISTANCE_FIELD[u, v])
 
     def as_dict(self):
         return {name: getattr(self, f"d_{name}") for name in PAIRS}

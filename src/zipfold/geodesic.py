@@ -30,10 +30,12 @@ Five facts keep the search small and exact:
   of what it has pushed.
 * Every search root is a vertex of the untransformed polygon, so the root
   copy, and with it the root's first pop, does not depend on the gluing:
-  the chord to each vertex, the clip of each edge against all directions
-  (the root fan) and the re-trace of each chord, which is rejected as soon
-  as it crosses an edge, whatever lies across it.  The halvings of one
-  polygon share these through one `RootFans`.
+  the chord to each vertex, the line distance and clip of each edge
+  against all directions (the root fan) and the re-trace of each chord,
+  which is rejected as soon as it crosses an edge, whatever lies across
+  it.  The halvings of one polygon share these through one `RootFans`,
+  which re-traces a chord once for both its directions and clips an edge
+  only once some root pop's reach covers its line.
 
 The order in which a search pops developments does not depend on its
 target, so one development from a source cone point serves many queries
@@ -98,7 +100,8 @@ _PARALLEL = 1e-15
 _SLIVER = 1e-14
 _CONE_SLACK = 1e-9
 # An edge is clipped only when it may come within the search's reach: its
-# line and the edge itself lie within reach + _REACH_MARGIN of the source.
+# line, and below the root the edge itself, lie within reach + _REACH_MARGIN
+# of the source.
 # The margin covers the clip's rounding, so every edge the prefilter skips
 # is one whose clip would be dropped.
 _REACH_MARGIN = 1e-9
@@ -236,12 +239,15 @@ class RootFans:
     that share it as their roots first need them:
 
     * `by_vertex[sv]`, the fan of vertex sv: the chord length from sv to
-      every vertex, and the clip (edge, cone, distance) of every edge not
-      incident to sv that is not a sliver, in edge order;
-    * `chords[(sv, tv)]`: the re-traced length of the chord from sv to
-      tv, as `DevelopmentEngine._finalize` returns it.  A chord that
-      crosses an edge is rejected before anything across that edge is
-      looked at.
+      every vertex; the line distance from sv of every edge without an
+      endpoint at sv, in edge order; and the clip (edge, cone, distance)
+      of each of those edges, None for a sliver, made when a root pop's
+      reach first covers the edge's line;
+    * `chords[(u, v)]`, u < v: the re-traced length of the chord between
+      vertices u and v, as `DevelopmentEngine._finalize` returns it from
+      u, and as it returns it from v too: the length is |v - u| either
+      way, and so is the re-trace's verdict.  A chord that crosses an edge
+      is rejected before anything across that edge is looked at.
 
     The re-trace reads the clearance, so fans serve only engines of the
     same polygon and clearance.  The search assumes a convex polygon, in
@@ -505,31 +511,52 @@ class DevelopmentEngine:
     # -- the root fan ---------------------------------------------------------
 
     def _root_fan(self, sv):
-        """Vertex sv's fan (see RootFans), built on first use."""
+        """Vertex sv's fan (see RootFans), built on first use: (chord
+        lengths, (edge, line distance) pairs, clips by edge)."""
         fan = self.fans.by_vertex.get(sv)
         if fan is None:
             n = self.n
             s = self.points[sv]
-            pts = self.fans.root_copy
-            clips = []
-            for j in range(n):
-                a, b = pts[j], pts[(j + 1) % n]
-                if abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
-                    continue
-                clip = self._clip_edge(s, a, b, None)
-                if clip is not None:
-                    clips.append((j, *clip))
-            fan = self.fans.by_vertex[sv] = ([abs(p - s) for p in pts], tuple(clips))
+            offs = [p - s for p in self.fans.root_copy]
+            lengths = list(map(abs, offs))
+            far = tuple(
+                (j, abs(cross2(offs[j], offs[(j + 1) % n])) / self.edge_lengths[j])
+                for j in range(n)
+                if lengths[j] >= _AT_SOURCE and lengths[(j + 1) % n] >= _AT_SOURCE
+            )
+            fan = self.fans.by_vertex[sv] = (lengths, far, {})
         return fan
 
+    def _root_clips(self, sv, reach):
+        """The clips (edge, cone, distance) of vertex sv's fan edges whose
+        line lies within reach + _REACH_MARGIN of sv, in edge order.
+
+        A clip's distance is at least its edge's line distance, so the
+        clips left out are ones the root pop would drop.  Each edge is
+        clipped the first time a root pop reaches its line.
+        """
+        _, far, clips = self._root_fan(sv)
+        limit = reach + _REACH_MARGIN
+        kept = []
+        for j, line in far:
+            if line > limit:
+                continue
+            if j not in clips:
+                pts = self.fans.root_copy
+                clip = self._clip_edge(self.points[sv], pts[j], pts[(j + 1) % self.n], None)
+                clips[j] = None if clip is None else (j, *clip)
+            if clips[j] is not None:
+                kept.append(clips[j])
+        return kept
+
     def _root_chord(self, sv, tv):
-        """The re-trace of the chord from vertex sv to vertex tv, made once
-        per RootFans."""
-        key = (sv, tv)
+        """The re-trace of the chord between vertices sv and tv, made once
+        per RootFans from the lower vertex."""
+        u, v = (sv, tv) if sv < tv else (tv, sv)
         chords = self.fans.chords
-        if key not in chords:
-            chords[key] = self._finalize(sv, tv, _ROOT, self.fans.root_copy[tv])
-        return chords[key]
+        if (u, v) not in chords:
+            chords[u, v] = self._finalize(u, v, _ROOT, self.fans.root_copy[v])
+        return chords[u, v]
 
     # -- search ---------------------------------------------------------------
 
@@ -571,9 +598,8 @@ class DevelopmentEngine:
         the pop where its own search would have stopped, having seen the
         same pops before it.
 
-        The first pop reads the root fan.  It pushes the fan's edges within
-        reach, which are the edges the prefilter and the clip would have
-        kept, in the same order.
+        The first pop reads the root fan.  It pushes the clips of the fan's
+        edges within reach, in edge order, as every other pop does.
         """
         s = self.points[sv]
         for st in states:
@@ -602,7 +628,7 @@ class DevelopmentEngine:
             pops += 1
             finalized = {}  # target vertex -> re-traced path (None: rejected)
             if node is _ROOT:
-                lengths, clips = self._root_fan(sv)
+                lengths = self._root_fan(sv)[0]
                 for st in live:
                     for tv in st.targets:
                         if lengths[tv] > st.budget + _BOUND_SLACK:
@@ -612,9 +638,11 @@ class DevelopmentEngine:
                                 source_cone, st.target_cone, sv, tv, (), self._root_chord(sv, tv)
                             )
                         _take(st, finalized[tv])
+                clips = self._root_clips(sv, reach)
             else:
                 pts = self._develop(node.transform)
                 offs = [p - s for p in pts]
+                dists = list(map(abs, offs))
                 # the entry edge's endpoints lie on the parent copy's boundary:
                 # a segment ending there stops on the entry edge, one crossing
                 # short
@@ -624,7 +652,7 @@ class DevelopmentEngine:
                     for tv in st.targets:
                         if tv in on_entry:
                             continue
-                        d = abs(offs[tv])
+                        d = dists[tv]
                         if d > st.budget + _BOUND_SLACK or d + _BOUND_SLACK < lb:
                             continue
                         if d > _AT_SOURCE and not self._cone_contains(node.cone, offs[tv]):
@@ -636,7 +664,7 @@ class DevelopmentEngine:
                             )
                         _take(st, finalized[tv])
                 clips = []
-                for j in self._edges_in_reach(s, pts, offs, node, reach):
+                for j in self._edges_in_reach(offs, dists, node, reach):
                     clip = self._clip_edge(s, pts[j], pts[(j + 1) % self.n], node.cone)
                     if clip is not None:
                         clips.append((j, *clip))
@@ -654,12 +682,12 @@ class DevelopmentEngine:
             st.developments += pops
         return pops
 
-    def _edges_in_reach(self, s, pts, offs, node, reach):
+    def _edges_in_reach(self, offs, dists, node, reach):
         """The edges of a popped copy worth clipping against its cone.
 
-        `pts` is the copy's developed vertices and `offs` their offsets
-        from the source s.  The entry edge and edges with an endpoint at
-        the source are left out, and so is every edge whose line, or the
+        `offs` is the copy's developed vertices less the source s, and
+        `dists` their lengths.  The entry edge and edges with an endpoint
+        at the source are left out, and so is every edge whose line, or the
         edge itself, lies farther than reach + _REACH_MARGIN from s.  The
         clip keeps part of the edge, so its distance is at least both of
         these; the node's bound is at most reach at every pop that expands,
@@ -678,10 +706,14 @@ class DevelopmentEngine:
             # |cross2(a - s, b - s)| / |b - a| is the distance to the line
             if abs(wa.real * wb.imag - wa.imag * wb.real) > limit * lengths[j]:
                 continue
-            if abs(wa) < _AT_SOURCE or abs(wb) < _AT_SOURCE:
+            if dists[j] < _AT_SOURCE or dists[k] < _AT_SOURCE:
                 continue
-            if point_segment_distance(s, pts[j], pts[k]) > limit:
-                continue
+            # beyond both endpoints, the edge is within reach only where the
+            # foot of the perpendicular from s falls inside it, on the line
+            if dists[j] > limit and dists[k] > limit:
+                ab = wb - wa
+                if dot2(wa, ab) >= 0.0 or dot2(wb, ab) <= 0.0:
+                    continue
             kept.append(j)
         return kept
 

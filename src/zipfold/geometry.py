@@ -92,36 +92,37 @@ def triangle_area(a, b, c):
     return 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
 
 
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _on_segment(a, b, c, eps):
+    return (
+        min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
+        and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
+    )
+
+
 def segments_properly_intersect(p0, p1, q0, q1, eps=1e-12):
     """True when closed segments share a point that is not a shared endpoint.
 
     Collinear overlap counts as an intersection.  Inputs are (x, y) tuples.
     """
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    def on_segment(a, b, c):
-        return (
-            min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
-            and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
-        )
-
-    o1 = orient(p0, p1, q0)
-    o2 = orient(p0, p1, q1)
-    o3 = orient(q0, q1, p0)
-    o4 = orient(q0, q1, p1)
+    o1 = _orient(p0, p1, q0)
+    o2 = _orient(p0, p1, q1)
+    o3 = _orient(q0, q1, p0)
+    o4 = _orient(q0, q1, p1)
     if ((o1 > eps and o2 < -eps) or (o1 < -eps and o2 > eps)) and (
         (o3 > eps and o4 < -eps) or (o3 < -eps and o4 > eps)
     ):
         return True
-    if abs(o1) <= eps and on_segment(p0, p1, q0):
+    if abs(o1) <= eps and _on_segment(p0, p1, q0, eps):
         return True
-    if abs(o2) <= eps and on_segment(p0, p1, q1):
+    if abs(o2) <= eps and _on_segment(p0, p1, q1, eps):
         return True
-    if abs(o3) <= eps and on_segment(q0, q1, p0):
+    if abs(o3) <= eps and _on_segment(q0, q1, p0, eps):
         return True
-    if abs(o4) <= eps and on_segment(q0, q1, p1):
+    if abs(o4) <= eps and _on_segment(q0, q1, p1, eps):
         return True
     return False
 

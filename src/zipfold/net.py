@@ -8,6 +8,7 @@ reproducible coordinate-for-coordinate.  Flat tetrahedra unfold the same
 way: the layout consumes edge lengths only, never 3D rotations.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,8 +67,10 @@ def _side_of(p, u, v):
     return (v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
 
 
+@functools.lru_cache(maxsize=None)
 def _zipper_path(zipper):
-    """Order a 3-edge cut set into the Hamiltonian path it forms on abcd."""
+    """Order a 3-edge cut set into the Hamiltonian path it forms on abcd,
+    once per cut set."""
     edges = [tuple(sorted(e)) for e in zipper]
     if len(edges) != 3 or len(set(edges)) != 3:
         raise NetError("cut set must contain three distinct edges")

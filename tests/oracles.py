@@ -14,7 +14,8 @@ builds the production report types so the two reports compare by repr.
 
 So does the polygon sampler: the reference tries one attempt at a time,
 closing and validating every draw whose turns sum below 2*pi, where the
-production sampler screens a batch of attempts in one numpy pass first.
+production sampler screens a batch of attempts in numpy first.  The batch
+screen's one-pass formula over every row is kept here too.
 
 The geodesic search's direction cones have a reference too: the clip,
 containment and overhang excursion width kept as bearings (`atan2` angles
@@ -295,6 +296,24 @@ def reference_sample_attempts(
                     continue
             return attempt, (poly, rep, ind)
     raise SamplingBudgetError(max_attempts)
+
+
+def reference_closable_attempts(turns, cap, margin):
+    """The sampler's batch screen as one pass over every row: the turn sum,
+    the gap chord and both elbow branches' closing turns, widened by
+    margin (the sampler's _PREFILTER_MARGIN)."""
+    dirs = np.cumsum(turns, axis=1)
+    last = dirs[:, -1]
+    gap = -1.0 - np.exp(1j * dirs).sum(axis=1)
+    glen = np.abs(gap)
+    delta = np.arccos(np.minimum(1.0, glen / 2.0)) * np.array([[1.0], [-1.0]])
+    th4 = np.angle(gap) + delta
+    th5 = th4 - 2.0 * delta
+    closing = np.stack((th4 - last, th5 - th4, -th5)) + margin
+    closing = np.mod(closing, TWO_PI) - margin
+    winds_once = last + closing.sum(axis=0) < 3.0 * math.pi
+    branch_ok = ((closing < cap + margin).all(axis=0) & winds_once).any(axis=0)
+    return (last < TWO_PI + margin) & (glen <= 2.0 + margin) & branch_ok
 
 
 def reference_sample_ngon(n, seed, **kwargs):

@@ -8,12 +8,14 @@ distance table's shared searches pop fewer developments than the queries
 report together, since the queries leaving one cone point share their
 pops.
 
-The search clips only the edges its reach prefilter keeps, below the root.
-Every edge the prefilter skips, clipped in full, gives no cone or a
-distance beyond the reach, so the clip would have been dropped and no push
-is lost.  The root pop reads its vertex's root fan instead, which holds the
-clip of every edge; the halvings of one polygon share the fans, as the
-pipeline runs them.
+The search clips only the edges its reach prefilter keeps.  Below the
+root, the prefilter reads each edge's line and the edge itself; at the
+root, it reads the edge's line distance from the vertex's root fan, which
+holds the clip of each edge some root pop has reached so far.  Every edge
+either prefilter skips, clipped in full, gives no cone or a distance
+beyond the reach, so the clip would have been dropped and no push is
+lost.  The halvings of one polygon share the fans, as the pipeline runs
+them, and the fans re-trace each chord once for both its directions.
 
 The search keeps no record of what it has pushed: the clips of a copy's
 edges split its cone into disjoint pieces, so no search pushes one copy
@@ -34,7 +36,7 @@ from zipfold import (
     regular_ngon,
     sample_fat_ngon,
 )
-from zipfold.geodesic import _AT_SOURCE, DevelopmentEngine, Goal, RootFans
+from zipfold.geodesic import _AT_SOURCE, _REACH_MARGIN, DevelopmentEngine, Goal, RootFans
 from zipfold.pipeline import fold_halving
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -71,18 +73,20 @@ POPPED = {
 
 # (n, seed) -> _clip_edge calls per halving while the distance table is
 # built, on the POPPED seeds, with one RootFans per polygon shared by its
-# halvings in order: the first halving to start from a vertex clips that
-# vertex's root fan, and later halvings read it
+# halvings in order: a root pop clips the fan edges whose line its reach
+# covers and no earlier root pop has clipped, so a later hexagon halving,
+# whose longer non-zipper budgets reach farther, clips a few fan edges the
+# first one left alone
 CLIPPED = {
-    (6, 0): (52, 25, 31), (6, 1): (52, 28, 25), (6, 2): (57, 21, 22),
-    (6, 3): (47, 39, 21), (6, 4): (61, 24, 38), (6, 5): (56, 29, 33),
-    (6, 6): (43, 22, 22), (6, 7): (46, 23, 30), (6, 8): (44, 22, 25),
-    (6, 9): (54, 26, 27), (6, 10): (57, 30, 37), (6, 11): (46, 25, 19),
-    (6, 12): (44, 18, 37), (6, 13): (64, 25, 25), (6, 14): (42, 27, 28),
-    (6, 15): (46, 28, 19), (6, 16): (49, 24, 30), (6, 17): (44, 31, 21),
-    (6, 18): (44, 23, 26), (6, 19): (48, 27, 27),
-    (8, 0): (62, 22, 16, 21), (8, 1): (63, 14, 16, 15), (8, 2): (62, 20, 14, 15),
-    (8, 3): (66, 11, 12, 19), (8, 4): (62, 14, 12, 13),
+    (6, 0): (43, 28, 35), (6, 1): (45, 31, 27), (6, 2): (48, 25, 25),
+    (6, 3): (39, 43, 23), (6, 4): (53, 28, 42), (6, 5): (48, 32, 36),
+    (6, 6): (35, 26, 26), (6, 7): (37, 27, 33), (6, 8): (35, 25, 28),
+    (6, 9): (46, 29, 30), (6, 10): (50, 34, 40), (6, 11): (37, 28, 22),
+    (6, 12): (35, 21, 41), (6, 13): (56, 27, 29), (6, 14): (34, 30, 31),
+    (6, 15): (37, 32, 22), (6, 16): (40, 27, 34), (6, 17): (35, 34, 24),
+    (6, 18): (35, 26, 29), (6, 19): (40, 30, 30),
+    (8, 0): (31, 22, 16, 21), (8, 1): (32, 14, 16, 15), (8, 2): (32, 20, 14, 15),
+    (8, 3): (35, 11, 12, 19), (8, 4): (32, 14, 12, 13),
 }
 
 
@@ -155,7 +159,8 @@ def test_clip_calls_pinned(monkeypatch):
 
 @pytest.fixture()
 def prefilter_spy(monkeypatch):
-    """Clip in full every edge the reach prefilter skips.
+    """Clip in full every edge the reach prefilter skips, below the root and
+    at it.
 
     A skipped clip must give no cone or a distance beyond the reach.  The
     popped bound is at most the reach at every pop that expands, so that is
@@ -163,16 +168,28 @@ def prefilter_spy(monkeypatch):
     """
     seen = collections.Counter()
     unsound = []
+    source = []
+    search_root = DevelopmentEngine._search_root
     edges_in_reach = DevelopmentEngine._edges_in_reach
+    root_clips = DevelopmentEngine._root_clips
 
-    def checked(self, s, pts, offs, node, reach):
-        kept = edges_in_reach(self, s, pts, offs, node, reach)
+    def root(self, source_cone, sv, *args):
+        source[:] = [self.points[sv]]
+        return search_root(self, source_cone, sv, *args)
+
+    def checked(self, offs, dists, node, reach):
+        kept = edges_in_reach(self, offs, dists, node, reach)
+        s = source[0]
+        pts = self._develop(node.transform)
+        assert offs == [p - s for p in pts]
         for j in range(self.n):
             a, b = pts[j], pts[(j + 1) % self.n]
             if j == node.entry_edge or abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
                 assert j not in kept
                 continue
             if j in kept:
+                # kept for a point inside the edge, its endpoints out of reach
+                seen["kept_inside"] += min(abs(a - s), abs(b - s)) > reach + _REACH_MARGIN
                 continue
             clip = self._clip_edge(s, a, b, node.cone)
             if clip is not None:
@@ -182,7 +199,27 @@ def prefilter_spy(monkeypatch):
         seen["kept"] += len(kept)
         return kept
 
+    def root_checked(self, sv, reach):
+        kept = root_clips(self, sv, reach)
+        s = self.points[sv]
+        pts = self.fans.root_copy
+        pushed = [j for j, _, _ in kept]
+        assert pushed == sorted(pushed)
+        for j in range(self.n):
+            a, b = pts[j], pts[(j + 1) % self.n]
+            if j in pushed or abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
+                continue
+            clip = self._clip_edge(s, a, b, None)
+            if clip is not None:
+                seen["root_skipped_cones"] += 1
+                if not clip[1] > reach:
+                    unsound.append((s, a, b, None, reach, clip))
+        seen["root_kept"] += len(kept)
+        return kept
+
+    monkeypatch.setattr(DevelopmentEngine, "_search_root", root)
     monkeypatch.setattr(DevelopmentEngine, "_edges_in_reach", checked)
+    monkeypatch.setattr(DevelopmentEngine, "_root_clips", root_checked)
     return seen, unsound
 
 
@@ -201,6 +238,7 @@ def test_prefilter_skips_only_dropped_clips(prefilter_spy, cap):
         DevelopmentEngine(g, **kwargs).distance_table()
     assert unsound == []
     assert seen["skipped_cones"] > 0 and seen["kept"] > 0
+    assert seen["root_skipped_cones"] > 0 and seen["root_kept"] > 0
 
 
 def test_prefilter_is_sound_at_exact_reach(prefilter_spy):
@@ -213,7 +251,7 @@ def test_prefilter_is_sound_at_exact_reach(prefilter_spy):
             if res.path is not None:
                 engine.search(i, [Goal(j, res.path.length, False)])
     assert unsound == []
-    assert seen["skipped_cones"] > 0
+    assert seen["skipped_cones"] > 0 and seen["root_skipped_cones"] > 0
 
 
 def test_prefilter_is_sound_on_long_edges(prefilter_spy):
@@ -225,7 +263,20 @@ def test_prefilter_is_sound_on_long_edges(prefilter_spy):
         for i in range(3):
             DevelopmentEngine(glue_halving(big, i)).distance_table()
     assert unsound == []
-    assert seen["skipped_cones"] > 0
+    assert seen["skipped_cones"] > 0 and seen["root_skipped_cones"] > 0
+
+
+def test_prefilter_is_sound_past_both_endpoints(prefilter_spy):
+    """Enumerations out to 2.5 reach edges whose nearest point to the
+    source lies inside them, both endpoints beyond the reach."""
+    seen, unsound = prefilter_spy
+    for seed in range(5):
+        for i in range(3):
+            engine = DevelopmentEngine(glue_halving(sample_fat_ngon(6, seed), i))
+            for a, b in itertools.permutations(range(4), 2):
+                engine.enumerate_geodesics(a, b, 2.5)
+    assert unsound == []
+    assert seen["kept_inside"] > 0 and seen["skipped_cones"] > 0
 
 
 @pytest.fixture()

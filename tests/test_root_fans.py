@@ -1,14 +1,19 @@
 """The halvings of one polygon share its root fans and lose nothing by it.
 
 Every search root is a vertex of the untransformed polygon, so the root
-fan (the chord to each vertex, the clip of each edge) and the re-trace of
-each chord come out the same in every halving.  A distance table built
-through one shared `RootFans` must equal, `repr` for `repr`, the table an
-engine with its own fans builds, whichever halving fills the fans first.
-The search assumes a convex polygon, so fans refuse one that is not.
+fan (the chord to each vertex, the line distance and clip of each edge)
+and the re-trace of each chord come out the same in every halving.  A
+distance table built through one shared `RootFans` must equal, `repr` for
+`repr`, the table an engine with its own fans builds, whichever halving
+fills the fans first.  The fans re-trace a chord once, from its lower
+vertex, for both directions, so the re-trace must give the same answer
+from either end.  The search assumes a convex polygon, so fans refuse one
+that is not.
 """
 
+import collections
 import itertools
+import math
 import os
 
 import pytest
@@ -18,11 +23,19 @@ from zipfold import (
     GeodesicError,
     glue_halving,
     load_polygon,
+    regular_ngon,
     sample_fat_ngon,
     save_polygon,
+    solve_closure,
 )
 from zipfold.cli import main
-from zipfold.geodesic import DevelopmentEngine, RootFans, _excursion_width, overhang_audit
+from zipfold.geodesic import (
+    _ROOT,
+    DevelopmentEngine,
+    RootFans,
+    _excursion_width,
+    overhang_audit,
+)
 from zipfold.pipeline import verify_polygon
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -93,8 +106,33 @@ def test_a_rejected_chord_is_cached_and_stays_rejected():
             fresh = DevelopmentEngine(glue_halving(DEGENERATE, fold))
             assert shared._root_chord(sv, tv) == fresh._root_chord(sv, tv)
     rejected = sorted(key for key, traced in fans.chords.items() if traced is None)
-    assert rejected == [(0, 2), (2, 0), (3, 5), (5, 3)]
+    assert rejected == [(0, 2), (3, 5)]
     assert fans.chords[(1, 2)] == 1.0
+
+
+def _nearly_straight_hexagon():
+    """The degenerate hexagon with vertices 1 and 4 bent 5e-10 off straight."""
+    res = solve_closure([0.0, 5e-10, math.pi / 2, math.pi])
+    assert res.ok
+    return res.polygons[0]
+
+
+def test_a_chord_re_traces_alike_from_either_end(fat_pool_small):
+    """The fans keep one re-trace per vertex pair, made from the lower
+    vertex: from the other end it must be rejected alike, or give the same
+    float."""
+    polys = [DEGENERATE, _nearly_straight_hexagon(), *map(regular_ngon, (6, 8, 10))]
+    rejected = collections.Counter()
+    for poly in polys + fat_pool_small:
+        engine = DevelopmentEngine(glue_halving(poly, 0))
+        ends = engine.fans.root_copy
+        for sv, tv in itertools.permutations(range(poly.n), 2):
+            there = engine._finalize(sv, tv, _ROOT, ends[tv])
+            back = engine._finalize(tv, sv, _ROOT, ends[sv])
+            assert there == back, (poly, sv, tv)
+            rejected[there is None] += 1
+    # the degenerate hexagon's chords through a straight vertex, both ways
+    assert rejected[True] >= 4 and rejected[False] > 0
 
 
 def test_fans_refuse_a_polygon_that_is_not_convex():

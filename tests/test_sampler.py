@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reference_sample_attempts, reference_sample_ngon
+from oracles import reference_closable_attempts, reference_sample_attempts, reference_sample_ngon
 from zipfold import polygon
 from zipfold.errors import SamplingBudgetError
 from zipfold.polygon import TWO_PI, _attempt_batch, _sample_ngon
@@ -81,7 +81,7 @@ def test_batched_draws_equal_the_per_attempt_stream(n):
 
 
 def test_screen_keeps_every_attempt_the_scalar_checks_accept():
-    for n, fat in ((6, True), (6, False), (8, True), (8, False)):
+    for n, fat in ((6, True), (6, False), (8, True), (8, False), (10, True), (10, False)):
         cap = TWO_PI / 3.0 if fat else math.pi
         turns = np.random.default_rng(n).uniform(1e-3, cap - 1e-3, size=(1500, n - 3))
         kept = polygon._closable_attempts(turns, cap)
@@ -92,6 +92,23 @@ def test_screen_keeps_every_attempt_the_scalar_checks_accept():
             for poly in polygon.solve_closure(dirs).polygons:
                 rep = polygon.validate(poly)
                 assert not (rep.strictly_convex and rep.angle_sum_ok and (rep.fat_ok or not fat))
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+@pytest.mark.parametrize("fat", [True, False], ids=["fat", "thin"])
+def test_screen_mask_equals_the_one_pass_formula(n, fat):
+    """Dropping rows on the turn sum before the closure pass keeps the mask
+    of the one pass over every row."""
+    cap = TWO_PI / 3.0 if fat else math.pi
+    size = (_attempt_batch(n), n - 3)
+    for seed in range(6):
+        turns = np.random.default_rng(seed).uniform(1e-3, cap - 1e-3, size=size)
+        want = reference_closable_attempts(turns, cap, polygon._PREFILTER_MARGIN)
+        assert np.array_equal(polygon._closable_attempts(turns, cap), want)
+    # a block the turn sum empties, and an empty block
+    for turns in (np.full((4, n - 3), TWO_PI / (n - 4)), np.empty((0, n - 3))):
+        assert not polygon._closable_attempts(turns, cap).any()
+        assert len(polygon._closable_attempts(turns, cap)) == len(turns)
 
 
 @pytest.fixture()
