@@ -278,7 +278,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, MalformedPolygonError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, MalformedPolygonError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ZipfoldError as exc:

@@ -252,7 +252,8 @@ class RootFans:
     The re-trace reads the clearance, so fans serve only engines of the
     same polygon and clearance.  The search assumes a convex polygon, in
     which a chord that crosses no edge stays inside, so a polygon that
-    turns clockwise anywhere by more than tol_convex raises GeodesicError;
+    turns clockwise anywhere by more than tol_convex raises GeodesicError,
+    and so does one with an edge of squared length below DEGENERATE_SQ;
     a straight vertex is allowed.
     """
 
@@ -263,7 +264,13 @@ class RootFans:
         n = len(self.points)
         for k in range(n):
             a, b = self.points[k - 1], self.points[k]
-            if cross2(b - a, self.points[(k + 1) % n] - a) < -DEFAULT_TOLERANCES.tol_convex:
+            ab = b - a
+            if dot2(ab, ab) < DEGENERATE_SQ:
+                raise GeodesicError(
+                    f"polygon edge {(k - 1) % n} is degenerate; the geodesic search needs "
+                    "distinct consecutive vertices"
+                )
+            if cross2(ab, self.points[(k + 1) % n] - a) < -DEFAULT_TOLERANCES.tol_convex:
                 raise GeodesicError(
                     f"polygon is not convex at vertex {k}; the geodesic search needs a convex one"
                 )

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, MalformedPolygonError, SamplingBudgetError, ZipfoldError
+from .geometry import polygon_signed_area
 
 TWO_PI = 2.0 * math.pi
 
@@ -647,12 +648,7 @@ def _closure_reject_reason(verts):
         for j in range(i + 1, m):
             if math.hypot(verts[i][0] - verts[j][0], verts[i][1] - verts[j][1]) < _COINCIDENT_CUTOFF:
                 return "degenerate: coincident vertices"
-    area = 0.0
-    for i in range(m):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % m]
-        area += x0 * y1 - x1 * y0
-    if area <= 0:
+    if polygon_signed_area(verts) <= 0:
         return "not counterclockwise"
     for i in range(m):
         ax, ay = verts[i]

@@ -383,3 +383,14 @@ def test_bad_number_in_polygon_file_is_an_input_error(command, case, tmp_path, c
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "fold", "verify", "sweep"])
+def test_a_directory_as_input_or_a_file_as_out_dir_is_an_input_error(command, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    where = ["--count", "1", "--out-dir", str(blocker)] if command == "sweep" else ["--input", str(tmp_path)]
+    assert main([command, *where]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1

@@ -499,23 +499,3 @@ def test_verify_bounds_an_independent_hexagon_once(screen_calls, capsys):
     capsys.readouterr()
     step = max(1, polygon._BLOCK_TARGETS // polygon._grids(16).rest.size)
     assert screen_calls == {"_lower_bounds": 1 + -(-30 // step)}
-
-
-def test_screen_identity_script_runs(monkeypatch):
-    """tests/screen_identity.py enumerates its whole angle-set collection,
-    and records a report for the first set of each section of it."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds src/ and perfbench/
-    script = importlib.import_module("screen_identity")
-    sections = {}
-    count = 0
-    for name, vals in script.angle_sets():
-        count += 1
-        sections.setdefault(name.split("/")[0], vals)
-    assert count == 2942
-    assert sorted(sections) == [
-        "extreme", "fat10", "fat6", "fat8", "hex-verify", "planted", "screen1", "screen7", "thin8",
-    ]
-    for vals in sections.values():
-        record = script._report(vals, 16)
-        assert record["report"].startswith(("IndependenceReport(bound=16, ", "ValueError: "))
-    assert script._report(sections["extreme"], 16) == {"report": "ValueError: angles must be finite"}

@@ -1,8 +1,9 @@
-"""The names the package exports.
+"""The names the package exports, and the README's example of them.
 
 Pinned so that adding or removing a public name is a deliberate edit here.
 """
 
+import os
 import types
 
 import zipfold
@@ -31,3 +32,12 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
+
+
+def test_the_readme_library_example_runs():
+    """The fenced `python` block under "## Library example" in README.md."""
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")) as fh:
+        section = fh.read().split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "congruent_to_polygon" in code
+    exec(compile(code, "README.md", "exec"), {})

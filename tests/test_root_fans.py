@@ -7,8 +7,8 @@ distance table built through one shared `RootFans` must equal, `repr` for
 `repr`, the table an engine with its own fans builds, whichever halving
 fills the fans first.  The fans re-trace a chord once, from its lower
 vertex, for both directions, so the re-trace must give the same answer
-from either end.  The search assumes a convex polygon, so fans refuse one
-that is not.
+from either end.  The search assumes a convex polygon with distinct
+consecutive vertices, so fans refuse one that is not.
 """
 
 import collections
@@ -144,6 +144,16 @@ def test_fans_refuse_a_polygon_that_is_not_convex():
     for fold in range(3):
         with pytest.raises(GeodesicError, match="not convex at vertex 1"):
             DevelopmentEngine(glue_halving(poly, fold))
+
+
+def test_fans_refuse_a_polygon_with_a_degenerate_edge():
+    """Vertices 1 and 2, and 4 and 5, coincide: the engine would lay a copy
+    across an edge of length zero."""
+    poly = EquilateralPolygon(((0, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 1)))
+    with pytest.raises(GeodesicError, match="edge 1 is degenerate"):
+        RootFans(poly)
+    with pytest.raises(GeodesicError, match="edge 1 is degenerate"):
+        DevelopmentEngine(glue_halving(poly, 0))
 
 
 @pytest.mark.parametrize("command", (["verify", "--force"], ["fold"]))
