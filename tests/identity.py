@@ -13,7 +13,11 @@ There are three sections, each a record generator with its own diff rule.
   developments, and each enumeration.  A path is written as its source,
   target, source and target vertex, length and crossed edges.  As in the
   pipeline, the engines of one polygon share one `RootFans`, here across
-  its halvings and caps.  At caps 1, 15, 40 and 100000 every status, path,
+  its halvings and caps.  The `crossing` family leaves the chord path: every
+  ordered cone pair of every halving of fat hexagon seeds 0-9 and fat
+  octagon seeds 0-2 is enumerated out to 3.5 at the default cap (2,610
+  paths, 210 of them across two edges), and recorded as a table whose
+  entries are empty.  At caps 1, 15, 40 and 100000 every status, path,
   frontier and enumeration must be identical.  At caps 3 and 7 a status
   may move between `found` and `inconclusive` when the found length equals
   the other side's frontier within 1e-12 (two developments with tied
@@ -35,6 +39,11 @@ There are three sections, each a record generator with its own diff rule.
   record holds the `repr` of the angles, `all_independent` read before
   `pairs`, and the `repr` of the report and its pairs, or the error
   raised.  Every record must be identical.
+* `fold`: the stdout and exit code of `zipfold fold --fold-index all`, run
+  in this process on the `tables` polygons of families fat6, thin6 and
+  fat8 at caps 1, 2, 3 and 100000; the low caps reach the `error` entries.
+  For the hexagons at cap 100000 the record also holds the bytes of every
+  file `--emit-obj --emit-svg` writes.  Every record must be identical.
 
 `dump` writes every record as canonical JSON, floats as `repr`.  `compare`
 prints every difference between two dumps and exits 1 when there is one;
@@ -49,13 +58,17 @@ it, so a dump made from another checkout describes that checkout.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
 import platform
 import re
 import sys
+import tempfile
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,7 +78,7 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
 
 import inputs  # noqa: E402
-from zipfold import check_independence, glue_halving, sample_fat_ngon, validate  # noqa: E402
+from zipfold import check_independence, cli, glue_halving, sample_fat_ngon, save_polygon, validate  # noqa: E402
 from zipfold.errors import SamplingBudgetError  # noqa: E402
 from zipfold.geodesic import DevelopmentEngine, RootFans  # noqa: E402
 from zipfold.pipeline import SWEEP_COLUMNS, PipelineConfig, sweep_one, verify_polygon  # noqa: E402
@@ -134,6 +147,36 @@ def table_records(family):
             for cap in TABLE_CAPS:
                 table = DevelopmentEngine(gluing, dev_cap=cap, fans=fans).distance_table()
                 yield f"{family}/{seed}/{fold}/{cap}", _table_record(table)
+
+
+CROSSING = "crossing"
+CROSSING_BUDGET = 3.5
+CROSSING_POLYGONS = {6: range(10), 8: range(3)}
+
+
+def crossing_records():
+    """Every ordered cone pair of every halving enumerated out to
+    CROSSING_BUDGET, so that paths cross up to two edges."""
+    for n, seeds in CROSSING_POLYGONS.items():
+        for seed in seeds:
+            poly = sample_fat_ngon(n, seed)
+            fans = RootFans(poly)
+            for fold in range(n // 2):
+                gluing = glue_halving(poly, fold)
+                engine = DevelopmentEngine(gluing, fans=fans)
+                enumerations = {}
+                for i, j in itertools.permutations(range(len(gluing.cone_points)), 2):
+                    enum = engine.enumerate_geodesics(i, j, CROSSING_BUDGET)
+                    enumerations[f"{i},{j}"] = {
+                        "paths": [_path(p) for p in enum.paths],
+                        "complete": enum.complete,
+                        "developments": enum.developments,
+                    }
+                yield f"{CROSSING}/fat{n}/{seed}/{fold}/{engine.dev_cap}", {
+                    "entries": {},
+                    "enumerations": enumerations,
+                    "developments": sum(e["developments"] for e in enumerations.values()),
+                }
 
 
 def _tie(old, new):
@@ -299,9 +342,42 @@ def screen_records(family):
             yield f"{name}@{bound}", {"angles": repr(vals), **_report(vals, bound)}
 
 
-def screen_diff(key, a, b):
+def exact_diff(key, a, b):
     if a != b:
         yield "DIFF", f"{a} -> {b}"
+
+
+# -- fold --------------------------------------------------------------------
+
+FOLD_CAPS = (1, 2, 3, 100000)
+FOLD_FAMILIES = ("fat6", "thin6", "fat8")  # polygons as in TABLE_POLYGONS
+
+
+def _fold(args):
+    """(stdout, exit code) of `zipfold fold` run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["fold", "--fold-index", "all", *args])
+    return out.getvalue(), code
+
+
+def fold_records(family):
+    n, seeds, kwargs = TABLE_POLYGONS[family]
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            path = os.path.join(tmp, f"polygon{seed}.json")
+            save_polygon(sample_fat_ngon(n, seed, **kwargs), path)
+            for cap in FOLD_CAPS:
+                stdout, code = _fold(["--input", path, "--dev-cap", str(cap)])
+                record = {"stdout": stdout, "exit": code}
+                if n == 6 and cap == FOLD_CAPS[-1]:
+                    emitted = os.path.join(tmp, f"out{seed}")
+                    _fold(["--input", path, "--emit-obj", "--emit-svg", "--out-dir", emitted])
+                    record["files"] = {}
+                    for name in sorted(os.listdir(emitted)):
+                        with open(os.path.join(emitted, name), encoding="utf-8") as fh:
+                            record["files"][name] = fh.read()
+                yield f"{family}/{seed}/{cap}", record
 
 
 # -- the harness -------------------------------------------------------------
@@ -316,14 +392,17 @@ class Section(NamedTuple):
 
 SECTIONS = {
     "tables": Section(
-        tuple(TABLE_POLYGONS), table_records, table_diff,
+        (*TABLE_POLYGONS, CROSSING),
+        lambda family: crossing_records() if family == CROSSING else table_records(family),
+        table_diff,
         lambda records: f"pops {sum(t['developments'] for t in records.values())}",
     ),
     "reports": Section(
         tuple(REPORT_POLYGONS), report_records, report_diff,
         lambda records: f"sampler errors {sum('error' in r for r in records.values())}",
     ),
-    "screen": Section(SCREEN_FAMILIES, screen_records, screen_diff),
+    "screen": Section(SCREEN_FAMILIES, screen_records, exact_diff),
+    "fold": Section(FOLD_FAMILIES, fold_records, exact_diff),
 }
 
 

@@ -5,6 +5,7 @@ of each section is checked against its stored digests, and the shared
 compare and check paths run on small records.
 """
 
+import collections
 import importlib
 import json
 import sys
@@ -25,7 +26,9 @@ def _stored(identity):
 
 def test_one_family_of_each_section_matches_its_stored_digests(identity):
     stored = _stored(identity)["digests"]
-    for section, family, slices in (("tables", "fat10", 6), ("reports", "fat10", 9), ("screen", "extreme", 3)):
+    for section, family, slices in (
+        ("tables", "fat10", 6), ("reports", "fat10", 9), ("screen", "extreme", 3), ("fold", "fat6", 4),
+    ):
         running = identity.slice_digests(section, family)
         assert len(running) == slices
         assert running == {name: stored.get(name) for name in running}
@@ -34,12 +37,36 @@ def test_one_family_of_each_section_matches_its_stored_digests(identity):
 def test_the_stored_digests_name_every_slice(identity):
     expected = {
         f"{name}/{family}/{cap}"
-        for name, caps in (("tables", identity.TABLE_CAPS), ("reports", identity.REPORT_CAPS), ("screen", identity.BOUNDS))
+        for name, caps in (
+            ("tables", identity.TABLE_CAPS), ("reports", identity.REPORT_CAPS),
+            ("screen", identity.BOUNDS), ("fold", identity.FOLD_CAPS),
+        )
         for family in identity.SECTIONS[name].families
+        if family != identity.CROSSING
         for cap in caps
     }
+    expected.add(f"tables/{identity.CROSSING}/100000")
     assert set(_stored(identity)["digests"]) == expected
-    assert len(expected) == 105
+    assert len(expected) == 118
+
+
+def test_the_crossing_family_finds_every_two_crossing_path(identity):
+    """Every enumeration of the crossing family completes, each pair finds
+    as many paths, of the same lengths, in both directions, and the paths
+    cross 0, 1 and 2 edges in pinned numbers.  A path across two edges is
+    the first whose re-trace depends on the order in which it composes the
+    transitions."""
+    crossings = collections.Counter()
+    for _, record in identity.crossing_records():
+        enumerations = record["enumerations"]
+        for pair, enum in enumerations.items():
+            assert enum["complete"]
+            i, j = pair.split(",")
+            back = enumerations[f"{j},{i}"]["paths"]
+            lengths = sorted(float(p[4]) for p in enum["paths"])
+            assert lengths == pytest.approx(sorted(float(p[4]) for p in back), abs=1e-9)
+            crossings.update(len(p[5]) for p in enum["paths"])
+    assert dict(crossings) == {0: 1380, 1: 1020, 2: 210}
 
 
 def _compare(identity, tmp_path, section, old, new):
