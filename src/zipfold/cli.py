@@ -18,18 +18,15 @@ import time
 from . import gluing as gl
 from .embed import write_obj
 from .errors import ConfigError, MalformedPolygonError, SamplingBudgetError, ZipfoldError
-from .geodesic import RootFans
-from .net import cut_and_unfold
 from .pipeline import (
     FAIL,
     INCONC,
     PASS,
     PipelineConfig,
     SWEEP_COLUMNS,
+    audit_halvings,
     combine,
     congruent_pairs,
-    fold_halving,
-    halving_tetrahedron,
     summarize_records,
     sweep_one,
     verify_polygon,
@@ -162,38 +159,31 @@ def cmd_fold(args):
     report = {
         "n": n,
         "halvings": [],
-        "relation_diagnostics": [
-            d for d in gl.curvature_collision_relations(rep.angles)
-        ]
-        if n == 6
-        else [],
+        "relation_diagnostics": list(gl.curvature_collision_relations(rep.angles)) if n == 6 else [],
     }
     failures = 0
-    tets = {}
-    fans = RootFans(poly, cfg.tolerances.tol_clearance)
-    for i in indices:
-        g, curv, engine = fold_halving(poly, i, cfg, fans=fans)
-        entry = json.loads(gl.gluing_report_json(g, curv))
-        if n == 6:
-            try:
-                metric, tet = halving_tetrahedron(engine, rep.fat_ok, cfg.tolerances)
-                tets[i] = tet
-                entry["metric"] = metric.as_dict()
-                entry["flat"] = tet.flat
-                entry["volume2"] = tet.volume2
-                if args.emit_obj:
-                    path = _out_path(args, f"tetra_fold{i}.obj")
-                    write_obj(tet, path)
-                    entry["obj"] = path
-                if args.emit_svg:
-                    path = _out_path(args, f"net_fold{i}.svg")
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(svg_net(cut_and_unfold(tet)))
-                    entry["svg"] = path
-            except ZipfoldError as exc:
-                entry["error"] = str(exc)
-                failures += 1
+    audits = audit_halvings(poly, indices, cfg, fat=rep.fat_ok)
+    for audit in audits:
+        i = audit.fold_index
+        entry = json.loads(gl.gluing_report_json(audit.gluing, audit.curvature))
+        if audit.tetra is not None:
+            entry["metric"] = audit.metric.as_dict()
+            entry["flat"] = audit.tetra.flat
+            entry["volume2"] = audit.tetra.volume2
+            if args.emit_obj:
+                path = _out_path(args, f"tetra_fold{i}.obj")
+                write_obj(audit.tetra, path)
+                entry["obj"] = path
+            if args.emit_svg:
+                path = _out_path(args, f"net_fold{i}.svg")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(svg_net(audit.net))
+                entry["svg"] = path
+        elif audit.error is not None:
+            entry["error"] = audit.error
+            failures += 1
         report["halvings"].append(entry)
+    tets = {a.fold_index: a.tetra for a in audits if a.tetra is not None}
     if len(tets) > 1:
         report["congruent_pairs"] = [
             list(pair) for pair in congruent_pairs(tets, cfg.tolerances.tol_congruence)

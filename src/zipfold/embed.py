@@ -16,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
+from .polygon import DEFAULT_TOLERANCES
+
+# congruent_tetrahedra's default: edge lengths within this are equal
+EDGE_MATCH_TOL = 1e-9
 
 PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
 # (u, v) in either order -> the TetraMetric field holding its distance
@@ -53,7 +57,7 @@ class TetraMetric:
     def triples(self):
         return itertools.combinations("abcd", 3)
 
-    def check_triangle_inequalities(self, tol=1e-9):
+    def check_triangle_inequalities(self, tol=DEFAULT_TOLERANCES.tol_geodesic):
         for x, y, z in self.triples():
             dxy = self.distance(x, y)
             dxz = self.distance(x, z)
@@ -102,7 +106,7 @@ class Tetrahedron3D:
         return sum(self.face_areas().values())
 
 
-def cayley_menger_volume2(metric, tol_vol=1e-12):
+def cayley_menger_volume2(metric, tol_vol=DEFAULT_TOLERANCES.tol_vol):
     """Squared tetrahedron volume from the bordered squared-distance matrix.
 
     A value below -tol_vol certifies the metric unrealizable in 3-space;
@@ -127,7 +131,7 @@ def cayley_menger_volume2(metric, tol_vol=1e-12):
     return v2
 
 
-def embed(metric, tol_vol=1e-12, tol_embed=1e-8):
+def embed(metric, tol_vol=DEFAULT_TOLERANCES.tol_vol, tol_embed=DEFAULT_TOLERANCES.tol_embed):
     """Canonical 3D placement reproducing the metric to tol_embed.
 
     A squared apex height below -tol_embed (on a metric that is not flat)
@@ -206,7 +210,7 @@ _EDGE_IMAGES = tuple(
 )
 
 
-def congruent_tetrahedra(t1, t2, tol=1e-9):
+def congruent_tetrahedra(t1, t2, tol=EDGE_MATCH_TOL):
     """Edge-length congruence over all 24 labeled correspondences.
 
     Matching all six pairwise distances determines a 4-point set up to

@@ -567,7 +567,7 @@ class DevelopmentEngine:
 
     # -- search ---------------------------------------------------------------
 
-    def search(self, src_idx, goals, dev_cap=None):
+    def search(self, src_idx, goals):
         """One best-first development from a source cone serving many goals.
 
         Returns (results, developments): per goal a ShortestResult (for a
@@ -587,13 +587,12 @@ class DevelopmentEngine:
             states.append(_GoalState(goal, target_cone))
         if not states:
             return [], 0
-        cap = dev_cap if dev_cap is not None else self.dev_cap
         popped = 0
         for sv in source_cone.vertices:
-            popped += self._search_root(source_cone, sv, states, cap)
+            popped += self._search_root(source_cone, sv, states)
         return [st.result() for st in states], popped
 
-    def _search_root(self, source_cone, sv, states, dev_cap):
+    def _search_root(self, source_cone, sv, states):
         """Develop from vertex sv until every goal has retired; returns the pops.
 
         Pushes are pruned at the largest live budget.  One with a lower
@@ -609,6 +608,7 @@ class DevelopmentEngine:
         edges within reach, in edge order, as every other pop does.
         """
         s = self.points[sv]
+        dev_cap = self.dev_cap
         for st in states:
             st.best = math.inf
         live = list(states)
@@ -724,12 +724,12 @@ class DevelopmentEngine:
             kept.append(j)
         return kept
 
-    def shortest_geodesic(self, src_idx, dst_idx, budget, dev_cap=None):
-        results, _ = self.search(src_idx, [Goal(dst_idx, budget, True)], dev_cap)
+    def shortest_geodesic(self, src_idx, dst_idx, budget):
+        results, _ = self.search(src_idx, [Goal(dst_idx, budget, True)])
         return results[0]
 
-    def enumerate_geodesics(self, src_idx, dst_idx, budget, dev_cap=None):
-        results, _ = self.search(src_idx, [Goal(dst_idx, budget, False)], dev_cap)
+    def enumerate_geodesics(self, src_idx, dst_idx, budget):
+        results, _ = self.search(src_idx, [Goal(dst_idx, budget, False)])
         return results[0]
 
     def distance_table(self, tol=DEFAULT_TOLERANCES):
@@ -796,19 +796,21 @@ class DistanceTable:
     def result(self, i, j):
         return self.entries[(min(i, j), max(i, j))][0]
 
-    def disk(self, center_idx, radius=1.0, tol=DEFAULT_TOLERANCES.tol_geodesic):
+    def disk(self, center_idx, radius=1.0):
         """Is the open geodesic disk around a cone point free of other cone points?
 
-        A cone point at distance below radius - tol is a witness against
-        emptiness.  A pair without a witness is settled when its search
-        covered the whole radius: it finished within its budget, or it ran
-        out of developments at a frontier beyond the radius.  Any unsettled
-        pair without a witness makes the check inconclusive rather than a
-        verdict.  The table's budgets cover radii up to 1.
+        A cone point at distance below radius - tol_geodesic, of the table's
+        tolerances, is a witness against emptiness.  A pair without a
+        witness is settled when its search covered the whole radius: it
+        finished within its budget, or it ran out of developments at a
+        frontier beyond the radius.  Any unsettled pair without a witness
+        makes the check inconclusive rather than a verdict.  The table's
+        budgets cover radii up to 1.
         """
         if not 0.0 < radius <= 1.0:
             raise GeodesicError("disk radius must lie in (0, 1]")
         cps = self.gluing.cone_points
+        tol = self.tol.tol_geodesic
         witness = None
         unsettled = False
         for k, other in enumerate(cps):

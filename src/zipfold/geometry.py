@@ -15,6 +15,11 @@ import math
 
 # A segment whose squared length is below DEGENERATE_SQ counts as a point.
 DEGENERATE_SQ = 1e-30
+# The defaults of Rigid.almost_equal and segments_properly_intersect (an
+# orientation this near 0 is collinear).  This module imports nothing of the
+# package, so it cannot read them from Tolerances.
+RIGID_TOL = 1e-10
+ORIENT_EPS = 1e-12
 
 
 def cross2(a, b):
@@ -55,7 +60,7 @@ class Rigid:
         """self after other: (self . other)(z) = self(other(z))."""
         return Rigid(self.rot * other.rot, self.rot * other.trans + self.trans)
 
-    def almost_equal(self, other, tol=1e-10):
+    def almost_equal(self, other, tol=RIGID_TOL):
         return abs(self.rot - other.rot) <= tol and abs(self.trans - other.trans) <= tol
 
     def __repr__(self):
@@ -103,7 +108,7 @@ def _on_segment(a, b, c, eps):
     )
 
 
-def segments_properly_intersect(p0, p1, q0, q1, eps=1e-12):
+def segments_properly_intersect(p0, p1, q0, q1, eps=ORIENT_EPS):
     """True when closed segments share a point that is not a shared endpoint.
 
     Collinear overlap counts as an intersection.  Inputs are (x, y) tuples.

@@ -148,7 +148,7 @@ def glue_halving(poly, fold_index):
     return HalvingGluing(poly, fold_index, tuple(idents), tuple(cone_points))
 
 
-def cone_angles(gluing, tol=1e-8):
+def cone_angles(gluing, tol=DEFAULT_TOLERANCES.tol_curvature):
     """Curvature vector of a gluing, with the 4*pi total enforced.
 
     A residual beyond tolerance is an internal inconsistency (bad angles or
@@ -184,7 +184,7 @@ class DistinctnessMatrix:
         return self.verdicts[(min(i, j), max(i, j))]
 
 
-def distinct_check(vectors, tol=1e-8):
+def distinct_check(vectors, tol=DEFAULT_TOLERANCES.tol_curvature):
     """Pairwise curvature-multiset comparison of curvature vectors.
 
     A multiset mismatch beyond tolerance soundly certifies the underlying
@@ -206,7 +206,7 @@ def distinct_check(vectors, tol=1e-8):
     return DistinctnessMatrix(verdicts)
 
 
-def curvature_collision_relations(angles, tol=1e-9):
+def curvature_collision_relations(angles, tol=DEFAULT_TOLERANCES.tol_ang):
     """Advisory screen: angle relations that can make two halvings' curvature
     multisets collide.
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NetError
 from .geometry import best_rigid_alignment, segments_properly_intersect, triangle_area
+from .polygon import DEFAULT_TOLERANCES
 
 # A hinge shorter than this has coincident endpoints and fixes no line.
 HINGE_MIN_LENGTH = 1e-15
@@ -170,7 +171,7 @@ class Alignment:
     reversed_order: bool
 
 
-def congruent_to_polygon(net, poly, tol=1e-6):
+def congruent_to_polygon(net, poly, tol=DEFAULT_TOLERANCES.tol_congruence):
     """Best rigid alignment of the net boundary onto the polygon.
 
     Tries every cyclic shift, both traversal orders, and both reflections;

@@ -117,38 +117,15 @@ _CSV_KEYS = {
 @dataclass
 class HalvingAudit:
     fold_index: int
+    gluing: object = None  # HalvingGluing
     curvature: object = None  # CurvatureVector
     gauss_bonnet_residual: float = float("nan")
     zipper_lengths: tuple = ()
     statuses: dict = field(default_factory=dict)  # scorecard line -> status
     metric: object = None
     tetra: object = None
+    net: object = None  # PlanarNet of the tetrahedron
     error: str | None = None
-
-
-def fold_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fans=None):
-    """Glue one halving and give it its one geodesic engine.
-
-    Returns (gluing, curvature vector, engine).  The engine builds the
-    halving's distance table on first use, so every check that reads a
-    cone-point distance or a zipper enumeration shares one search per
-    source cone point.  `fans` are the polygon's RootFans, which the
-    engines of all its halvings share (None: the engine makes its own).
-    """
-    g = gl.glue_halving(poly, fold_index)
-    curv = gl.cone_angles(g, cfg.tolerances.tol_curvature)
-    engine = DevelopmentEngine(g, cfg.dev_cap, cfg.tolerances.tol_clearance, fans=fans)
-    return g, curv, engine
-
-
-def halving_tetrahedron(engine, fat, tol):
-    """(metric, tetrahedron) of a hexagon halving, from its distance table.
-
-    `fat` is the source's validation verdict, which makes the zipper
-    distances checked against 1 within `tol.tol_geodesic`.
-    """
-    metric = engine.distance_table(tol).tetra_metric(fat)
-    return metric, embed(metric, tol.tol_vol, tol.tol_embed)
 
 
 def matches_source(net, poly, apex, tol):
@@ -178,23 +155,27 @@ def matches_source(net, poly, apex, tol):
 def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
     """Full per-halving pipeline: gluing, curvatures, geodesics, 3D, net.
 
-    One engine and its distance table (one shared search per cone point,
-    answering a shortest query per unordered cone-point pair and the
-    zipper enumerations) supply the zipper lengths, the "nothing shorter"
-    check, the unit-disk verdicts and, for hexagons, the tetrahedron
-    metric.  For n > 6 there is no general
+    The halving gets one geodesic engine, whose distance table (one shared
+    search per cone point, answering a shortest query per unordered
+    cone-point pair and the zipper enumerations) supplies the zipper
+    lengths, the "nothing shorter" check, the unit-disk verdicts and, for
+    hexagons, the tetrahedron metric.  For n > 6 there is no general
     embedding step, so the audit stops after the intrinsic checks
     (curvatures, zipper distances, disk emptiness).  `fat` is the source's
     validation verdict, which only the tetrahedron reads, when the caller
     has it (None: a hexagon validates here), and `fans` the polygon's
-    RootFans (see fold_halving).  Returns (audit, gluing).
+    RootFans, which the engines of all its halvings share (None: the
+    engine makes its own).  The audit keeps the gluing and, for a hexagon
+    that embeds, the metric, the tetrahedron and its net, which `fold`
+    writes out.
     """
     tol = cfg.tolerances
-    audit = HalvingAudit(fold_index=fold_index)
-    g, curv, engine = fold_halving(poly, fold_index, cfg, fans=fans)
-    audit.curvature = curv
-    audit.gauss_bonnet_residual = curv.total - FOUR_PI
-    table = engine.distance_table(tol)
+    g = gl.glue_halving(poly, fold_index)
+    curv = gl.cone_angles(g, tol.tol_curvature)
+    audit = HalvingAudit(
+        fold_index, gluing=g, curvature=curv, gauss_bonnet_residual=curv.total - FOUR_PI
+    )
+    table = DevelopmentEngine(g, cfg.dev_cap, tol.tol_clearance, fans=fans).distance_table(tol)
 
     lengths = []
     statuses = []
@@ -210,42 +191,43 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
         lengths.append(res.path.length)
         statuses.append(_tri(abs(res.path.length - 1.0) <= tol.tol_geodesic))
     audit.zipper_lengths = tuple(lengths)
-    disks = combine(
-        _DISK_STATUS[table.disk(k, radius=1.0, tol=tol.tol_geodesic).status]
-        for k in range(len(g.cone_points))
-    )
+    disks = combine(_DISK_STATUS[table.disk(k).status] for k in range(len(g.cone_points)))
     audit.statuses = dict(zip(_SURFACE_LINES, (disks, combine(statuses), combine(empties))))
 
     if poly.n != 6:
-        return audit, g
+        return audit
 
     if fat is None:
         fat = validate(poly, tol).fat_ok
     try:
-        audit.metric, audit.tetra = halving_tetrahedron(engine, fat, tol)
+        metric = table.tetra_metric(fat)
+        audit.metric, audit.tetra = metric, embed(metric, tol.tol_vol, tol.tol_embed)
     except (GeodesicError, MetricError) as exc:
         audit.error = str(exc)
-        mark = (
-            INCONC
-            if getattr(exc, "status", None) == INCONCLUSIVE
-            else FAIL
-        )
+        mark = INCONC if getattr(exc, "status", None) == INCONCLUSIVE else FAIL
         audit.statuses.update(dict.fromkeys(_SOLID_LINES, mark))
-        return audit, g
+        return audit
 
     sums = vertex_angle_sums(audit.tetra)
     worst = max(
         abs((2.0 * math.pi - sums[label]) - curv.curvatures[k])
         for k, label in enumerate("abcd")
     )
-    net = netmod.cut_and_unfold(audit.tetra)
+    net = audit.net = netmod.cut_and_unfold(audit.tetra)
     apex = g.cone_points[0].vertices[0]
     audit.statuses.update(zip(_SOLID_LINES, (
         _tri(worst <= tol.tol_angle_sum),
         _tri(netmod.is_simple(net)),
         _tri(matches_source(net, poly, apex, tol.tol_congruence)),
     )))
-    return audit, g
+    return audit
+
+
+def audit_halvings(poly, fold_indices, cfg=DEFAULT_CONFIG, *, fat=None):
+    """The audits of the polygon's halvings `fold_indices`, in order; their
+    engines share one RootFans.  `fat` is as in audit_halving."""
+    fans = RootFans(poly, cfg.tolerances.tol_clearance)
+    return [audit_halving(poly, i, cfg, fat=fat, fans=fans) for i in fold_indices]
 
 
 def congruent_pairs(tets, tol):
@@ -319,10 +301,7 @@ def verify_polygon(poly, cfg=DEFAULT_CONFIG, force=False, *, report=None, indepe
         outcome.status = FAIL
         return outcome
 
-    fans = RootFans(poly, tol.tol_clearance)
-    audits = outcome.audits = [
-        audit_halving(poly, i, cfg, fat=report.fat_ok, fans=fans)[0] for i in range(poly.n // 2)
-    ]
+    audits = outcome.audits = audit_halvings(poly, range(poly.n // 2), cfg, fat=report.fat_ok)
     outcome.verdicts = {
         line: combine(a.statuses[line] for a in audits) for line in audits[0].statuses
     }

@@ -43,6 +43,9 @@ _SAMPLE_BATCH = 32  # attempts per block for hexagons
 _SAMPLE_BATCH_CAP = 1024
 _PREFILTER_MARGIN = 1e-5
 _TURN_MARGIN = 1e-3  # free turns are drawn from (margin, cap - margin)
+# the independence screen's residual tolerance, for check_independence and
+# the sampler alike
+INDEPENDENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def interior_angles(poly):
     return AngleProfile(tuple(angles), residual)
 
 
-def diagonal_lengths(poly, tol_len=1e-9):
+def diagonal_lengths(poly, tol_len=DEFAULT_TOLERANCES.tol_len):
     """Lengths of the n/2 opposite-vertex diagonals |v_i v_{i+n/2}|.
 
     Any diagonal below 1 - tol_len is flagged: for an equilateral convex
@@ -553,7 +556,7 @@ def _pair_dependences(arr, bound, tol):
     return pairs
 
 
-def check_independence(angles, bound=16, tol=1e-9):
+def check_independence(angles, bound=16, tol=INDEPENDENCE_TOL):
     """Screen all angle pairs for rational dependence y = a*pi + b*x.
 
     This is a bounded search, not a proof: a hit certifies dependence with
@@ -680,7 +683,7 @@ def _sample_ngon(
     max_attempts=10000,
     require_independent=True,
     independence_bound=16,
-    independence_tol=1e-9,
+    independence_tol=INDEPENDENCE_TOL,
     fat=True,
     cfg=DEFAULT_TOLERANCES,
 ):

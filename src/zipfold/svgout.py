@@ -7,20 +7,21 @@ convention via a group transform rather than by touching coordinates.
 """
 
 _PRECISION = 9
+_MARGIN = 0.35  # blank border around the drawing
 
 
 def _fmt(v):
     return f"{v:.{_PRECISION}f}"
 
 
-def _bounds(points, margin=0.35):
+def _bounds(points):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     return (
-        min(xs) - margin,
-        min(ys) - margin,
-        (max(xs) - min(xs)) + 2 * margin,
-        (max(ys) - min(ys)) + 2 * margin,
+        min(xs) - _MARGIN,
+        min(ys) - _MARGIN,
+        (max(xs) - min(xs)) + 2 * _MARGIN,
+        (max(ys) - min(ys)) + 2 * _MARGIN,
     )
 
 

@@ -1,4 +1,6 @@
+import ast
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 import pytest
 
 from zipfold import cli, pipeline, sample_fat_hexagon, save_polygon
+from zipfold import net as netmod
 from zipfold.cli import main
 from zipfold.polygon import DEFAULT_TOLERANCES
 
@@ -94,6 +97,29 @@ def test_fold_emits_svg(sampled_file, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "net_fold1.svg").exists()
+
+
+def test_fold_reads_each_net_from_its_audit(sampled_file, tmp_path, monkeypatch):
+    """A halving is unfolded once, in its audit; the CLI reaches the
+    geodesic and net modules only through the pipeline."""
+    calls = []
+    unfold = netmod.cut_and_unfold
+
+    def spy(tet):
+        calls.append(tet)
+        return unfold(tet)
+
+    monkeypatch.setattr(netmod, "cut_and_unfold", spy)
+    for index, count in (("1", 1), ("all", 3)):
+        calls.clear()
+        args = ["fold", "--input", sampled_file, "--fold-index", index, "--emit-svg", "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert len(calls) == count
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module.rsplit(".", 1)[-1]} if node.module else {a.name for a in node.names}
+    assert imported and not imported & {"geodesic", "net"}
 
 
 def test_verify_sampled_passes(sampled_file, capsys):

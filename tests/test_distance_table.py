@@ -37,7 +37,7 @@ def counts(monkeypatch):
     search = DevelopmentEngine.search
     asked = set()
 
-    def counted_search(self, src_idx, goals, dev_cap=None):
+    def counted_search(self, src_idx, goals):
         seen["searches"] += 1
         for goal in goals:
             if goal.stop_at_first:
@@ -46,7 +46,7 @@ def counts(monkeypatch):
                 seen["pairs"] = len(asked)
             else:
                 seen["enumerations"] += 1
-        return search(self, src_idx, goals, dev_cap)
+        return search(self, src_idx, goals)
 
     monkeypatch.setattr(DevelopmentEngine, "search", counted_search)
     screen = counted("screens", polygon.check_independence)
@@ -148,7 +148,7 @@ def test_small_cap_disk_verdicts_never_contradict(fat_pool_small, thin_hexagon):
     ]
     polys = fat_pool_small[:8] + [sample_fat_ngon(8, seed) for seed in range(3)] + thin
     truth = {
-        (k, i): audit_halving(poly, i)[0].statuses["disks.unit_radius_empty"]
+        (k, i): audit_halving(poly, i).statuses["disks.unit_radius_empty"]
         for k, poly in enumerate(polys)
         for i in range(poly.n // 2)
     }
@@ -157,7 +157,8 @@ def test_small_cap_disk_verdicts_never_contradict(fat_pool_small, thin_hexagon):
     for cap in range(1, 41):
         cfg = PipelineConfig(dev_cap=cap)
         for (k, i), expected in truth.items():
-            audit, g = audit_halving(polys[k], i, cfg)
+            audit = audit_halving(polys[k], i, cfg)
+            g = audit.gluing
             got = audit.statuses["disks.unit_radius_empty"]
             assert got == _disk_empty_status(g, cap)
             assert got in (expected, INCONC), (cap, k, i, got, expected)
@@ -195,17 +196,36 @@ def test_query_run_out_below_radius_leaves_disk_open(fat_pool_small):
 def test_custom_tolerances_reach_the_metric_check(fat_pool_small):
     # seed 0's first halving has a zipper distance 1.1e-16 short of 1
     poly = fat_pool_small[0]
-    audit, _ = audit_halving(poly, 0)
+    audit = audit_halving(poly, 0)
     assert audit.statuses["zipper.edges_length_1"] == PASS and audit.error is None
     strict = PipelineConfig(tolerances=Tolerances(tol_geodesic=1e-17))
-    audit, _ = audit_halving(poly, 0, strict)
+    audit = audit_halving(poly, 0, strict)
     assert audit.statuses["zipper.edges_length_1"] == FAIL
     assert "deviates from 1" in audit.error
     assert audit.statuses["net.matches_source"] == FAIL
     g = glue_halving(poly, 0)
     with pytest.raises(geodesic.GeodesicError, match="deviates from 1"):
         geodesic.tetra_metric(g, Tolerances(tol_geodesic=1e-17))
-    assert geodesic.tetra_metric(g).as_dict() == audit_halving(poly, 0)[0].metric.as_dict()
+    assert geodesic.tetra_metric(g).as_dict() == audit_halving(poly, 0).metric.as_dict()
+
+
+def test_disk_judges_at_the_tables_own_tolerance(thin_hexagon):
+    """A table built for a looser tol_geodesic reads it in every disk
+    verdict: the nearest intruder, just inside the radius, is no witness."""
+    checked = 0
+    for i in range(3):
+        g = glue_halving(thin_hexagon, i)
+        table = DevelopmentEngine(g).distance_table()
+        loose = DevelopmentEngine(g).distance_table(Tolerances(tol_geodesic=1e-6))
+        for k in range(len(g.cone_points)):
+            report = table.disk(k)
+            if report.status != "nonempty":
+                continue
+            radius = report.witness[1] + 1e-7
+            assert table.disk(k, radius).status == "nonempty"
+            assert loose.disk(k, radius).status == "empty"
+            checked += 1
+    assert checked
 
 
 def test_public_tetra_metric_uses_the_clearance_tolerance(fat_pool_small, monkeypatch):

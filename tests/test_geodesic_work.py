@@ -37,7 +37,6 @@ from zipfold import (
     sample_fat_ngon,
 )
 from zipfold.geodesic import _AT_SOURCE, _REACH_MARGIN, DevelopmentEngine, Goal, RootFans
-from zipfold.pipeline import fold_halving
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -108,7 +107,7 @@ def finalized(monkeypatch):
 def _tables(n, seed):
     poly = sample_fat_ngon(n, seed)
     fans = RootFans(poly)
-    return [fold_halving(poly, i, fans=fans)[2].distance_table() for i in range(n // 2)]
+    return [DevelopmentEngine(glue_halving(poly, i), fans=fans).distance_table() for i in range(n // 2)]
 
 
 def test_no_rejected_candidates_and_developments_unchanged(finalized):
@@ -151,7 +150,7 @@ def test_clip_calls_pinned(monkeypatch):
         row = []
         for i in range(n // 2):
             calls[0] = 0
-            fold_halving(poly, i, fans=fans)[2].distance_table()
+            DevelopmentEngine(glue_halving(poly, i), fans=fans).distance_table()
             row.append(calls[0])
         got[(n, seed)] = tuple(row)
     assert got == CLIPPED

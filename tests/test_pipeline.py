@@ -14,7 +14,6 @@ from zipfold.pipeline import (
     INCONC,
     PASS,
     audit_halving,
-    fold_halving,
     summarize_records,
     sweep_one,
 )
@@ -64,8 +63,8 @@ def test_audit_octagon_intrinsic_only():
     from zipfold import sample_fat_ngon
 
     poly = sample_fat_ngon(8, 5)
-    audit, g = audit_halving(poly, 0)
-    assert audit.tetra is None
+    audit = audit_halving(poly, 0)
+    assert audit.tetra is None and audit.net is None
     assert audit.statuses == {
         "disks.unit_radius_empty": PASS,
         "zipper.edges_length_1": PASS,
@@ -99,8 +98,9 @@ def test_nothing_shorter_reads_every_zipper_enumeration(fat_pool_small):
     unfound = 0
     for poly in fat_pool_small[:10]:
         for fold in range(3):
-            audit, g = audit_halving(poly, fold, cfg)
-            table = fold_halving(poly, fold, cfg)[2].distance_table(cfg.tolerances)
+            audit = audit_halving(poly, fold, cfg)
+            g = audit.gluing
+            table = DevelopmentEngine(g, cfg.dev_cap).distance_table(cfg.tolerances)
             enums = [table.enumerations[p] for p in g.zipper_pairs()]
             if not all(e.complete for e in enums):
                 assert audit.statuses["zipper.nothing_shorter"] == INCONC

@@ -3,6 +3,8 @@
 Pinned so that adding or removing a public name is a deliberate edit here.
 """
 
+import ast
+import glob
 import os
 import types
 
@@ -41,3 +43,21 @@ def test_the_readme_library_example_runs():
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "congruent_to_polygon" in code
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_no_default_argument_is_a_float_literal():
+    """A tolerance default reads its `Tolerances` field or a named constant,
+    so each value is stated once; only 0.0 and 1.0 may be written inline."""
+    src = os.path.dirname(os.path.abspath(zipfold.__file__))
+    literals = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for default in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]:
+                value = default.operand if isinstance(default, ast.UnaryOp) else default
+                if isinstance(value, ast.Constant) and isinstance(value.value, float) and value.value not in (0.0, 1.0):
+                    literals.append(f"{os.path.basename(path)}:{default.lineno} {ast.unparse(default)}")
+    assert literals == []

@@ -28,7 +28,7 @@ from zipfold import (
     vertex_angle_sums,
 )
 from zipfold.embed import Tetrahedron3D
-from zipfold.pipeline import PASS, PipelineConfig, halving_tetrahedron, matches_source
+from zipfold.pipeline import PASS, PipelineConfig, audit_halving, matches_source
 from zipfold.polygon import Tolerances
 
 embedmod = importlib.import_module("zipfold.embed")  # `zipfold.embed` is the function
@@ -169,7 +169,7 @@ def test_scalar_tail_matches_numpy_reference(fat_pool_small, regular_hexagon, de
             assert sums[v] == pytest.approx(want[v], rel=0, abs=1e-12)
 
 
-def test_halving_tetrahedron_embeds_at_tol_embed(fat_pool_small, monkeypatch):
+def test_the_audit_embeds_at_tol_embed(fat_pool_small, monkeypatch):
     seen = []
     orig = pipeline.embed
 
@@ -179,6 +179,5 @@ def test_halving_tetrahedron_embeds_at_tol_embed(fat_pool_small, monkeypatch):
 
     monkeypatch.setattr(pipeline, "embed", spy)
     cfg = PipelineConfig(tolerances=Tolerances(tol_embed=3e-8, tol_vol=2e-12))
-    engine = pipeline.fold_halving(fat_pool_small[0], 0, cfg)[2]
-    halving_tetrahedron(engine, True, cfg.tolerances)
+    audit_halving(fat_pool_small[0], 0, cfg, fat=True)
     assert seen == [(2e-12, 3e-8)]
