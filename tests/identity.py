@@ -4,7 +4,7 @@
     python tests/identity.py compare OLD.json NEW.json
     python tests/identity.py check
 
-There are three sections, each a record generator with its own diff rule.
+There are four sections, each a record generator with its own diff rule.
 
 * `tables`: the `DistanceTable` of every halving of fat hexagon seeds 0-39,
   thin hexagon seeds 0-14 (the sweep's `--thin` controls), octagon seeds
