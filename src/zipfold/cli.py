@@ -155,17 +155,15 @@ def cmd_fold(args):
             print(f"error: fold index must be in 0..{n // 2 - 1}", file=sys.stderr)
             return EXIT_INPUT
 
-    rep = validate(poly, cfg.tolerances)
-    report = {
-        "n": n,
-        "halvings": [],
-        "relation_diagnostics": list(gl.curvature_collision_relations(rep.angles)) if n == 6 else [],
-    }
+    tol = cfg.tolerances
+    rep = validate(poly, tol)
+    relations = gl.curvature_collision_relations(rep.angles, tol.tol_ang) if n == 6 else ()
+    report = {"n": n, "halvings": [], "relation_diagnostics": list(relations)}
     failures = 0
     audits = audit_halvings(poly, indices, cfg, fat=rep.fat_ok)
     for audit in audits:
         i = audit.fold_index
-        entry = json.loads(gl.gluing_report_json(audit.gluing, audit.curvature))
+        entry = gl.gluing_report(audit.gluing, audit.curvature)
         if audit.tetra is not None:
             entry["metric"] = audit.metric.as_dict()
             entry["flat"] = audit.tetra.flat
@@ -186,7 +184,7 @@ def cmd_fold(args):
     tets = {a.fold_index: a.tetra for a in audits if a.tetra is not None}
     if len(tets) > 1:
         report["congruent_pairs"] = [
-            list(pair) for pair in congruent_pairs(tets, cfg.tolerances.tol_congruence)
+            list(pair) for pair in congruent_pairs(tets, tol.tol_congruence)
         ]
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_FAIL if failures else EXIT_OK

@@ -23,19 +23,22 @@ Five facts keep the search small and exact:
   edge's line, and at least the distance to the whole edge.  An edge of a
   popped copy that lies beyond the largest live budget by either measure
   is skipped before it is clipped: its clip would be dropped anyway, so
-  the prefilter saves the clip and changes no push.
+  the prefilter saves the clip and changes no push.  It compares the
+  |cross2| of the edge's endpoints seen from the source, which is the line
+  distance times the edge's length, with the reach times that length.
 * A ray from the source crosses one sequence of edges, so the clips of a
   copy's edges split its cone into disjoint pieces.  No two developments
   share a copy, an entry edge and a cone, and the search keeps no record
   of what it has pushed.
-* Every search root is a vertex of the untransformed polygon, so the root
-  copy, and with it the root's first pop, does not depend on the gluing:
-  the chord to each vertex, the line distance and clip of each edge
-  against all directions (the root fan) and the re-trace of each chord,
-  which is rejected as soon as it crosses an edge, whatever lies across
-  it.  The halvings of one polygon share these through one `RootFans`,
-  which re-traces a chord once for both its directions and clips an edge
-  only once some root pop's reach covers its line.
+* Every search root is a vertex of the untransformed polygon, so what the
+  root's first pop reads does not depend on the gluing: the offset and
+  distance of each vertex, the |cross2| of each edge and its clip against
+  all directions (the root fan), and the re-trace of each chord, which is
+  rejected as soon as it crosses an edge, whatever lies across it.  The
+  halvings of one polygon share these through one `RootFans`, which
+  re-traces a chord once for both its directions and clips an edge only
+  once some root pop's prefilter keeps it.  Otherwise the root pop runs
+  the target test, prefilter and push loop of every other pop.
 
 The order in which a search pops developments does not depend on its
 target, so one development from a source cone point serves many queries
@@ -110,6 +113,9 @@ _REACH_MARGIN = 1e-9
 # nearest endpoint lies exactly at the radius has width 0 up to rounding.
 _OVERHANG_SLACK = 1e-9
 _WIDTH_FLOOR = 1e-12
+
+# the |cross2| column of a developed copy's edge rows, for the prefilter to fill
+_NO_CROSS = itertools.repeat(None)
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -186,22 +192,31 @@ class _GoalState:
     """A goal's progress through one shared search, across its roots."""
 
     __slots__ = (
-        "budget", "stop_at_first", "target_cone", "targets",
-        "collect", "best", "developments", "frontier",
+        "limit", "stop_at_first", "target_cone", "targets",
+        "finds", "cut", "developments", "frontier",
     )
 
     def __init__(self, goal, target_cone):
-        self.budget = goal.budget
+        self.limit = goal.budget + _BOUND_SLACK  # what distances and bounds compare with
         self.stop_at_first = goal.stop_at_first
         self.target_cone = target_cone
         self.targets = target_cone.vertices
-        self.collect = {}  # (sv, tv, edge_path) -> GeodesicPath
-        self.best = math.inf  # shortest find of the current root
+        # no find comes twice: one root's nodes have distinct edge paths
+        self.finds = []
+        self.cut = self.limit  # a pop whose bound is past the cut retires the goal
         self.developments = 0
         self.frontier = math.inf
 
+    def take(self, path):
+        """Record a re-traced path (None: rejected) as one of the goal's
+        finds; a shortest query's shortest find of a root is its cut."""
+        if path is not None:
+            self.finds.append(path)
+            if self.stop_at_first:
+                self.cut = min(self.cut, path.length)
+
     def result(self):
-        paths = list(self.collect.values())
+        paths = self.finds
         if len(paths) > 1:
             paths.sort(key=lambda g: (g.length, g.source_vertex, g.edge_path))
         exhausted = self.frontier < math.inf
@@ -238,28 +253,29 @@ class RootFans:
     halving of the polygon.  This holds them, filled in by the engines
     that share it as their roots first need them:
 
-    * `by_vertex[sv]`, the fan of vertex sv: the chord length from sv to
-      every vertex; the line distance from sv of every edge without an
-      endpoint at sv, in edge order; and the clip (edge, cone, distance)
-      of each of those edges, None for a sliver, made when a root pop's
-      reach first covers the edge's line;
+    * `by_vertex[sv]`, the fan of vertex sv: the offset from sv of every
+      vertex and its length; the prefilter's row of every edge without an
+      endpoint at sv, the fan edges, which holds the |cross2| of the
+      edge's two offsets (its line distance from sv times its length); and
+      the clip (cone, distance) of a fan edge, None for a sliver, made when
+      a root pop's prefilter first keeps the edge;
     * `chords[(u, v)]`, u < v: the re-traced length of the chord between
       vertices u and v, as `DevelopmentEngine._finalize` returns it from
       u, and as it returns it from v too: the length is |v - u| either
       way, and so is the re-trace's verdict.  A chord that crosses an edge
       is rejected before anything across that edge is looked at.
 
-    The re-trace reads the clearance, so fans serve only engines of the
-    same polygon and clearance.  The search assumes a convex polygon, in
-    which a chord that crosses no edge stays inside, so a polygon that
-    turns clockwise anywhere by more than tol_convex raises GeodesicError,
-    and so does one with an edge of squared length below DEGENERATE_SQ;
-    a straight vertex is allowed.
+    The re-trace reads tol_clearance of `tol`, the run's Tolerances, so
+    fans serve only engines of the same polygon and tolerances.  The
+    search assumes a convex polygon, in which a chord that crosses no edge
+    stays inside, so a polygon that turns clockwise anywhere by more than
+    tol_convex raises GeodesicError, and so does one with an edge of
+    squared length below DEGENERATE_SQ; a straight vertex is allowed.
     """
 
-    def __init__(self, polygon, clearance=DEFAULT_TOLERANCES.tol_clearance):
+    def __init__(self, polygon, tol=DEFAULT_TOLERANCES):
         self.polygon = polygon
-        self.clearance = float(clearance)
+        self.tol = tol
         self.points = polygon.as_complex()
         n = len(self.points)
         for k in range(n):
@@ -270,7 +286,7 @@ class RootFans:
                     f"polygon edge {(k - 1) % n} is degenerate; the geodesic search needs "
                     "distinct consecutive vertices"
                 )
-            if cross2(ab, self.points[(k + 1) % n] - a) < -DEFAULT_TOLERANCES.tol_convex:
+            if cross2(ab, self.points[(k + 1) % n] - a) < -tol.tol_convex:
                 raise GeodesicError(
                     f"polygon is not convex at vertex {k}; the geodesic search needs a convex one"
                 )
@@ -283,8 +299,12 @@ class RootFans:
 
 def _between(lo, hi, v):
     """Whether direction v lies in the closed cone from lo counterclockwise
-    to hi, a cone narrower than pi."""
-    return cross2(lo, v) >= 0.0 and cross2(v, hi) >= 0.0
+    to hi, a cone narrower than pi.  The two cross2 are spelled out, as
+    `_clip_edge` asks this up to three times per clip."""
+    return (
+        lo.real * v.imag - lo.imag * v.real >= 0.0
+        and v.real * hi.imag - v.imag * hi.real >= 0.0
+    )
 
 
 def _sliver(lo, hi):
@@ -293,36 +313,24 @@ def _sliver(lo, hi):
     return cross2(lo, hi) < _SLIVER * abs(lo) * abs(hi)
 
 
-def _take(st, path):
-    """Record a re-traced path (None: rejected) as one of the goal's finds."""
-    if path is not None:
-        key = (path.source_vertex, path.target_vertex, path.edge_path)
-        if key not in st.collect:
-            st.collect[key] = path
-            st.best = min(st.best, path.length)
-
-
 class DevelopmentEngine:
     """Per-gluing machinery for developing copies and searching geodesics.
 
-    `fans` are the polygon's RootFans, shared by the engines of its
-    halvings; an engine given none makes its own.
+    `tol` is the run's Tolerances, which the re-trace and the distance
+    table read.  `fans` are the polygon's RootFans, shared by the engines
+    of its halvings; an engine given none makes its own.
     """
 
-    def __init__(
-        self, gluing, dev_cap=100000, clearance=DEFAULT_TOLERANCES.tol_clearance, fans=None
-    ):
+    def __init__(self, gluing, dev_cap=100000, tol=DEFAULT_TOLERANCES, fans=None):
         self.gluing = gluing
         self.dev_cap = int(dev_cap)
-        self.clearance = float(clearance)
+        self.tol = tol
         if fans is None:
-            fans = RootFans(gluing.polygon, self.clearance)
+            fans = RootFans(gluing.polygon, tol)
         elif fans.polygon != gluing.polygon:
             raise GeodesicError("root fans were built for another polygon")
-        elif fans.clearance != self.clearance:
-            raise GeodesicError(
-                f"root fans were built for clearance {fans.clearance!r}, not {self.clearance!r}"
-            )
+        elif fans.tol != tol:
+            raise GeodesicError("root fans were built for other tolerances")
         self.fans = fans
         self.points = fans.points
         self.n = len(self.points)
@@ -379,29 +387,24 @@ class DevelopmentEngine:
         Returns (new_cone, min_distance) or None when no direction of the
         cone meets the edge in more than a sliver.
         """
-        # cross2 and _between spelled out on real and imaginary parts, with
-        # the same operations in the same order: most clips come out empty
         wa = a - s
         wb = b - s
-        ax, ay, bx, by = wa.real, wa.imag, wb.real, wb.imag
-        if ax * by - ay * bx < 0.0:
+        if cross2(wa, wb) < 0.0:
             a, b, wa, wb = b, a, wb, wa
-            ax, ay, bx, by = bx, by, ax, ay
         if _sliver(wa, wb):
             return None  # the edge is radial from s
         if cone is None:
             return (wa, wb), point_segment_distance(s, a, b)
         lo, hi = cone
-        lx, ly, hx, hy = lo.real, lo.imag, hi.real, hi.imag
         # both cones are narrower than pi, so they meet in one cone or none,
         # and it starts at whichever start lies in the other
-        if lx * ay - ly * ax >= 0.0 and ax * hy - ay * hx >= 0.0:
+        if _between(lo, hi, wa):
             start, qa = wa, a
-        elif ax * ly - ay * lx >= 0.0 and lx * by - ly * bx >= 0.0:
+        elif _between(wa, wb, lo):
             start, qa = lo, self._ray_on_line(s, lo, a, b)
         else:
             return None
-        if lx * by - ly * bx >= 0.0 and bx * hy - by * hx >= 0.0:
+        if _between(lo, hi, wb):
             end, qb = wb, b
         else:
             end, qb = hi, self._ray_on_line(s, hi, a, b)
@@ -467,7 +470,7 @@ class DevelopmentEngine:
             pts = self._develop(transform)
 
     def _clear_of_cone_images(self, s, end, copies):
-        clearance = self.clearance
+        clearance = self.tol.tol_clearance
         seg = end - s
         denom = seg.real * seg.real + seg.imag * seg.imag
         if denom < DEGENERATE_SQ:
@@ -518,43 +521,29 @@ class DevelopmentEngine:
     # -- the root fan ---------------------------------------------------------
 
     def _root_fan(self, sv):
-        """Vertex sv's fan (see RootFans), built on first use: (chord
-        lengths, (edge, line distance) pairs, clips by edge)."""
+        """Vertex sv's fan (see RootFans), built on first use: (offsets,
+        lengths, the fan edges' rows with their |cross2|, clips by edge)."""
         fan = self.fans.by_vertex.get(sv)
         if fan is None:
-            n = self.n
             s = self.points[sv]
             offs = [p - s for p in self.fans.root_copy]
-            lengths = list(map(abs, offs))
-            far = tuple(
-                (j, abs(cross2(offs[j], offs[(j + 1) % n])) / self.edge_lengths[j])
-                for j in range(n)
-                if lengths[j] >= _AT_SOURCE and lengths[(j + 1) % n] >= _AT_SOURCE
-            )
-            fan = self.fans.by_vertex[sv] = (lengths, far, {})
+            dists = list(map(abs, offs))
+            rows = [
+                (j, wa, wb, da, db, length, abs(cross2(wa, wb)))
+                for j, wa, wb, da, db, length, _ in self._edge_rows(offs, dists)
+                if da >= _AT_SOURCE and db >= _AT_SOURCE
+            ]
+            fan = self.fans.by_vertex[sv] = (offs, dists, rows, {})
         return fan
 
-    def _root_clips(self, sv, reach):
-        """The clips (edge, cone, distance) of vertex sv's fan edges whose
-        line lies within reach + _REACH_MARGIN of sv, in edge order.
-
-        A clip's distance is at least its edge's line distance, so the
-        clips left out are ones the root pop would drop.  Each edge is
-        clipped the first time a root pop reaches its line.
-        """
-        _, far, clips = self._root_fan(sv)
-        limit = reach + _REACH_MARGIN
-        kept = []
-        for j, line in far:
-            if line > limit:
-                continue
-            if j not in clips:
-                pts = self.fans.root_copy
-                clip = self._clip_edge(self.points[sv], pts[j], pts[(j + 1) % self.n], None)
-                clips[j] = None if clip is None else (j, *clip)
-            if clips[j] is not None:
-                kept.append(clips[j])
-        return kept
+    def _edge_rows(self, offs, dists):
+        """The prefilter's row (j, a - s, b - s, |a - s|, |b - s|, |b - a|,
+        None) of each edge j = [a, b] of a copy, from the offsets of its
+        vertices from the source s and their lengths."""
+        return zip(
+            range(self.n), offs, offs[1:] + offs[:1], dists, dists[1:] + dists[:1],
+            self.edge_lengths, _NO_CROSS,
+        )
 
     def _root_chord(self, sv, tv):
         """The re-trace of the chord between vertices sv and tv, made once
@@ -595,24 +584,27 @@ class DevelopmentEngine:
     def _search_root(self, source_cone, sv, states):
         """Develop from vertex sv until every goal has retired; returns the pops.
 
-        Pushes are pruned at the largest live budget.  One with a lower
-        bound between two budgets only pops after the smaller goal has
-        retired (pops come in bound order), and so do its descendants,
-        whose bounds are no smaller; the smaller goal's own search would
-        have pruned it.  The pushes both searches make come in the same
-        order, so ties pop alike.  Each goal therefore retires at exactly
-        the pop where its own search would have stopped, having seen the
-        same pops before it.
+        Pushes are pruned at the largest live limit (a budget plus
+        _BOUND_SLACK).  One with a lower bound between two limits only pops
+        after the smaller goal has retired (pops come in bound order), and
+        so do its descendants, whose bounds are no smaller; the smaller
+        goal's own search would have pruned it.  The pushes both searches
+        make come in the same order, so ties pop alike.  Each goal
+        therefore retires at exactly the pop where its own search would
+        have stopped, having seen the same pops before it.
 
-        The first pop reads the root fan.  It pushes the clips of the fan's
-        edges within reach, in edge order, as every other pop does.
+        Every pop runs one target test, one prefilter and one push loop.
+        The root pop reads its copy, the |cross2| of its edges and their
+        clips from the root fan, and its chords from the fans' re-traces;
+        every other pop develops its copy and clips its edges itself.
         """
         s = self.points[sv]
+        n = self.n
         dev_cap = self.dev_cap
         for st in states:
-            st.best = math.inf
+            st.cut = st.limit
         live = list(states)
-        reach = max(st.budget for st in live) + _BOUND_SLACK
+        reach = max(st.limit for st in live)
         heap = [(0.0, 0, _ROOT)]
         tie = 1
         pops = 0
@@ -620,7 +612,7 @@ class DevelopmentEngine:
             lb, _, node = heapq.heappop(heap)
             kept = []
             for st in live:
-                if lb > st.budget + _BOUND_SLACK or (st.stop_at_first and lb > st.best):
+                if lb > st.cut:
                     st.developments += pops
                 elif pops >= dev_cap:
                     st.developments += pops
@@ -631,51 +623,52 @@ class DevelopmentEngine:
                 if not kept:
                     return pops
                 live = kept
-                reach = max(st.budget for st in live) + _BOUND_SLACK
+                reach = max(st.limit for st in live)
             pops += 1
-            finalized = {}  # target vertex -> re-traced path (None: rejected)
-            if node is _ROOT:
-                lengths = self._root_fan(sv)[0]
-                for st in live:
-                    for tv in st.targets:
-                        if lengths[tv] > st.budget + _BOUND_SLACK:
-                            continue
-                        if tv not in finalized:
-                            finalized[tv] = self._path(
-                                source_cone, st.target_cone, sv, tv, (), self._root_chord(sv, tv)
-                            )
-                        _take(st, finalized[tv])
-                clips = self._root_clips(sv, reach)
+            entry, cone = node.entry_edge, node.cone
+            if entry is None:
+                pts = self.fans.root_copy
+                offs, dists, rows, clips = self._root_fan(sv)
+                on_entry = ()
             else:
                 pts = self._develop(node.transform)
                 offs = [p - s for p in pts]
                 dists = list(map(abs, offs))
-                # the entry edge's endpoints lie on the parent copy's boundary:
-                # a segment ending there stops on the entry edge, one crossing
-                # short
-                entry = node.entry_edge
-                on_entry = (entry, (entry + 1) % self.n)
-                for st in live:
-                    for tv in st.targets:
-                        if tv in on_entry:
-                            continue
-                        d = dists[tv]
-                        if d > st.budget + _BOUND_SLACK or d + _BOUND_SLACK < lb:
-                            continue
-                        if d > _AT_SOURCE and not self._cone_contains(node.cone, offs[tv]):
-                            continue
-                        if tv not in finalized:
-                            finalized[tv] = self._path(
-                                source_cone, st.target_cone, sv, tv, node.edge_path,
-                                self._finalize(sv, tv, node, pts[tv]),
-                            )
-                        _take(st, finalized[tv])
-                clips = []
-                for j in self._edges_in_reach(offs, dists, node, reach):
-                    clip = self._clip_edge(s, pts[j], pts[(j + 1) % self.n], node.cone)
-                    if clip is not None:
-                        clips.append((j, *clip))
-            for j, cone2, dist in clips:
+                rows = self._edge_rows(offs, dists)
+                # the entry edge's endpoints lie on the parent copy's
+                # boundary: a segment ending there stops on the entry edge,
+                # one crossing short
+                on_entry = (entry, (entry + 1) % n)
+            finalized = {}  # target vertex -> re-traced path (None: rejected)
+            for st in live:
+                for tv in st.targets:
+                    if tv in on_entry:
+                        continue
+                    d = dists[tv]
+                    if d > st.limit or d + _BOUND_SLACK < lb:
+                        continue
+                    # the root's cone, None, holds every direction
+                    if cone and d > _AT_SOURCE and not self._cone_contains(cone, offs[tv]):
+                        continue
+                    if tv not in finalized:
+                        if entry is None:
+                            length = self._root_chord(sv, tv)
+                        else:
+                            length = self._finalize(sv, tv, node, pts[tv])
+                        finalized[tv] = self._path(
+                            source_cone, st.target_cone, sv, tv, node.edge_path, length
+                        )
+                    st.take(finalized[tv])
+            for j in self._edges_in_reach(rows, node, reach):
+                if entry is not None:
+                    clip = self._clip_edge(s, pts[j], pts[(j + 1) % n], cone)
+                elif j in clips:  # each fan edge is clipped once for all the fans' engines
+                    clip = clips[j]
+                else:
+                    clip = clips[j] = self._clip_edge(s, pts[j], pts[(j + 1) % n], None)
+                if clip is None:
+                    continue
+                cone2, dist = clip
                 lb2 = max(lb, dist)
                 if lb2 > reach:
                     continue
@@ -689,35 +682,37 @@ class DevelopmentEngine:
             st.developments += pops
         return pops
 
-    def _edges_in_reach(self, offs, dists, node, reach):
+    def _edges_in_reach(self, rows, node, reach):
         """The edges of a popped copy worth clipping against its cone.
 
-        `offs` is the copy's developed vertices less the source s, and
-        `dists` their lengths.  The entry edge and edges with an endpoint
-        at the source are left out, and so is every edge whose line, or the
-        edge itself, lies farther than reach + _REACH_MARGIN from s.  The
-        clip keeps part of the edge, so its distance is at least both of
-        these; the node's bound is at most reach at every pop that expands,
-        so the clip of a skipped edge would give no push.
+        `rows` holds a row (j, a - s, b - s, |a - s|, |b - s|, |b - a|, c)
+        per edge j = [a, b] of the popped `node`'s copy (the root fan's,
+        per fan edge), s the source, c |cross2(a - s, b - s)| or None when
+        it is computed here.  The entry edge and edges with an endpoint at
+        s are left out, and so is every edge whose line, or below the root
+        the edge itself, lies farther than reach + _REACH_MARGIN from s.
+        The clip keeps part of the edge, so its distance is at least both
+        of these; the node's bound is at most reach at every pop that
+        expands, so the clip of a skipped edge would give no push.
         """
-        n = self.n
         limit = reach + _REACH_MARGIN
-        lengths = self.edge_lengths
         entry = node.entry_edge
         kept = []
-        for j in range(n):
+        for j, wa, wb, da, db, length, c in rows:
             if j == entry:
                 continue
-            k = (j + 1) % n
-            wa, wb = offs[j], offs[k]
-            # |cross2(a - s, b - s)| / |b - a| is the distance to the line
-            if abs(wa.real * wb.imag - wa.imag * wb.real) > limit * lengths[j]:
+            if c is None:
+                c = abs(wa.real * wb.imag - wa.imag * wb.real)
+            # c / |b - a| is the distance from s to the edge's line
+            if c > limit * length:
                 continue
-            if dists[j] < _AT_SOURCE or dists[k] < _AT_SOURCE:
+            if da < _AT_SOURCE or db < _AT_SOURCE:
                 continue
             # beyond both endpoints, the edge is within reach only where the
-            # foot of the perpendicular from s falls inside it, on the line
-            if dists[j] > limit and dists[k] > limit:
+            # foot of the perpendicular from s falls inside it, on the line;
+            # the root fan clips an edge once for every engine of the fans,
+            # on the line test alone
+            if entry is not None and da > limit and db > limit:
                 ab = wb - wa
                 if dot2(wa, ab) >= 0.0 or dot2(wb, ab) <= 0.0:
                     continue
@@ -732,11 +727,11 @@ class DevelopmentEngine:
         results, _ = self.search(src_idx, [Goal(dst_idx, budget, False)])
         return results[0]
 
-    def distance_table(self, tol=DEFAULT_TOLERANCES):
-        """The gluing's distance table for these tolerances, built on first
-        use (see DistanceTable)."""
-        if self._table is None or self._table.tol != tol:
-            self._table = DistanceTable(self, tol)
+    def distance_table(self):
+        """The gluing's distance table at the engine's tolerances, built on
+        first use (see DistanceTable)."""
+        if self._table is None:
+            self._table = DistanceTable(self)
         return self._table
 
 
@@ -754,13 +749,13 @@ class DistanceTable:
     (i, j), in the zipper's direction, is also enumerated from i up to
     1 - tol_geodesic.  All queries leaving one cone point share one search
     (DevelopmentEngine.search), and `developments` counts what the shared
-    searches popped.
+    searches popped.  The table reads the engine's tolerances.
     """
 
-    def __init__(self, engine, tol=DEFAULT_TOLERANCES):
+    def __init__(self, engine):
         gluing = engine.gluing
         self.gluing = gluing
-        self.tol = tol
+        self.tol = engine.tol
         self.zipper = {frozenset(p) for p in gluing.zipper_pairs()}
         self.entries = {}  # (i, j) with i < j -> (ShortestResult, budget)
         # zipper pair (i, j), in the zipper's direction -> EnumerationResult
@@ -781,7 +776,7 @@ class DistanceTable:
                     reach = max(reach, chord)
                 goals.append(Goal(j, reach + BUDGET_SLACK, True))
             goals += [
-                Goal(j, 1.0 - tol.tol_geodesic, False)
+                Goal(j, 1.0 - self.tol.tol_geodesic, False)
                 for a, j in zipper_pairs
                 if a == i
             ]
@@ -857,7 +852,7 @@ class DistanceTable:
 # high-level queries
 # ---------------------------------------------------------------------------
 
-def overhang_audit(gluing, center_idx, radius=1.0, cfg=None, *, fat=None):
+def overhang_audit(gluing, center_idx, radius=1.0, cfg=DEFAULT_TOLERANCES):
     """Measure how far the radius-r disk at a cone point pokes past the copy.
 
     For every boundary edge not incident to a representative of the cone
@@ -866,14 +861,11 @@ def overhang_audit(gluing, center_idx, radius=1.0, cfg=None, *, fat=None):
     passes through the open edge segment.  `per_edge` lists the edges whose
     width exceeds _WIDTH_FLOOR, and `max_width` is the largest width of
     any edge.  Fat hexagons must stay within 1 - sqrt(3)/2; the implied
-    entry angle 2*asin(bound/2) stays below 8 degrees.  `fat` says whether
-    to raise past that bound; None checks it at radius 1 only, for a
-    source that validates as fat under `cfg`.
+    entry angle 2*asin(bound/2) stays below 8 degrees.  At radius 1, a
+    source that validates as fat under the Tolerances `cfg` raises past
+    that bound.
     """
-    if fat is None:
-        fat = radius == 1.0 and (
-            validate(gluing.polygon) if cfg is None else validate(gluing.polygon, cfg)
-        ).fat_ok
+    fat = radius == 1.0 and validate(gluing.polygon, cfg).fat_ok
     points = gluing.polygon.as_complex()
     n = len(points)
     center = gluing.cone_points[center_idx]
@@ -933,14 +925,12 @@ def _excursion_width(s, a, b, radius):
     return max(0.0, best)
 
 
-def tetra_metric(gluing, cfg=None):
+def tetra_metric(gluing, cfg=DEFAULT_TOLERANCES):
     """Six pairwise geodesic distances between the four cone points.
 
     Reads the gluing's distance table (see DistanceTable.tetra_metric); the
     zipper-distance check applies when the source validates as fat.  `cfg`
     is the Tolerances to validate, search and check with.
     """
-    tol = DEFAULT_TOLERANCES if cfg is None else cfg
-    rep = validate(gluing.polygon, tol)
-    engine = DevelopmentEngine(gluing, clearance=tol.tol_clearance)
-    return engine.distance_table(tol).tetra_metric(rep.fat_ok)
+    rep = validate(gluing.polygon, cfg)
+    return DevelopmentEngine(gluing, tol=cfg).distance_table().tetra_metric(rep.fat_ok)

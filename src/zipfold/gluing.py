@@ -13,7 +13,6 @@ break the forced total curvature 4*pi of a closed genus-0 surface, which is
 asserted on every gluing.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -109,11 +108,13 @@ class CurvatureVector:
         return sum(self.curvatures)
 
 
-def glue_halving(poly, fold_index):
+def glue_halving(poly, fold_index, tol=DEFAULT_TOLERANCES.tol_len):
     """Build the perimeter-halving gluing folded at the given vertex.
 
     Valid fold indices are 0 .. n/2-1; halving at i and at i+n/2 produce
     the same identification, so the upper half is rejected as redundant.
+    `tol` is the run's tol_len: each of two identified edges may be off the
+    unit length by tol, so they may differ by twice that.
     """
     n = poly.n
     if n < 6 or n % 2:
@@ -131,7 +132,7 @@ def glue_halving(poly, fold_index):
         b1 = (fold_index - k - 1) % n
         la = lengths[a0]
         lb = lengths[b1]  # edge (b1, b0) stored under its lower endpoint index
-        if abs(la - lb) > DEFAULT_TOLERANCES.tol_len:
+        if abs(la - lb) > 2.0 * tol:
             raise GluingError(f"identified edges {a0} and {b1} differ in length")
         idents.append(EdgeIdentification(a0, a1, b0, b1))
 
@@ -227,7 +228,8 @@ def curvature_collision_relations(angles, tol=DEFAULT_TOLERANCES.tol_ang):
     )
 
 
-def gluing_report_json(gluing, curvatures=None):
+def gluing_report(gluing, curvatures=None):
+    """The gluing's `fold` report entry, as a JSON-ready dict."""
     data = gluing.to_dict()
     if curvatures is not None:
         data["curvature_total"] = curvatures.total
@@ -236,4 +238,4 @@ def gluing_report_json(gluing, curvatures=None):
         "fold vertices keep their full interior angle as cone angle; "
         "curvature is 2*pi minus cone angle (total must be 4*pi)"
     )
-    return json.dumps(data, indent=2, sort_keys=True)
+    return data

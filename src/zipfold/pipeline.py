@@ -170,12 +170,12 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
     writes out.
     """
     tol = cfg.tolerances
-    g = gl.glue_halving(poly, fold_index)
+    g = gl.glue_halving(poly, fold_index, tol.tol_len)
     curv = gl.cone_angles(g, tol.tol_curvature)
     audit = HalvingAudit(
         fold_index, gluing=g, curvature=curv, gauss_bonnet_residual=curv.total - FOUR_PI
     )
-    table = DevelopmentEngine(g, cfg.dev_cap, tol.tol_clearance, fans=fans).distance_table(tol)
+    table = DevelopmentEngine(g, cfg.dev_cap, tol, fans).distance_table()
 
     lengths = []
     statuses = []
@@ -226,7 +226,7 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
 def audit_halvings(poly, fold_indices, cfg=DEFAULT_CONFIG, *, fat=None):
     """The audits of the polygon's halvings `fold_indices`, in order; their
     engines share one RootFans.  `fat` is as in audit_halving."""
-    fans = RootFans(poly, cfg.tolerances.tol_clearance)
+    fans = RootFans(poly, cfg.tolerances)
     return [audit_halving(poly, i, cfg, fat=fat, fans=fans) for i in fold_indices]
 
 

@@ -44,8 +44,10 @@ _SAMPLE_BATCH_CAP = 1024
 _PREFILTER_MARGIN = 1e-5
 _TURN_MARGIN = 1e-3  # free turns are drawn from (margin, cap - margin)
 # the independence screen's residual tolerance, for check_independence and
-# the sampler alike
+# the sampler alike; a best residual in [tol, _INCONCLUSIVE_BAND * tol) is
+# inconclusive
 INDEPENDENCE_TOL = 1e-9
+_INCONCLUSIVE_BAND = 10.0
 
 
 @dataclass(frozen=True)
@@ -521,7 +523,7 @@ def _decide_independent(arr, bound, tol):
     are inf, so skipping it changes nothing.
     """
     grid = _grids(bound)
-    edge = 10.0 * tol
+    edge = _INCONCLUSIVE_BAND * tol
     xi, yi = _directions(arr.size)
     xs = arr.take(xi)
     ys = arr.take(yi)
@@ -551,7 +553,7 @@ def _pair_dependences(arr, bound, tol):
             pairs[(i, j)] = PairDependence(i, j, "dependent", witness, (j, i), res_ji)
         else:
             residual = min(res_ij, res_ji)
-            status = "inconclusive" if residual < 10.0 * tol else "independent"
+            status = "inconclusive" if residual < _INCONCLUSIVE_BAND * tol else "independent"
             pairs[(i, j)] = PairDependence(i, j, status, None, None, residual)
     return pairs
 

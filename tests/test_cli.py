@@ -2,13 +2,22 @@ import ast
 import csv
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from zipfold import cli, pipeline, sample_fat_hexagon, save_polygon
+from zipfold import (
+    EquilateralPolygon,
+    cli,
+    pipeline,
+    sample_fat_hexagon,
+    save_polygon,
+    solve_closure,
+    validate,
+)
 from zipfold import net as netmod
 from zipfold.cli import main
 from zipfold.polygon import DEFAULT_TOLERANCES
@@ -84,6 +93,67 @@ def test_fold_all_regular(regular_file, tmp_path, capsys):
         assert entry["flat"] is True  # mirror fold of the regular hexagon
         assert os.path.exists(tmp_path / f"tetra_fold{i}.obj")
     assert report["relation_diagnostics"]
+
+
+def _moved(poly, moves):
+    """The polygon with each vertex v moved by t along edge j, for (v, j, t)
+    in moves; edge j runs from vertex j to vertex j + 1."""
+    pts = poly.as_complex()
+    for v, j, t in moves:
+        d = pts[(j + 1) % poly.n] - pts[j]
+        pts[v] += t * d / abs(d)
+    return EquilateralPolygon(tuple((p.real, p.imag) for p in pts))
+
+
+def test_a_polygon_within_tol_len_glues(tmp_path, capsys):
+    """Edges 0 and 5, glued at fold 0, are 0.9e-9 long and short: each is
+    within tol_len of 1, so the polygon passes every hypothesis, and the
+    two differ by 1.8e-9, within twice tol_len."""
+    poly = _moved(sample_fat_hexagon(3), [(1, 0, 0.9e-9), (5, 5, 0.9e-9)])
+    assert validate(poly).theorem_ok
+    path = str(tmp_path / "nudged.json")
+    save_polygon(poly, path)
+    assert main(["verify", "--input", path]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and "FAIL" not in out.out and "PASS" in out.out
+    assert main(["fold", "--input", path, "--fold-index", "all"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["halvings"]) == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "fold"])
+def test_the_gluing_reads_the_runs_tol_len(tmp_path, capsys, command):
+    """Vertex 1 moved 3e-7 along edge 0 leaves edge 0 3e-7 longer than edge
+    5, its partner at fold 0: past the default tol_len, within --tol 1e-6.
+    The run then judges the lemma lines instead of stopping at the gluing;
+    the zipper distance, off 1 by more than tol_geodesic, fails them."""
+    poly = _moved(sample_fat_hexagon(3), [(1, 0, 3e-7)])
+    path = str(tmp_path / "nudged.json")
+    save_polygon(poly, path)
+    assert main([command, "--input", path, "--tol", "1e-6"]) == 1
+    out = capsys.readouterr()
+    assert "error" not in out.err
+    if command == "verify":
+        lines = dict(line.split()[::-1] for line in out.out.splitlines())
+        assert lines["hypothesis.equilateral"] == "PASS"
+        assert lines["zipper.edges_length_1"] == "FAIL"
+    else:
+        halvings = json.loads(out.out)["halvings"]
+        assert len(halvings) == 3 and all("identifications" in h for h in halvings)
+        assert "deviates from 1" in halvings[1]["error"]
+
+
+def test_fold_relations_read_the_runs_tol_ang(tmp_path, capsys):
+    """A near-regular hexagon whose first two relations miss by 5e-8 and
+    2e-7: inactive at the default tol_ang, active under --tol 1e-6."""
+    closed = solve_closure([0.0, math.pi / 3, 2 * math.pi / 3 + 1e-7, math.pi])
+    path = str(tmp_path / "near_regular.json")
+    save_polygon(closed.polygons[0], path)
+    active = []
+    for extra in ([], ["--tol", "1e-6"]):
+        assert main(["fold", "--input", path, *extra]) == 0
+        report = json.loads(capsys.readouterr().out)
+        active.append([r["active"] for r in report["relation_diagnostics"]])
+    assert active == [[False, False, False], [True, True, False]]
 
 
 def test_fold_bad_index(regular_file, capsys):

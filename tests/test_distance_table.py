@@ -88,8 +88,6 @@ def test_public_audits_still_validate(fat_pool_small, counts):
     assert counts["validations"] == 2
     geodesic.overhang_audit(glue_halving(poly, 0), 0, radius=0.5)
     assert counts["validations"] == 2  # the fat bound applies at radius 1 only
-    geodesic.overhang_audit(glue_halving(poly, 0), 0, fat=True)
-    assert counts["validations"] == 2  # the caller's verdict stands
 
 
 def test_octagon_verify_queries_each_pair_once(counts):
@@ -216,7 +214,7 @@ def test_disk_judges_at_the_tables_own_tolerance(thin_hexagon):
     for i in range(3):
         g = glue_halving(thin_hexagon, i)
         table = DevelopmentEngine(g).distance_table()
-        loose = DevelopmentEngine(g).distance_table(Tolerances(tol_geodesic=1e-6))
+        loose = DevelopmentEngine(g, tol=Tolerances(tol_geodesic=1e-6)).distance_table()
         for k in range(len(g.cone_points)):
             report = table.disk(k)
             if report.status != "nonempty":
@@ -232,9 +230,9 @@ def test_public_tetra_metric_uses_the_clearance_tolerance(fat_pool_small, monkey
     clearances = []
     init = DevelopmentEngine.__init__
 
-    def spy(self, gluing, dev_cap=100000, clearance=1e-9):
-        clearances.append(clearance)
-        init(self, gluing, dev_cap, clearance)
+    def spy(self, gluing, *args, **kwargs):
+        init(self, gluing, *args, **kwargs)
+        clearances.append(self.tol.tol_clearance)
 
     monkeypatch.setattr(DevelopmentEngine, "__init__", spy)
     g = glue_halving(fat_pool_small[0], 0)

@@ -181,6 +181,36 @@ def test_retrace_rejects_a_chord_through_a_cone_point(degenerate_hexagon):
     assert eng._root_chord(0, 3) == pytest.approx(math.sqrt(5.0), abs=1e-12)
 
 
+def test_clearance_reads_every_copy_the_segment_visits(fat_pool_small):
+    """A segment through a vertex image of a crossing path's second copy
+    is not clear, though it is clear of every vertex of the first copy."""
+    eng = DevelopmentEngine(glue_halving(fat_pool_small[0], 1))
+    clearance = eng.tol.tol_clearance
+    checked = 0
+    for i, j in itertools.permutations(range(4), 2):
+        for path in eng.enumerate_geodesics(i, j, 2.5).paths:
+            if len(path.edge_path) != 1:
+                continue
+            s = eng.points[path.source_vertex]
+            tr = eng.transition[path.edge_path[0]]
+            end = tr.apply(eng.points[path.target_vertex])
+            _, copies = eng._trace(s, end, path.edge_path)
+            assert eng._clear_of_cone_images(s, end, copies)
+            for w in copies[1]:
+                if min(abs(w - p) for p in copies[0]) <= 0.1:
+                    continue  # on the crossed edge, or near the first copy
+                # the segment from s through w, which lies at its midpoint
+                through = s + 2.0 * (w - s)
+                if not eng._clear_of_cone_images(s, through, copies[:1]):
+                    continue
+                assert not eng._clear_of_cone_images(s, through, copies)
+                # moved aside, the segment passes w at twice the clearance
+                aside = 4.0 * clearance * 1j * (w - s) / abs(w - s)
+                assert eng._clear_of_cone_images(s, through + aside, copies)
+                checked += 1
+    assert checked >= 6
+
+
 def test_no_immediate_recross_in_any_path(fat_pool_small):
     poly = fat_pool_small[1]
     g = glue_halving(poly, 1)

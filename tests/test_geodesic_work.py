@@ -8,14 +8,17 @@ distance table's shared searches pop fewer developments than the queries
 report together, since the queries leaving one cone point share their
 pops.
 
-The search clips only the edges its reach prefilter keeps.  Below the
-root, the prefilter reads each edge's line and the edge itself; at the
-root, it reads the edge's line distance from the vertex's root fan, which
-holds the clip of each edge some root pop has reached so far.  Every edge
-either prefilter skips, clipped in full, gives no cone or a distance
-beyond the reach, so the clip would have been dropped and no push is
-lost.  The halvings of one polygon share the fans, as the pipeline runs
-them, and the fans re-trace each chord once for both its directions.
+The search clips only the edges its one reach prefilter keeps, at every
+pop.  It compares each edge's |cross2| with the reach times the edge's
+length, a line test; below the root it also reads the edge itself.  At
+the root the |cross2| comes from the vertex's root fan, which lists only
+the fan edges (no endpoint at the vertex) and holds the clip of each edge
+some root pop has kept so far; below the root the prefilter computes it.
+Every edge the prefilter skips, clipped in full, gives no cone or a
+distance beyond the reach, so the clip would have been dropped and no
+push is lost.  The halvings of one polygon share the fans, as the
+pipeline runs them, and the fans re-trace each chord once for both its
+directions.
 
 The search keeps no record of what it has pushed: the clips of a copy's
 edges split its cone into disjoint pieces, so no search pushes one copy
@@ -37,6 +40,7 @@ from zipfold import (
     sample_fat_ngon,
 )
 from zipfold.geodesic import _AT_SOURCE, _REACH_MARGIN, DevelopmentEngine, Goal, RootFans
+from zipfold.geometry import cross2
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -158,8 +162,7 @@ def test_clip_calls_pinned(monkeypatch):
 
 @pytest.fixture()
 def prefilter_spy(monkeypatch):
-    """Clip in full every edge the reach prefilter skips, below the root and
-    at it.
+    """Clip in full every edge the reach prefilter skips, at every pop.
 
     A skipped clip must give no cone or a distance beyond the reach.  The
     popped bound is at most the reach at every pop that expands, so that is
@@ -170,22 +173,33 @@ def prefilter_spy(monkeypatch):
     source = []
     search_root = DevelopmentEngine._search_root
     edges_in_reach = DevelopmentEngine._edges_in_reach
-    root_clips = DevelopmentEngine._root_clips
 
     def root(self, source_cone, sv, *args):
         source[:] = [self.points[sv]]
         return search_root(self, source_cone, sv, *args)
 
-    def checked(self, offs, dists, node, reach):
-        kept = edges_in_reach(self, offs, dists, node, reach)
+    def checked(self, rows, node, reach):
+        rows = list(rows)
+        kept = edges_in_reach(self, rows, node, reach)
         s = source[0]
         pts = self._develop(node.transform)
-        assert offs == [p - s for p in pts]
+        at_root = node.entry_edge is None
+        assert kept == sorted(kept)
+        listed = set()
+        for j, wa, wb, da, db, length, c in rows:
+            a, b = pts[j], pts[(j + 1) % self.n]
+            assert (wa, wb, da, db) == (a - s, b - s, abs(a - s), abs(b - s))
+            assert length == self.edge_lengths[j]
+            # the root fan holds each fan edge's |cross2|; below the root,
+            # the prefilter computes it
+            assert c == (abs(cross2(wa, wb)) if at_root else None)
+            listed.add(j)
         for j in range(self.n):
             a, b = pts[j], pts[(j + 1) % self.n]
             if j == node.entry_edge or abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
                 assert j not in kept
                 continue
+            assert j in listed
             if j in kept:
                 # kept for a point inside the edge, its endpoints out of reach
                 seen["kept_inside"] += min(abs(a - s), abs(b - s)) > reach + _REACH_MARGIN
@@ -193,32 +207,15 @@ def prefilter_spy(monkeypatch):
             clip = self._clip_edge(s, a, b, node.cone)
             if clip is not None:
                 seen["skipped_cones"] += 1
+                seen["root_skipped_cones"] += at_root
                 if not clip[1] > reach:
                     unsound.append((s, a, b, node.cone, reach, clip))
         seen["kept"] += len(kept)
-        return kept
-
-    def root_checked(self, sv, reach):
-        kept = root_clips(self, sv, reach)
-        s = self.points[sv]
-        pts = self.fans.root_copy
-        pushed = [j for j, _, _ in kept]
-        assert pushed == sorted(pushed)
-        for j in range(self.n):
-            a, b = pts[j], pts[(j + 1) % self.n]
-            if j in pushed or abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
-                continue
-            clip = self._clip_edge(s, a, b, None)
-            if clip is not None:
-                seen["root_skipped_cones"] += 1
-                if not clip[1] > reach:
-                    unsound.append((s, a, b, None, reach, clip))
-        seen["root_kept"] += len(kept)
+        seen["root_kept"] += at_root * len(kept)
         return kept
 
     monkeypatch.setattr(DevelopmentEngine, "_search_root", root)
     monkeypatch.setattr(DevelopmentEngine, "_edges_in_reach", checked)
-    monkeypatch.setattr(DevelopmentEngine, "_root_clips", root_checked)
     return seen, unsound
 
 

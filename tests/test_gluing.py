@@ -13,7 +13,7 @@ from zipfold import (
     glue_halving,
     regular_ngon,
 )
-from zipfold.gluing import UNDECIDED, CurvatureVector, gluing_report_json
+from zipfold.gluing import UNDECIDED, CurvatureVector, gluing_report
 
 PI = math.pi
 FOUR_PI = 4 * PI
@@ -149,7 +149,8 @@ def test_collision_relations_regular_hexagon(regular_hexagon):
 
 def test_gluing_report_json_structure(regular_hexagon):
     g = glue_halving(regular_hexagon, 0)
-    data = json.loads(gluing_report_json(g, cone_angles(g)))
+    data = gluing_report(g, cone_angles(g))
+    assert json.loads(json.dumps(data)) == data
     assert data["fold_pair"] == [0, 3]
     assert len(data["identifications"]) == 3
     assert len(data["cone_points"]) == 4

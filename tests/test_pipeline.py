@@ -100,7 +100,7 @@ def test_nothing_shorter_reads_every_zipper_enumeration(fat_pool_small):
         for fold in range(3):
             audit = audit_halving(poly, fold, cfg)
             g = audit.gluing
-            table = DevelopmentEngine(g, cfg.dev_cap).distance_table(cfg.tolerances)
+            table = DevelopmentEngine(g, cfg.dev_cap, cfg.tolerances).distance_table()
             enums = [table.enumerations[p] for p in g.zipper_pairs()]
             if not all(e.complete for e in enums):
                 assert audit.statuses["zipper.nothing_shorter"] == INCONC

@@ -21,6 +21,7 @@ import pytest
 from zipfold import (
     EquilateralPolygon,
     GeodesicError,
+    Tolerances,
     glue_halving,
     load_polygon,
     regular_ngon,
@@ -188,10 +189,24 @@ def test_fans_of_another_polygon_are_refused():
 
 def test_fans_of_another_clearance_are_refused():
     poly = sample_fat_ngon(6, 0)
-    fans = RootFans(poly, clearance=1e-7)
-    with pytest.raises(GeodesicError, match="clearance"):
+    loose = Tolerances(tol_clearance=1e-7)
+    fans = RootFans(poly, loose)
+    with pytest.raises(GeodesicError, match="other tolerances"):
         DevelopmentEngine(glue_halving(poly, 0), fans=fans)
-    DevelopmentEngine(glue_halving(poly, 0), clearance=1e-7, fans=fans)
+    assert DevelopmentEngine(glue_halving(poly, 0), tol=loose, fans=fans).fans is fans
+
+
+def test_fans_refuse_a_clockwise_turn_at_the_runs_tol_convex():
+    """Vertex 1 of the degenerate hexagon, lifted 1e-7 into the polygon,
+    turns clockwise by 2e-7: past the default tol_convex, within 1e-6."""
+    pts = list(DEGENERATE.vertices)
+    pts[1] = (1.0, 1e-7)
+    poly = EquilateralPolygon(tuple(pts))
+    with pytest.raises(GeodesicError, match="not convex at vertex 1"):
+        RootFans(poly)
+    loose = Tolerances(tol_convex=1e-6)
+    assert RootFans(poly, loose).tol is loose
+    DevelopmentEngine(glue_halving(poly, 0), tol=loose)
 
 
 def test_overhang_leaves_out_an_edge_whose_width_is_rounding():
