@@ -32,13 +32,14 @@ Five facts keep the search small and exact:
   of what it has pushed.
 * Every search root is a vertex of the untransformed polygon, so what the
   root's first pop reads does not depend on the gluing: the offset and
-  distance of each vertex, the |cross2| of each edge and its clip against
-  all directions (the root fan), and the re-trace of each chord, which is
-  rejected as soon as it crosses an edge, whatever lies across it.  The
-  halvings of one polygon share these through one `RootFans`, which
-  re-traces a chord once for both its directions and clips an edge only
-  once some root pop's prefilter keeps it.  Otherwise the root pop runs
-  the target test, prefilter and push loop of every other pop.
+  distance of each vertex, the |cross2| of each edge away from the root
+  and its clip against all directions (the root fan), and the re-trace of
+  each chord, which is rejected as soon as it crosses an edge, whatever
+  lies across it.  The halvings of one polygon share these through one
+  `RootFans`, which re-traces a chord once for both its directions and
+  clips an edge only once some root pop's prefilter keeps it.  Otherwise
+  the root pop runs the target test, prefilter and push loop of every
+  other pop.
 
 The order in which a search pops developments does not depend on its
 target, so one development from a source cone point serves many queries
@@ -209,7 +210,7 @@ class _GoalState:
 
     def take(self, path):
         """Record a re-traced path (None: rejected) as one of the goal's
-        finds; a shortest query's shortest find of a root is its cut."""
+        finds; a shortest query's cut drops to its shortest find."""
         if path is not None:
             self.finds.append(path)
             if self.stop_at_first:
