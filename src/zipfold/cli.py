@@ -67,10 +67,12 @@ def _build_parser():
         p.add_argument("--out-dir", default=None, help="output directory (default $ZIPFOLD_OUT_DIR or .)")
 
     p = sub.add_parser("validate", help="check the folding hypotheses on a polygon file")
+    p.set_defaults(handler=cmd_validate)
     p.add_argument("--input", required=True)
     add_common(p)
 
     p = sub.add_parser("fold", help="fold a polygon and emit gluing reports / OBJ files")
+    p.set_defaults(handler=cmd_fold)
     p.add_argument("--input", required=True)
     p.add_argument("--fold-index", default="all", help='halving index or "all"')
     p.add_argument("--emit-obj", action="store_true")
@@ -78,12 +80,14 @@ def _build_parser():
     add_common(p)
 
     p = sub.add_parser("verify", help="run the full folding audit on a polygon file")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("--input", required=True)
     p.add_argument("--force", action="store_true", help="run the audit even when hypotheses fail")
     p.add_argument("--emit-svg", action="store_true")
     add_common(p)
 
     p = sub.add_parser("sample", help="sample polygons and run the pipeline per seed")
+    p.set_defaults(handler=_run_seeds)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--n", type=int, default=6)
@@ -92,6 +96,7 @@ def _build_parser():
     add_common(p)
 
     p = sub.add_parser("sweep", help="seed-range sweep writing a CSV of records")
+    p.set_defaults(handler=_run_seeds, save_polygons=False)
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--n", type=int, default=6)
@@ -206,7 +211,7 @@ def cmd_verify(args):
     return EXIT_CODES[outcome.status]
 
 
-def _run_seeds(args, save_polygons=False):
+def _run_seeds(args):
     cfg = _config(args)
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
@@ -224,7 +229,7 @@ def _run_seeds(args, save_polygons=False):
             continue
         records.append(record)
         statuses.append(record.status)
-        if save_polygons:
+        if args.save_polygons:
             save_polygon(poly, _out_path(args, f"polygon_seed{seed}.json"))
     wall = time.perf_counter() - t0
 
@@ -246,26 +251,11 @@ def _run_seeds(args, save_polygons=False):
     return EXIT_CODES[combine(statuses)]
 
 
-def cmd_sample(args):
-    return _run_seeds(args, save_polygons=args.save_polygons)
-
-
-def cmd_sweep(args):
-    return _run_seeds(args)
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "validate": cmd_validate,
-        "fold": cmd_fold,
-        "verify": cmd_verify,
-        "sample": cmd_sample,
-        "sweep": cmd_sweep,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, MalformedPolygonError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -22,6 +22,9 @@ from .polygon import DEFAULT_TOLERANCES
 EDGE_MATCH_TOL = 1e-9
 
 PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
+# The zipper of every hexagon gluing, as labels: fold vertex a, the pairs c
+# and d, fold vertex b.  Its edges are the ones net.cut_and_unfold cuts.
+ZIPPER = ("a", "c", "d", "b")
 # (u, v) in either order -> the TetraMetric field holding its distance
 _DISTANCE_FIELD = {(u, v): "d_" + name for name in PAIRS for u, v in (name, name[::-1])}
 

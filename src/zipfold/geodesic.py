@@ -76,6 +76,7 @@ from .geometry import (
     dot2,
     point_segment_distance,
     rigid_from_segment,
+    turns,
 )
 from .polygon import DEFAULT_TOLERANCES, validate
 
@@ -279,15 +280,15 @@ class RootFans:
         self.tol = tol
         self.points = polygon.as_complex()
         n = len(self.points)
+        corner_turns = turns(polygon.vertices)
         for k in range(n):
-            a, b = self.points[k - 1], self.points[k]
-            ab = b - a
+            ab = self.points[k] - self.points[k - 1]
             if dot2(ab, ab) < DEGENERATE_SQ:
                 raise GeodesicError(
                     f"polygon edge {(k - 1) % n} is degenerate; the geodesic search needs "
                     "distinct consecutive vertices"
                 )
-            if cross2(ab, self.points[(k + 1) % n] - a) < -tol.tol_convex:
+            if corner_turns[k - 1] < -tol.tol_convex:
                 raise GeodesicError(
                     f"polygon is not convex at vertex {k}; the geodesic search needs a convex one"
                 )

@@ -9,16 +9,21 @@ module boundaries use (x, y) tuples.  Rigid motions are stored as
 Perimeter halving glues arcs that run from the same fold vertex, so every
 transition between developed copies preserves orientation and no
 reflection is needed.
+
+Each planar predicate on (x, y) points is written once: `orient` is the
+turn of three points, `turns` its value at every corner of a closed loop,
+and `first_close_pair` the first two points of a loop nearer than a
+cutoff.  Validation, closure, the net layout and the geodesic search's
+convexity check read them and keep their own thresholds.
 """
 
 import math
 
 # A segment whose squared length is below DEGENERATE_SQ counts as a point.
 DEGENERATE_SQ = 1e-30
-# The defaults of Rigid.almost_equal and segments_properly_intersect (an
-# orientation this near 0 is collinear).  This module imports nothing of the
-# package, so it cannot read them from Tolerances.
-RIGID_TOL = 1e-10
+# The default of segments_properly_intersect: an orientation this near 0 is
+# collinear.  This module imports nothing of the package, so it cannot read
+# it from Tolerances.
 ORIENT_EPS = 1e-12
 
 
@@ -60,7 +65,7 @@ class Rigid:
         """self after other: (self . other)(z) = self(other(z))."""
         return Rigid(self.rot * other.rot, self.rot * other.trans + self.trans)
 
-    def almost_equal(self, other, tol=RIGID_TOL):
+    def almost_equal(self, other, tol):
         return abs(self.rot - other.rot) <= tol and abs(self.trans - other.trans) <= tol
 
     def __repr__(self):
@@ -93,12 +98,31 @@ def polygon_signed_area(points):
     return 0.5 * area
 
 
-def triangle_area(a, b, c):
-    return 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
-
-
-def _orient(a, b, c):
+def orient(a, b, c):
+    """Twice the signed area of triangle abc: positive when a -> b -> c
+    turns counterclockwise, negative when clockwise, 0 when collinear."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def turns(points):
+    """orient(points[i], points[i + 1], points[i + 2]) for every i around a
+    closed loop: entry i is the turn at corner i + 1."""
+    return list(map(orient, points, points[1:] + points[:1], points[2:] + points[:2]))
+
+
+def first_close_pair(points, cutoff):
+    """The first pair (i, j), i < j, of points nearer than cutoff, in row
+    order, or None."""
+    m = len(points)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1]) < cutoff:
+                return i, j
+    return None
+
+
+def triangle_area(a, b, c):
+    return 0.5 * abs(orient(a, b, c))
 
 
 def _on_segment(a, b, c, eps):
@@ -113,10 +137,10 @@ def segments_properly_intersect(p0, p1, q0, q1, eps=ORIENT_EPS):
 
     Collinear overlap counts as an intersection.  Inputs are (x, y) tuples.
     """
-    o1 = _orient(p0, p1, q0)
-    o2 = _orient(p0, p1, q1)
-    o3 = _orient(q0, q1, p0)
-    o4 = _orient(q0, q1, p1)
+    o1 = orient(p0, p1, q0)
+    o2 = orient(p0, p1, q1)
+    o3 = orient(q0, q1, p0)
+    o4 = orient(q0, q1, p1)
     if ((o1 > eps and o2 < -eps) or (o1 < -eps and o2 > eps)) and (
         (o3 > eps and o4 < -eps) or (o3 < -eps and o4 > eps)
     ):

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import GaussBonnetError, GluingError
-from .polygon import DEFAULT_TOLERANCES, EquilateralPolygon, interior_angles
+from .polygon import DEFAULT_TOLERANCES, TWO_PI, EquilateralPolygon, interior_angles
 
-TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 

@@ -1,19 +1,21 @@
 """Cut a tetrahedron along its zipper path and unfold to a planar net.
 
-Cutting the three zipper edges leaves the other three edges as hinges; the
-four faces form a strip along those hinges and unfold face by face into the
-plane.  The hinge layout order is fixed (first face placed canonically,
-each next face reflected across its hinge line), so the emitted net is
-reproducible coordinate-for-coordinate.  Flat tetrahedra unfold the same
-way: the layout consumes edge lengths only, never 3D rotations.
+The cut is `embed.ZIPPER`, the Hamiltonian path a -> c -> d -> b that every
+hexagon gluing's `zipper_pairs` walks; no other cut set is taken.  Cutting
+its three edges leaves the other three edges as hinges; the four faces form
+a strip along those hinges and unfold face by face into the plane.  The
+hinge layout order is fixed (first face placed canonically, each next face
+reflected across its hinge line), so the emitted net is reproducible
+coordinate-for-coordinate.  Flat tetrahedra unfold the same way: the layout
+consumes edge lengths only, never 3D rotations.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
+from .embed import ZIPPER
 from .errors import NetError
-from .geometry import best_rigid_alignment, segments_properly_intersect, triangle_area
+from .geometry import best_rigid_alignment, orient, segments_properly_intersect, triangle_area
 from .polygon import DEFAULT_TOLERANCES
 
 # A hinge shorter than this has coincident endpoints and fixes no line.
@@ -64,51 +66,16 @@ def _third_point(u, v, du, dv, side):
     return (ux + x * ex + side * h * nx, uy + x * ey + side * h * ny)
 
 
-def _side_of(p, u, v):
-    return (v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
-
-
-@functools.lru_cache(maxsize=None)
-def _zipper_path(zipper):
-    """Order a 3-edge cut set into the Hamiltonian path it forms on abcd,
-    once per cut set."""
-    edges = [tuple(sorted(e)) for e in zipper]
-    if len(edges) != 3 or len(set(edges)) != 3:
-        raise NetError("cut set must contain three distinct edges")
-    degree = {}
-    for u, v in edges:
-        if u not in "abcd" or v not in "abcd" or u == v:
-            raise NetError(f"bad cut edge ({u}, {v})")
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    ends = sorted(k for k, deg in degree.items() if deg == 1)
-    if len(degree) != 4 or len(ends) != 2 or max(degree.values()) > 2:
-        raise NetError("cut set is not a Hamiltonian path on the four vertices")
-    path = [ends[0]]
-    remaining = set(edges)
-    while remaining:
-        nxt = None
-        for e in list(remaining):
-            if path[-1] in e:
-                nxt = e
-                break
-        if nxt is None:
-            raise NetError("cut set is not a connected path")
-        remaining.remove(nxt)
-        path.append(nxt[0] if nxt[1] == path[-1] else nxt[1])
-    return tuple(path)
-
-
-def cut_and_unfold(tet, zipper=(("a", "c"), ("c", "d"), ("d", "b"))):
+def cut_and_unfold(tet):
     """Unfold the four faces into the plane after cutting the zipper edges.
 
-    The cut path x0-x1-x2-x3 leaves hinges x0x2, x0x3, x1x3; faces unfold
-    in the fixed order (x0 x1 x2), (x0 x2 x3), (x0 x3 x1), (x3 x1 x2), each
-    placed across the hinge it shares with its predecessor.  The boundary
-    comes out as six corners: a leaf of the cut path appears once, interior
-    cut vertices twice.
+    The cut path x0-x1-x2-x3 is `embed.ZIPPER`, a-c-d-b, and leaves hinges
+    x0x2, x0x3, x1x3; faces unfold in the fixed order (x0 x1 x2),
+    (x0 x2 x3), (x0 x3 x1), (x3 x1 x2), each placed across the hinge it
+    shares with its predecessor.  The boundary comes out as six corners: a
+    leaf of the cut path appears once, interior cut vertices twice.
     """
-    x0, x1, x2, x3 = _zipper_path(zipper)
+    x0, x1, x2, x3 = ZIPPER
     length = tet.edge_length
 
     # face (x0 x1 x2): x0 at origin, x2 on +x, x1 above
@@ -118,10 +85,10 @@ def cut_and_unfold(tet, zipper=(("a", "c"), ("c", "d"), ("d", "b"))):
     # face (x0 x2 x3) across hinge x0x2, below
     p3 = _third_point(p0, p2, length(x0, x3), length(x2, x3), -1)
     # face (x0 x3 x1) across hinge x0x3, away from x2
-    side = -1 if _side_of(p2, p0, p3) > 0 else +1
+    side = -1 if orient(p0, p3, p2) > 0 else +1
     p1b = _third_point(p0, p3, length(x0, x1), length(x3, x1), side)
     # face (x3 x1 x2) across hinge x3x1b, away from x0
-    side = -1 if _side_of(p0, p3, p1b) > 0 else +1
+    side = -1 if orient(p3, p1b, p0) > 0 else +1
     p2b = _third_point(p3, p1b, length(x3, x2), length(x1, x2), side)
 
     boundary = (p1, p0, p1b, p2b, p3, p2)

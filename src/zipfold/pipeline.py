@@ -29,15 +29,15 @@ from .embed import congruent_tetrahedra, embed, vertex_angle_sums
 from .errors import ConfigError, GeodesicError, MetricError
 from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, RootFans
 from .geometry import best_rigid_alignment
+from .gluing import FOUR_PI
 from .polygon import (
     DEFAULT_TOLERANCES,
+    TWO_PI,
     Tolerances,
     _sample_ngon,
     check_independence,
     validate,
 )
-
-FOUR_PI = 4.0 * math.pi
 
 PASS = "pass"
 FAIL = "fail"
@@ -210,7 +210,7 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
 
     sums = vertex_angle_sums(audit.tetra)
     worst = max(
-        abs((2.0 * math.pi - sums[label]) - curv.curvatures[k])
+        abs((TWO_PI - sums[label]) - curv.curvatures[k])
         for k, label in enumerate("abcd")
     )
     net = audit.net = netmod.cut_and_unfold(audit.tetra)

@@ -11,14 +11,14 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, MalformedPolygonError, SamplingBudgetError, ZipfoldError
-from .geometry import polygon_signed_area
+from .geometry import first_close_pair, polygon_signed_area, turns
 
 TWO_PI = 2.0 * math.pi
 
@@ -163,23 +163,7 @@ class ValidationReport:
         return self.geometric_ok and self.strictly_convex and self.fat_ok and self.diagonal_ok
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "equilateral_ok": self.equilateral_ok,
-            "edge_max_error": self.edge_max_error,
-            "convexity_ok": self.convexity_ok,
-            "strictly_convex": self.strictly_convex,
-            "weak_vertices": list(self.weak_vertices),
-            "fat_ok": self.fat_ok,
-            "fat_violations": list(self.fat_violations),
-            "angle_sum_residual": self.angle_sum_residual,
-            "angle_sum_ok": self.angle_sum_ok,
-            "diagonal_ok": self.diagonal_ok,
-            "min_diagonal": self.min_diagonal,
-            "angles": list(self.angles),
-            "geometric_ok": self.geometric_ok,
-            "theorem_ok": self.theorem_ok,
-        }
+        return {**asdict(self), "geometric_ok": self.geometric_ok, "theorem_ok": self.theorem_ok}
 
 
 def _check_malformed(poly):
@@ -188,11 +172,9 @@ def _check_malformed(poly):
         raise MalformedPolygonError(f"n={n} is below the minimum of 6")
     if n % 2 != 0:
         raise MalformedPolygonError(f"n={n} is odd; perimeter halving needs even n")
-    pts = poly.vertices
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) < _REPEATED_VERTEX_CUTOFF:
-                raise MalformedPolygonError(f"repeated vertex: indices {i} and {j}")
+    pair = first_close_pair(poly.vertices, _REPEATED_VERTEX_CUTOFF)
+    if pair is not None:
+        raise MalformedPolygonError(f"repeated vertex: indices {pair[0]} and {pair[1]}")
 
 
 def interior_angles(poly):
@@ -244,28 +226,26 @@ def validate(poly, cfg=DEFAULT_TOLERANCES):
     """Check every folding hypothesis on an input polygon.
 
     Returns a ValidationReport; raises MalformedPolygonError for inputs
-    that are not even worth a report (odd n, n < 6, repeated vertices).
-    Weak convexity (cross product ~ 0 at some vertex) passes the convexity
-    check but is flagged and fails fatness.
+    that are not even worth a report (odd n, n < 6, repeated vertices, or
+    coordinates so large that an interior angle is not finite).  Weak
+    convexity (cross product ~ 0 at some vertex) passes the convexity check
+    but is flagged and fails fatness.
     """
     _check_malformed(poly)
-    pts = poly.vertices
     n = poly.n
 
     edge_err = max(abs(l - 1.0) for l in poly.edge_lengths())
     equilateral_ok = edge_err <= cfg.tol_len
 
-    crosses = []
-    for i in range(n):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % n]
-        cx, cy = pts[(i + 2) % n]
-        crosses.append((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    crosses = turns(poly.vertices)
     convexity_ok = all(c >= -cfg.tol_convex for c in crosses)
     weak = tuple((i + 1) % n for i, c in enumerate(crosses) if abs(c) <= cfg.tol_convex)
     strictly_convex = convexity_ok and not weak
 
     prof = interior_angles(poly)
+    # every angle is finite, and so is their sum, unless a corner product overflowed
+    if not math.isfinite(prof.sum_residual):
+        raise MalformedPolygonError("an interior angle is not finite: the coordinates are too large")
     lo = math.pi / 3.0 + cfg.tol_ang
     hi = math.pi - cfg.tol_ang
     fat_violations = tuple(i for i, a in enumerate(prof.angles) if not (lo < a < hi))
@@ -308,27 +288,24 @@ class PairDependence:
 class IndependenceReport:
     """The screen's verdict on every angle pair at one height bound and tol.
 
-    all_independent is true when every pair is "independent".  pairs maps
-    each pair (i, j), i < j, to its PairDependence.  A report made by
-    check_independence comes with all_independent already decided, and
-    builds pairs, with every witness and residual, only when pairs is first
-    read; a report made from a pairs dict reads both off that dict.
+    all_independent is true when every pair is "independent", and comes
+    decided.  pairs maps each pair (i, j), i < j, to its PairDependence;
+    build_pairs() makes that dict, with every witness and residual, when
+    pairs is first read.
     """
 
-    def __init__(self, bound, tol, pairs=None, all_independent=None):
+    def __init__(self, bound, tol, all_independent, build_pairs):
         self.bound = bound
         self.tol = tol
-        self._pairs = {} if pairs is None else pairs  # a dict, or a function that builds it
-        self._all_independent = all_independent
+        self.all_independent = all_independent
+        self._build_pairs = build_pairs
 
     def __repr__(self):
         return f"IndependenceReport(bound={self.bound!r}, tol={self.tol!r})"
 
-    @property
+    @functools.cached_property
     def pairs(self):
-        if callable(self._pairs):
-            self._pairs = self._pairs()
-        return self._pairs
+        return self._build_pairs()
 
     @property
     def dependent_pairs(self):
@@ -337,12 +314,6 @@ class IndependenceReport:
     @property
     def inconclusive_pairs(self):
         return tuple(sorted(k for k, v in self.pairs.items() if v.status == "inconclusive"))
-
-    @property
-    def all_independent(self):
-        if self._all_independent is None:
-            self._all_independent = all(v.status == "independent" for v in self.pairs.values())
-        return self._all_independent
 
 
 class _Grid(NamedTuple):
@@ -381,7 +352,8 @@ _SIMPLE_HEIGHT = 3
 _BLOCK_TARGETS = 5120
 
 
-def _rational_grids(bound):
+@functools.cache
+def _grids(bound):
     rr, ss = np.meshgrid(np.arange(-bound, bound + 1), np.arange(1, bound + 1), indexing="ij")
     rr = rr.ravel()
     ss = ss.ravel()
@@ -410,15 +382,6 @@ def _rational_grids(bound):
         rr, ss, bvals, bsize, coeffs[is_simple], coeffs[~is_simple],
         qs, pi_over_q, table, below, above, per_unit, starts, spill,
     )
-
-
-_GRID_CACHE = {}
-
-
-def _grids(bound):
-    if bound not in _GRID_CACHE:
-        _GRID_CACHE[bound] = _rational_grids(bound)
-    return _GRID_CACHE[bound]
 
 
 def _grid_residuals(target, bound):
@@ -491,16 +454,12 @@ def _lower_bounds(grid, coeffs, xs, ys):
     return lower, targets
 
 
-_DIRECTION_CACHE = {}
-
-
+@functools.cache
 def _directions(m):
     """(xi, yi): the source and target index of both directions of every
     pair of m angles, i -> j for every i < j and then j -> i."""
-    if m not in _DIRECTION_CACHE:
-        i, j = np.triu_indices(m, 1)
-        _DIRECTION_CACHE[m] = (np.concatenate((i, j)), np.concatenate((j, i)))
-    return _DIRECTION_CACHE[m]
+    i, j = np.triu_indices(m, 1)
+    return np.concatenate((i, j)), np.concatenate((j, i))
 
 
 def _decide_independent(arr, bound, tol):
@@ -585,8 +544,8 @@ def check_independence(angles, bound=16, tol=INDEPENDENCE_TOL):
     if not np.isfinite(arr).all():
         raise ValueError("angles must be finite")
     return IndependenceReport(
-        bound, tol, functools.partial(_pair_dependences, arr, bound, tol),
-        all_independent=_decide_independent(arr, bound, tol),
+        bound, tol, _decide_independent(arr, bound, tol),
+        functools.partial(_pair_dependences, arr, bound, tol),
     )
 
 
@@ -648,19 +607,12 @@ def solve_closure(directions):
 
 
 def _closure_reject_reason(verts):
-    m = len(verts)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if math.hypot(verts[i][0] - verts[j][0], verts[i][1] - verts[j][1]) < _COINCIDENT_CUTOFF:
-                return "degenerate: coincident vertices"
+    if first_close_pair(verts, _COINCIDENT_CUTOFF) is not None:
+        return "degenerate: coincident vertices"
     if polygon_signed_area(verts) <= 0:
         return "not counterclockwise"
-    for i in range(m):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % m]
-        cx, cy = verts[(i + 2) % m]
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < -_CONVEX_SLACK:
-            return "polygon not convex"
+    if any(t < -_CONVEX_SLACK for t in turns(verts)):
+        return "polygon not convex"
     return None
 
 

@@ -1,16 +1,17 @@
-"""Python opcodes per operation on the benchmark's geodesic workloads.
+"""Python opcodes per operation on the benchmark's workloads.
 
 Run from the root of a checkout:
 
     python tests/opcodes.py [--count 30] [--seed 7]
 
-It imports zipfold from the checkout's `src/` and the `hex-verify` and
-`ngon-sweep` workloads from `perfbench/run.py`, whose inputs come from
-`perfbench/inputs.py`.  For each workload it runs the first input once
-untraced, to fill the program's caches, and then counts the opcodes the
-interpreter executes (`sys.settrace` with `f_trace_opcodes`) over the first
-`--count` inputs.  It prints one JSON line: the Python version and each
-workload's opcodes per operation.
+It imports zipfold from the checkout's `src/` and the `hex-verify`,
+`ngon-sweep` and `screen` workloads from `perfbench/run.py`, whose inputs
+come from `perfbench/inputs.py`; `screen`'s polygon files are written to a
+temporary directory that is removed afterwards.  For each workload it runs
+the first input once untraced, to fill the program's caches, and then
+counts the opcodes the interpreter executes (`sys.settrace` with
+`f_trace_opcodes`) over the first `--count` inputs.  It prints one JSON
+line: the Python version and each workload's opcodes per operation.
 
 The count does not depend on the machine or its load, so two commits
 compare by running this script from a checkout of each, on one Python
@@ -22,10 +23,11 @@ import argparse
 import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("hex-verify", "ngon-sweep")
+WORKLOADS = ("hex-verify", "ngon-sweep", "screen")
 
 
 def _count_opcodes(fn, *args):
@@ -56,14 +58,16 @@ def opcodes_per_op(count, seed):
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import run  # perfbench/run.py
     import zipfold
-    import zipfold.pipeline  # noqa: F401  (the workloads reach it as an attribute)
+    import zipfold.cli  # noqa: F401  (the workloads reach these as attributes)
+    import zipfold.pipeline  # noqa: F401
 
     out = {}
     for name in WORKLOADS:
         workload = run.WORKLOADS[name]()
-        items = workload.prepare(zipfold, seed, None)[:count]
-        workload.op(zipfold, items[0])
-        total = sum(_count_opcodes(workload.op, zipfold, item) for item in items)
+        with tempfile.TemporaryDirectory() as workdir:
+            items = workload.prepare(zipfold, seed, Path(workdir))[:count]
+            workload.op(zipfold, items[0])
+            total = sum(_count_opcodes(workload.op, zipfold, item) for item in items)
         out[name] = total / len(items)
     return out
 

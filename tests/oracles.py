@@ -247,7 +247,8 @@ def reference_check_independence(angles, bound=16, tol=1e-9):
                 best = min(res_ij, res_ji)
                 status = "inconclusive" if best < 10.0 * tol else "independent"
                 pairs[(i, j)] = PairDependence(i, j, status, None, None, best)
-    return IndependenceReport(bound=bound, tol=tol, pairs=pairs)
+    all_independent = all(v.status == "independent" for v in pairs.values())
+    return IndependenceReport(bound, tol, all_independent, lambda: pairs)
 
 
 def reference_sample_attempts(

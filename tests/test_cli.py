@@ -463,6 +463,10 @@ BAD_NUMBERS = {
     "long-integer-turn": '{"turns": [0, 1%s, 2, 3]}' % ("0" * 400),
     "too-long-integer-turn": '{"turns": [0, 1%s, 2, 3]}' % ("0" * 5000),
     "not-utf8": b"\xff\xfe{",
+    # finite coordinates whose corner products overflow, so no angle is finite
+    "overflowing-corners": (
+        '{"vertices": [[0, 0], [1e160, 0], [1.7e160, 1e160], [1e160, 1.7e160], [0, 1.7e160], [-1e160, 1e160]]}'
+    ),
 }
 
 

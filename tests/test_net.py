@@ -5,7 +5,6 @@ import pytest
 
 from zipfold import (
     EquilateralPolygon,
-    NetError,
     congruent_to_polygon,
     cut_and_unfold,
     embed,
@@ -13,7 +12,8 @@ from zipfold import (
     is_simple,
     tetra_metric,
 )
-from zipfold.net import PlanarNet, _zipper_path
+from zipfold.embed import ZIPPER
+from zipfold.net import PlanarNet
 
 
 def _tet_for(poly, fold_index):
@@ -92,17 +92,14 @@ def test_three_dashed_creases(fat_pool_small):
     assert sorted(name for _, _, name in net.creases) == ["ab", "ad", "bc"]
 
 
-def test_zipper_path_reconstruction():
-    assert _zipper_path((("a", "c"), ("c", "d"), ("d", "b"))) == ("a", "c", "d", "b")
-    assert _zipper_path((("d", "b"), ("a", "c"), ("c", "d"))) == ("a", "c", "d", "b")
-
-
-def test_non_hamiltonian_cut_rejected(fat_pool_small):
-    tet = _tet_for(fat_pool_small[0], 0)
-    with pytest.raises(NetError):
-        cut_and_unfold(tet, zipper=(("a", "b"), ("a", "c"), ("a", "d")))  # a star
-    with pytest.raises(NetError):
-        cut_and_unfold(tet, zipper=(("a", "b"), ("b", "c"), ("c", "a")))  # a cycle
+def test_the_cut_is_every_hexagon_gluings_zipper(regular_hexagon, degenerate_hexagon, fat_pool_small):
+    # cone point k of a hexagon gluing is the tetrahedron's vertex "abcd"[k]
+    for poly in [regular_hexagon, degenerate_hexagon, *fat_pool_small[:5]]:
+        for i in range(3):
+            pairs = glue_halving(poly, i).zipper_pairs()
+            path = ["abcd"[pairs[0][0]]] + ["abcd"[v] for _, v in pairs]
+            assert all(pairs[k][1] == pairs[k + 1][0] for k in range(len(pairs) - 1))
+            assert tuple(path) == ZIPPER
 
 
 def test_overlapping_fixture_not_simple():

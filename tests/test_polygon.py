@@ -63,6 +63,28 @@ def test_malformed_inputs_rejected(verts, match):
         validate(EquilateralPolygon(tuple(verts)))
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: validate(EquilateralPolygon(((0, 0), (1, 0), (1, 1), (0, 0), (1, 0), (1, 1)))),
+         "repeated vertex: indices 0 and 3"),
+        # vertex 2 returns to vertex 0
+        (lambda: solve_closure([0.0, PI, PI / 2, PI / 2]), "degenerate: coincident vertices"),
+        # the regular hexagon's chain, turning clockwise
+        (lambda: solve_closure([0.0, -PI / 3, -2 * PI / 3, -PI]), "not counterclockwise"),
+        # vertex 2 turns clockwise
+        (lambda: solve_closure([0.0, 1.5, 1.2, PI + 0.3]), "polygon not convex"),
+    ],
+    ids=["repeated-vertex", "coincident", "clockwise", "not-convex"],
+)
+def test_boundary_rejection_messages(make, message):
+    try:
+        rejected = [reason for _, reason in make().rejected]
+    except MalformedPolygonError as exc:
+        rejected = [str(exc)]
+    assert rejected and set(rejected) == {message}
+
+
 def test_interior_angles_of_unit_square():
     # n=4 is rejected by validate but the angle helper still works on it
     prof = interior_angles([(0, 0), (1, 0), (1, 1), (0, 1)])
