@@ -8,7 +8,7 @@ the source vertex to some developed image of the target vertex.  The search
 therefore works on "developments": placements of polygon copies reached by
 a sequence of edge crossings.
 
-Five facts keep the search small and exact:
+Six facts keep the search small and exact:
 
 * A valid candidate is a straight segment from the source, so only
   directions that thread every crossed edge in order can matter.  Each node
@@ -26,6 +26,12 @@ Five facts keep the search small and exact:
   the prefilter saves the clip and changes no push.  It compares the
   |cross2| of the edge's endpoints seen from the source, which is the line
   distance times the edge's length, with the reach times that length.
+* Below the root, a copy is convex and its cone lies within the directions
+  through its entry edge, so a ray of the cone enters the copy there and
+  can leave only through an edge whose inner side holds the source.  The
+  prefilter culls every edge whose cross2 of its endpoints seen from the
+  source is at most 0 before the reach test (its clip is empty or a
+  sliver), and the clip reads the row the prefilter kept.
 * A ray from the source crosses one sequence of edges, so the clips of a
   copy's edges split its cone into disjoint pieces.  No two developments
   share a copy, an entry edge and a cone, and the search keeps no record
@@ -72,6 +78,7 @@ from .errors import GeodesicError, GeodesicNotFoundError
 from .geometry import (
     DEGENERATE_SQ,
     IDENTITY,
+    Rigid,
     cross2,
     dot2,
     point_segment_distance,
@@ -233,20 +240,6 @@ class _GoalState:
         return ShortestResult(status, None, self.developments, self.frontier)
 
 
-class _Node:
-    __slots__ = ("transform", "entry_edge", "cone", "edge_path")
-
-    def __init__(self, transform, entry_edge, cone, edge_path):
-        self.transform = transform
-        self.entry_edge = entry_edge
-        self.cone = cone  # None (all directions) or rays (lo, hi), hi ccw of lo by < pi
-        self.edge_path = edge_path
-
-
-# every search root: the untransformed polygon, entered through no edge
-_ROOT = _Node(IDENTITY, None, None, ())
-
-
 class RootFans:
     """One polygon's root copy as seen from each of its vertices.
 
@@ -302,17 +295,17 @@ class RootFans:
 def _between(lo, hi, v):
     """Whether direction v lies in the closed cone from lo counterclockwise
     to hi, a cone narrower than pi.  The two cross2 are spelled out, as
-    `_clip_edge` asks this up to three times per clip."""
+    `_clip_row` asks this up to three times per clip."""
     return (
         lo.real * v.imag - lo.imag * v.real >= 0.0
         and v.real * hi.imag - v.imag * hi.real >= 0.0
     )
 
 
-def _sliver(lo, hi):
-    """Whether the cone from lo counterclockwise to hi is empty: narrower
-    than _SLIVER, or turning clockwise."""
-    return cross2(lo, hi) < _SLIVER * abs(lo) * abs(hi)
+def _sliver(cross, len_lo, len_hi):
+    """Whether the cone from ray lo counterclockwise to ray hi is empty (narrower
+    than _SLIVER, or clockwise), from cross2(lo, hi) and the rays' lengths."""
+    return cross < _SLIVER * len_lo * len_hi
 
 
 class DevelopmentEngine:
@@ -361,13 +354,9 @@ class DevelopmentEngine:
             return v
         raise GeodesicError(f"({u}, {v}) is not a boundary edge")
 
-    def _develop(self, transform):
-        """The polygon's vertices in the copy placed by transform.
-
-        Edge j of the copy runs from vertex j to vertex j+1 (mod n).  The
-        engine composes only rotations, so rot*p + trans is the placement.
-        """
-        rot, trans = transform.rot, transform.trans
+    def _develop(self, rot, trans):
+        """The polygon's vertices in the copy z -> rot*z + trans (the engine
+        composes only rotations); its edge j runs from vertex j to j+1."""
         return [rot * p + trans for p in self.points]
 
     # -- direction-cone bookkeeping -----------------------------------------
@@ -391,35 +380,43 @@ class DevelopmentEngine:
         """
         wa = a - s
         wb = b - s
-        if cross2(wa, wb) < 0.0:
-            a, b, wa, wb = b, a, wb, wa
-        if _sliver(wa, wb):
+        x = cross2(wa, wb)
+        if x < 0.0:
+            a, b, wa, wb, x = b, a, wb, wa, -x
+        return self._clip_row(s, a, b, wa, wb, abs(wa), abs(wb), x, cone)
+
+    def _clip_row(self, s, a, b, wa, wb, da, db, x, cone):
+        """`_clip_edge` of an edge that s sees counterclockwise, from its
+        row: wa = a - s, wb = b - s, da = |wa|, db = |wb|, x = cross2(wa, wb).
+        A cone is None (every direction) or (lo, hi, |lo|, |hi|)."""
+        if _sliver(x, da, db):
             return None  # the edge is radial from s
         if cone is None:
-            return (wa, wb), point_segment_distance(s, a, b)
-        lo, hi = cone
+            return (wa, wb, da, db), point_segment_distance(s, a, b)
+        lo, hi, len_lo, len_hi = cone
         # both cones are narrower than pi, so they meet in one cone or none,
         # and it starts at whichever start lies in the other
         if _between(lo, hi, wa):
-            start, qa = wa, a
+            start, len_start, qa = wa, da, a
         elif _between(wa, wb, lo):
-            start, qa = lo, self._ray_on_line(s, lo, a, b)
+            start, len_start, qa = lo, len_lo, self._ray_on_line(s, lo, a, b)
         else:
             return None
         if _between(lo, hi, wb):
-            end, qb = wb, b
+            end, len_end, qb = wb, db, b
         else:
-            end, qb = hi, self._ray_on_line(s, hi, a, b)
-        if _sliver(start, end):
+            end, len_end, qb = hi, len_hi, self._ray_on_line(s, hi, a, b)
+        if _sliver(cross2(start, end), len_start, len_end):
             return None
-        return (start, end), point_segment_distance(s, qa, qb)
+        return (start, end, len_start, len_end), point_segment_distance(s, qa, qb)
 
     @staticmethod
-    def _cone_contains(cone, v):
-        """Whether direction v lies within _CONE_SLACK of the cone."""
-        lo, hi = cone
-        slack = _CONE_SLACK * abs(v)
-        return cross2(lo, v) >= -slack * abs(lo) and cross2(v, hi) >= -slack * abs(hi)
+    def _cone_contains(cone, v, len_v):
+        """Whether direction v, of length len_v, lies within _CONE_SLACK of
+        the cone."""
+        lo, hi, len_lo, len_hi = cone
+        slack = _CONE_SLACK * len_v
+        return cross2(lo, v) >= -slack * len_lo and cross2(v, hi) >= -slack * len_hi
 
     # -- candidate validation ------------------------------------------------
 
@@ -469,7 +466,7 @@ class DevelopmentEngine:
             u = best_t
             transform = transform.compose(self.transition[best_j])
             entry = self.partner[best_j]
-            pts = self._develop(transform)
+            pts = self._develop(transform.rot, transform.trans)
 
     def _clear_of_cone_images(self, s, end, copies):
         clearance = self.tol.tol_clearance
@@ -488,20 +485,21 @@ class DevelopmentEngine:
                     return False
         return True
 
-    def _finalize(self, sv, tv, node, end):
+    def _finalize(self, sv, tv, transform, edge_path, end):
         """Re-trace the candidate from vertex sv to `end`, the image of
-        vertex tv in the node's copy, from scratch.
+        vertex tv in the copy that `transform` places across `edge_path`,
+        from scratch.
 
         Returns its length, or None when the re-trace rejects it.
         """
         s = self.points[sv]
-        traced = self._trace(s, end, node.edge_path)
+        traced = self._trace(s, end, edge_path)
         if traced is None:
             return None
         final, copies = traced
         if abs(copies[-1][tv] - end) > _END_POINT_TOL:
             return None
-        if not node.transform.almost_equal(final, _TRANSFORM_TOL):
+        if not transform.almost_equal(final, _TRANSFORM_TOL):
             return None
         if not self._clear_of_cone_images(s, end, copies):
             return None
@@ -553,7 +551,7 @@ class DevelopmentEngine:
         u, v = (sv, tv) if sv < tv else (tv, sv)
         chords = self.fans.chords
         if (u, v) not in chords:
-            chords[u, v] = self._finalize(u, v, _ROOT, self.fans.root_copy[v])
+            chords[u, v] = self._finalize(u, v, IDENTITY, (), self.fans.root_copy[v])
         return chords[u, v]
 
     # -- search ---------------------------------------------------------------
@@ -598,20 +596,23 @@ class DevelopmentEngine:
         Every pop runs one target test, one prefilter and one push loop.
         The root pop reads its copy, the |cross2| of its edges and their
         clips from the root fan, and its chords from the fans' re-traces;
-        every other pop develops its copy and clips its edges itself.
+        every other pop develops its copy and clips the rows its prefilter
+        keeps.  A heap entry is (bound, tie, rot, trans, entry edge, cone,
+        edge path), the copy placed by rot and trans; ties pop in push order.
         """
         s = self.points[sv]
         n = self.n
         dev_cap = self.dev_cap
+        partner, transition = self.partner, self.transition
         for st in states:
             st.cut = st.limit
         live = list(states)
         reach = max(st.limit for st in live)
-        heap = [(0.0, 0, _ROOT)]
+        heap = [(0.0, 0, IDENTITY.rot, IDENTITY.trans, None, None, ())]
         tie = 1
         pops = 0
         while heap:
-            lb, _, node = heapq.heappop(heap)
+            lb, _, rot, trans, entry, cone, path = heapq.heappop(heap)
             kept = []
             for st in live:
                 if lb > st.cut:
@@ -627,13 +628,12 @@ class DevelopmentEngine:
                 live = kept
                 reach = max(st.limit for st in live)
             pops += 1
-            entry, cone = node.entry_edge, node.cone
             if entry is None:
                 pts = self.fans.root_copy
                 offs, dists, rows, clips = self._root_fan(sv)
                 on_entry = ()
             else:
-                pts = self._develop(node.transform)
+                pts = self._develop(rot, trans)
                 offs = [p - s for p in pts]
                 dists = list(map(abs, offs))
                 rows = self._edge_rows(offs, dists)
@@ -650,20 +650,18 @@ class DevelopmentEngine:
                     if d > st.limit or d + _BOUND_SLACK < lb:
                         continue
                     # the root's cone, None, holds every direction
-                    if cone and d > _AT_SOURCE and not self._cone_contains(cone, offs[tv]):
+                    if cone and d > _AT_SOURCE and not self._cone_contains(cone, offs[tv], d):
                         continue
                     if tv not in finalized:
                         if entry is None:
                             length = self._root_chord(sv, tv)
                         else:
-                            length = self._finalize(sv, tv, node, pts[tv])
-                        finalized[tv] = self._path(
-                            source_cone, st.target_cone, sv, tv, node.edge_path, length
-                        )
+                            length = self._finalize(sv, tv, Rigid(rot, trans), path, pts[tv])
+                        finalized[tv] = self._path(source_cone, st.target_cone, sv, tv, path, length)
                     st.take(finalized[tv])
-            for j in self._edges_in_reach(rows, node, reach):
+            for j, wa, wb, da, db, x in self._edges_in_reach(rows, entry, reach):
                 if entry is not None:
-                    clip = self._clip_edge(s, pts[j], pts[(j + 1) % n], cone)
+                    clip = self._clip_row(s, pts[j], pts[(j + 1) % n], wa, wb, da, db, x, cone)
                 elif j in clips:  # each fan edge is clipped once for all the fans' engines
                     clip = clips[j]
                 else:
@@ -674,37 +672,38 @@ class DevelopmentEngine:
                 lb2 = max(lb, dist)
                 if lb2 > reach:
                     continue
-                t2 = node.transform.compose(self.transition[j])
-                heapq.heappush(
-                    heap,
-                    (lb2, tie, _Node(t2, self.partner[j], cone2, node.edge_path + (j,))),
-                )
+                t = transition[j]  # the child's rot and trans, as Rigid.compose makes them
+                child = (lb2, tie, rot * t.rot, rot * t.trans + trans, partner[j], cone2, path + (j,))
+                heapq.heappush(heap, child)
                 tie += 1
         for st in live:
             st.developments += pops
         return pops
 
-    def _edges_in_reach(self, rows, node, reach):
-        """The edges of a popped copy worth clipping against its cone.
+    def _edges_in_reach(self, rows, entry, reach):
+        """The rows (j, a - s, b - s, |a - s|, |b - s|, |cross2|) of the
+        edges of a popped copy worth clipping against its cone.
 
         `rows` holds a row (j, a - s, b - s, |a - s|, |b - s|, |b - a|, c)
-        per edge j = [a, b] of the popped `node`'s copy (the root fan's,
-        per fan edge), s the source, c |cross2(a - s, b - s)| or None when
-        it is computed here.  The entry edge and edges with an endpoint at
-        s are left out, and so is every edge whose line, or below the root
-        the edge itself, lies farther than reach + _REACH_MARGIN from s.
-        The clip keeps part of the edge, so its distance is at least both
-        of these; the node's bound is at most reach at every pop that
-        expands, so the clip of a skipped edge would give no push.
+        per edge j = [a, b] of the copy entered through edge `entry` (the
+        root fan's, per fan edge, at the root), s the source, c
+        |cross2(a - s, b - s)| or None when it is computed here.  Below the
+        root, an edge whose signed cross2 is at most 0 is culled.  The entry
+        edge and edges with an endpoint at s are left out, and so is every
+        edge whose line, or below the root the edge itself, lies farther
+        than reach + _REACH_MARGIN from s.  The clip keeps part of the edge,
+        so its distance is at least both of these; the popped bound is at
+        most reach at every pop that expands, so such a clip gives no push.
         """
         limit = reach + _REACH_MARGIN
-        entry = node.entry_edge
         kept = []
         for j, wa, wb, da, db, length, c in rows:
             if j == entry:
                 continue
             if c is None:
-                c = abs(wa.real * wb.imag - wa.imag * wb.real)
+                c = wa.real * wb.imag - wa.imag * wb.real
+                if c <= 0.0:
+                    continue
             # c / |b - a| is the distance from s to the edge's line
             if c > limit * length:
                 continue
@@ -718,7 +717,7 @@ class DevelopmentEngine:
                 ab = wb - wa
                 if dot2(wa, ab) >= 0.0 or dot2(wb, ab) <= 0.0:
                     continue
-            kept.append(j)
+            kept.append((j, wa, wb, da, db, c))
         return kept
 
     def shortest_geodesic(self, src_idx, dst_idx, budget):
@@ -758,13 +757,13 @@ class DistanceTable:
         gluing = engine.gluing
         self.gluing = gluing
         self.tol = engine.tol
-        self.zipper = {frozenset(p) for p in gluing.zipper_pairs()}
+        zipper_pairs = gluing.zipper_pairs()
+        self.zipper = {frozenset(p) for p in zipper_pairs}
         self.entries = {}  # (i, j) with i < j -> (ShortestResult, budget)
         # zipper pair (i, j), in the zipper's direction -> EnumerationResult
         self.enumerations = {}
         self.developments = 0
         m = len(gluing.cone_points)
-        zipper_pairs = gluing.zipper_pairs()
         for i in range(m):
             goals = []
             for j in range(i + 1, m):
@@ -917,7 +916,7 @@ def _excursion_width(s, a, b, radius):
     # s lies left of a -> b, so b is counterclockwise of a as seen from s
     wa = a - s
     wb = b - s
-    if _sliver(wa, wb):
+    if _sliver(cross2(wa, wb), abs(wa), abs(wb)):
         return 0.0
     if _between(wa, wb, n):
         best = radius + fs  # the perpendicular ray exits through the segment

@@ -5,19 +5,24 @@ clipping, containment and the overhang excursion width by the signs of
 cross and dot products.  `tests/oracles.py` keeps the same operations on
 bearings: `atan2` angles wrapped with `fmod`.  The two forms must give no
 cone in the same cases, except for slivers, and otherwise the same
-boundary directions and distances.
+boundary directions and distances.  Below the root the search culls, before
+clipping, every edge that does not have the source on its inner side; a
+cone that entered a convex copy through one edge must clip every such edge
+to nothing.
 """
 
 import cmath
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import reference_clip_edge, reference_cone_contains, reference_excursion_width
 
 from zipfold import glue_halving, regular_ngon
-from zipfold.geodesic import DevelopmentEngine, _excursion_width
+from zipfold.geodesic import DevelopmentEngine, _excursion_width, _sliver
+from zipfold.geometry import cross2
 
 ENGINE = DevelopmentEngine(glue_halving(regular_ngon(6), 0))
 # the ray form may keep or drop a cone narrower than this where the
@@ -27,11 +32,14 @@ TOL = 1e-12
 
 
 def _rays(lo, width):
-    return cmath.rect(1.0, lo), cmath.rect(1.0, lo + width)
+    """The engine's cone of bearings lo to lo + width: its rays and their
+    lengths."""
+    lo_ray, hi_ray = cmath.rect(1.0, lo), cmath.rect(1.0, lo + width)
+    return lo_ray, hi_ray, abs(lo_ray), abs(hi_ray)
 
 
 def _ray_width(cone):
-    lo, hi = cone
+    lo, hi, _, _ = cone
     return math.atan2(lo.real * hi.imag - lo.imag * hi.real, lo.real * hi.real + lo.imag * hi.imag)
 
 
@@ -111,8 +119,79 @@ def test_containment_matches_bearing_form(cone, theta, r):
     inside = _gap(theta, lo + 0.5 * width) < 0.5 * width
     if not inside and abs(edge_gap - 1e-9) < 1e-12:
         return
-    got = DevelopmentEngine._cone_contains(_rays(lo, width), cmath.rect(r, theta))
+    v = cmath.rect(r, theta)
+    got = DevelopmentEngine._cone_contains(_rays(lo, width), v, abs(v))
     assert got == reference_cone_contains(cone, theta)
+
+
+def _nudge(x, ulps):
+    """x moved by |ulps| units in the last place, up for positive ulps."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+@st.composite
+def _entered_copies(draw):
+    """A developed copy, its entry edge k, a source and a cone of directions
+    from the source that enter the copy through edge k.
+
+    The copy is a convex polygon with unit edges: m edge bearings in
+    increasing order within less than pi, then the same m turned by pi,
+    which closes it; a zero gap between two bearings makes a straight
+    vertex.  A random rotation and translation place it.  The source lies
+    on the outer side of edge k.  Each ray of the cone points at a point of
+    edge k, often one of its endpoints, and each of its coordinates is then
+    moved by up to 4 units in the last place, as a cone made in the parent
+    copy meets the entry edge developed in the child."""
+    m = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.sampled_from((0.0, 0.3)) | st.floats(0.05, 1.0), min_size=m - 1, max_size=m - 1))
+    if sum(gaps) == 0.0:
+        return None  # a doubly covered segment, not a copy
+    scale = (math.pi - 0.1) / max(sum(gaps), math.pi - 0.1)
+    bearings = list(itertools.accumulate([draw(_bearing)] + [g * scale for g in gaps]))
+    edges = [cmath.rect(1.0, t + turn) for turn in (0.0, math.pi) for t in bearings]
+    rot = cmath.rect(1.0, draw(_bearing))
+    trans = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    pts = [rot * p + trans for p in itertools.accumulate([0j] + edges[:-1])]
+    k = draw(st.integers(0, len(pts) - 1))
+    a, b = pts[k], pts[(k + 1) % len(pts)]
+    # -1j turns the edge's direction to its outer normal
+    s = a + draw(st.floats(-1.0, 2.0)) * (b - a) - 1j * draw(st.floats(1e-3, 3.0)) * (b - a)
+    # seen from outside, the entry edge runs clockwise: b's ray is the low one
+    t_lo = draw(st.just(0.0) | st.floats(0.0, 1.0))
+    t_hi = draw(st.just(1.0) | st.floats(t_lo, 1.0))
+    lo, hi = (
+        complex(*(_nudge(x, draw(st.integers(-4, 4))) for x in (w.real, w.imag)))
+        for w in (b + t * (a - b) - s for t in (t_lo, t_hi))
+    )
+    return pts, k, s, (lo, hi, abs(lo), abs(hi))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_entered_copies())
+def test_cull_drops_only_empty_clips(entered):
+    """Below the root the prefilter culls every edge whose cross2 of its
+    endpoints seen from the source is at most 0: a ray that entered the
+    convex copy through its entry edge cannot leave through an edge with
+    the source on its outer side or its line, so that clip is empty."""
+    assume(entered is not None)
+    pts, k, s, cone = entered
+    lo, hi, len_lo, len_hi = cone
+    assume(not _sliver(cross2(lo, hi), len_lo, len_hi))  # a cone the search carries
+    n = len(pts)
+    offs = [p - s for p in pts]
+    dists = [abs(w) for w in offs]
+    lengths = [abs(pts[(j + 1) % n] - pts[j]) for j in range(n)]
+    culled = {j for j in range(n) if cross2(offs[j], offs[(j + 1) % n]) <= 0.0}
+    assert k in culled
+    rows = zip(range(n), offs, offs[1:] + offs[:1], dists, dists[1:] + dists[:1], lengths, itertools.repeat(None))
+    # at an infinite reach the cull is the prefilter's only skip
+    kept = ENGINE._edges_in_reach(rows, k, math.inf)
+    assert {j for j, *_ in kept} == set(range(n)) - culled
+    for j in culled - {k}:
+        assert ENGINE._clip_edge(s, pts[j], pts[(j + 1) % n], cone) is None
 
 
 def _deg(x):
@@ -143,10 +222,12 @@ def test_edge_straddling_a_boundary_ray(edge, kept):
     s = 0.25 + 0.1j
     a, b = (s + cmath.rect(1.0 + k / 100.0, _deg(t)) for k, t in enumerate(edge))
     cone = (_deg(0), _deg(90))
-    lo_ray, hi_ray = _rays(*cone)
-    (lo, hi), _ = _assert_clips_agree(s, a, b, cone)
+    lo_ray, hi_ray, _, _ = _rays(*cone)
+    (lo, hi, len_lo, len_hi), _ = _assert_clips_agree(s, a, b, cone)
     assert lo == (lo_ray if kept in ("lo", "both") else a - s)
     assert hi == (hi_ray if kept in ("hi", "both") else b - s)
+    # the clipped cone carries its rays' lengths
+    assert (len_lo, len_hi) == (abs(lo), abs(hi))
 
 
 @pytest.mark.parametrize("cone", [None, (_deg(10), _deg(90)), (_deg(-30), _deg(60))])
@@ -167,7 +248,7 @@ def test_near_radial_edges():
     b = s + cmath.rect(2.0, 0.3 + 1e-9)
     for cone in (None, (0.3 - 0.1, 0.2)):
         got = _assert_clips_agree(s, a, b, cone)
-        assert got[0] == (a - s, b - s)
+        assert got[0] == (a - s, b - s, abs(a - s), abs(b - s))
         assert got[1] == abs(a - s)
     # under the sliver cutoff it has none
     c = s + cmath.rect(2.0, 0.3 + 1e-16)

@@ -8,10 +8,9 @@ from zipfold.geodesic import (
     FOUND,
     NOT_FOUND,
     OVERHANG_BOUND,
-    _ROOT,
     DevelopmentEngine,
 )
-from zipfold.geometry import Rigid
+from zipfold.geometry import IDENTITY, Rigid
 from oracles import metric_by_brute_force
 
 PI = math.pi
@@ -169,8 +168,8 @@ def test_retrace_follows_the_crossing_sequence(fat_pool_small):
 def test_retrace_rejects_a_segment_short_of_its_target(fat_pool_small):
     eng = DevelopmentEngine(glue_halving(fat_pool_small[0], 0))
     p0, p3 = eng.points[0], eng.points[3]
-    assert eng._finalize(0, 3, _ROOT, p3) == abs(p3 - p0)
-    assert eng._finalize(0, 3, _ROOT, (p0 + p3) / 2) is None
+    assert eng._finalize(0, 3, IDENTITY, (), p3) == abs(p3 - p0)
+    assert eng._finalize(0, 3, IDENTITY, (), (p0 + p3) / 2) is None
 
 
 def test_retrace_rejects_a_chord_through_a_cone_point(degenerate_hexagon):

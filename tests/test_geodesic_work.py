@@ -13,10 +13,13 @@ pop.  It compares each edge's |cross2| with the reach times the edge's
 length, a line test; below the root it also reads the edge itself.  At
 the root the |cross2| comes from the vertex's root fan, which lists only
 the fan edges (no endpoint at the vertex) and holds the clip of each edge
-some root pop has kept so far; below the root the prefilter computes it.
-Every edge the prefilter skips, clipped in full, gives no cone or a
-distance beyond the reach, so the clip would have been dropped and no
-push is lost.  The halvings of one polygon share the fans, as the
+some root pop has kept so far; below the root the prefilter computes the
+signed cross2 and culls, before the reach test, every edge that does not
+have the source on its inner side, and the clip reads the prefilter's
+row.  Every edge culled below the root, clipped in full, gives no cone;
+every other edge the prefilter skips gives no cone or a distance beyond
+the reach, so the clip would have been dropped and no push is lost.  The
+root culls nothing.  The halvings of one polygon share the fans, as the
 pipeline runs them, and the fans re-trace each chord once for both its
 directions.
 
@@ -74,22 +77,24 @@ POPPED = {
 }
 
 
-# (n, seed) -> _clip_edge calls per halving while the distance table is
-# built, on the POPPED seeds, with one RootFans per polygon shared by its
-# halvings in order: a root pop clips the fan edges whose line its reach
-# covers and no earlier root pop has clipped, so a later hexagon halving,
-# whose longer non-zipper budgets reach farther, clips a few fan edges the
-# first one left alone
+# (n, seed) -> clips (`_clip_row` calls, the root fan's through
+# `_clip_edge`) per halving while the distance table is built, on the
+# POPPED seeds, with one RootFans per polygon shared by its halvings in
+# order: a root pop clips the fan edges whose line its reach covers and no
+# earlier root pop has clipped, so a later hexagon halving, whose longer
+# non-zipper budgets reach farther, clips a few fan edges the first one
+# left alone; below the root, only edges that have the source on their
+# inner side are clipped
 CLIPPED = {
-    (6, 0): (43, 28, 35), (6, 1): (45, 31, 27), (6, 2): (48, 25, 25),
-    (6, 3): (39, 43, 23), (6, 4): (53, 28, 42), (6, 5): (48, 32, 36),
-    (6, 6): (35, 26, 26), (6, 7): (37, 27, 33), (6, 8): (35, 25, 28),
-    (6, 9): (46, 29, 30), (6, 10): (50, 34, 40), (6, 11): (37, 28, 22),
-    (6, 12): (35, 21, 41), (6, 13): (56, 27, 29), (6, 14): (34, 30, 31),
-    (6, 15): (37, 32, 22), (6, 16): (40, 27, 34), (6, 17): (35, 34, 24),
-    (6, 18): (35, 26, 29), (6, 19): (40, 30, 30),
-    (8, 0): (31, 22, 16, 21), (8, 1): (32, 14, 16, 15), (8, 2): (32, 20, 14, 15),
-    (8, 3): (35, 11, 12, 19), (8, 4): (32, 14, 12, 13),
+    (6, 0): (26, 14, 18), (6, 1): (27, 14, 11), (6, 2): (29, 9, 10),
+    (6, 3): (22, 22, 7), (6, 4): (36, 17, 24), (6, 5): (31, 14, 17),
+    (6, 6): (22, 10, 12), (6, 7): (24, 9, 15), (6, 8): (20, 9, 10),
+    (6, 9): (29, 12, 14), (6, 10): (32, 19, 24), (6, 11): (22, 12, 6),
+    (6, 12): (19, 8, 22), (6, 13): (35, 12, 12), (6, 14): (20, 13, 14),
+    (6, 15): (22, 15, 7), (6, 16): (23, 11, 14), (6, 17): (20, 16, 8),
+    (6, 18): (20, 13, 12), (6, 19): (25, 15, 13),
+    (8, 0): (17, 7, 2, 3), (8, 1): (18, 1, 4, 2), (8, 2): (19, 4, 1, 0),
+    (8, 3): (20, 0, 0, 5), (8, 4): (18, 0, 0, 0),
 }
 
 
@@ -140,13 +145,13 @@ def test_no_rejected_candidates_on_a_hundred_fat_hexagons(finalized):
 
 def test_clip_calls_pinned(monkeypatch):
     calls = [0]
-    clip_edge = DevelopmentEngine._clip_edge
+    clip_row = DevelopmentEngine._clip_row
 
     def count_clip(self, *args):
         calls[0] += 1
-        return clip_edge(self, *args)
+        return clip_row(self, *args)
 
-    monkeypatch.setattr(DevelopmentEngine, "_clip_edge", count_clip)
+    monkeypatch.setattr(DevelopmentEngine, "_clip_row", count_clip)
     got = {}
     for n, seed in CLIPPED:
         poly = sample_fat_ngon(n, seed)
@@ -164,27 +169,41 @@ def test_clip_calls_pinned(monkeypatch):
 def prefilter_spy(monkeypatch):
     """Clip in full every edge the reach prefilter skips, at every pop.
 
-    A skipped clip must give no cone or a distance beyond the reach.  The
-    popped bound is at most the reach at every pop that expands, so that is
-    max(lb, dist) > reach, the test that drops a clip.
+    Below the root, an edge culled because the source does not lie on its
+    inner side must clip to no cone at all.  Any other skipped clip must
+    give no cone or a distance beyond the reach.  The popped bound is at
+    most the reach at every pop that expands, so that is
+    max(lb, dist) > reach, the test that drops a clip.  The root culls
+    nothing: it skips a fan edge only when the edge's line lies beyond the
+    reach.  Culls are counted by the depth of the popped copy.
     """
     seen = collections.Counter()
     unsound = []
     source = []
+    popped = []
     search_root = DevelopmentEngine._search_root
     edges_in_reach = DevelopmentEngine._edges_in_reach
+    heappop = heapq.heappop
 
     def root(self, source_cone, sv, *args):
         source[:] = [self.points[sv]]
         return search_root(self, source_cone, sv, *args)
 
-    def checked(self, rows, node, reach):
+    def pop(heap):
+        popped[:] = [heappop(heap)]
+        return popped[0]
+
+    def checked(self, rows, entry, reach):
         rows = list(rows)
-        kept = edges_in_reach(self, rows, node, reach)
+        kept = edges_in_reach(self, rows, entry, reach)
+        _, _, rot, trans, popped_entry, cone, path = popped[0]
+        assert entry == popped_entry
         s = source[0]
-        pts = self._develop(node.transform)
-        at_root = node.entry_edge is None
-        assert kept == sorted(kept)
+        pts = self._develop(rot, trans)
+        at_root = entry is None
+        limit = reach + _REACH_MARGIN
+        kept_edges = [j for j, *_ in kept]
+        assert kept_edges == sorted(kept_edges)
         listed = set()
         for j, wa, wb, da, db, length, c in rows:
             a, b = pts[j], pts[(j + 1) % self.n]
@@ -194,60 +213,81 @@ def prefilter_spy(monkeypatch):
             # the prefilter computes it
             assert c == (abs(cross2(wa, wb)) if at_root else None)
             listed.add(j)
+        for j, wa, wb, da, db, x in kept:
+            a, b = pts[j], pts[(j + 1) % self.n]
+            # the clip reads the row, and below the root every kept edge
+            # is seen counterclockwise
+            assert (wa, wb, da, db) == (a - s, b - s, abs(a - s), abs(b - s))
+            assert x == (abs(cross2(wa, wb)) if at_root else cross2(wa, wb))
+            assert x > 0.0 or at_root
         for j in range(self.n):
             a, b = pts[j], pts[(j + 1) % self.n]
-            if j == node.entry_edge or abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
-                assert j not in kept
+            if j == entry or abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
+                assert j not in kept_edges
                 continue
             assert j in listed
-            if j in kept:
+            if j in kept_edges:
                 # kept for a point inside the edge, its endpoints out of reach
-                seen["kept_inside"] += min(abs(a - s), abs(b - s)) > reach + _REACH_MARGIN
+                seen["kept_inside"] += min(abs(a - s), abs(b - s)) > limit
                 continue
-            clip = self._clip_edge(s, a, b, node.cone)
+            clip = self._clip_edge(s, a, b, cone)
+            x = cross2(a - s, b - s)
+            if not at_root and x <= 0.0:
+                seen["culled"] += 1
+                seen["culled_at_depth_1" if len(path) == 1 else "culled_deeper"] += 1
+                if clip is not None:
+                    unsound.append(("culled", s, a, b, cone, clip))
+                continue
+            if at_root and abs(x) <= limit * self.edge_lengths[j]:
+                unsound.append(("root skip within reach", s, a, b, reach))
             if clip is not None:
                 seen["skipped_cones"] += 1
                 seen["root_skipped_cones"] += at_root
                 if not clip[1] > reach:
-                    unsound.append((s, a, b, node.cone, reach, clip))
+                    unsound.append(("beyond reach", s, a, b, cone, reach, clip))
         seen["kept"] += len(kept)
         seen["root_kept"] += at_root * len(kept)
         return kept
 
     monkeypatch.setattr(DevelopmentEngine, "_search_root", root)
     monkeypatch.setattr(DevelopmentEngine, "_edges_in_reach", checked)
+    monkeypatch.setattr(heapq, "heappop", pop)
     return seen, unsound
 
 
-def _spy_gluings():
+def _spy_gluings(degenerate_hexagon):
     polys = [sample_fat_ngon(6, seed) for seed in range(20)]
     polys += [sample_fat_ngon(8, seed) for seed in range(5)]
     polys.append(load_polygon(os.path.join(DATA, "thin_hexagon_seed0.json")))
+    # straight vertices: edges in line with a root, seen under no angle
+    polys.append(degenerate_hexagon)
     return [glue_halving(poly, i) for poly in polys for i in range(poly.n // 2)]
 
 
 @pytest.mark.parametrize("cap", [None, 3], ids=["default_cap", "cap3"])
-def test_prefilter_skips_only_dropped_clips(prefilter_spy, cap):
+def test_prefilter_skips_only_dropped_clips(prefilter_spy, degenerate_hexagon, cap):
     seen, unsound = prefilter_spy
     kwargs = {} if cap is None else {"dev_cap": cap}
-    for g in _spy_gluings():
+    for g in _spy_gluings(degenerate_hexagon):
         DevelopmentEngine(g, **kwargs).distance_table()
     assert unsound == []
     assert seen["skipped_cones"] > 0 and seen["kept"] > 0
     assert seen["root_skipped_cones"] > 0 and seen["root_kept"] > 0
+    assert seen["culled_at_depth_1"] > 0 and seen["culled_deeper"] > 0
 
 
-def test_prefilter_is_sound_at_exact_reach(prefilter_spy):
+def test_prefilter_is_sound_at_exact_reach(prefilter_spy, degenerate_hexagon):
     """Budgets equal to found distances put a target's developed vertex,
     and the clipped part of its edges, right at the reach."""
     seen, unsound = prefilter_spy
-    for g in _spy_gluings():
+    for g in _spy_gluings(degenerate_hexagon):
         engine = DevelopmentEngine(g)
         for (i, j), (res, _) in engine.distance_table().entries.items():
             if res.path is not None:
                 engine.search(i, [Goal(j, res.path.length, False)])
     assert unsound == []
     assert seen["skipped_cones"] > 0 and seen["root_skipped_cones"] > 0
+    assert seen["culled_at_depth_1"] > 0 and seen["culled_deeper"] > 0
 
 
 def test_prefilter_is_sound_on_long_edges(prefilter_spy):
@@ -260,19 +300,23 @@ def test_prefilter_is_sound_on_long_edges(prefilter_spy):
             DevelopmentEngine(glue_halving(big, i)).distance_table()
     assert unsound == []
     assert seen["skipped_cones"] > 0 and seen["root_skipped_cones"] > 0
+    assert seen["culled"] > 0
 
 
 def test_prefilter_is_sound_past_both_endpoints(prefilter_spy):
-    """Enumerations out to 2.5 reach edges whose nearest point to the
-    source lies inside them, both endpoints beyond the reach."""
+    """Enumerations out to 2.5 and 3.5 reach edges whose nearest point to
+    the source lies inside them, both endpoints beyond the reach, and
+    copies two crossings deep."""
     seen, unsound = prefilter_spy
     for seed in range(5):
         for i in range(3):
             engine = DevelopmentEngine(glue_halving(sample_fat_ngon(6, seed), i))
             for a, b in itertools.permutations(range(4), 2):
                 engine.enumerate_geodesics(a, b, 2.5)
+                engine.enumerate_geodesics(a, b, 3.5)
     assert unsound == []
     assert seen["kept_inside"] > 0 and seen["skipped_cones"] > 0
+    assert seen["culled_at_depth_1"] > 0 and seen["culled_deeper"] > 0
 
 
 @pytest.fixture()
@@ -290,10 +334,9 @@ def push_spy(monkeypatch):
         return search_root(self, *args)
 
     def push(heap, item):
-        node = item[-1]
-        t = node.transform
-        key = tuple(round(x / 1e-8) for x in (t.rot.real, t.rot.imag, t.trans.real, t.trans.imag))
-        key += (node.entry_edge,)
+        _, _, rot, trans, entry, _, _ = item
+        key = tuple(round(x / 1e-8) for x in (rot.real, rot.imag, trans.real, trans.imag))
+        key += (entry,)
         if key in keys:
             repeats.append(key)
         keys.add(key)
@@ -305,9 +348,9 @@ def push_spy(monkeypatch):
     return seen, repeats
 
 
-def test_no_copy_pushed_twice_across_one_edge(push_spy):
+def test_no_copy_pushed_twice_across_one_edge(push_spy, degenerate_hexagon):
     seen, repeats = push_spy
-    gluings = _spy_gluings()
+    gluings = _spy_gluings(degenerate_hexagon)
     gluings += [glue_halving(regular_ngon(n), i) for n in (6, 8) for i in range(n // 2)]
     for g in gluings:
         engine = DevelopmentEngine(g)
