@@ -317,7 +317,8 @@ class IndependenceReport:
 
 
 class _Grid(NamedTuple):
-    """Everything the screen precomputes for one height bound."""
+    """Everything the screen precomputes for one height bound.  The near
+    mask, which also depends on the edge, is _near_mask's."""
 
     rr: np.ndarray  # numerator r of coefficient row b = r/s
     ss: np.ndarray  # denominator s of coefficient row b
@@ -331,29 +332,26 @@ class _Grid(NamedTuple):
     table: np.ndarray  # every distinct p*(pi/q), |p| <= bound, sorted
     below: np.ndarray  # table entry below each searchsorted insertion point
     above: np.ndarray  # table entry at or above it
-    buckets_per_unit: float  # the bucket of v is floor((v - table[0]) * this)
-    starts: np.ndarray  # table entries in the buckets below each bucket
-    spill: int  # most table entries in one bucket
 
 
-# buckets per table entry: at bound 16 the 327 entries fall at most 2 to a
-# bucket (two entries can be one ulp apart, as 5*(pi/1) and 15*(pi/3) are)
-_BUCKETS_PER_ENTRY = 16
 # _decide_independent bounds every direction on the simple coefficients
 # first, b = r/s with |r| + s <= _SIMPLE_HEIGHT (0, +-1/2, +-1, +-2), where
 # rational multiples of pi and equal, supplementary, doubled or halved
-# angles show.  Its second pass bounds the rest of the coefficients in
-# blocks of at most _BLOCK_TARGETS targets (16 directions at bound 16),
-# which keeps its arrays the size the screen used when it ran one pass per
-# source angle.  Every target is bounded once whichever pass it falls in,
-# and the decision only asks whether some target is near, so neither the
-# split nor the order can move a verdict.
+# angles show, and then the rest in blocks of at most _BLOCK_TARGETS
+# targets (51 directions at bound 16).  A block's float arrays then stay
+# under 128 KiB, glibc's default mmap threshold, above which each one is
+# mapped and page-faulted afresh.  The near mask has _NEAR_BUCKETS_PER_ENTRY
+# buckets per table entry (3e-4 wide at bound 16), and at most
+# _NEAR_MASK_BYTES buckets in all.
 _SIMPLE_HEIGHT = 3
-_BLOCK_TARGETS = 5120
+_BLOCK_TARGETS = 16000
+_NEAR_BUCKETS_PER_ENTRY = 1024
+_NEAR_MASK_BYTES = 1 << 20
 
 
 @functools.cache
 def _grids(bound):
+    """The bound's _Grid: its coefficient rows and the sorted table."""
     rr, ss = np.meshgrid(np.arange(-bound, bound + 1), np.arange(1, bound + 1), indexing="ij")
     rr = rr.ravel()
     ss = ss.ravel()
@@ -371,17 +369,45 @@ def _grids(bound):
     table = table[np.concatenate(([True], table[1:] != table[:-1]))]
     below = np.concatenate(([-np.inf], table))
     above = np.concatenate((table, [np.inf]))
-    # a bucket index over [table[0], table[-1]]: the bucket of a value is a
-    # nondecreasing function of it, so every entry in a lower bucket is
-    # below it and every entry in a higher one above it
-    per_unit = _BUCKETS_PER_ENTRY * table.size / (table[-1] - table[0])
-    entry_bucket = ((table - table[0]) * per_unit).astype(np.intp)
-    starts = np.searchsorted(entry_bucket, np.arange(entry_bucket[-1] + 1))
-    spill = int(np.bincount(entry_bucket).max())
     return _Grid(
         rr, ss, bvals, bsize, coeffs[is_simple], coeffs[~is_simple],
-        qs, pi_over_q, table, below, above, per_unit, starts, spill,
+        qs, pi_over_q, table, below, above,
     )
+
+
+def _buckets(values, table, scale):
+    """The near-mask bucket of each value, a nondecreasing function of it:
+    the value clipped to [table[0], table[-1]], shifted and scaled."""
+    buf = np.clip(values, table[0], table[-1])
+    buf -= table[0]
+    buf *= scale
+    return buf.astype(np.intp)
+
+
+@functools.cache
+def _near_mask(bound, edge):
+    """(mask, scale): mask[k] is set when a value in bucket k may lie
+    within edge of an entry of the bound's table.
+
+    Entry e flags the buckets of e - edge, of e + edge and those between.
+    Rounding is monotone, so a float whose rounded distance to e is below
+    edge lies between e - edge and e + edge, and so between their rounded
+    values, and its bucket between their buckets.  The table's ends flag
+    the end buckets, so values outside the span and any index that take's
+    clip mode clips (a nan's) land on a flag.  Each run of buckets starts
+    after the previous one ends, so the runs add up to at most the mask.
+    """
+    table = _grids(bound).table
+    buckets = min(_NEAR_BUCKETS_PER_ENTRY * table.size, _NEAR_MASK_BYTES)
+    scale = (buckets - 1) / (table[-1] - table[0])
+    first = _buckets(table - edge, table, scale)
+    last = _buckets(table + edge, table, scale)
+    first[1:] = np.maximum(first[1:], last[:-1] + 1)
+    runs = np.maximum(last - first + 1, 0)
+    ends = np.cumsum(runs)
+    mask = np.zeros(last[-1] + 1, dtype=bool)
+    mask[np.arange(ends[-1]) + np.repeat(first - (ends - runs), runs)] = True
+    return mask, scale
 
 
 def _grid_residuals(target, bound):
@@ -414,44 +440,19 @@ def _direction_witness(x, y, bound, tol):
     return float(resid[bi[k], qi[k]]), witness
 
 
-def _table_index(grid, targets):
-    """np.searchsorted(grid.table, targets), from the bucket index.
-
-    A target's bucket start counts the table entries below its bucket; at
-    most spill entries share its bucket, and one forward compare apiece
-    steps past those below the target.  Targets outside the table's span
-    take the first or last bucket, whose compares then give 0 or the table
-    size, as searchsorted does; a nan target sends the whole lookup to
-    searchsorted.
-    """
-    if np.isnan(targets).any():
-        return np.searchsorted(grid.table, targets)
-    lo = grid.table[0]
-    buf = np.clip(targets, lo, grid.table[-1])
-    buf -= lo
-    buf *= grid.buckets_per_unit
-    at = grid.starts.take(buf.astype(np.intp))
-    for _ in range(grid.spill):
-        # at never passes the table size, so "clip" clips nothing; it lets
-        # take write into buf without a buffer of its own
-        grid.above.take(at, out=buf, mode="clip")
-        at += buf < targets
-    return at
-
-
-def _lower_bounds(grid, coeffs, xs, ys):
-    """(lower, targets): row c of direction d targets ys[d] - coeffs[c]*xs[d],
-    and lower[d, c] is its distance to the nearest table entry."""
+def _near_targets(bound, coeffs, xs, ys, edge):
+    """The targets ys[d] - coeffs[c]*xs[d], row c of direction d, within
+    edge of the bound's table: only those in a bucket _near_mask flags get
+    their distance, by np.searchsorted."""
+    grid = _grids(bound)
+    mask, scale = _near_mask(bound, edge)
     targets = coeffs * xs[:, None]
     np.subtract(ys[:, None], targets, out=targets)  # what a*pi has to match
-    at = _table_index(grid, targets)
+    flagged = targets[mask.take(_buckets(targets, grid.table, scale), mode="clip")]
+    at = np.searchsorted(grid.table, flagged)
     # below[at] < target <= above[at], so both differences are >= 0
-    lower = grid.below.take(at)
-    np.subtract(targets, lower, out=lower)
-    gap = grid.above.take(at)
-    gap -= targets
-    np.minimum(lower, gap, out=lower)
-    return lower, targets
+    dist = np.minimum(flagged - grid.below.take(at), grid.above.take(at) - flagged)
+    return flagged[dist < edge]
 
 
 @functools.cache
@@ -467,19 +468,16 @@ def _decide_independent(arr, bound, tol):
     below 10*tol in either direction of any pair, which is exactly when
     check_independence calls every pair "independent".
 
-    Each target y - b*x, one per direction and distinct b, is bounded once
-    with _lower_bounds.  The table holds the same float products that
-    _grid_residuals forms, so no target's bound exceeds its grid residual:
-    a target whose bound reaches 10*tol needs no grid.  The other targets
-    go through _grid_residuals, and the first call that leaves a residual
-    below 10*tol decides False.  The decision asks only whether any target
-    has one, so the order of the targets cannot change it; they are taken
-    simplest first.  One call bounds every direction on the simple rows,
-    where a dependent polygon's witness most often lies (an equal or
-    supplementary angle, a rational multiple of pi), and then the other
-    rows go in blocks of _BLOCK_TARGETS targets.  Only a target that
-    overflowed to inf or nan has a nan bound, and all its grid residuals
-    are inf, so skipping it changes nothing.
+    Each target y - b*x, one per direction and distinct b, goes once
+    through _near_targets, which keeps those within 10*tol of the table.
+    The table holds the same float products that _grid_residuals forms,
+    so no target's distance exceeds its grid residual, and only the kept
+    targets go through the grid; the first call that leaves a residual
+    below 10*tol decides False.  The decision asks only whether some
+    target has one, so the order of the targets cannot change it: the
+    simple rows of every direction go first, then the rest in blocks of
+    _BLOCK_TARGETS.  A target that overflowed to inf has a nan distance
+    and only inf grid residuals, so dropping it changes nothing.
     """
     grid = _grids(bound)
     edge = _INCONCLUSIVE_BAND * tol
@@ -491,9 +489,8 @@ def _decide_independent(arr, bound, tol):
         step = max(1, _BLOCK_TARGETS // grid.rest.size)
         passes += [(grid.rest, slice(k, k + step)) for k in range(0, xs.size, step)]
     for coeffs, block in passes:
-        lower, targets = _lower_bounds(grid, coeffs, xs[block], ys[block])
-        near = lower < edge
-        if near.any() and (_grid_residuals(targets[near], bound)[1] < edge).any():
+        near = _near_targets(bound, coeffs, xs[block], ys[block], edge)
+        if near.size and (_grid_residuals(near, bound)[1] < edge).any():
             return False
     return True
 
@@ -525,17 +522,16 @@ def check_independence(angles, bound=16, tol=INDEPENDENCE_TOL):
     exists up to the given height bound.  A best residual inside [tol,
     10*tol) is reported as inconclusive since it flips with the tolerance.
 
-    The report's all_independent is decided here, by bounding both
-    directions of every pair (_decide_independent): first on the simple
-    coefficients b, where a dependent polygon's witness most often lies,
-    then on the rest.  Each target is bounded once, and the decision only
-    asks whether some target is near, so the order moves no verdict.  Its
-    pairs are
-    built on first read: each pair i < j runs the full residual grid of
-    direction i -> j (_direction_witness), and that of j -> i only when
-    i -> j has no witness, since only then does the report read it.  A
-    bound below 1 or a non-finite angle raises ValueError here: no residual
-    can certify such an angle.
+    The report's all_independent is decided here (_decide_independent):
+    a cached mask over the table of every p*(pi/q) lets through each
+    target y - b*x of both directions of every pair that may lie within
+    10*tol of the table, on the simple coefficients b first, and only the
+    targets that near by exact distance go through the residual grid.  The
+    pairs are built on first read: each pair i < j runs the full residual
+    grid of direction i -> j (_direction_witness), and that of j -> i only
+    when i -> j has no witness, since only then does the report read it.
+    A bound below 1 or a non-finite angle raises ValueError here: no
+    residual can certify such an angle.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")

@@ -1,12 +1,13 @@
 """The independence screen reports exactly what the full residual grid
 reports, and it does so without pulling in numpy.ma.  The report decides
-all_independent in one bounds pass of its own, with the full grid's
-verdict: a bucket index over the table of every p*(pi/q), which finds what
-np.searchsorted finds, bounds both directions of every pair, on the simple
-rows (b in 0, +-1/2, +-1, +-2) first and then on the rest, and only the
-rows whose bound is near go through the grid.  The pairs are built only
-when first read, one full grid per direction i -> j and one for j -> i
-where i -> j has no witness, so `zipfold verify` builds no pair.
+all_independent in one pass of its own, with the full grid's verdict: it
+forms every target of both directions of every pair, on the simple rows
+(b in 0, +-1/2, +-1, +-2) first and then on the rest, and a cached near
+mask over the table of every p*(pi/q) lets through every target within
+10*tol of the table.  Only those get their distance by np.searchsorted,
+and only the ones that near go through the grid.  The pairs are built
+only when first read, one full grid per direction i -> j and one for
+j -> i where i -> j has no witness, so `zipfold verify` builds no pair.
 
 The reference is the full-grid screen in tests/oracles.py.  Reports are
 compared by repr, pairs included, so every status, witness, direction and
@@ -99,28 +100,39 @@ def test_screen_matches_full_grid(family):
         assert statuses["inconclusive"] > 0 and statuses["dependent"] > 0
 
 
+def _table_distance(bound, targets):
+    """Each target's distance to the nearest table entry, by np.searchsorted."""
+    grid = polygon._grids(bound)
+    at = np.searchsorted(grid.table, targets)
+    return np.minimum(targets - grid.below[at], grid.above[at] - targets)
+
+
 @pytest.mark.parametrize("cap", (600, 30))
 def test_stacked_rows_keep_the_block_cap(monkeypatch, cap):
-    """The decision pass first bounds every direction on the simple rows in
-    one call, then the other rows in blocks of at most _BLOCK_TARGETS
-    targets unless one direction alone has more (a direction has 312 other
-    rows at bound 16), stacks the near rows of a call into one
-    _grid_residuals call, and decides as the full grid does."""
+    """The decision pass first forms every direction's targets on the simple
+    rows in one call, then those on the other rows in blocks of at most
+    _BLOCK_TARGETS targets unless one direction alone has more (a direction
+    has 312 other rows at bound 16).  Each call keeps exactly its targets
+    within 10*tol of the table, in order, those go into one _grid_residuals
+    call, and the pass decides as the full grid does."""
     blocks = []
-    lower_bounds = polygon._lower_bounds
+    near_targets = polygon._near_targets
     grid_residuals = polygon._grid_residuals
 
-    def bounds(grid, coeffs, xs, ys):
-        blocks[-1].append((coeffs, len(ys)))
-        return lower_bounds(grid, coeffs, xs, ys)
+    def near(bound, coeffs, xs, ys, edge):
+        got = near_targets(bound, coeffs, xs, ys, edge)
+        targets = ys[:, None] - coeffs * xs[:, None]
+        assert np.array_equal(got, targets[_table_distance(bound, targets) < edge])
+        blocks[-1].append((coeffs, len(ys), got))
+        return got
 
     def residuals(target, bound):
-        coeffs, directions = blocks[-1][-1]
-        assert len(target) <= directions * coeffs.size
+        coeffs, directions, got = blocks[-1][-1]
+        assert target is got and 0 < len(target) <= directions * coeffs.size
         return grid_residuals(target, bound)
 
     monkeypatch.setattr(polygon, "_BLOCK_TARGETS", cap)
-    monkeypatch.setattr(polygon, "_lower_bounds", bounds)
+    monkeypatch.setattr(polygon, "_near_targets", near)
     monkeypatch.setattr(polygon, "_grid_residuals", residuals)
     for vals in _rational_sets() + _out_of_range_sets():
         m = len(vals)
@@ -129,9 +141,9 @@ def test_stacked_rows_keep_the_block_cap(monkeypatch, cap):
             blocks.append([])
             got = polygon.check_independence(vals, bound, TOL).all_independent
             assert got == reference_check_independence(vals, bound, TOL).all_independent
-            (first, directions), *later = blocks[-1]
+            (first, directions, _), *later = blocks[-1]
             assert first is grid.simple and directions == m * (m - 1)
-            for coeffs, directions in later:
+            for coeffs, directions, _ in later:
                 assert coeffs is grid.rest
                 assert directions * coeffs.size <= max(cap, grid.rest.size)
     assert max(len(b) for b in blocks) > 2
@@ -143,17 +155,17 @@ SIMPLE_COEFFS = {0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0}
 @pytest.mark.parametrize("bound", (1, 2, 5, 16))
 def test_independent_screens_bound_each_target_once(monkeypatch, bound):
     """On all-independent angle sets, every direction of every pair is
-    bounded exactly once for each distinct float b = r/s of height at most
-    the bound, the simple ones (0, +-1/2, +-1, +-2) in the first call.  At
-    bounds 1 and 2 every b is simple, and that call is the only one."""
+    considered exactly once for each distinct float b = r/s of height at
+    most the bound, the simple ones (0, +-1/2, +-1, +-2) in the first call.
+    At bounds 1 and 2 every b is simple, and that call is the only one."""
     calls = []
-    lower_bounds = polygon._lower_bounds
+    near_targets = polygon._near_targets
 
-    def bounds(grid, coeffs, xs, ys):
+    def near(bound, coeffs, xs, ys, edge):
         calls.append((coeffs.tolist(), xs.tolist(), ys.tolist()))
-        return lower_bounds(grid, coeffs, xs, ys)
+        return near_targets(bound, coeffs, xs, ys, edge)
 
-    monkeypatch.setattr(polygon, "_lower_bounds", bounds)
+    monkeypatch.setattr(polygon, "_near_targets", near)
     distinct = {r / s for r in range(-bound, bound + 1) for s in range(1, bound + 1)}
     rng = np.random.default_rng(15 + bound)
     for m in range(2, 11):
@@ -212,54 +224,69 @@ def test_pairs_built_on_first_read(monkeypatch):
     assert len(built) == 45
 
 
-def _searchsorted_probes(grid):
-    """Every table entry and both its neighbouring floats, and every bucket
-    edge (the least float in its bucket) with the float below it."""
-    table = grid.table
+def _bucket_edges(bound, scale):
+    """The least float of every bucket past the first, by bisection between
+    guesses half a bucket away."""
+    table = polygon._grids(bound).table
     lo = table[0]
-
-    def bucket(v):
-        return np.floor((np.clip(v, lo, table[-1]) - lo) * grid.buckets_per_unit)
-
-    # bisect each bucket's least float between guesses half a bucket away
-    k = np.arange(1, grid.starts.size)
-    below = lo + (k - 0.5) / grid.buckets_per_unit
-    edge = lo + (k + 0.5) / grid.buckets_per_unit
-    assert (bucket(below) < k).all() and (bucket(edge) >= k).all()
+    k = np.arange(1, polygon._buckets(table[-1:], table, scale)[0] + 1)
+    below = lo + (k - 0.5) / scale
+    edge = lo + (k + 0.5) / scale
+    assert (polygon._buckets(below, table, scale) < k).all()
+    assert (polygon._buckets(edge, table, scale) >= k).all()
     for _ in range(2000):
         mid = below + (edge - below) / 2
         if not ((mid != below) & (mid != edge)).any():
             break
-        in_k = bucket(mid) >= k
+        in_k = polygon._buckets(mid, table, scale) >= k
         edge = np.where(in_k, mid, edge)
         below = np.where(in_k, below, mid)
-    assert (bucket(edge) == k).all()
-    assert (bucket(np.nextafter(edge, -np.inf)) == k - 1).all()
-    edge = np.append(lo, edge)
-    return np.concatenate((
-        table,
-        np.nextafter(table, -np.inf),
-        np.nextafter(table, np.inf),
-        edge,
-        np.nextafter(edge, -np.inf),
-    ))
+    assert (polygon._buckets(edge, table, scale) == k).all()
+    assert (polygon._buckets(np.nextafter(edge, -np.inf), table, scale) == k - 1).all()
+    return edge
 
 
-@pytest.mark.parametrize("bound", (16, 5, 2, 1))
-def test_bucket_lookup_is_searchsorted(bound):
-    grid = polygon._grids(bound)
-    assert grid.spill == np.diff(np.append(grid.starts, grid.table.size)).max()
-    lo, hi = grid.table[0], grid.table[-1]
-    beyond = np.array([lo - 1.0, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), hi + 1.0,
-                       -1e300, 1e300, -np.inf, np.inf])
-    probes = np.concatenate((_searchsorted_probes(grid), beyond))
-    rng = np.random.default_rng(bound)
-    for targets in (probes, rng.permutation(probes).reshape(-1, 1), probes.reshape(1, -1)):
-        got = polygon._table_index(grid, targets)
-        assert got.shape == targets.shape
-        assert (got == np.searchsorted(grid.table, targets)).all()
-    with_nan = np.concatenate((probes[:5], [np.nan, -np.inf, np.inf, np.nan]))
-    assert (polygon._table_index(grid, with_nan) == np.searchsorted(grid.table, with_nan)).all()
+@pytest.mark.parametrize("bound", (1, 2, 5, 16, 40))
+def test_near_mask_flags_every_near_target(bound):
+    """Every probe whose searchsorted distance to the table is below the
+    edge lies in a flagged bucket, and the decision pass keeps exactly
+    those probes.  The probes: each table entry, it plus or minus the edge
+    and the edge times 1 - 2**-20, the float on each side of all of these,
+    each bucket's least float and the float below it, and +-1e300, +-inf
+    and nan, in 1-D and 2-D.  The edges: the default 10*tol, and three
+    buckets wide."""
+    table = polygon._grids(bound).table
+    scale = polygon._near_mask(bound, 10 * TOL)[1]
+    edges = _bucket_edges(bound, scale)
+    for edge in (10 * TOL, 3.0 / scale):
+        mask, mask_scale = polygon._near_mask(bound, edge)
+        assert mask_scale == scale and mask[0] and mask[-1]
+        near = np.concatenate([table + d for d in (0.0, edge, -edge)]
+                              + [table + d * (1 - 2.0**-20) for d in (edge, -edge)])
+        probes = np.concatenate((
+            near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf),
+            edges, np.nextafter(edges, -np.inf),
+            [-1e300, 1e300, -np.inf, np.inf, np.nan],
+        ))
+        with np.errstate(invalid="ignore"):
+            want = _table_distance(bound, probes) < edge
+            for shape in ((-1,), (-1, 1), (1, -1)):
+                flags = mask.take(polygon._buckets(probes.reshape(shape), table, scale), mode="clip")
+                assert flags.ravel()[want].all()
+            got = polygon._near_targets(bound, np.zeros(1), np.zeros(probes.size), probes, edge)
+        assert np.array_equal(got, probes[want])
+        assert 0 < want.sum() < flags.sum() < probes.size
+
+
+def test_near_mask_stays_small():
+    """The mask takes 1024 buckets per table entry, under 512 KiB at the
+    default bound, and never more than _NEAR_MASK_BYTES however high the
+    bound."""
+    edge = 10 * TOL
+    assert polygon._near_mask(16, edge)[0].nbytes <= 512 * 1024
+    for bound in (40, 100):
+        mask = polygon._near_mask(bound, edge)[0]
+        assert polygon._NEAR_MASK_BYTES // 2 < mask.nbytes <= polygon._NEAR_MASK_BYTES
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -471,31 +498,31 @@ def screen_calls(monkeypatch):
 
         monkeypatch.setattr(polygon, name, spy)
 
-    for name in ("_lower_bounds", "_grid_residuals", "_direction_witness", "PairDependence"):
+    for name in ("_near_targets", "_grid_residuals", "_direction_witness", "PairDependence"):
         counted(name)
     return seen
 
 
 def test_verify_builds_no_pairs_on_dependent_files(tmp_path, screen_calls, capsys):
     """A hexagon with dependent angles fails hypothesis.independent on the
-    decision pass alone: its first call, on the simple rows, meets a near
-    row whose grid residual is below 10*tol, and no witness or pair is
-    built."""
+    decision pass alone: its first call, on the simple rows, keeps a target
+    near the table whose grid residual is below 10*tol, and no witness or
+    pair is built."""
     files = [DATA / "regular_hexagon.json"] + _screen_files(tmp_path, 7, ("rational", "straight"))
     assert len(files) == 9
     for path in files:
         screen_calls.clear()
         assert main(["verify", "--input", str(path)]) == 1
         assert "FAIL          hypothesis.independent" in capsys.readouterr().out
-        assert screen_calls == {"_lower_bounds": 1, "_grid_residuals": 1}, path.name
+        assert screen_calls == {"_near_targets": 1, "_grid_residuals": 1}, path.name
 
 
 def test_verify_bounds_an_independent_hexagon_once(screen_calls, capsys):
-    """hexagon_seed7.json passes hypothesis.independent on one _lower_bounds
+    """hexagon_seed7.json passes hypothesis.independent on one _near_targets
     call over the simple rows of both directions of its 15 pairs and one per
-    block of them over the other rows, every bound at least 10*tol, so no
+    block of them over the other rows, none of which keeps a target, so no
     grid residual, witness or pair is computed."""
     assert main(["verify", "--input", str(DATA / "hexagon_seed7.json")]) == 0
     capsys.readouterr()
     step = max(1, polygon._BLOCK_TARGETS // polygon._grids(16).rest.size)
-    assert screen_calls == {"_lower_bounds": 1 + -(-30 // step)}
+    assert screen_calls == {"_near_targets": 1 + -(-30 // step)}
