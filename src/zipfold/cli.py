@@ -19,6 +19,7 @@ from . import gluing as gl
 from .embed import write_obj
 from .errors import ConfigError, MalformedPolygonError, SamplingBudgetError, ZipfoldError
 from .pipeline import (
+    DEFAULT_CONFIG,
     FAIL,
     INCONC,
     PASS,
@@ -62,8 +63,8 @@ def _build_parser():
 
     def add_common(p):
         p.add_argument("--tol", type=float, default=None, help="override the predicate tolerance (default 1e-9)")
-        p.add_argument("--independence-bound", type=int, default=16, help="height bound for the rational dependence screen")
-        p.add_argument("--dev-cap", type=int, default=100000, help="max developments per geodesic query")
+        p.add_argument("--independence-bound", type=int, default=DEFAULT_CONFIG.independence_bound, help="height bound for the rational dependence screen")
+        p.add_argument("--dev-cap", type=int, default=DEFAULT_CONFIG.dev_cap, help="max developments per geodesic query")
         p.add_argument("--out-dir", default=None, help="output directory (default $ZIPFOLD_OUT_DIR or .)")
 
     p = sub.add_parser("validate", help="check the folding hypotheses on a polygon file")
@@ -155,10 +156,9 @@ def cmd_fold(args):
         try:
             indices = [int(args.fold_index)]
         except ValueError as exc:
-            raise MalformedPolygonError(f"bad fold index {args.fold_index!r}") from exc
+            raise ConfigError(f"bad fold index {args.fold_index!r}") from exc
         if not (0 <= indices[0] < n // 2):
-            print(f"error: fold index must be in 0..{n // 2 - 1}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ConfigError(f"fold index must be in 0..{n // 2 - 1}")
 
     tol = cfg.tolerances
     rep = validate(poly, tol)

@@ -77,8 +77,6 @@ from .embed import PAIRS, TetraMetric
 from .errors import GeodesicError, GeodesicNotFoundError
 from .geometry import (
     DEGENERATE_SQ,
-    IDENTITY,
-    Rigid,
     cross2,
     dot2,
     point_segment_distance,
@@ -125,6 +123,8 @@ _WIDTH_FLOOR = 1e-12
 
 # the |cross2| column of a developed copy's edge rows, for the prefilter to fill
 _NO_CROSS = itertools.repeat(None)
+# the (rot, trans) of the untransformed polygon, where searches and re-traces start
+_ROOT = (1.0 + 0.0j, 0.0j)
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -287,7 +287,7 @@ class RootFans:
                 )
         # every developed copy of edge j has this length, up to rounding
         self.edge_lengths = [abs(self.points[(j + 1) % n] - self.points[j]) for j in range(n)]
-        self.root_copy = [IDENTITY.apply(p) for p in self.points]
+        self.root_copy = [_ROOT[0] * p + _ROOT[1] for p in self.points]
         self.by_vertex = {}
         self.chords = {}
 
@@ -423,7 +423,7 @@ class DevelopmentEngine:
     def _trace(self, s, end, edge_path):
         """Push the straight segment s->end through the copies along edge_path.
 
-        Returns (transform, copies): the last copy's transform and the
+        Returns ((rot, trans), copies): the last copy's placement and the
         developed vertices of every copy the segment visits.  Returns None
         as soon as the segment crosses an edge other than the next one of
         edge_path, or leaves the last copy, or ends short of it.  Grazing
@@ -431,7 +431,7 @@ class DevelopmentEngine:
         """
         n = self.n
         seg = end - s
-        transform = IDENTITY
+        rot, trans = _ROOT
         pts = self.fans.root_copy
         entry = None
         u = 0.0
@@ -462,11 +462,12 @@ class DevelopmentEngine:
             if best_j != want:
                 return None
             if want is None:
-                return transform, copies
+                return (rot, trans), copies
             u = best_t
-            transform = transform.compose(self.transition[best_j])
+            t_rot, t_trans = self.transition[best_j]
+            rot, trans = rot * t_rot, rot * t_trans + trans
             entry = self.partner[best_j]
-            pts = self._develop(transform.rot, transform.trans)
+            pts = self._develop(rot, trans)
 
     def _clear_of_cone_images(self, s, end, copies):
         clearance = self.tol.tol_clearance
@@ -485,9 +486,9 @@ class DevelopmentEngine:
                     return False
         return True
 
-    def _finalize(self, sv, tv, transform, edge_path, end):
+    def _finalize(self, sv, tv, rot, trans, edge_path, end):
         """Re-trace the candidate from vertex sv to `end`, the image of
-        vertex tv in the copy that `transform` places across `edge_path`,
+        vertex tv in the copy that (rot, trans) places across `edge_path`,
         from scratch.
 
         Returns its length, or None when the re-trace rejects it.
@@ -496,10 +497,10 @@ class DevelopmentEngine:
         traced = self._trace(s, end, edge_path)
         if traced is None:
             return None
-        final, copies = traced
+        (final_rot, final_trans), copies = traced
         if abs(copies[-1][tv] - end) > _END_POINT_TOL:
             return None
-        if not transform.almost_equal(final, _TRANSFORM_TOL):
+        if not (abs(rot - final_rot) <= _TRANSFORM_TOL and abs(trans - final_trans) <= _TRANSFORM_TOL):
             return None
         if not self._clear_of_cone_images(s, end, copies):
             return None
@@ -551,7 +552,7 @@ class DevelopmentEngine:
         u, v = (sv, tv) if sv < tv else (tv, sv)
         chords = self.fans.chords
         if (u, v) not in chords:
-            chords[u, v] = self._finalize(u, v, IDENTITY, (), self.fans.root_copy[v])
+            chords[u, v] = self._finalize(u, v, *_ROOT, (), self.fans.root_copy[v])
         return chords[u, v]
 
     # -- search ---------------------------------------------------------------
@@ -608,7 +609,7 @@ class DevelopmentEngine:
             st.cut = st.limit
         live = list(states)
         reach = max(st.limit for st in live)
-        heap = [(0.0, 0, IDENTITY.rot, IDENTITY.trans, None, None, ())]
+        heap = [(0.0, 0, *_ROOT, None, None, ())]
         tie = 1
         pops = 0
         while heap:
@@ -656,7 +657,7 @@ class DevelopmentEngine:
                         if entry is None:
                             length = self._root_chord(sv, tv)
                         else:
-                            length = self._finalize(sv, tv, Rigid(rot, trans), path, pts[tv])
+                            length = self._finalize(sv, tv, rot, trans, path, pts[tv])
                         finalized[tv] = self._path(source_cone, st.target_cone, sv, tv, path, length)
                     st.take(finalized[tv])
             for j, wa, wb, da, db, x in self._edges_in_reach(rows, entry, reach):
@@ -672,8 +673,8 @@ class DevelopmentEngine:
                 lb2 = max(lb, dist)
                 if lb2 > reach:
                     continue
-                t = transition[j]  # the child's rot and trans, as Rigid.compose makes them
-                child = (lb2, tie, rot * t.rot, rot * t.trans + trans, partner[j], cone2, path + (j,))
+                t_rot, t_trans = transition[j]  # the child's placement is (rot, trans) after it
+                child = (lb2, tie, rot * t_rot, rot * t_trans + trans, partner[j], cone2, path + (j,))
                 heapq.heappush(heap, child)
                 tie += 1
         for st in live:

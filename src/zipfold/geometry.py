@@ -1,8 +1,8 @@
 """Small planar-geometry helpers shared across the package.
 
 Fast paths (the development search) represent points as complex numbers;
-module boundaries use (x, y) tuples.  Rigid motions are stored as
-(rot, trans) with rot a unit complex number, acting as
+module boundaries use (x, y) tuples.  A rigid motion is a bare
+(rot, trans) pair with rot a unit complex number, acting as
 
     z  ->  rot * z + trans
 
@@ -49,34 +49,9 @@ def point_segment_distance(p, a, b):
     return abs(p - (a + t * ab))
 
 
-class Rigid:
-    """Orientation-preserving planar isometry with complex rotation part."""
-
-    __slots__ = ("rot", "trans")
-
-    def __init__(self, rot=1.0 + 0.0j, trans=0.0j):
-        self.rot = rot
-        self.trans = trans
-
-    def apply(self, z):
-        return self.rot * z + self.trans
-
-    def compose(self, other):
-        """self after other: (self . other)(z) = self(other(z))."""
-        return Rigid(self.rot * other.rot, self.rot * other.trans + self.trans)
-
-    def almost_equal(self, other, tol):
-        return abs(self.rot - other.rot) <= tol and abs(self.trans - other.trans) <= tol
-
-    def __repr__(self):
-        return f"Rigid(rot={self.rot!r}, trans={self.trans!r})"
-
-
-IDENTITY = Rigid()
-
-
 def rigid_from_segment(src0, src1, dst0, dst1):
-    """Orientation-preserving isometry sending src0->dst0 and src1->dst1.
+    """(rot, trans) of the orientation-preserving isometry sending
+    src0->dst0 and src1->dst1.
 
     Assumes |src1 - src0| == |dst1 - dst0| (equal-length segments).
     """
@@ -84,7 +59,7 @@ def rigid_from_segment(src0, src1, dst0, dst1):
     dd = dst1 - dst0
     rot = dd / ds
     rot /= abs(rot)
-    return Rigid(rot, dst0 - rot * src0)
+    return rot, dst0 - rot * src0
 
 
 def polygon_signed_area(points):

@@ -215,7 +215,7 @@ def curvature_collision_relations(angles, tol=DEFAULT_TOLERANCES.tol_ang):
     a diagnostic only; distinctness verdicts come from distinct_check and
     the embedded congruence test.
     """
-    a = tuple(angles.angles) if hasattr(angles, "angles") else tuple(angles)
+    a = tuple(angles)
     relations = (
         ("alpha2 = pi - alpha0/2", a[2] - (math.pi - 0.5 * a[0])),
         ("alpha4 = 2*pi - 2*alpha2", a[4] - (TWO_PI - 2.0 * a[2])),

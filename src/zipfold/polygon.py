@@ -394,19 +394,16 @@ def _near_mask(bound, edge):
     edge lies between e - edge and e + edge, and so between their rounded
     values, and its bucket between their buckets.  The table's ends flag
     the end buckets, so values outside the span and any index that take's
-    clip mode clips (a nan's) land on a flag.  Each run of buckets starts
-    after the previous one ends, so the runs add up to at most the mask.
+    clip mode clips (a nan's) land on a flag.
     """
     table = _grids(bound).table
     buckets = min(_NEAR_BUCKETS_PER_ENTRY * table.size, _NEAR_MASK_BYTES)
     scale = (buckets - 1) / (table[-1] - table[0])
     first = _buckets(table - edge, table, scale)
     last = _buckets(table + edge, table, scale)
-    first[1:] = np.maximum(first[1:], last[:-1] + 1)
-    runs = np.maximum(last - first + 1, 0)
-    ends = np.cumsum(runs)
     mask = np.zeros(last[-1] + 1, dtype=bool)
-    mask[np.arange(ends[-1]) + np.repeat(first - (ends - runs), runs)] = True
+    for f, l in zip(first.tolist(), last.tolist()):
+        mask[f:l + 1] = True
     return mask, scale
 
 
@@ -443,7 +440,8 @@ def _direction_witness(x, y, bound, tol):
 def _near_targets(bound, coeffs, xs, ys, edge):
     """The targets ys[d] - coeffs[c]*xs[d], row c of direction d, within
     edge of the bound's table: only those in a bucket _near_mask flags get
-    their distance, by np.searchsorted."""
+    their distance, by np.searchsorted, which for edge < pi/(4*bound) is
+    the full grid's residual (see _decide_independent)."""
     grid = _grids(bound)
     mask, scale = _near_mask(bound, edge)
     targets = coeffs * xs[:, None]
@@ -469,13 +467,13 @@ def _decide_independent(arr, bound, tol):
     check_independence calls every pair "independent".
 
     Each target y - b*x, one per direction and distinct b, goes once
-    through _near_targets, which keeps those within 10*tol of the table.
-    The table holds the same float products that _grid_residuals forms,
-    so no target's distance exceeds its grid residual, and only the kept
-    targets go through the grid; the first call that leaves a residual
-    below 10*tol decides False.  The decision asks only whether some
-    target has one, so the order of the targets cannot change it: the
-    simple rows of every direction go first, then the rest in blocks of
+    through _near_targets, and the first call that keeps one within edge =
+    10*tol of the table decides False.  Its distance is its grid residual:
+    the table holds the very products p*(pi/q) that _grid_residuals forms,
+    and a target within edge of p*pi/q has target*q/pi within edge*q/pi <
+    1/4 of p (check_independence's limit), so it rounds to p in column q.
+    The order of the targets cannot change the decision: the simple rows
+    of every direction go first, then the rest in blocks of
     _BLOCK_TARGETS.  A target that overflowed to inf has a nan distance
     and only inf grid residuals, so dropping it changes nothing.
     """
@@ -489,8 +487,7 @@ def _decide_independent(arr, bound, tol):
         step = max(1, _BLOCK_TARGETS // grid.rest.size)
         passes += [(grid.rest, slice(k, k + step)) for k in range(0, xs.size, step)]
     for coeffs, block in passes:
-        near = _near_targets(bound, coeffs, xs[block], ys[block], edge)
-        if near.size and (_grid_residuals(near, bound)[1] < edge).any():
+        if _near_targets(bound, coeffs, xs[block], ys[block], edge).size:
             return False
     return True
 
@@ -525,18 +522,21 @@ def check_independence(angles, bound=16, tol=INDEPENDENCE_TOL):
     The report's all_independent is decided here (_decide_independent):
     a cached mask over the table of every p*(pi/q) lets through each
     target y - b*x of both directions of every pair that may lie within
-    10*tol of the table, on the simple coefficients b first, and only the
-    targets that near by exact distance go through the residual grid.  The
-    pairs are built on first read: each pair i < j runs the full residual
-    grid of direction i -> j (_direction_witness), and that of j -> i only
-    when i -> j has no witness, since only then does the report read it.
-    A bound below 1 or a non-finite angle raises ValueError here: no
-    residual can certify such an angle.
+    10*tol of the table, on the simple coefficients b first, and their
+    exact distance to the table decides.  The pairs are built on first
+    read: each pair i < j runs the full residual grid of direction i -> j
+    (_direction_witness), and that of j -> i only when i -> j has no
+    witness, since only then does the report read it.  ValueError is
+    raised for a bound below 1, a non-finite angle (no residual certifies
+    it), or 10*tol >= pi/(4*bound): below that limit the table distance
+    is the grid's residual (see _decide_independent), and a wider band
+    around every p*pi/q would cover most of (0, pi) anyway.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    vals = angles.angles if isinstance(angles, AngleProfile) else angles
-    arr = np.array([float(a) for a in vals])
+    if not _INCONCLUSIVE_BAND * tol < math.pi / (4 * bound):
+        raise ValueError(f"10*tol must be below pi/(4*bound), got tol {tol} at bound {bound}")
+    arr = np.array([float(a) for a in angles])
     if not np.isfinite(arr).all():
         raise ValueError("angles must be finite")
     return IndependenceReport(
@@ -633,7 +633,6 @@ def _sample_ngon(
     max_attempts=10000,
     require_independent=True,
     independence_bound=16,
-    independence_tol=INDEPENDENCE_TOL,
     fat=True,
     cfg=DEFAULT_TOLERANCES,
 ):
@@ -680,7 +679,7 @@ def _sample_ngon(
                     continue
                 ind = None
                 if require_independent:
-                    ind = check_independence(rep.angles, independence_bound, independence_tol)
+                    ind = check_independence(rep.angles, independence_bound)
                     if not ind.all_independent:
                         continue
                 return poly, rep, ind

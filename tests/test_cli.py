@@ -157,7 +157,19 @@ def test_fold_relations_read_the_runs_tol_ang(tmp_path, capsys):
 
 
 def test_fold_bad_index(regular_file, capsys):
-    assert main(["fold", "--input", regular_file, "--fold-index", "5"]) == 2
+    """A fold index that is not an integer, or not a halving of the
+    hexagon, is a setting error: exit 2 and one error line."""
+    for index, message in (
+        ("abc", "bad fold index 'abc'"),
+        ("1.5", "bad fold index '1.5'"),
+        ("-1", "fold index must be in 0..2"),
+        ("3", "fold index must be in 0..2"),
+        ("5", "fold index must be in 0..2"),
+    ):
+        assert main(["fold", "--input", regular_file, f"--fold-index={index}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
 
 
 def test_fold_emits_svg(sampled_file, tmp_path):
@@ -305,6 +317,20 @@ def test_fold_congruent_pairs_noted(regular_file, sampled_file, capsys):
     main(["fold", "--input", sampled_file, "--fold-index", "all"])
     report = json.loads(capsys.readouterr().out)
     assert report["congruent_pairs"] == []
+
+
+def test_sweep_whose_sampler_runs_out_is_inconclusive(tmp_path, capsys):
+    """Thin decagon seed 3 exhausts the sampler's budget: the sweep notes
+    it, writes a header-only CSV and an empty summary, and exits 3."""
+    args = ["sweep", "--n", "10", "--thin", "--seed", "3", "--count", "1", "--out-dir", str(tmp_path)]
+    assert main(args) == 3
+    out = capsys.readouterr()
+    assert out.err == "seed 3: sampling budget exhausted after 10000 attempts\n"
+    with open(tmp_path / "sweep.csv") as fh:
+        assert list(csv.reader(fh)) == [list(pipeline.SWEEP_COLUMNS)]
+    meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+    assert meta["summary"] == {"total": 0} and meta["per_record_seconds"] == []
+    assert json.loads(out.out[: out.out.rindex("}") + 1]) == {"total": 0}
 
 
 def test_thin_sweep_reports_separately(tmp_path, capsys):
@@ -467,6 +493,12 @@ BAD_NUMBERS = {
     "overflowing-corners": (
         '{"vertices": [[0, 0], [1e160, 0], [1.7e160, 1e160], [1e160, 1.7e160], [0, 1.7e160], [-1e160, 1e160]]}'
     ),
+    # files of the wrong shape, and turns whose gap chord is 4
+    "list-file": "[1,2]",
+    "empty-object": "{}",
+    "string-turns": '{"turns":"abc"}',
+    "three-turns": '{"turns":[0,1,2]}',
+    "unclosable-turns": '{"turns":[0,0,0,0]}',
 }
 
 

@@ -9,8 +9,8 @@ from zipfold.geodesic import (
     NOT_FOUND,
     OVERHANG_BOUND,
     DevelopmentEngine,
+    _ROOT,
 )
-from zipfold.geometry import IDENTITY, Rigid
 from oracles import metric_by_brute_force
 
 PI = math.pi
@@ -151,13 +151,14 @@ def test_retrace_follows_the_crossing_sequence(fat_pool_small):
         for path in eng.enumerate_geodesics(i, j, 3.0).paths:
             if not path.edge_path:
                 continue
-            tr = Rigid()
+            rot, trans = _ROOT
             for edge in path.edge_path:
-                tr = tr.compose(eng.transition[edge])
+                t_rot, t_trans = eng.transition[edge]
+                rot, trans = rot * t_rot, rot * t_trans + trans
             s = eng.points[path.source_vertex]
-            end = tr.apply(eng.points[path.target_vertex])
-            final, copies = eng._trace(s, end, path.edge_path)
-            assert final.almost_equal(tr, 1e-10)
+            end = rot * eng.points[path.target_vertex] + trans
+            (final_rot, final_trans), copies = eng._trace(s, end, path.edge_path)
+            assert abs(final_rot - rot) <= 1e-10 and abs(final_trans - trans) <= 1e-10
             assert len(copies) == len(path.edge_path) + 1
             wrong = ((path.edge_path[0] + 1) % eng.n,) + path.edge_path[1:]
             assert eng._trace(s, end, wrong) is None
@@ -168,8 +169,29 @@ def test_retrace_follows_the_crossing_sequence(fat_pool_small):
 def test_retrace_rejects_a_segment_short_of_its_target(fat_pool_small):
     eng = DevelopmentEngine(glue_halving(fat_pool_small[0], 0))
     p0, p3 = eng.points[0], eng.points[3]
-    assert eng._finalize(0, 3, IDENTITY, (), p3) == abs(p3 - p0)
-    assert eng._finalize(0, 3, IDENTITY, (), (p0 + p3) / 2) is None
+    assert eng._finalize(0, 3, *_ROOT, (), p3) == abs(p3 - p0)
+    assert eng._finalize(0, 3, *_ROOT, (), (p0 + p3) / 2) is None
+
+
+def test_retrace_rejects_a_transform_off_its_crossing_sequence(fat_pool_small):
+    """A one-crossing candidate re-traces to its length with the (rot,
+    trans) its crossing composes, and is rejected with trans off by 1e-6,
+    though it ends on the same point."""
+    eng = DevelopmentEngine(glue_halving(fat_pool_small[0], 1))
+    checked = 0
+    for i, j in itertools.permutations(range(4), 2):
+        for path in eng.enumerate_geodesics(i, j, 2.5).paths:
+            if len(path.edge_path) != 1:
+                continue
+            rot, trans = _ROOT
+            t_rot, t_trans = eng.transition[path.edge_path[0]]
+            rot, trans = rot * t_rot, rot * t_trans + trans  # as the search composes it
+            sv, tv = path.source_vertex, path.target_vertex
+            end = eng._develop(rot, trans)[tv]
+            assert eng._finalize(sv, tv, rot, trans, path.edge_path, end) == path.length
+            assert eng._finalize(sv, tv, rot, trans + 1e-6, path.edge_path, end) is None
+            checked += 1
+    assert checked >= 6
 
 
 def test_retrace_rejects_a_chord_through_a_cone_point(degenerate_hexagon):
@@ -191,8 +213,8 @@ def test_clearance_reads_every_copy_the_segment_visits(fat_pool_small):
             if len(path.edge_path) != 1:
                 continue
             s = eng.points[path.source_vertex]
-            tr = eng.transition[path.edge_path[0]]
-            end = tr.apply(eng.points[path.target_vertex])
+            rot, trans = eng.transition[path.edge_path[0]]
+            end = rot * eng.points[path.target_vertex] + trans
             _, copies = eng._trace(s, end, path.edge_path)
             assert eng._clear_of_cone_images(s, end, copies)
             for w in copies[1]:

@@ -5,9 +5,10 @@ forms every target of both directions of every pair, on the simple rows
 (b in 0, +-1/2, +-1, +-2) first and then on the rest, and a cached near
 mask over the table of every p*(pi/q) lets through every target within
 10*tol of the table.  Only those get their distance by np.searchsorted,
-and only the ones that near go through the grid.  The pairs are built
-only when first read, one full grid per direction i -> j and one for
-j -> i where i -> j has no witness, so `zipfold verify` builds no pair.
+and the first one that near decides, with no residual grid.  The pairs
+are built only when first read, one full grid per direction i -> j and
+one for j -> i where i -> j has no witness, so `zipfold verify` builds no
+pair.
 
 The reference is the full-grid screen in tests/oracles.py.  Reports are
 compared by repr, pairs included, so every status, witness, direction and
@@ -113,11 +114,10 @@ def test_stacked_rows_keep_the_block_cap(monkeypatch, cap):
     rows in one call, then those on the other rows in blocks of at most
     _BLOCK_TARGETS targets unless one direction alone has more (a direction
     has 312 other rows at bound 16).  Each call keeps exactly its targets
-    within 10*tol of the table, in order, those go into one _grid_residuals
-    call, and the pass decides as the full grid does."""
+    within 10*tol of the table, in order, the pass stops at the first call
+    that keeps one, and it decides as the full grid does."""
     blocks = []
     near_targets = polygon._near_targets
-    grid_residuals = polygon._grid_residuals
 
     def near(bound, coeffs, xs, ys, edge):
         got = near_targets(bound, coeffs, xs, ys, edge)
@@ -126,14 +126,8 @@ def test_stacked_rows_keep_the_block_cap(monkeypatch, cap):
         blocks[-1].append((coeffs, len(ys), got))
         return got
 
-    def residuals(target, bound):
-        coeffs, directions, got = blocks[-1][-1]
-        assert target is got and 0 < len(target) <= directions * coeffs.size
-        return grid_residuals(target, bound)
-
     monkeypatch.setattr(polygon, "_BLOCK_TARGETS", cap)
     monkeypatch.setattr(polygon, "_near_targets", near)
-    monkeypatch.setattr(polygon, "_grid_residuals", residuals)
     for vals in _rational_sets() + _out_of_range_sets():
         m = len(vals)
         for bound in (16, 5):
@@ -141,6 +135,8 @@ def test_stacked_rows_keep_the_block_cap(monkeypatch, cap):
             blocks.append([])
             got = polygon.check_independence(vals, bound, TOL).all_independent
             assert got == reference_check_independence(vals, bound, TOL).all_independent
+            kept = [found.size for _, _, found in blocks[-1]]
+            assert got == (max(kept) == 0) and not any(kept[:-1])
             (first, directions, _), *later = blocks[-1]
             assert first is grid.simple and directions == m * (m - 1)
             for coeffs, directions, _ in later:
@@ -308,6 +304,29 @@ def test_screen_matches_full_grid_on_extremes(vals):
         assert got.all_independent == want.all_independent
         assert repr(got) == repr(want)
         assert repr(got.pairs) == repr(want.pairs)
+
+
+def test_screen_refuses_a_tol_past_the_table_limit():
+    """check_independence needs 10*tol < pi/(4*bound), which keeps a
+    target within 10*tol of the table entry p*pi/q rounding to p in the
+    grid's column q.  Past the limit it raises; inside it, down to a
+    thousandth of the limit, the decision is the full grid's, and both
+    verdicts occur."""
+    with pytest.raises(ValueError, match="pi/\\(4\\*bound\\)"):
+        polygon.check_independence([5.0, 15.0], 1, 0.3)
+    rng = np.random.default_rng(16)
+    verdicts = collections.Counter()
+    for bound in BOUNDS:
+        limit = math.pi / (40 * bound)
+        with pytest.raises(ValueError):
+            polygon.check_independence([1.0, 2.0], bound, 2 * limit)
+        for factor in (0.99, 0.1, 0.01, 0.001):
+            for _ in range(40):
+                vals = rng.uniform(0.05, math.pi, 2).tolist()
+                got = polygon.check_independence(vals, bound, factor * limit).all_independent
+                assert got == reference_check_independence(vals, bound, factor * limit).all_independent
+                verdicts[got] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 @st.composite
@@ -506,15 +525,15 @@ def screen_calls(monkeypatch):
 def test_verify_builds_no_pairs_on_dependent_files(tmp_path, screen_calls, capsys):
     """A hexagon with dependent angles fails hypothesis.independent on the
     decision pass alone: its first call, on the simple rows, keeps a target
-    near the table whose grid residual is below 10*tol, and no witness or
-    pair is built."""
+    within 10*tol of the table, and no grid residual, witness or pair is
+    computed."""
     files = [DATA / "regular_hexagon.json"] + _screen_files(tmp_path, 7, ("rational", "straight"))
     assert len(files) == 9
     for path in files:
         screen_calls.clear()
         assert main(["verify", "--input", str(path)]) == 1
         assert "FAIL          hypothesis.independent" in capsys.readouterr().out
-        assert screen_calls == {"_near_targets": 1, "_grid_residuals": 1}, path.name
+        assert screen_calls == {"_near_targets": 1}, path.name
 
 
 def test_verify_bounds_an_independent_hexagon_once(screen_calls, capsys):

@@ -33,10 +33,10 @@ from zipfold.cli import main
 from zipfold.geodesic import (
     DevelopmentEngine,
     RootFans,
+    _ROOT,
     _excursion_width,
     overhang_audit,
 )
-from zipfold.geometry import IDENTITY
 from zipfold.pipeline import verify_polygon
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -128,8 +128,8 @@ def test_a_chord_re_traces_alike_from_either_end(fat_pool_small):
         engine = DevelopmentEngine(glue_halving(poly, 0))
         ends = engine.fans.root_copy
         for sv, tv in itertools.permutations(range(poly.n), 2):
-            there = engine._finalize(sv, tv, IDENTITY, (), ends[tv])
-            back = engine._finalize(tv, sv, IDENTITY, (), ends[sv])
+            there = engine._finalize(sv, tv, *_ROOT, (), ends[tv])
+            back = engine._finalize(tv, sv, *_ROOT, (), ends[sv])
             assert there == back, (poly, sv, tv)
             rejected[there is None] += 1
     # the degenerate hexagon's chords through a straight vertex, both ways
