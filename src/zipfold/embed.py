@@ -9,6 +9,7 @@ degenerate sources fold to doubly covered polygons and must survive the
 round trip, so they embed with z = 0 and a flat flag instead of failing.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -89,9 +90,15 @@ class Tetrahedron3D:
         return {k: getattr(self, k) for k in "abcd"}
 
     def edge_length(self, u, v):
-        p = self.point(u)
-        q = self.point(v)
-        return math.dist(p, q)
+        """|uv|, read from the six edge lengths, computed once."""
+        return self._edge_lengths[u, v]
+
+    @functools.cached_property
+    def _edge_lengths(self):
+        lengths = {(k, k): 0.0 for k in "abcd"}
+        for u, v in _EDGES:
+            lengths[u, v] = lengths[v, u] = math.dist(self.point(u), self.point(v))
+        return lengths
 
     def face_areas(self):
         """Area of each face, in scalar floats (numpy costs more on 3-vectors)."""

@@ -70,6 +70,7 @@ edge is a rotated (never mirrored) polygon.
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,14 +126,18 @@ _WIDTH_FLOOR = 1e-12
 _NO_CROSS = itertools.repeat(None)
 # the (rot, trans) of the untransformed polygon, where searches and re-traces start
 _ROOT = (1.0 + 0.0j, 0.0j)
+# the order of a goal's finds: an enumeration lists them in it, and a shortest
+# query reports the first
+_FIND_ORDER = operator.attrgetter("length", "source_vertex", "edge_path")
 
 FOUND = "found"
 NOT_FOUND = "not_found"
 INCONCLUSIVE = "inconclusive"
+# what a cone-point pair says about the unit disks (DistanceTable.pair_disk)
+WITNESS, UNSETTLED, SETTLED = "witness", "unsettled", "settled"
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
+class GeodesicPath(NamedTuple):
     source: tuple  # cone-point vertex indices
     target: tuple
     source_vertex: int  # representative the development started from
@@ -141,8 +146,7 @@ class GeodesicPath:
     edge_path: tuple  # polygon edge indices crossed, in order
 
 
-@dataclass(frozen=True)
-class ShortestResult:
+class ShortestResult(NamedTuple):
     status: str
     path: GeodesicPath | None
     # pops this query's own stop needed; a shared search may pop more for
@@ -157,15 +161,13 @@ class ShortestResult:
         return self.status == FOUND
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     paths: tuple
     complete: bool
     developments: int  # as in ShortestResult
 
 
-@dataclass(frozen=True)
-class DiskReport:
+class DiskReport(NamedTuple):
     status: str  # "empty" | "nonempty" | "inconclusive"
     center: tuple
     radius: float
@@ -226,18 +228,15 @@ class _GoalState:
 
     def result(self):
         paths = self.finds
-        if len(paths) > 1:
-            paths.sort(key=lambda g: (g.length, g.source_vertex, g.edge_path))
         exhausted = self.frontier < math.inf
         if not self.stop_at_first:
+            paths.sort(key=_FIND_ORDER)
             return EnumerationResult(tuple(paths), not exhausted, self.developments)
-        if paths:
-            # an exhausted search may still certify its best find if nothing
-            # cheaper was left open; be conservative and flag it instead
-            status = INCONCLUSIVE if exhausted else FOUND
-            return ShortestResult(status, paths[0], self.developments, self.frontier)
-        status = INCONCLUSIVE if exhausted else NOT_FOUND
-        return ShortestResult(status, None, self.developments, self.frontier)
+        # an exhausted search may still certify its best find if nothing
+        # cheaper was left open; be conservative and flag it instead
+        best = min(paths, key=_FIND_ORDER, default=None)
+        status = INCONCLUSIVE if exhausted else NOT_FOUND if best is None else FOUND
+        return ShortestResult(status, best, self.developments, self.frontier)
 
 
 class RootFans:
@@ -511,12 +510,7 @@ class DevelopmentEngine:
         if length is None:
             return None
         return GeodesicPath(
-            source=tuple(source_cone.vertices),
-            target=tuple(target_cone.vertices),
-            source_vertex=sv,
-            target_vertex=tv,
-            length=length,
-            edge_path=edge_path,
+            tuple(source_cone.vertices), tuple(target_cone.vertices), sv, tv, length, edge_path
         )
 
     # -- the root fan ---------------------------------------------------------
@@ -793,36 +787,39 @@ class DistanceTable:
     def result(self, i, j):
         return self.entries[(min(i, j), max(i, j))][0]
 
+    def pair_disk(self, pair, radius=1.0):
+        """What cone-point pair (i, j), i < j, says of the open radius disk
+        of each of its cone points: WITNESS when its distance is below
+        radius - tol_geodesic, of the table's tolerances; else SETTLED when
+        its search covered the whole radius (it finished within its budget,
+        or ran out of developments at a frontier beyond the radius); else
+        UNSETTLED."""
+        res, budget = self.entries[pair]
+        if res.path is not None and res.path.length < radius - self.tol.tol_geodesic:
+            return WITNESS
+        return UNSETTLED if min(budget, res.frontier) < radius else SETTLED
+
     def disk(self, center_idx, radius=1.0):
         """Is the open geodesic disk around a cone point free of other cone points?
 
-        A cone point at distance below radius - tol_geodesic, of the table's
-        tolerances, is a witness against emptiness.  A pair without a
-        witness is settled when its search covered the whole radius: it
-        finished within its budget, or it ran out of developments at a
-        frontier beyond the radius.  Any unsettled pair without a witness
-        makes the check inconclusive rather than a verdict.  The table's
-        budgets cover radii up to 1.
+        Each pair of the cone point with another decides by `pair_disk`.  A
+        witness makes the disk nonempty, and the nearest one is reported;
+        without one, any unsettled pair makes the check inconclusive rather
+        than a verdict.  The table's budgets cover radii up to 1.
         """
         if not 0.0 < radius <= 1.0:
             raise GeodesicError("disk radius must lie in (0, 1]")
         cps = self.gluing.cone_points
-        tol = self.tol.tol_geodesic
-        witness = None
-        unsettled = False
-        for k, other in enumerate(cps):
-            if k == center_idx:
-                continue
-            res, budget = self.entries[(min(k, center_idx), max(k, center_idx))]
-            if res.path is not None and res.path.length < radius - tol:
-                if witness is None or res.path.length < witness[1]:
-                    witness = (tuple(other.vertices), res.path.length)
-            elif min(budget, res.frontier) < radius:
-                unsettled = True
+        rules = {
+            k: self.pair_disk((min(k, center_idx), max(k, center_idx)), radius)
+            for k in range(len(cps)) if k != center_idx
+        }
+        witnesses = [(self.result(k, center_idx).path.length, k) for k, r in rules.items() if r == WITNESS]
         center = tuple(cps[center_idx].vertices)
-        if witness is not None:
-            return DiskReport("nonempty", center, radius, witness)
-        return DiskReport(INCONCLUSIVE if unsettled else "empty", center, radius, None)
+        if witnesses:
+            length, k = min(witnesses)
+            return DiskReport("nonempty", center, radius, (tuple(cps[k].vertices), length))
+        return DiskReport(INCONCLUSIVE if UNSETTLED in rules.values() else "empty", center, radius, None)
 
     def tetra_metric(self, fat):
         """The six cone-point distances of a hexagon gluing as a TetraMetric.

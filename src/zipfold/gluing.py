@@ -15,6 +15,7 @@ asserted on every gluing.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GaussBonnetError, GluingError
 from .polygon import DEFAULT_TOLERANCES, TWO_PI, EquilateralPolygon, interior_angles
@@ -22,8 +23,7 @@ from .polygon import DEFAULT_TOLERANCES, TWO_PI, EquilateralPolygon, interior_an
 FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class EdgeIdentification:
+class EdgeIdentification(NamedTuple):
     """Directed match between two boundary edges.
 
     Edge (a0 -> a1) is glued to edge (b0 -> b1) so that the point at
@@ -36,8 +36,7 @@ class EdgeIdentification:
     b1: int
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class ConePoint(NamedTuple):
     """An identified vertex class of the glued surface."""
 
     vertices: tuple

@@ -27,7 +27,7 @@ from . import gluing as gl
 from . import net as netmod
 from .embed import congruent_tetrahedra, embed, vertex_angle_sums
 from .errors import ConfigError, GeodesicError, MetricError
-from .geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine, RootFans
+from .geodesic import FOUND, INCONCLUSIVE, UNSETTLED, WITNESS, DevelopmentEngine, RootFans
 from .geometry import best_rigid_alignment
 from .gluing import FOUR_PI
 from .polygon import (
@@ -37,13 +37,12 @@ from .polygon import (
     _sample_ngon,
     check_independence,
     validate,
+    within_screen_limit,
 )
 
 PASS = "pass"
 FAIL = "fail"
 INCONC = "inconclusive"
-
-_DISK_STATUS = {"empty": PASS, "nonempty": FAIL, INCONCLUSIVE: INCONC}
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,9 @@ class PipelineConfig:
     dev_cap: int = 100000
 
     def __post_init__(self):
-        if self.independence_bound < 1:
-            raise ConfigError(f"independence bound must be >= 1, got {self.independence_bound}")
+        bound = self.independence_bound
+        if not (bound >= 1 and within_screen_limit(bound)):
+            raise ConfigError(f"independence bound must be >= 1 and below pi/(40*tol), got {bound}")
         if self.dev_cap < 1:
             raise ConfigError(f"dev cap must be >= 1, got {self.dev_cap}")
 
@@ -72,12 +72,8 @@ def _tri(ok):
 
 def combine(statuses):
     """One status over many: any fail fails, else any inconclusive stays open."""
-    statuses = list(statuses)
-    if any(s == FAIL for s in statuses):
-        return FAIL
-    if any(s == INCONC for s in statuses):
-        return INCONC
-    return PASS
+    seen = set(statuses)
+    return FAIL if FAIL in seen else INCONC if INCONC in seen else PASS
 
 
 SURFACE, SOLID, POLYGON = "surface", "solid", "polygon"
@@ -191,7 +187,8 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
         lengths.append(res.path.length)
         statuses.append(_tri(abs(res.path.length - 1.0) <= tol.tol_geodesic))
     audit.zipper_lengths = tuple(lengths)
-    disks = combine(_DISK_STATUS[table.disk(k).status] for k in range(len(g.cone_points)))
+    rules = {table.pair_disk(pair) for pair in table.entries}
+    disks = FAIL if WITNESS in rules else INCONC if UNSETTLED in rules else PASS
     audit.statuses = dict(zip(_SURFACE_LINES, (disks, combine(statuses), combine(empties))))
 
     if poly.n != 6:

@@ -109,12 +109,22 @@ class EquilateralPolygon:
         return [complex(x, y) for x, y in self.vertices]
 
     def edge_lengths(self):
+        """The length of each edge i, from vertex i to i+1, computed once per
+        polygon."""
+        return self._edge_lengths
+
+    @functools.cached_property
+    def _edge_lengths(self):
         pts = self.vertices
         n = len(pts)
         return tuple(
             math.hypot(pts[(i + 1) % n][0] - pts[i][0], pts[(i + 1) % n][1] - pts[i][1])
             for i in range(n)
         )
+
+    @functools.cached_property
+    def _profile(self):
+        return _angle_profile(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -178,26 +188,26 @@ def _check_malformed(poly):
 
 
 def interior_angles(poly):
-    """Interior angles from adjacent edge vectors.
+    """Interior angles from adjacent edge vectors, as an AngleProfile.
 
-    Accepts an EquilateralPolygon or a bare vertex sequence (handy for
-    unit-test shapes like the square that the main gate rejects).
+    Accepts an EquilateralPolygon, whose profile is computed once per
+    polygon, or a bare vertex sequence (handy for unit-test shapes like the
+    square that the main gate rejects).
     """
-    pts = poly.vertices if isinstance(poly, EquilateralPolygon) else tuple(
-        (float(x), float(y)) for x, y in poly
-    )
+    if isinstance(poly, EquilateralPolygon):
+        return poly._profile
+    return _angle_profile(tuple((float(x), float(y)) for x, y in poly))
+
+
+def _angle_profile(pts):
     n = len(pts)
     angles = []
     for i in range(n):
         px, py = pts[(i - 1) % n]
         cx, cy = pts[i]
         nx, ny = pts[(i + 1) % n]
-        u = (px - cx, py - cy)
-        v = (nx - cx, ny - cy)
-        cr = u[0] * v[1] - u[1] * v[0]
-        dt = u[0] * v[0] + u[1] * v[1]
-        ang = math.atan2(abs(cr), dt)
-        angles.append(ang)
+        ux, uy, vx, vy = px - cx, py - cy, nx - cx, ny - cy
+        angles.append(math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
     residual = sum(angles) - (n - 2) * math.pi
     return AngleProfile(tuple(angles), residual)
 
@@ -511,6 +521,11 @@ def _pair_dependences(arr, bound, tol):
     return pairs
 
 
+def within_screen_limit(bound, tol=INDEPENDENCE_TOL):
+    """Whether 10*tol < pi/(4*bound), the limit of check_independence."""
+    return _INCONCLUSIVE_BAND * tol < math.pi / (4 * bound)
+
+
 def check_independence(angles, bound=16, tol=INDEPENDENCE_TOL):
     """Screen all angle pairs for rational dependence y = a*pi + b*x.
 
@@ -534,7 +549,7 @@ def check_independence(angles, bound=16, tol=INDEPENDENCE_TOL):
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if not _INCONCLUSIVE_BAND * tol < math.pi / (4 * bound):
+    if not within_screen_limit(bound, tol):
         raise ValueError(f"10*tol must be below pi/(4*bound), got tol {tol} at bound {bound}")
     arr = np.array([float(a) for a in angles])
     if not np.isfinite(arr).all():

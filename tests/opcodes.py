@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python tests/opcodes.py [--count 30] [--seed 7]
+    python tests/opcodes.py [--count 30] [--seed 7] [--by-function N]
 
 It imports zipfold from the checkout's `src/` and the `hex-verify`,
 `ngon-sweep` and `screen` workloads from `perfbench/run.py`, whose inputs
@@ -11,7 +11,10 @@ temporary directory that is removed afterwards.  For each workload it runs
 the first input once untraced, to fill the program's caches, and then
 counts the opcodes the interpreter executes (`sys.settrace` with
 `f_trace_opcodes`) over the first `--count` inputs.  It prints one JSON
-line: the Python version and each workload's opcodes per operation.
+line: the Python version and each workload's opcodes per operation.  With
+`--by-function N`, it then prints, for each workload, the N code objects
+that ran the most opcodes per operation, one a line: the workload, the
+opcodes per operation, the code's file and first line, and its name.
 
 The count does not depend on the machine or its load, so two commits
 compare by running this script from a checkout of each, on one Python
@@ -20,6 +23,7 @@ counts.
 """
 
 import argparse
+import collections
 import json
 import platform
 import sys
@@ -30,8 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("hex-verify", "ngon-sweep", "screen")
 
 
-def _count_opcodes(fn, *args):
-    """fn(*args), and the opcodes executed in every Python frame it runs."""
+def _count_opcodes(fn, *args, by_code=None):
+    """fn(*args), and the opcodes executed in every Python frame it runs;
+    `by_code`, a Counter when given, adds up each code object's opcodes."""
     count = 0
 
     def local(frame, event, arg):
@@ -40,9 +45,18 @@ def _count_opcodes(fn, *args):
             count += 1
         return local
 
+    def local_by_code(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+            by_code[frame.f_code] += 1
+        return local_by_code
+
+    tracer = local if by_code is None else local_by_code
+
     def call(frame, event, arg):
         frame.f_trace_opcodes = True
-        return local
+        return tracer
 
     previous = sys.gettrace()
     sys.settrace(call)
@@ -53,8 +67,10 @@ def _count_opcodes(fn, *args):
     return count
 
 
-def opcodes_per_op(count, seed):
-    """{workload: opcodes per op} over the first `count` inputs of `seed`."""
+def opcodes_per_op(count, seed, by_code=None):
+    """{workload: opcodes per op} over the first `count` inputs of `seed`.
+    `by_code`, a dict when given, gets {workload: Counter of opcodes per op
+    by code object} over the same ops."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import run  # perfbench/run.py
     import zipfold
@@ -67,21 +83,43 @@ def opcodes_per_op(count, seed):
         with tempfile.TemporaryDirectory() as workdir:
             items = workload.prepare(zipfold, seed, Path(workdir))[:count]
             workload.op(zipfold, items[0])
-            total = sum(_count_opcodes(workload.op, zipfold, item) for item in items)
+            codes = None if by_code is None else collections.Counter()
+            total = sum(_count_opcodes(workload.op, zipfold, item, by_code=codes) for item in items)
+        if codes is not None:
+            by_code[name] = collections.Counter({c: k / len(items) for c, k in codes.items()})
         out[name] = total / len(items)
     return out
+
+
+def _where(code):
+    """A code object's file, relative to the checkout when inside it, and
+    first line."""
+    path = Path(code.co_filename)
+    if path.is_relative_to(ROOT):
+        path = path.relative_to(ROOT)
+    return f"{path}:{code.co_firstlineno}"
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=30, help="inputs per workload (default 30)")
     parser.add_argument("--seed", type=int, default=7, help="benchmark seed (default 7)")
+    parser.add_argument(
+        "--by-function", type=int, default=0, metavar="N",
+        help="also list each workload's N costliest code objects (default 0: none)",
+    )
     args = parser.parse_args(argv)
     if args.count < 1:
         parser.error("--count must be at least 1")
+    if args.by_function < 0:
+        parser.error("--by-function must be at least 0")
+    by_code = {} if args.by_function else None
     record = {"python": platform.python_version(), "count": args.count, "seed": args.seed}
-    record.update(opcodes_per_op(args.count, args.seed))
+    record.update(opcodes_per_op(args.count, args.seed, by_code))
     print(json.dumps(record, sort_keys=True))
+    for name, codes in (by_code or {}).items():
+        for code, ops in codes.most_common(args.by_function):
+            print(f"{name}\t{ops:.1f}\t{_where(code)}\t{code.co_qualname}")
     return 0
 
 

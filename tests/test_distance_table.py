@@ -10,12 +10,13 @@ way into pass or fail.
 """
 
 import collections
+import math
 
 import pytest
 
 from zipfold import geodesic, glue_halving, polygon, sample_fat_ngon
 from zipfold import pipeline
-from zipfold.geodesic import FOUND, INCONCLUSIVE, DevelopmentEngine
+from zipfold.geodesic import FOUND, INCONCLUSIVE, SETTLED, WITNESS, DevelopmentEngine
 from zipfold.pipeline import FAIL, INCONC, PASS, PipelineConfig, audit_halving, sweep_one
 from zipfold.polygon import Tolerances
 
@@ -222,6 +223,34 @@ def test_disk_judges_at_the_tables_own_tolerance(thin_hexagon):
             radius = report.witness[1] + 1e-7
             assert table.disk(k, radius).status == "nonempty"
             assert loose.disk(k, radius).status == "empty"
+            checked += 1
+    assert checked
+
+
+def test_a_cone_point_at_exactly_radius_minus_tol_is_no_witness(thin_hexagon):
+    """The disk is open: a pair whose distance is exactly radius -
+    tol_geodesic, in floats, settles it, and a pair whose distance is below
+    that is a witness against it."""
+    tol = Tolerances().tol_geodesic
+    checked = 0
+    for i in range(3):
+        table = DevelopmentEngine(glue_halving(thin_hexagon, i)).distance_table()
+        for pair, (res, _) in table.entries.items():
+            if res.path is None or res.path.length >= 1.0 - 2 * tol:
+                continue
+            d = res.path.length
+            at = d + tol
+            while at - tol > d:
+                at = math.nextafter(at, 0.0)
+            while at - tol < d:
+                at = math.nextafter(at, 2.0)
+            if at - tol != d:
+                continue  # no float radius puts d exactly on the boundary
+            past = math.nextafter(at, 2.0)
+            while past - tol <= d:
+                past = math.nextafter(past, 2.0)
+            assert table.pair_disk(pair, at) == SETTLED
+            assert table.pair_disk(pair, past) == WITNESS
             checked += 1
     assert checked
 

@@ -199,6 +199,15 @@ def test_congruence_reads_each_edge_once_with_the_same_verdict(fat_pool_small, m
     assert verdicts == {True, False}
 
 
+def test_edge_lengths_are_each_tetrahedrons_own_and_read_either_way_round(fat_pool_small):
+    tets = [embed(tetra_metric(g)) for g in enumerate_halvings(fat_pool_small[0])]
+    for tet in tets:
+        for u, v in itertools.combinations("abcd", 2):
+            length = math.dist(tet.point(u), tet.point(v))
+            assert tet.edge_length(u, v) == tet.edge_length(v, u) == length
+    assert len({tet.edge_length("a", "b") for tet in tets}) == len(tets)
+
+
 def test_obj_output_structure():
     lines = obj_lines(embed(unit_metric()))
     assert len(lines) == 8

@@ -26,3 +26,23 @@ def test_the_counter_prints_one_json_line(monkeypatch, capsys):
     assert set(opcodes.WORKLOADS) == set(floors)
     for name, floor in floors.items():
         assert record[name] > floor
+
+
+def test_by_function_lists_each_workloads_costliest_code_after_the_same_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    opcodes = importlib.import_module("opcodes")
+    assert opcodes.main(["--count", "1", "--by-function", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 3 * len(opcodes.WORKLOADS)
+    record = json.loads(lines[0])
+    assert opcodes.main(["--count", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == record  # the flag moves no count
+    rows = [line.split("\t") for line in lines[1:]]
+    assert [row[0] for row in rows] == [name for name in opcodes.WORKLOADS for _ in range(3)]
+    for name in opcodes.WORKLOADS:
+        shares = [float(ops) for workload, ops, _, _ in rows if workload == name]
+        assert shares == sorted(shares, reverse=True)
+        assert 0 < sum(shares) <= record[name]
+    # the package's own code leads the two workloads that run the geodesic
+    # search, named by its path in the checkout
+    assert rows[0][2].startswith("src/zipfold/") and rows[3][2].startswith("src/zipfold/")

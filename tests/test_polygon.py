@@ -92,6 +92,26 @@ def test_interior_angles_of_unit_square():
     assert prof.sum_residual == pytest.approx(0.0, abs=1e-12)
 
 
+def test_each_polygon_computes_its_angles_and_edge_lengths_once():
+    """A polygon's AngleProfile and edge lengths are its own, made on first
+    read and the same floats the bare-vertex helper and the per-edge
+    hypot give."""
+    polys = [sample_fat_hexagon(seed) for seed in range(3)] + [sample_fat_ngon(8, 0)]
+    profiles = [interior_angles(p) for p in polys]
+    assert len({prof.angles for prof in profiles}) == len(polys)
+    for poly, prof in zip(polys, profiles):
+        assert interior_angles(poly) is prof
+        assert prof == interior_angles(list(poly.vertices))
+        assert validate(poly).angles is prof.angles
+        lengths = poly.edge_lengths()
+        assert poly.edge_lengths() is lengths
+        pts = poly.vertices + poly.vertices[:1]
+        assert lengths == tuple(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:]))
+    copy = EquilateralPolygon(polys[0].vertices)
+    assert copy == polys[0] and interior_angles(copy) is not profiles[0]
+    assert interior_angles(copy) == profiles[0]
+
+
 def test_regular_hexagon_diagonals_all_two(regular_hexagon):
     rep = diagonal_lengths(regular_hexagon)
     assert rep.lengths == pytest.approx([2.0, 2.0, 2.0], abs=1e-12)

@@ -1,4 +1,5 @@
-"""The names the package exports, and the README's example of them.
+"""The names the package exports, the README's example of them, and the
+contract of the value types a query or a gluing builds.
 
 Pinned so that adding or removing a public name is a deliberate edit here.
 """
@@ -7,6 +8,8 @@ import ast
 import glob
 import os
 import types
+
+import pytest
 
 import zipfold
 
@@ -61,3 +64,37 @@ def test_no_default_argument_is_a_float_literal():
                 if isinstance(value, ast.Constant) and isinstance(value.value, float) and value.value not in (0.0, 1.0):
                     literals.append(f"{os.path.basename(path)}:{default.lineno} {ast.unparse(default)}")
     assert literals == []
+
+
+def test_the_value_types_built_per_query_or_gluing_keep_their_contract(regular_hexagon):
+    """Each is a named tuple: its fields in order, immutable and hashable,
+    equal to the tuple of its fields, with its properties."""
+    from zipfold.geodesic import DiskReport, EnumerationResult, ShortestResult
+    from zipfold.gluing import EdgeIdentification
+
+    g = zipfold.glue_halving(regular_hexagon, 0)
+    table = zipfold.DevelopmentEngine(g).distance_table()
+    res = table.result(0, 2)
+    values = {
+        zipfold.GeodesicPath: (
+            res.path, ("source", "target", "source_vertex", "target_vertex", "length", "edge_path"),
+        ),
+        ShortestResult: (res, ("status", "path", "developments", "frontier")),
+        EnumerationResult: (table.enumerations[0, 2], ("paths", "complete", "developments")),
+        DiskReport: (table.disk(0), ("status", "center", "radius", "witness")),
+        zipfold.ConePoint: (g.cone_points[2], ("vertices", "cone_angle")),
+        EdgeIdentification: (g.identifications[1], ("a0", "a1", "b0", "b1")),
+    }
+    for cls, (value, fields) in values.items():
+        assert type(value) is cls
+        assert cls._fields == fields
+        assert value == tuple(getattr(value, name) for name in fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        assert hash(value) == hash(tuple(value))
+    assert res.found and res.path.length == 1.0
+    assert res.path.source == (0,) and res.path.target == g.cone_points[2].vertices
+    cone = g.cone_points[2]
+    assert cone.curvature == zipfold.polygon.TWO_PI - cone.cone_angle
+    assert (cone.vertices, g.identifications[1]) == ((1, 5), (1, 2, 5, 4))
