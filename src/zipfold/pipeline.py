@@ -27,7 +27,7 @@ from . import gluing as gl
 from . import net as netmod
 from .embed import congruent_tetrahedra, embed, vertex_angle_sums
 from .errors import ConfigError, GeodesicError, MetricError
-from .geodesic import FOUND, INCONCLUSIVE, UNSETTLED, WITNESS, DevelopmentEngine, RootFans
+from .geodesic import FOUND, INCONCLUSIVE, SETTLED, UNSETTLED, WITNESS, DevelopmentEngine, RootFans
 from .geometry import best_rigid_alignment
 from .gluing import FOUR_PI
 from .polygon import (
@@ -43,6 +43,7 @@ from .polygon import (
 PASS = "pass"
 FAIL = "fail"
 INCONC = "inconclusive"
+_PAIR_STATUS = {WITNESS: FAIL, UNSETTLED: INCONC, SETTLED: PASS}  # a halving's disk status by pair rule
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class PipelineConfig:
     def __post_init__(self):
         bound = self.independence_bound
         if not (bound >= 1 and within_screen_limit(bound)):
-            raise ConfigError(f"independence bound must be >= 1 and below pi/(40*tol), got {bound}")
+            raise ConfigError(f"independence bound must be 1 to 78,539,816 (pi/(40*1e-9), the screen's limit), got {bound}")
         if self.dev_cap < 1:
             raise ConfigError(f"dev cap must be >= 1, got {self.dev_cap}")
 
@@ -187,8 +188,7 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
         lengths.append(res.path.length)
         statuses.append(_tri(abs(res.path.length - 1.0) <= tol.tol_geodesic))
     audit.zipper_lengths = tuple(lengths)
-    rules = {table.pair_disk(pair) for pair in table.entries}
-    disks = FAIL if WITNESS in rules else INCONC if UNSETTLED in rules else PASS
+    disks = combine(_PAIR_STATUS[table.pair_disk(pair)] for pair in table.entries)
     audit.statuses = dict(zip(_SURFACE_LINES, (disks, combine(statuses), combine(empties))))
 
     if poly.n != 6:

@@ -522,8 +522,8 @@ def _pair_dependences(arr, bound, tol):
 
 
 def within_screen_limit(bound, tol=INDEPENDENCE_TOL):
-    """Whether 10*tol < pi/(4*bound), the limit of check_independence."""
-    return _INCONCLUSIVE_BAND * tol < math.pi / (4 * bound)
+    """Whether 10*tol < pi/(4*bound), the limit of check_independence; no int bound becomes a float."""
+    return tol <= 0 or bound < math.pi / (4 * _INCONCLUSIVE_BAND * tol)
 
 
 def check_independence(angles, bound=16, tol=INDEPENDENCE_TOL):

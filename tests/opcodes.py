@@ -34,29 +34,19 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("hex-verify", "ngon-sweep", "screen")
 
 
-def _count_opcodes(fn, *args, by_code=None):
-    """fn(*args), and the opcodes executed in every Python frame it runs;
-    `by_code`, a Counter when given, adds up each code object's opcodes."""
-    count = 0
+def _count_opcodes(fn, *args):
+    """fn(*args), and a Counter of the opcodes executed in every Python
+    frame it runs, by code object."""
+    counts = collections.Counter()
 
     def local(frame, event, arg):
-        nonlocal count
         if event == "opcode":
-            count += 1
+            counts[frame.f_code] += 1
         return local
-
-    def local_by_code(frame, event, arg):
-        nonlocal count
-        if event == "opcode":
-            count += 1
-            by_code[frame.f_code] += 1
-        return local_by_code
-
-    tracer = local if by_code is None else local_by_code
 
     def call(frame, event, arg):
         frame.f_trace_opcodes = True
-        return tracer
+        return local
 
     previous = sys.gettrace()
     sys.settrace(call)
@@ -64,13 +54,13 @@ def _count_opcodes(fn, *args, by_code=None):
         fn(*args)
     finally:
         sys.settrace(previous)
-    return count
+    return counts
 
 
-def opcodes_per_op(count, seed, by_code=None):
-    """{workload: opcodes per op} over the first `count` inputs of `seed`.
-    `by_code`, a dict when given, gets {workload: Counter of opcodes per op
-    by code object} over the same ops."""
+def opcodes_per_op(count, seed):
+    """{workload: Counter of opcodes per op by code object} over the first
+    `count` inputs of `seed`; a Counter's total is the workload's opcodes
+    per op."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import run  # perfbench/run.py
     import zipfold
@@ -83,11 +73,10 @@ def opcodes_per_op(count, seed, by_code=None):
         with tempfile.TemporaryDirectory() as workdir:
             items = workload.prepare(zipfold, seed, Path(workdir))[:count]
             workload.op(zipfold, items[0])
-            codes = None if by_code is None else collections.Counter()
-            total = sum(_count_opcodes(workload.op, zipfold, item, by_code=codes) for item in items)
-        if codes is not None:
-            by_code[name] = collections.Counter({c: k / len(items) for c, k in codes.items()})
-        out[name] = total / len(items)
+            codes = collections.Counter()
+            for item in items:
+                codes += _count_opcodes(workload.op, zipfold, item)
+        out[name] = collections.Counter({c: k / len(items) for c, k in codes.items()})
     return out
 
 
@@ -113,11 +102,11 @@ def main(argv=None):
         parser.error("--count must be at least 1")
     if args.by_function < 0:
         parser.error("--by-function must be at least 0")
-    by_code = {} if args.by_function else None
+    by_code = opcodes_per_op(args.count, args.seed)
     record = {"python": platform.python_version(), "count": args.count, "seed": args.seed}
-    record.update(opcodes_per_op(args.count, args.seed, by_code))
+    record.update({name: sum(codes.values()) for name, codes in by_code.items()})
     print(json.dumps(record, sort_keys=True))
-    for name, codes in (by_code or {}).items():
+    for name, codes in by_code.items():
         for code, ops in codes.most_common(args.by_function):
             print(f"{name}\t{ops:.1f}\t{_where(code)}\t{code.co_qualname}")
     return 0

@@ -528,12 +528,16 @@ def test_a_directory_as_input_or_a_file_as_out_dir_is_an_input_error(command, tm
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bound", ["100000000", "9" * 400])
 @pytest.mark.parametrize("command", ["validate", "fold", "verify", "sweep"])
-def test_an_independence_bound_past_the_screen_limit_is_an_input_error(command, sampled_file, tmp_path, capsys):
+def test_an_independence_bound_past_the_screen_limit_is_an_input_error(
+    command, bound, sampled_file, tmp_path, capsys
+):
     """10*tol < pi/(4*bound) fails from bound 78,539,817 at the screen's tol
-    1e-9; the run stops at its settings, before any screen is built."""
+    1e-9, and for a bound too large to be a float; the run stops at its
+    settings, before any screen is built."""
     where = ["--count", "1"] if command == "sweep" else ["--input", sampled_file]
-    setting = ["--independence-bound", "100000000", "--out-dir", str(tmp_path / "out")]
+    setting = ["--independence-bound", bound, "--out-dir", str(tmp_path / "out")]
     assert main([command, *where, *setting]) == 2
     out = capsys.readouterr()
     assert out.out == ""

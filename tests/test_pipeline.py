@@ -156,6 +156,11 @@ def test_sampler_thousand_seeds_all_theorem_ok():
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(independence_bound=0)
+    # the screen's limit 10*1e-9 < pi/(4*bound) holds up to 78,539,816
+    assert PipelineConfig(independence_bound=78_539_816).independence_bound == 78_539_816
+    for bound in (78_539_817, 10**400):
+        with pytest.raises(ValueError, match="78,539,816"):
+            PipelineConfig(independence_bound=bound)
     with pytest.raises(ValueError):
         PipelineConfig(dev_cap=0)
     with pytest.raises(ValueError):
