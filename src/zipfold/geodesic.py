@@ -28,20 +28,22 @@ Six facts keep the search small and exact:
   distance times the edge's length, with the reach times that length.
 * Below the root, a copy is convex and its cone lies within the directions
   through its entry edge, so a ray of the cone enters the copy there and
-  can leave only through an edge whose inner side holds the source.  The
-  prefilter culls every edge whose cross2 of its endpoints seen from the
-  source is at most 0 before the reach test (its clip is empty or a
-  sliver), and the clip reads the row the prefilter kept.
+  can leave only through an edge whose inner side holds the source.  A
+  popped copy is developed straight into offsets from the source.  The
+  prefilter culls every edge whose cross2 of its endpoints' offsets is at
+  most 0 (its clip is empty or a sliver), applies the line test, and only
+  then measures the two offsets' lengths; the clip reads the row the
+  prefilter kept.
 * A ray from the source crosses one sequence of edges, so the clips of a
   copy's edges split its cone into disjoint pieces.  No two developments
   share a copy, an entry edge and a cone, and the search keeps no record
   of what it has pushed.
 * Every search root is a vertex of the untransformed polygon, so what the
-  root's first pop reads does not depend on the gluing: the offset and
-  distance of each vertex, the |cross2| of each edge away from the root
-  and its clip against all directions (the root fan), and the re-trace of
-  each chord, which is rejected as soon as it crosses an edge, whatever
-  lies across it.  The halvings of one polygon share these through one
+  root's first pop reads does not depend on the gluing: the offset of each
+  vertex, the |cross2| of each edge away from the root and its clip
+  against all directions (the root fan), and the re-trace of each chord,
+  which is rejected as soon as it crosses an edge, whatever lies across
+  it.  The halvings of one polygon share these through one
   `RootFans`, which re-traces a chord once for both its directions and
   clips an edge only once some root pop's prefilter keeps it.  Otherwise
   the root pop runs the target test, prefilter and push loop of every
@@ -122,8 +124,6 @@ _REACH_MARGIN = 1e-9
 _OVERHANG_SLACK = 1e-9
 _WIDTH_FLOOR = 1e-12
 
-# the |cross2| column of a developed copy's edge rows, for the prefilter to fill
-_NO_CROSS = itertools.repeat(None)
 # the (rot, trans) of the untransformed polygon, where searches and re-traces start
 _ROOT = (1.0 + 0.0j, 0.0j)
 # the order of a goal's finds: an enumeration lists them in it, and a shortest
@@ -219,12 +219,11 @@ class _GoalState:
         self.frontier = math.inf
 
     def take(self, path):
-        """Record a re-traced path (None: rejected) as one of the goal's
-        finds; a shortest query's cut drops to its shortest find."""
-        if path is not None:
-            self.finds.append(path)
-            if self.stop_at_first:
-                self.cut = min(self.cut, path.length)
+        """Record a re-traced path as one of the goal's finds; a shortest
+        query's cut drops to its shortest find."""
+        self.finds.append(path)
+        if self.stop_at_first:
+            self.cut = min(self.cut, path.length)
 
     def result(self):
         paths = self.finds
@@ -234,7 +233,7 @@ class _GoalState:
             return EnumerationResult(tuple(paths), not exhausted, self.developments)
         # an exhausted search may still certify its best find if nothing
         # cheaper was left open; be conservative and flag it instead
-        best = min(paths, key=_FIND_ORDER, default=None)
+        best = min(paths, key=_FIND_ORDER) if len(paths) > 1 else paths[0] if paths else None
         status = INCONCLUSIVE if exhausted else NOT_FOUND if best is None else FOUND
         return ShortestResult(status, best, self.developments, self.frontier)
 
@@ -248,9 +247,10 @@ class RootFans:
     that share it as their roots first need them:
 
     * `by_vertex[sv]`, the fan of vertex sv: the offset from sv of every
-      vertex and its length; the prefilter's row of every edge without an
-      endpoint at sv, the fan edges, which holds the |cross2| of the
-      edge's two offsets (its line distance from sv times its length); and
+      vertex; the prefilter's row of every edge without an endpoint at sv,
+      the fan edges, which holds the edge's two offsets, their lengths and
+      the |cross2| of the two (its line distance from sv times its
+      length); and
       the clip (cone, distance) of a fan edge, None for a sliver, made when
       a root pop's prefilter first keeps the edge;
     * `chords[(u, v)]`, u < v: the re-traced length of the chord between
@@ -329,6 +329,8 @@ class DevelopmentEngine:
         self.points = fans.points
         self.n = len(self.points)
         self.edge_lengths = fans.edge_lengths
+        # vertex n repeats vertex 0, so edge j runs from loop[j] to loop[j + 1]
+        self.loop = self.points + self.points[:1]
         # edge j joins vertex j and j+1 (mod n)
         self.partner = [None] * self.n
         self.transition = [None] * self.n
@@ -517,7 +519,7 @@ class DevelopmentEngine:
 
     def _root_fan(self, sv):
         """Vertex sv's fan (see RootFans), built on first use: (offsets,
-        lengths, the fan edges' rows with their |cross2|, clips by edge)."""
+        the fan edges' rows with their |cross2|, clips by edge)."""
         fan = self.fans.by_vertex.get(sv)
         if fan is None:
             s = self.points[sv]
@@ -525,20 +527,13 @@ class DevelopmentEngine:
             dists = list(map(abs, offs))
             rows = [
                 (j, wa, wb, da, db, length, abs(cross2(wa, wb)))
-                for j, wa, wb, da, db, length, _ in self._edge_rows(offs, dists)
+                for j, wa, wb, da, db, length in zip(
+                    range(self.n), offs, offs[1:] + offs[:1], dists, dists[1:] + dists[:1], self.edge_lengths
+                )
                 if da >= _AT_SOURCE and db >= _AT_SOURCE
             ]
-            fan = self.fans.by_vertex[sv] = (offs, dists, rows, {})
+            fan = self.fans.by_vertex[sv] = (offs, rows, {})
         return fan
-
-    def _edge_rows(self, offs, dists):
-        """The prefilter's row (j, a - s, b - s, |a - s|, |b - s|, |b - a|,
-        None) of each edge j = [a, b] of a copy, from the offsets of its
-        vertices from the source s and their lengths."""
-        return zip(
-            range(self.n), offs, offs[1:] + offs[:1], dists, dists[1:] + dists[:1],
-            self.edge_lengths, _NO_CROSS,
-        )
 
     def _root_chord(self, sv, tv):
         """The re-trace of the chord between vertices sv and tv, made once
@@ -557,7 +552,9 @@ class DevelopmentEngine:
         Returns (results, developments): per goal a ShortestResult (for a
         goal that stops at its first find) or an EnumerationResult, each
         identical to what a search for that goal alone would give, and the
-        number of developments this shared search popped.
+        number of developments this shared search popped.  A budget must
+        be positive (inf included); zero, a negative budget and NaN raise
+        GeodesicError.
         """
         cps = self.gluing.cone_points
         source_cone = cps[src_idx]
@@ -566,72 +563,80 @@ class DevelopmentEngine:
             target_cone = cps[goal.target]
             if source_cone is target_cone:
                 raise GeodesicError("source and target cone points coincide")
-            if goal.budget <= 0:
+            if not goal.budget > 0:
                 raise GeodesicError("budget must be positive")
             states.append(_GoalState(goal, target_cone))
         if not states:
             return [], 0
+        limits = [st.limit for st in states]
+        floor, reach = min(limits), max(limits)
         popped = 0
         for sv in source_cone.vertices:
-            popped += self._search_root(source_cone, sv, states)
+            popped += self._search_root(source_cone, sv, states, floor, reach)
         return [st.result() for st in states], popped
 
-    def _search_root(self, source_cone, sv, states):
+    def _search_root(self, source_cone, sv, states, floor, reach):
         """Develop from vertex sv until every goal has retired; returns the pops.
 
-        Pushes are pruned at the largest live limit (a budget plus
-        _BOUND_SLACK).  One with a lower bound between two limits only pops
+        `floor` and `reach` are the smallest and largest limit (a budget
+        plus _BOUND_SLACK) of the goals.  Pushes are pruned at the largest
+        live limit.  One with a lower bound between two limits only pops
         after the smaller goal has retired (pops come in bound order), and
         so do its descendants, whose bounds are no smaller; the smaller
         goal's own search would have pruned it.  The pushes both searches
         make come in the same order, so ties pop alike.  Each goal
         therefore retires at exactly the pop where its own search would
-        have stopped, having seen the same pops before it.
+        have stopped, having seen the same pops before it.  The goals are
+        swept for retirement only at a pop whose bound passes the floor,
+        the smallest live cut, or at the cap; a find that lowers a cut
+        lowers the floor.
 
         Every pop runs one target test, one prefilter and one push loop.
-        The root pop reads its copy, the |cross2| of its edges and their
-        clips from the root fan, and its chords from the fans' re-traces;
-        every other pop develops its copy and clips the rows its prefilter
-        keeps.  A heap entry is (bound, tie, rot, trans, entry edge, cone,
-        edge path), the copy placed by rot and trans; ties pop in push order.
+        The root pop reads its copy's offsets from s, the |cross2| of its
+        edges and their clips from the root fan, and its chords from the
+        fans' re-traces.  Every other pop develops its copy straight into
+        offsets from s, rot * p + trans - s, which rounds as developing
+        and then subtracting does; a target vertex, and an edge the
+        prefilter keeps, is developed again as rot * p + trans only to be
+        re-traced or clipped.  A heap entry is (bound, tie, rot, trans,
+        entry edge, cone, edge path), the copy placed by rot and trans;
+        ties pop in push order.
         """
         s = self.points[sv]
+        loop = self.loop
         n = self.n
         dev_cap = self.dev_cap
         partner, transition = self.partner, self.transition
         for st in states:
             st.cut = st.limit
-        live = list(states)
-        reach = max(st.limit for st in live)
+        live = states
         heap = [(0.0, 0, *_ROOT, None, None, ())]
         tie = 1
         pops = 0
         while heap:
             lb, _, rot, trans, entry, cone, path = heapq.heappop(heap)
-            kept = []
-            for st in live:
-                if lb > st.cut:
-                    st.developments += pops
-                elif pops >= dev_cap:
-                    st.developments += pops
-                    st.frontier = min(st.frontier, lb)
-                else:
-                    kept.append(st)
-            if len(kept) < len(live):
+            if lb > floor or pops >= dev_cap:
+                kept = []
+                for st in live:
+                    if lb > st.cut:
+                        st.developments += pops
+                    elif pops >= dev_cap:
+                        st.developments += pops
+                        st.frontier = min(st.frontier, lb)
+                    else:
+                        kept.append(st)
                 if not kept:
                     return pops
                 live = kept
-                reach = max(st.limit for st in live)
+                floor = min([st.cut for st in live])
+                reach = max([st.limit for st in live])
             pops += 1
             if entry is None:
-                pts = self.fans.root_copy
-                offs, dists, rows, clips = self._root_fan(sv)
+                offs, rows, clips = self._root_fan(sv)
                 on_entry = ()
             else:
-                pts = self._develop(rot, trans)
-                offs = [p - s for p in pts]
-                dists = list(map(abs, offs))
-                rows = self._edge_rows(offs, dists)
+                # the prefilter reads the offsets themselves (see loop)
+                offs = rows = [rot * p + trans - s for p in loop]
                 # the entry edge's endpoints lie on the parent copy's
                 # boundary: a segment ending there stops on the entry edge,
                 # one crossing short
@@ -641,26 +646,33 @@ class DevelopmentEngine:
                 for tv in st.targets:
                     if tv in on_entry:
                         continue
-                    d = dists[tv]
+                    w = offs[tv]
+                    d = abs(w)
                     if d > st.limit or d + _BOUND_SLACK < lb:
                         continue
                     # the root's cone, None, holds every direction
-                    if cone and d > _AT_SOURCE and not self._cone_contains(cone, offs[tv], d):
+                    if cone and d > _AT_SOURCE and not self._cone_contains(cone, w, d):
                         continue
                     if tv not in finalized:
                         if entry is None:
                             length = self._root_chord(sv, tv)
                         else:
-                            length = self._finalize(sv, tv, rot, trans, path, pts[tv])
+                            length = self._finalize(sv, tv, rot, trans, path, rot * loop[tv] + trans)
                         finalized[tv] = self._path(source_cone, st.target_cone, sv, tv, path, length)
-                    st.take(finalized[tv])
+                    found = finalized[tv]
+                    if found is not None:
+                        st.take(found)
+                        if st.cut < floor:
+                            floor = st.cut
             for j, wa, wb, da, db, x in self._edges_in_reach(rows, entry, reach):
                 if entry is not None:
-                    clip = self._clip_row(s, pts[j], pts[(j + 1) % n], wa, wb, da, db, x, cone)
+                    a, b = rot * loop[j] + trans, rot * loop[j + 1] + trans
+                    clip = self._clip_row(s, a, b, wa, wb, da, db, x, cone)
                 elif j in clips:  # each fan edge is clipped once for all the fans' engines
                     clip = clips[j]
                 else:
-                    clip = clips[j] = self._clip_edge(s, pts[j], pts[(j + 1) % n], None)
+                    root_copy = self.fans.root_copy
+                    clip = clips[j] = self._clip_edge(s, root_copy[j], root_copy[(j + 1) % n], None)
                 if clip is None:
                     continue
                 cone2, dist = clip
@@ -676,39 +688,39 @@ class DevelopmentEngine:
         return pops
 
     def _edges_in_reach(self, rows, entry, reach):
-        """The rows (j, a - s, b - s, |a - s|, |b - s|, |cross2|) of the
-        edges of a popped copy worth clipping against its cone.
+        """The rows (j, a - s, b - s, |a - s|, |b - s|, cross2) of the edges
+        [a, b] of a popped copy worth clipping against its cone, s the
+        source, in edge order; the root's cross2 is its absolute value.
 
-        `rows` holds a row (j, a - s, b - s, |a - s|, |b - s|, |b - a|, c)
-        per edge j = [a, b] of the copy entered through edge `entry` (the
-        root fan's, per fan edge, at the root), s the source, c
-        |cross2(a - s, b - s)| or None when it is computed here.  Below the
-        root, an edge whose signed cross2 is at most 0 is culled.  The entry
-        edge and edges with an endpoint at s are left out, and so is every
-        edge whose line, or below the root the edge itself, lies farther
-        than reach + _REACH_MARGIN from s.  The clip keeps part of the edge,
-        so its distance is at least both of these; the popped bound is at
+        At the root (entry None), `rows` is the root fan's, a row (j,
+        a - s, b - s, |a - s|, |b - s|, |b - a|, |cross2|) per fan edge,
+        and an edge is skipped only when its line lies farther than reach +
+        _REACH_MARGIN from s.  Below the root, `rows` holds the offsets
+        from s of the copy's vertices 0, ..., n - 1 and vertex 0 again, the
+        copy entered through edge `entry`.  An edge whose signed cross2 is
+        at most 0 is culled, and so are the entry edge and every edge whose
+        line lies out of reach; only then are the edge's two offsets
+        measured, and it is skipped when an endpoint lies at s or when the
+        edge itself lies out of reach.  The clip keeps part of the edge, so
+        its distance is at least both of these; the popped bound is at
         most reach at every pop that expands, so such a clip gives no push.
         """
         limit = reach + _REACH_MARGIN
-        kept = []
-        for j, wa, wb, da, db, length, c in rows:
-            if j == entry:
-                continue
-            if c is None:
-                c = wa.real * wb.imag - wa.imag * wb.real
-                if c <= 0.0:
-                    continue
+        if entry is None:
             # c / |b - a| is the distance from s to the edge's line
-            if c > limit * length:
+            return [(j, wa, wb, da, db, c) for j, wa, wb, da, db, length, c in rows if c <= limit * length]
+        kept = []
+        for j, length in enumerate(self.edge_lengths):
+            wa, wb = rows[j], rows[j + 1]
+            c = wa.real * wb.imag - wa.imag * wb.real
+            if c <= 0.0 or c > limit * length or j == entry:
                 continue
+            da, db = abs(wa), abs(wb)
             if da < _AT_SOURCE or db < _AT_SOURCE:
                 continue
             # beyond both endpoints, the edge is within reach only where the
-            # foot of the perpendicular from s falls inside it, on the line;
-            # the root fan clips an edge once for every engine of the fans,
-            # on the line test alone
-            if entry is not None and da > limit and db > limit:
+            # foot of the perpendicular from s falls inside it, on the line
+            if da > limit and db > limit:
                 ab = wb - wa
                 if dot2(wa, ab) >= 0.0 or dot2(wb, ab) <= 0.0:
                     continue
@@ -758,6 +770,9 @@ class DistanceTable:
         # zipper pair (i, j), in the zipper's direction -> EnumerationResult
         self.enumerations = {}
         self.developments = 0
+        enumerated = {}  # i -> the goals enumerating its zipper pairs (i, j)
+        for i, j in zipper_pairs:
+            enumerated.setdefault(i, []).append(Goal(j, 1.0 - self.tol.tol_geodesic, False))
         m = len(gluing.cone_points)
         for i in range(m):
             goals = []
@@ -771,11 +786,7 @@ class DistanceTable:
                     )
                     reach = max(reach, chord)
                 goals.append(Goal(j, reach + BUDGET_SLACK, True))
-            goals += [
-                Goal(j, 1.0 - self.tol.tol_geodesic, False)
-                for a, j in zipper_pairs
-                if a == i
-            ]
+            goals += enumerated.get(i, ())
             results, popped = engine.search(i, goals)
             self.developments += popped
             for goal, res in zip(goals, results):

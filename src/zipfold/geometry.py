@@ -87,11 +87,12 @@ def turns(points):
 
 def first_close_pair(points, cutoff):
     """The first pair (i, j), i < j, of points nearer than cutoff, in row
-    order, or None."""
+    order, or None.  `math.dist` takes the same norm of the same
+    differences as `math.hypot(x1 - x2, y1 - y2)`, in one call."""
     m = len(points)
     for i in range(m):
         for j in range(i + 1, m):
-            if math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1]) < cutoff:
+            if math.dist(points[i], points[j]) < cutoff:
                 return i, j
     return None
 

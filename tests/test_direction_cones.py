@@ -14,6 +14,7 @@ to nothing.
 import cmath
 import itertools
 import math
+import types
 
 import pytest
 from hypothesis import assume, given, settings
@@ -162,9 +163,14 @@ def _entered_copies(draw):
     # seen from outside, the entry edge runs clockwise: b's ray is the low one
     t_lo = draw(st.just(0.0) | st.floats(0.0, 1.0))
     t_hi = draw(st.just(1.0) | st.floats(t_lo, 1.0))
+    # a ray through the point b + t * (a - b), as a positive combination of
+    # the endpoints' offsets: it is exactly b - s at t = 0 and a - s at
+    # t = 1 and errs by its own units in the last place in between, where
+    # the point's own rounding errs by those of the copy's coordinates
+    wa, wb = a - s, b - s
     lo, hi = (
         complex(*(_nudge(x, draw(st.integers(-4, 4))) for x in (w.real, w.imag)))
-        for w in (b + t * (a - b) - s for t in (t_lo, t_hi))
+        for w in ((1.0 - t) * wb + t * wa for t in (t_lo, t_hi))
     )
     return pts, k, s, (lo, hi, abs(lo), abs(hi))
 
@@ -182,14 +188,17 @@ def test_cull_drops_only_empty_clips(entered):
     assume(not _sliver(cross2(lo, hi), len_lo, len_hi))  # a cone the search carries
     n = len(pts)
     offs = [p - s for p in pts]
-    dists = [abs(w) for w in offs]
-    lengths = [abs(pts[(j + 1) % n] - pts[j]) for j in range(n)]
     culled = {j for j in range(n) if cross2(offs[j], offs[(j + 1) % n]) <= 0.0}
     assert k in culled
-    rows = zip(range(n), offs, offs[1:] + offs[:1], dists, dists[1:] + dists[:1], lengths, itertools.repeat(None))
+    # below the root the prefilter reads the copy's offsets, vertex 0
+    # repeated, and of the engine only its edge lengths
+    copy = types.SimpleNamespace(edge_lengths=[abs(pts[(j + 1) % n] - pts[j]) for j in range(n)])
     # at an infinite reach the cull is the prefilter's only skip
-    kept = ENGINE._edges_in_reach(rows, k, math.inf)
-    assert {j for j, *_ in kept} == set(range(n)) - culled
+    kept = DevelopmentEngine._edges_in_reach(copy, offs + offs[:1], k, math.inf)
+    assert [j for j, *_ in kept] == sorted(set(range(n)) - culled)
+    for j, wa, wb, da, db, x in kept:
+        a, b = offs[j], offs[(j + 1) % n]
+        assert (wa, wb, da, db, x) == (a, b, abs(a), abs(b), cross2(a, b))
     for j in culled - {k}:
         assert ENGINE._clip_edge(s, pts[j], pts[(j + 1) % n], cone) is None
 

@@ -9,6 +9,7 @@ from zipfold.geodesic import (
     NOT_FOUND,
     OVERHANG_BOUND,
     DevelopmentEngine,
+    Goal,
     _ROOT,
 )
 from oracles import metric_by_brute_force
@@ -265,6 +266,32 @@ def test_source_and_target_must_differ(regular_hexagon):
     g = glue_halving(regular_hexagon, 0)
     with pytest.raises(GeodesicError):
         DevelopmentEngine(g).shortest_geodesic(1, 1, budget=1.0)
+
+
+@pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0])
+def test_a_budget_that_is_not_positive_is_refused_before_any_pop(fat_pool_small, monkeypatch, budget):
+    """`budget <= 0` is false for NaN, which a NaN budget once slipped
+    through, to pop every development up to the cap."""
+    engine = DevelopmentEngine(glue_halving(fat_pool_small[0], 0), dev_cap=2000)
+    pops = []
+    monkeypatch.setattr(DevelopmentEngine, "_search_root", lambda *args: pops.append(args))
+    for query in (engine.shortest_geodesic, engine.enumerate_geodesics):
+        with pytest.raises(GeodesicError, match="budget must be positive"):
+            query(0, 1, budget)
+    # one bad goal among good ones refuses the whole shared search
+    with pytest.raises(GeodesicError, match="budget must be positive"):
+        engine.search(0, [Goal(1, 1.5, True), Goal(2, budget, False)])
+    assert pops == []
+
+
+def test_an_infinite_budget_is_allowed(fat_pool_small):
+    engine = DevelopmentEngine(glue_halving(fat_pool_small[0], 0), dev_cap=50)
+    res = engine.shortest_geodesic(0, 1, math.inf)
+    assert res.status == FOUND and res.frontier == math.inf
+    assert res.path.length == engine.shortest_geodesic(0, 1, 2.5).path.length
+    # an enumeration with no budget runs until the cap
+    enum = engine.enumerate_geodesics(0, 1, math.inf)
+    assert not enum.complete and enum.developments == 50 and enum.paths
 
 
 def test_tetra_metric_rejects_larger_polygons():

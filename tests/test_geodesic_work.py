@@ -13,15 +13,17 @@ pop.  It compares each edge's |cross2| with the reach times the edge's
 length, a line test; below the root it also reads the edge itself.  At
 the root the |cross2| comes from the vertex's root fan, which lists only
 the fan edges (no endpoint at the vertex) and holds the clip of each edge
-some root pop has kept so far; below the root the prefilter computes the
-signed cross2 and culls, before the reach test, every edge that does not
-have the source on its inner side, and the clip reads the prefilter's
-row.  Every edge culled below the root, clipped in full, gives no cone;
-every other edge the prefilter skips gives no cone or a distance beyond
-the reach, so the clip would have been dropped and no push is lost.  The
-root culls nothing.  The halvings of one polygon share the fans, as the
-pipeline runs them, and the fans re-trace each chord once for both its
-directions.
+some root pop has kept so far.  Below the root the popped copy is
+developed straight into offsets from the source; the prefilter computes
+the signed cross2 of each edge's two offsets, culls every edge that does
+not have the source on its inner side, applies the line test, and only
+then measures the two offsets' lengths, and the clip reads the row the
+prefilter kept.  Every edge culled below the root, clipped in full, gives
+no cone; every other edge the prefilter skips gives no cone or a distance
+beyond the reach, so the clip would have been dropped and no push is
+lost.  The root culls nothing.  The halvings of one polygon share the
+fans, as the pipeline runs them, and the fans re-trace each chord once
+for both its directions.
 
 The search keeps no record of what it has pushed: the clips of a copy's
 edges split its cone into disjoint pieces, so no search pushes one copy
@@ -169,9 +171,12 @@ def test_clip_calls_pinned(monkeypatch):
 def prefilter_spy(monkeypatch):
     """Clip in full every edge the reach prefilter skips, at every pop.
 
-    Below the root, an edge culled because the source does not lie on its
-    inner side must clip to no cone at all.  Any other skipped clip must
-    give no cone or a distance beyond the reach.  The popped bound is at
+    The prefilter reads the root fan's rows at the root and the popped
+    copy's offsets from the source below it; every row it keeps must hold
+    the edge's offsets, their lengths and its cross2, signed below the
+    root.  Below the root, an edge culled because the source does not lie
+    on its inner side must clip to no cone at all.  Any other skipped clip
+    must give no cone or a distance beyond the reach.  The popped bound is at
     most the reach at every pop that expands, so that is
     max(lb, dist) > reach, the test that drops a clip.  The root culls
     nothing: it skips a fan edge only when the edge's line lies beyond the
@@ -194,7 +199,6 @@ def prefilter_spy(monkeypatch):
         return popped[0]
 
     def checked(self, rows, entry, reach):
-        rows = list(rows)
         kept = edges_in_reach(self, rows, entry, reach)
         _, _, rot, trans, popped_entry, cone, path = popped[0]
         assert entry == popped_entry
@@ -204,15 +208,21 @@ def prefilter_spy(monkeypatch):
         limit = reach + _REACH_MARGIN
         kept_edges = [j for j, *_ in kept]
         assert kept_edges == sorted(kept_edges)
-        listed = set()
-        for j, wa, wb, da, db, length, c in rows:
-            a, b = pts[j], pts[(j + 1) % self.n]
-            assert (wa, wb, da, db) == (a - s, b - s, abs(a - s), abs(b - s))
-            assert length == self.edge_lengths[j]
-            # the root fan holds each fan edge's |cross2|; below the root,
-            # the prefilter computes it
-            assert c == (abs(cross2(wa, wb)) if at_root else None)
-            listed.add(j)
+        if at_root:
+            # the root fan's rows, each holding its edge's |cross2|
+            listed = set()
+            for j, wa, wb, da, db, length, c in rows:
+                a, b = pts[j], pts[(j + 1) % self.n]
+                assert (wa, wb, da, db) == (a - s, b - s, abs(a - s), abs(b - s))
+                assert length == self.edge_lengths[j]
+                assert c == abs(cross2(wa, wb))
+                listed.add(j)
+        else:
+            # the copy developed straight into offsets from the source,
+            # vertex 0 repeated, with the floats of developing and then
+            # subtracting; the prefilter measures lengths itself
+            assert rows == [p - s for p in pts + pts[:1]]
+            listed = set(range(self.n))
         for j, wa, wb, da, db, x in kept:
             a, b = pts[j], pts[(j + 1) % self.n]
             # the clip reads the row, and below the root every kept edge
