@@ -233,7 +233,7 @@ class _GoalState:
             return EnumerationResult(tuple(paths), not exhausted, self.developments)
         # an exhausted search may still certify its best find if nothing
         # cheaper was left open; be conservative and flag it instead
-        best = min(paths, key=_FIND_ORDER) if len(paths) > 1 else paths[0] if paths else None
+        best = min(paths, key=_FIND_ORDER, default=None)
         status = INCONCLUSIVE if exhausted else NOT_FOUND if best is None else FOUND
         return ShortestResult(status, best, self.developments, self.frontier)
 
@@ -568,28 +568,25 @@ class DevelopmentEngine:
             states.append(_GoalState(goal, target_cone))
         if not states:
             return [], 0
-        limits = [st.limit for st in states]
-        floor, reach = min(limits), max(limits)
         popped = 0
         for sv in source_cone.vertices:
-            popped += self._search_root(source_cone, sv, states, floor, reach)
+            popped += self._search_root(source_cone, sv, states)
         return [st.result() for st in states], popped
 
-    def _search_root(self, source_cone, sv, states, floor, reach):
+    def _search_root(self, source_cone, sv, states):
         """Develop from vertex sv until every goal has retired; returns the pops.
 
-        `floor` and `reach` are the smallest and largest limit (a budget
-        plus _BOUND_SLACK) of the goals.  Pushes are pruned at the largest
-        live limit.  One with a lower bound between two limits only pops
-        after the smaller goal has retired (pops come in bound order), and
-        so do its descendants, whose bounds are no smaller; the smaller
-        goal's own search would have pruned it.  The pushes both searches
-        make come in the same order, so ties pop alike.  Each goal
-        therefore retires at exactly the pop where its own search would
-        have stopped, having seen the same pops before it.  The goals are
-        swept for retirement only at a pop whose bound passes the floor,
-        the smallest live cut, or at the cap; a find that lowers a cut
-        lowers the floor.
+        A goal's limit is its budget plus _BOUND_SLACK.  Pushes are pruned
+        at the largest live limit, the reach.  One with a lower bound
+        between two limits only pops after the smaller goal has retired
+        (pops come in bound order), and so do its descendants, whose
+        bounds are no smaller; the smaller goal's own search would have
+        pruned it.  The pushes both searches make come in the same order,
+        so ties pop alike.  Each goal therefore retires at exactly the pop
+        where its own search would have stopped, having seen the same pops
+        before it.  The goals are swept for retirement only at a pop whose
+        bound passes the floor, the smallest live cut, or at the cap; a
+        find that lowers a cut lowers the floor.
 
         Every pop runs one target test, one prefilter and one push loop.
         The root pop reads its copy's offsets from s, the |cross2| of its
@@ -609,6 +606,8 @@ class DevelopmentEngine:
         partner, transition = self.partner, self.transition
         for st in states:
             st.cut = st.limit
+        floor = min([st.cut for st in states])
+        reach = max([st.limit for st in states])
         live = states
         heap = [(0.0, 0, *_ROOT, None, None, ())]
         tie = 1

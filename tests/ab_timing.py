@@ -16,8 +16,9 @@ Then, for `--rounds` rounds, it times one operation per side on each input
 in turn, the parent first in even rounds and the change first in odd
 ones, and keeps each side's best time per input.  It prints one JSON
 line: per workload and side, the mean, median and 90th percentile of
-those best times in milliseconds, and the number of inputs on which that
-side was faster.
+those best times in milliseconds (the latter two as `perfbench/run.py`
+takes `op_ms_p50` and `op_ms_p90`), and the number of inputs on which
+that side was faster.
 
 Both sides share one process, one machine state and one input order, so
 this is a development aid for a change to the program, not the
@@ -66,16 +67,6 @@ def output(result):
     return _WALL_SECONDS.sub("wall_seconds=...", repr(result))
 
 
-def percentile(values, q):
-    """The q-quantile of values by linear interpolation between order
-    statistics."""
-    ordered = sorted(values)
-    at = q * (len(ordered) - 1)
-    lo = int(at)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (at - lo) * (ordered[hi] - ordered[lo])
-
-
 def compare(packages, name, seed, count, rounds):
     """{side: {mean_ms, p50_ms, p90_ms, wins}} for the workload `name` (see
     the module docstring)."""
@@ -113,8 +104,8 @@ def compare(packages, name, seed, count, rounds):
         ms = [t * 1e3 for t in best[side]]
         record[side] = {
             "mean_ms": statistics.fmean(ms),
-            "p50_ms": percentile(ms, 0.5),
-            "p90_ms": percentile(ms, 0.9),
+            "p50_ms": statistics.median(ms),
+            "p90_ms": statistics.quantiles(ms, n=10)[8],  # as perfbench/run.py takes op_ms_p90
             "wins": sum(a < b for a, b in zip(best[side], best[other])),
         }
     return record
@@ -127,8 +118,8 @@ def main(argv=None):
     parser.add_argument("--count", type=int, default=100, help="inputs (default 100)")
     parser.add_argument("--rounds", type=int, default=15, help="timed rounds over the inputs (default 15)")
     args = parser.parse_args(argv)
-    if args.count < 1 or args.rounds < 1:
-        parser.error("--count and --rounds must be at least 1")
+    if args.count < 2 or args.rounds < 1:
+        parser.error("--count must be at least 2 and --rounds at least 1")
     sys.path.insert(0, str(ROOT / "perfbench"))
     record = {"seed": args.seed, "count": args.count, "rounds": args.rounds}
     with tempfile.TemporaryDirectory() as workdir:

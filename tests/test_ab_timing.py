@@ -33,9 +33,21 @@ def test_the_checkout_against_itself_prints_one_json_line():
 
 def test_a_parent_without_the_package_is_an_error(tmp_path):
     done = subprocess.run(
-        [sys.executable, "tests/ab_timing.py", "--parent", str(tmp_path), "--count", "1", "--rounds", "1"],
+        [sys.executable, "tests/ab_timing.py", "--parent", str(tmp_path), "--count", "2", "--rounds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("error: no zipfold package under")
+
+
+def test_a_single_input_is_refused():
+    """The 90th percentile, taken as perfbench/run.py takes it, needs two
+    inputs."""
+    done = subprocess.run(
+        [sys.executable, "tests/ab_timing.py", "--parent", str(ROOT), "--count", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "--count must be at least 2" in done.stderr

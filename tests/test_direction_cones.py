@@ -203,6 +203,39 @@ def test_cull_drops_only_empty_clips(entered):
         assert ENGINE._clip_edge(s, pts[j], pts[(j + 1) % n], cone) is None
 
 
+def test_a_cone_past_the_entry_edge_clips_culled_edges_outside_it():
+    """A cone made in the parent copy can overhang the entry edge as the
+    child develops it, by rounding.  Here the copy's vertex a lies at 1e-9,
+    the source 1e-3 from it, and the cone's high ray is b + (a - b) - s,
+    which misses a - s by 2.8e-17 and so turns 1.5e-14 rad past the entry
+    edge, wider than a sliver.  The back-facing edge into a may clip to
+    that overhang; its directions enter the copy through the culled edge
+    and never through the entry edge, so any clip of a culled edge must lie
+    at or past a - s, outside the entry edge's directions."""
+    edges = [cmath.rect(1.0, t + turn) for turn in (0.0, math.pi) for t in (1.0, 2.0, 3.0)]
+    pts = [p + 1e-9 for p in itertools.accumulate([0j] + edges[:-1])]
+    n = len(pts)
+    k = 0
+    a, b = pts[k], pts[k + 1]
+    s = a - 1j * 1e-3 * (b - a)
+    wa, wb = a - s, b - s
+    lo, hi = wb, b + 1.0 * (a - b) - s
+    cone = (lo, hi, abs(lo), abs(hi))
+    assert not _sliver(cross2(lo, hi), abs(lo), abs(hi))
+    # the high ray passes a - s counterclockwise by more than a sliver
+    assert not _sliver(cross2(wa, hi), abs(wa), abs(hi)) and cross2(wa, hi) > 0.0
+    offs = [p - s for p in pts]
+    copy = types.SimpleNamespace(edge_lengths=[abs(pts[(j + 1) % n] - p) for j, p in enumerate(pts)])
+    kept = DevelopmentEngine._edges_in_reach(copy, offs + offs[:1], k, math.inf)
+    culled = set(range(n)) - {j for j, *_ in kept}
+    assert culled == {k, n - 1}  # the entry edge and the edge into a
+    for j in culled - {k}:
+        clip = ENGINE._clip_edge(s, pts[j], pts[(j + 1) % n], cone)
+        if clip is not None:
+            (c_lo, c_hi, _, _), _ = clip
+            assert cross2(wa, c_lo) >= 0.0 and cross2(c_lo, c_hi) > 0.0
+
+
 def _deg(x):
     return math.radians(x)
 
