@@ -26,28 +26,26 @@ Six facts keep the search small and exact:
   the prefilter saves the clip and changes no push.  It compares the
   |cross2| of the edge's endpoints seen from the source, which is the line
   distance times the edge's length, with the reach times that length.
-* Below the root, a copy is convex and its cone lies within the directions
-  through its entry edge, so a ray of the cone enters the copy there and
-  can leave only through an edge whose inner side holds the source.  A
-  popped copy is developed straight into offsets from the source.  The
-  prefilter culls every edge whose cross2 of its endpoints' offsets is at
-  most 0 (its clip is empty or a sliver), applies the line test, and only
-  then measures the two offsets' lengths; the clip reads the row the
-  prefilter kept.
+* A copy is convex, and a ray of its cone runs into it (through the entry
+  edge, or from the source at the root), so it can leave only through an
+  edge whose inner side holds the source.  Each popped copy is developed
+  straight into offsets from the source, and the prefilter culls every
+  edge whose cross2 of its endpoints' offsets is at most 0 (its clip is
+  empty or a sliver), applies the line test, and only then measures the
+  two offsets' lengths; the clip reads the row the prefilter kept.
 * A ray from the source crosses one sequence of edges, so the clips of a
   copy's edges split its cone into disjoint pieces.  No two developments
   share a copy, an entry edge and a cone, and the search keeps no record
   of what it has pushed.
 * Every search root is a vertex of the untransformed polygon, so what the
   root's first pop reads does not depend on the gluing: the offset of each
-  vertex, the |cross2| of each edge away from the root and its clip
-  against all directions (the root fan), and the re-trace of each chord,
-  which is rejected as soon as it crosses an edge, whatever lies across
-  it.  The halvings of one polygon share these through one
-  `RootFans`, which re-traces a chord once for both its directions and
-  clips an edge only once some root pop's prefilter keeps it.  Otherwise
-  the root pop runs the target test, prefilter and push loop of every
-  other pop.
+  vertex and the clip of each edge against all directions (the root fan),
+  and the re-trace of each chord, which is rejected as soon as it crosses
+  an edge, whatever lies across it.  The halvings of one polygon share
+  these through one `RootFans`, which re-traces a chord once for both its
+  directions and clips an edge only once some root pop's prefilter keeps
+  it.  Otherwise the root pop runs the target test, prefilter and push
+  loop of every other pop.
 
 The order in which a search pops developments does not depend on its
 target, so one development from a source cone point serves many queries
@@ -92,6 +90,7 @@ OVERHANG_BOUND = 1.0 - math.sqrt(3.0) / 2.0
 # added to every distance-table budget so a distance of exactly the budget
 # is still found
 BUDGET_SLACK = 1e-6
+DEV_CAP = 100000  # the most developments a search pops, unless the run says otherwise
 # The search compares a distance or lower bound with a budget, or a target's
 # distance with its development's lower bound, up to _BOUND_SLACK, and treats
 # a developed vertex within _AT_SOURCE of the source as the source itself.
@@ -113,8 +112,7 @@ _PARALLEL = 1e-15
 _SLIVER = 1e-14
 _CONE_SLACK = 1e-9
 # An edge is clipped only when it may come within the search's reach: its
-# line, and below the root the edge itself, lie within reach + _REACH_MARGIN
-# of the source.
+# line and the edge itself lie within reach + _REACH_MARGIN of the source.
 # The margin covers the clip's rounding, so every edge the prefilter skips
 # is one whose clip would be dropped.
 _REACH_MARGIN = 1e-9
@@ -246,13 +244,9 @@ class RootFans:
     halving of the polygon.  This holds them, filled in by the engines
     that share it as their roots first need them:
 
-    * `by_vertex[sv]`, the fan of vertex sv: the offset from sv of every
-      vertex; the prefilter's row of every edge without an endpoint at sv,
-      the fan edges, which holds the edge's two offsets, their lengths and
-      the |cross2| of the two (its line distance from sv times its
-      length); and
-      the clip (cone, distance) of a fan edge, None for a sliver, made when
-      a root pop's prefilter first keeps the edge;
+    * `by_vertex[sv]`, the fan of vertex sv: the offsets from sv of the
+      vertices, laid out as a popped copy's (vertex 0 repeated), and the
+      clip (cone, distance) of each edge a root pop's prefilter has kept;
     * `chords[(u, v)]`, u < v: the re-traced length of the chord between
       vertices u and v, as `DevelopmentEngine._finalize` returns it from
       u, and as it returns it from v too: the length is |v - u| either
@@ -315,7 +309,7 @@ class DevelopmentEngine:
     of its halvings; an engine given none makes its own.
     """
 
-    def __init__(self, gluing, dev_cap=100000, tol=DEFAULT_TOLERANCES, fans=None):
+    def __init__(self, gluing, dev_cap=DEV_CAP, tol=DEFAULT_TOLERANCES, fans=None):
         self.gluing = gluing
         self.dev_cap = int(dev_cap)
         self.tol = tol
@@ -373,23 +367,15 @@ class DevelopmentEngine:
         # the clip stays inside the segment by construction; clamp for safety
         return a + min(1.0, max(0.0, u)) * ab
 
-    def _clip_edge(self, s, a, b, cone):
-        """Clip developed edge [a, b] against the direction cone from s.
+    def _clip_row(self, s, a, b, wa, wb, da, db, x, cone):
+        """Clip developed edge [a, b], which s sees counterclockwise, against
+        the direction cone from s, from the edge's prefilter row: wa = a - s,
+        wb = b - s, da = |wa|, db = |wb|, x = cross2(wa, wb).  A cone is None
+        (every direction) or (lo, hi, |lo|, |hi|).
 
         Returns (new_cone, min_distance) or None when no direction of the
         cone meets the edge in more than a sliver.
         """
-        wa = a - s
-        wb = b - s
-        x = cross2(wa, wb)
-        if x < 0.0:
-            a, b, wa, wb, x = b, a, wb, wa, -x
-        return self._clip_row(s, a, b, wa, wb, abs(wa), abs(wb), x, cone)
-
-    def _clip_row(self, s, a, b, wa, wb, da, db, x, cone):
-        """`_clip_edge` of an edge that s sees counterclockwise, from its
-        row: wa = a - s, wb = b - s, da = |wa|, db = |wb|, x = cross2(wa, wb).
-        A cone is None (every direction) or (lo, hi, |lo|, |hi|)."""
         if _sliver(x, da, db):
             return None  # the edge is radial from s
         if cone is None:
@@ -518,21 +504,11 @@ class DevelopmentEngine:
     # -- the root fan ---------------------------------------------------------
 
     def _root_fan(self, sv):
-        """Vertex sv's fan (see RootFans), built on first use: (offsets,
-        the fan edges' rows with their |cross2|, clips by edge)."""
+        """Vertex sv's fan (see RootFans), built on first use: (offsets, clips by edge)."""
         fan = self.fans.by_vertex.get(sv)
         if fan is None:
             s = self.points[sv]
-            offs = [p - s for p in self.fans.root_copy]
-            dists = list(map(abs, offs))
-            rows = [
-                (j, wa, wb, da, db, length, abs(cross2(wa, wb)))
-                for j, wa, wb, da, db, length in zip(
-                    range(self.n), offs, offs[1:] + offs[:1], dists, dists[1:] + dists[:1], self.edge_lengths
-                )
-                if da >= _AT_SOURCE and db >= _AT_SOURCE
-            ]
-            fan = self.fans.by_vertex[sv] = (offs, rows, {})
+            fan = self.fans.by_vertex[sv] = ([_ROOT[0] * p + _ROOT[1] - s for p in self.loop], {})
         return fan
 
     def _root_chord(self, sv, tv):
@@ -589,15 +565,15 @@ class DevelopmentEngine:
         find that lowers a cut lowers the floor.
 
         Every pop runs one target test, one prefilter and one push loop.
-        The root pop reads its copy's offsets from s, the |cross2| of its
-        edges and their clips from the root fan, and its chords from the
-        fans' re-traces.  Every other pop develops its copy straight into
-        offsets from s, rot * p + trans - s, which rounds as developing
-        and then subtracting does; a target vertex, and an edge the
-        prefilter keeps, is developed again as rot * p + trans only to be
-        re-traced or clipped.  A heap entry is (bound, tie, rot, trans,
-        entry edge, cone, edge path), the copy placed by rot and trans;
-        ties pop in push order.
+        A pop develops its copy straight into offsets from s, rot * p +
+        trans - s, which rounds as developing and then subtracting does; a
+        target vertex, and an edge the prefilter keeps, is developed again
+        as rot * p + trans only to be re-traced or clipped.  The root pop
+        differs in three steps only: it reads its offsets from the root
+        fan and shares the fan's clips with every engine of the polygon, it
+        has no entry edge, and its chords come from the fans' re-traces.  A
+        heap entry is (bound, tie, rot, trans, entry edge, cone, edge
+        path), the copy placed by rot and trans; ties pop in push order.
         """
         s = self.points[sv]
         loop = self.loop
@@ -631,11 +607,10 @@ class DevelopmentEngine:
                 reach = max([st.limit for st in live])
             pops += 1
             if entry is None:
-                offs, rows, clips = self._root_fan(sv)
+                offs, clips = self._root_fan(sv)
                 on_entry = ()
             else:
-                # the prefilter reads the offsets themselves (see loop)
-                offs = rows = [rot * p + trans - s for p in loop]
+                offs = [rot * p + trans - s for p in loop]
                 # the entry edge's endpoints lie on the parent copy's
                 # boundary: a segment ending there stops on the entry edge,
                 # one crossing short
@@ -663,15 +638,14 @@ class DevelopmentEngine:
                         st.take(found)
                         if st.cut < floor:
                             floor = st.cut
-            for j, wa, wb, da, db, x in self._edges_in_reach(rows, entry, reach):
-                if entry is not None:
-                    a, b = rot * loop[j] + trans, rot * loop[j + 1] + trans
-                    clip = self._clip_row(s, a, b, wa, wb, da, db, x, cone)
-                elif j in clips:  # each fan edge is clipped once for all the fans' engines
+            for j, wa, wb, da, db, x in self._edges_in_reach(offs, entry, reach):
+                if entry is None and j in clips:
                     clip = clips[j]
                 else:
-                    root_copy = self.fans.root_copy
-                    clip = clips[j] = self._clip_edge(s, root_copy[j], root_copy[(j + 1) % n], None)
+                    a, b = rot * loop[j] + trans, rot * loop[j + 1] + trans
+                    clip = self._clip_row(s, a, b, wa, wb, da, db, x, cone)
+                    if entry is None:  # each fan edge is clipped once for all the fans' engines
+                        clips[j] = clip
                 if clip is None:
                     continue
                 cone2, dist = clip
@@ -686,31 +660,26 @@ class DevelopmentEngine:
             st.developments += pops
         return pops
 
-    def _edges_in_reach(self, rows, entry, reach):
+    def _edges_in_reach(self, offs, entry, reach):
         """The rows (j, a - s, b - s, |a - s|, |b - s|, cross2) of the edges
-        [a, b] of a popped copy worth clipping against its cone, s the
-        source, in edge order; the root's cross2 is its absolute value.
+        [a, b] worth clipping of the copy whose offsets from the source s,
+        vertex 0 repeated, are `offs`, entered through edge `entry` (None at
+        the root), in edge order.
 
-        At the root (entry None), `rows` is the root fan's, a row (j,
-        a - s, b - s, |a - s|, |b - s|, |b - a|, |cross2|) per fan edge,
-        and an edge is skipped only when its line lies farther than reach +
-        _REACH_MARGIN from s.  Below the root, `rows` holds the offsets
-        from s of the copy's vertices 0, ..., n - 1 and vertex 0 again, the
-        copy entered through edge `entry`.  An edge whose signed cross2 is
-        at most 0 is culled, and so are the entry edge and every edge whose
-        line lies out of reach; only then are the edge's two offsets
-        measured, and it is skipped when an endpoint lies at s or when the
-        edge itself lies out of reach.  The clip keeps part of the edge, so
-        its distance is at least both of these; the popped bound is at
-        most reach at every pop that expands, so such a clip gives no push.
+        An edge is culled when its cross2 is at most 0 (s is not on its
+        inner side), when it is the entry edge, or when its line lies
+        farther than reach + _REACH_MARGIN from s (cross2 / |b - a| is that
+        distance); only then are its offsets measured, and it is skipped
+        when an endpoint lies at s or the edge itself lies out of reach.
+        The clip keeps part of the edge, so its distance is at least both;
+        the popped bound is at most reach at every pop that expands, so
+        such a clip gives no push.
         """
         limit = reach + _REACH_MARGIN
-        if entry is None:
-            # c / |b - a| is the distance from s to the edge's line
-            return [(j, wa, wb, da, db, c) for j, wa, wb, da, db, length, c in rows if c <= limit * length]
         kept = []
+        wb = offs[0]
         for j, length in enumerate(self.edge_lengths):
-            wa, wb = rows[j], rows[j + 1]
+            wa, wb = wb, offs[j + 1]
             c = wa.real * wb.imag - wa.imag * wb.real
             if c <= 0.0 or c > limit * length or j == entry:
                 continue
@@ -803,7 +772,10 @@ class DistanceTable:
         radius - tol_geodesic, of the table's tolerances; else SETTLED when
         its search covered the whole radius (it finished within its budget,
         or ran out of developments at a frontier beyond the radius); else
-        UNSETTLED."""
+        UNSETTLED.  A radius that is not positive (NaN included) raises
+        GeodesicError."""
+        if not radius > 0.0:
+            raise GeodesicError("disk radius must be positive")
         res, budget = self.entries[pair]
         if res.path is not None and res.path.length < radius - self.tol.tol_geodesic:
             return WITNESS

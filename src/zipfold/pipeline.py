@@ -27,11 +27,12 @@ from . import gluing as gl
 from . import net as netmod
 from .embed import congruent_tetrahedra, embed, vertex_angle_sums
 from .errors import ConfigError, GeodesicError, MetricError
-from .geodesic import FOUND, INCONCLUSIVE, SETTLED, UNSETTLED, WITNESS, DevelopmentEngine, RootFans
+from .geodesic import DEV_CAP, FOUND, INCONCLUSIVE, SETTLED, UNSETTLED, WITNESS, DevelopmentEngine, RootFans
 from .geometry import best_rigid_alignment
 from .gluing import FOUR_PI
 from .polygon import (
     DEFAULT_TOLERANCES,
+    INDEPENDENCE_BOUND,
     TWO_PI,
     Tolerances,
     _sample_ngon,
@@ -48,13 +49,13 @@ _PAIR_STATUS = {WITNESS: FAIL, UNSETTLED: INCONC, SETTLED: PASS}  # a halving's 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """What the CLI lets a run choose.  The independence screen's residual
-    tolerance and the sampler's attempt budget are the defaults of
-    check_independence and _sample_ngon."""
+    """What the CLI lets a run choose, by default INDEPENDENCE_BOUND and DEV_CAP.
+    The screen's residual tolerance and the sampler's attempt budget are the
+    defaults of check_independence and _sample_ngon."""
 
     tolerances: Tolerances = DEFAULT_TOLERANCES
-    independence_bound: int = 16
-    dev_cap: int = 100000
+    independence_bound: int = INDEPENDENCE_BOUND
+    dev_cap: int = DEV_CAP
 
     def __post_init__(self):
         bound = self.independence_bound

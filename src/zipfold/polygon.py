@@ -48,6 +48,8 @@ _TURN_MARGIN = 1e-3  # free turns are drawn from (margin, cap - margin)
 # inconclusive
 INDEPENDENCE_TOL = 1e-9
 _INCONCLUSIVE_BAND = 10.0
+INDEPENDENCE_BOUND = 16  # the screen's default height bound
+SAMPLE_ATTEMPTS = 10000  # the sampler's default attempt budget
 
 
 @dataclass(frozen=True)
@@ -526,7 +528,7 @@ def within_screen_limit(bound, tol=INDEPENDENCE_TOL):
     return tol <= 0 or bound < math.pi / (4 * _INCONCLUSIVE_BAND * tol)
 
 
-def check_independence(angles, bound=16, tol=INDEPENDENCE_TOL):
+def check_independence(angles, bound=INDEPENDENCE_BOUND, tol=INDEPENDENCE_TOL):
     """Screen all angle pairs for rational dependence y = a*pi + b*x.
 
     This is a bounded search, not a proof: a hit certifies dependence with
@@ -645,9 +647,9 @@ def sample_fat_ngon(n, seed, **kwargs):
 def _sample_ngon(
     n,
     seed,
-    max_attempts=10000,
+    max_attempts=SAMPLE_ATTEMPTS,
     require_independent=True,
-    independence_bound=16,
+    independence_bound=INDEPENDENCE_BOUND,
     fat=True,
     cfg=DEFAULT_TOLERANCES,
 ):

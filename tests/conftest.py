@@ -3,6 +3,7 @@ import math
 import pytest
 
 from zipfold import EquilateralPolygon, regular_ngon, sample_fat_hexagon
+from zipfold.geometry import cross2
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +19,18 @@ def degenerate_hexagon():
     square, the standard degenerate control.
     """
     return EquilateralPolygon(((0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)))
+
+
+def clip_edge(engine, s, a, b, cone):
+    """The engine's clip of edge [a, b] against the direction cone from s,
+    through `_clip_row` on the row the search's prefilter forms: the edge's
+    offsets from s, their lengths and their cross2.  The clip takes an edge
+    that s sees counterclockwise, so one seen clockwise is swapped first."""
+    wa, wb = a - s, b - s
+    x = cross2(wa, wb)
+    if x < 0.0:
+        a, b, wa, wb, x = b, a, wb, wa, -x
+    return engine._clip_row(s, a, b, wa, wb, abs(wa), abs(wb), x, cone)
 
 
 def symmetric_hexagon(t1, t2=None):

@@ -5,10 +5,12 @@ clipping, containment and the overhang excursion width by the signs of
 cross and dot products.  `tests/oracles.py` keeps the same operations on
 bearings: `atan2` angles wrapped with `fmod`.  The two forms must give no
 cone in the same cases, except for slivers, and otherwise the same
-boundary directions and distances.  Below the root the search culls, before
-clipping, every edge that does not have the source on its inner side; a
-cone that entered a convex copy through one edge must clip every such edge
-to nothing.
+boundary directions and distances.  The engine's clip reads the row the
+search's prefilter forms, so the tests clip through `conftest.clip_edge`,
+which forms that row.  At every pop the search culls, before clipping,
+every edge that does not have the source on its inner side; a cone that
+entered a convex copy through one edge must clip every such edge to
+nothing.
 """
 
 import cmath
@@ -19,6 +21,7 @@ import types
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import clip_edge
 from oracles import reference_clip_edge, reference_cone_contains, reference_excursion_width
 
 from zipfold import glue_halving, regular_ngon
@@ -53,7 +56,7 @@ def _gap(x, y):
 def _assert_clips_agree(s, a, b, cone):
     """Compare the ray-form clip with the bearing form on cone (lo, width)
     or None."""
-    got = ENGINE._clip_edge(s, a, b, None if cone is None else _rays(*cone))
+    got = clip_edge(ENGINE, s, a, b, None if cone is None else _rays(*cone))
     want = reference_clip_edge(s, a, b, cone)
     if got is None or want is None:
         if got is not None:
@@ -200,7 +203,7 @@ def test_cull_drops_only_empty_clips(entered):
         a, b = offs[j], offs[(j + 1) % n]
         assert (wa, wb, da, db, x) == (a, b, abs(a), abs(b), cross2(a, b))
     for j in culled - {k}:
-        assert ENGINE._clip_edge(s, pts[j], pts[(j + 1) % n], cone) is None
+        assert clip_edge(ENGINE, s, pts[j], pts[(j + 1) % n], cone) is None
 
 
 def test_a_cone_past_the_entry_edge_clips_culled_edges_outside_it():
@@ -230,7 +233,7 @@ def test_a_cone_past_the_entry_edge_clips_culled_edges_outside_it():
     culled = set(range(n)) - {j for j, *_ in kept}
     assert culled == {k, n - 1}  # the entry edge and the edge into a
     for j in culled - {k}:
-        clip = ENGINE._clip_edge(s, pts[j], pts[(j + 1) % n], cone)
+        clip = clip_edge(ENGINE, s, pts[j], pts[(j + 1) % n], cone)
         if clip is not None:
             (c_lo, c_hi, _, _), _ = clip
             assert cross2(wa, c_lo) >= 0.0 and cross2(c_lo, c_hi) > 0.0
@@ -246,11 +249,11 @@ def test_disjoint_cone_and_edge_clip_to_nothing():
     s = 0j
     a, b = cmath.rect(1.0, _deg(190)), cmath.rect(1.0, _deg(340))
     cone = (_deg(0), _deg(170))
-    assert ENGINE._clip_edge(s, a, b, _rays(*cone)) is None
+    assert clip_edge(ENGINE, s, a, b, _rays(*cone)) is None
     assert reference_clip_edge(s, a, b, cone) is None
     # and the other way round
     a, b = 1.0 + 0j, cmath.rect(1.0, _deg(170))
-    assert ENGINE._clip_edge(s, a, b, _rays(_deg(190), _deg(150))) is None
+    assert clip_edge(ENGINE, s, a, b, _rays(_deg(190), _deg(150))) is None
 
 
 @pytest.mark.parametrize(
@@ -284,7 +287,7 @@ def test_near_radial_edges():
     s = 0.1 - 0.2j
     a = s + cmath.rect(0.5, 0.3)
     # an exactly radial edge has no cone in either form
-    assert ENGINE._clip_edge(s, a, s + 4.0 * (a - s), None) is None
+    assert clip_edge(ENGINE, s, a, s + 4.0 * (a - s), None) is None
     assert reference_clip_edge(s, a, s + 4.0 * (a - s), None) is None
     # one under 1e-9 radians keeps its endpoints' directions and its distance
     b = s + cmath.rect(2.0, 0.3 + 1e-9)
@@ -294,5 +297,5 @@ def test_near_radial_edges():
         assert got[1] == abs(a - s)
     # under the sliver cutoff it has none
     c = s + cmath.rect(2.0, 0.3 + 1e-16)
-    assert ENGINE._clip_edge(s, a, c, None) is None
+    assert clip_edge(ENGINE, s, a, c, None) is None
     assert reference_clip_edge(s, a, c, None) is None

@@ -11,10 +11,11 @@ way into pass or fail.
 
 import collections
 import math
+import os
 
 import pytest
 
-from zipfold import geodesic, glue_halving, polygon, sample_fat_ngon
+from zipfold import GeodesicError, geodesic, glue_halving, load_polygon, polygon, sample_fat_ngon
 from zipfold import pipeline
 from zipfold.geodesic import FOUND, INCONCLUSIVE, SETTLED, WITNESS, DevelopmentEngine
 from zipfold.pipeline import FAIL, INCONC, PASS, PipelineConfig, audit_halving, sweep_one
@@ -253,6 +254,27 @@ def test_a_cone_point_at_exactly_radius_minus_tol_is_no_witness(thin_hexagon):
             assert table.pair_disk(pair, past) == WITNESS
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
+def test_pair_disk_refuses_a_radius_that_is_not_positive(regular_hexagon, radius):
+    """`disk` refuses these radii; a NaN radius made every pair read
+    SETTLED, since no comparison with NaN holds."""
+    table = DevelopmentEngine(glue_halving(regular_hexagon, 0)).distance_table()
+    for pair in table.entries:
+        with pytest.raises(GeodesicError, match="radius must be positive"):
+            table.pair_disk(pair, radius)
+
+
+def test_pair_disk_at_radius_1_on_the_golden_thin_hexagon():
+    """The thin control's halvings 0 and 2 hold a pair nearer than 1."""
+    poly = load_polygon(os.path.join(os.path.dirname(__file__), "data", "thin_hexagon_seed0.json"))
+    rules = []
+    for i in range(3):
+        table = DevelopmentEngine(glue_halving(poly, i)).distance_table()
+        rules.append([table.pair_disk(pair, 1.0) for pair in sorted(table.entries)])
+    settled, witness = [SETTLED] * 6, [SETTLED] * 3 + [WITNESS] + [SETTLED] * 2
+    assert rules == [witness, settled, witness]
 
 
 def test_public_tetra_metric_uses_the_clearance_tolerance(fat_pool_small, monkeypatch):

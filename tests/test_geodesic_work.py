@@ -9,21 +9,19 @@ report together, since the queries leaving one cone point share their
 pops.
 
 The search clips only the edges its one reach prefilter keeps, at every
-pop.  It compares each edge's |cross2| with the reach times the edge's
-length, a line test; below the root it also reads the edge itself.  At
-the root the |cross2| comes from the vertex's root fan, which lists only
-the fan edges (no endpoint at the vertex) and holds the clip of each edge
-some root pop has kept so far.  Below the root the popped copy is
-developed straight into offsets from the source; the prefilter computes
-the signed cross2 of each edge's two offsets, culls every edge that does
-not have the source on its inner side, applies the line test, and only
-then measures the two offsets' lengths, and the clip reads the row the
-prefilter kept.  Every edge culled below the root, clipped in full, gives
-no cone; every other edge the prefilter skips gives no cone or a distance
-beyond the reach, so the clip would have been dropped and no push is
-lost.  The root culls nothing.  The halvings of one polygon share the
-fans, as the pipeline runs them, and the fans re-trace each chord once
-for both its directions.
+pop, the root's included.  Each popped copy is developed straight into
+offsets from the source; at the root they come from the vertex's root
+fan, which also holds the clip of each edge some root pop has kept so
+far.  The prefilter computes the signed cross2 of each edge's two
+offsets, culls every edge that does not have the source on its inner
+side, compares the cross2 with the reach times the edge's length (a line
+test), and only then measures the two offsets' lengths and reads the edge
+itself; the clip reads the row the prefilter kept.  Every culled edge,
+clipped in full, gives no cone; every other edge the prefilter skips
+gives no cone or a distance beyond the reach, so the clip would have been
+dropped and no push is lost.  The halvings of one polygon share the fans,
+as the pipeline runs them, and the fans re-trace each chord once for both
+its directions.
 
 The search keeps no record of what it has pushed: the clips of a copy's
 edges split its cone into disjoint pieces, so no search pushes one copy
@@ -36,6 +34,7 @@ import itertools
 import os
 
 import pytest
+from conftest import clip_edge
 
 from zipfold import (
     EquilateralPolygon,
@@ -44,8 +43,9 @@ from zipfold import (
     regular_ngon,
     sample_fat_ngon,
 )
-from zipfold.geodesic import _AT_SOURCE, _REACH_MARGIN, DevelopmentEngine, Goal, RootFans
+from zipfold.geodesic import FOUND, INCONCLUSIVE, _AT_SOURCE, _REACH_MARGIN, DevelopmentEngine, Goal, RootFans
 from zipfold.geometry import cross2
+from zipfold.pipeline import PipelineConfig, verify_polygon
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -79,24 +79,24 @@ POPPED = {
 }
 
 
-# (n, seed) -> clips (`_clip_row` calls, the root fan's through
-# `_clip_edge`) per halving while the distance table is built, on the
-# POPPED seeds, with one RootFans per polygon shared by its halvings in
-# order: a root pop clips the fan edges whose line its reach covers and no
-# earlier root pop has clipped, so a later hexagon halving, whose longer
-# non-zipper budgets reach farther, clips a few fan edges the first one
-# left alone; below the root, only edges that have the source on their
-# inner side are clipped
+# (n, seed) -> clips (`_clip_row` calls) per halving while the distance
+# table is built, on the POPPED seeds, with one RootFans per polygon shared
+# by its halvings in order.  At every pop, the root's included, the
+# prefilter keeps only edges that have the source on their inner side and
+# come within the reach, by their line and by the edge itself.  A root pop
+# clips the kept fan edges no earlier root pop has clipped, so a later
+# hexagon halving, whose longer non-zipper budgets reach farther, clips a
+# few fan edges the first one left alone
 CLIPPED = {
-    (6, 0): (26, 14, 18), (6, 1): (27, 14, 11), (6, 2): (29, 9, 10),
-    (6, 3): (22, 22, 7), (6, 4): (36, 17, 24), (6, 5): (31, 14, 17),
-    (6, 6): (22, 10, 12), (6, 7): (24, 9, 15), (6, 8): (20, 9, 10),
-    (6, 9): (29, 12, 14), (6, 10): (32, 19, 24), (6, 11): (22, 12, 6),
-    (6, 12): (19, 8, 22), (6, 13): (35, 12, 12), (6, 14): (20, 13, 14),
-    (6, 15): (22, 15, 7), (6, 16): (23, 11, 14), (6, 17): (20, 16, 8),
+    (6, 0): (26, 14, 18), (6, 1): (26, 14, 12), (6, 2): (29, 9, 10),
+    (6, 3): (21, 21, 8), (6, 4): (36, 16, 24), (6, 5): (31, 14, 17),
+    (6, 6): (22, 9, 12), (6, 7): (24, 9, 15), (6, 8): (20, 9, 10),
+    (6, 9): (29, 12, 14), (6, 10): (31, 18, 25), (6, 11): (22, 12, 6),
+    (6, 12): (19, 8, 21), (6, 13): (34, 13, 12), (6, 14): (20, 13, 14),
+    (6, 15): (22, 14, 7), (6, 16): (23, 11, 14), (6, 17): (20, 16, 8),
     (6, 18): (20, 13, 12), (6, 19): (25, 15, 13),
-    (8, 0): (17, 7, 2, 3), (8, 1): (18, 1, 4, 2), (8, 2): (19, 4, 1, 0),
-    (8, 3): (20, 0, 0, 5), (8, 4): (18, 0, 0, 0),
+    (8, 0): (16, 7, 2, 3), (8, 1): (17, 1, 4, 2), (8, 2): (17, 4, 1, 0),
+    (8, 3): (19, 0, 0, 5), (8, 4): (16, 0, 0, 0),
 }
 
 
@@ -171,16 +171,14 @@ def test_clip_calls_pinned(monkeypatch):
 def prefilter_spy(monkeypatch):
     """Clip in full every edge the reach prefilter skips, at every pop.
 
-    The prefilter reads the root fan's rows at the root and the popped
-    copy's offsets from the source below it; every row it keeps must hold
-    the edge's offsets, their lengths and its cross2, signed below the
-    root.  Below the root, an edge culled because the source does not lie
-    on its inner side must clip to no cone at all.  Any other skipped clip
-    must give no cone or a distance beyond the reach.  The popped bound is at
-    most the reach at every pop that expands, so that is
-    max(lb, dist) > reach, the test that drops a clip.  The root culls
-    nothing: it skips a fan edge only when the edge's line lies beyond the
-    reach.  Culls are counted by the depth of the popped copy.
+    The prefilter reads the popped copy's offsets from the source, the root
+    fan's at the root; every row it keeps must hold the edge's offsets,
+    their lengths and its signed cross2, which is positive.  An edge culled
+    because the source does not lie on its inner side must clip to no cone
+    at all.  Any other skipped clip must give no cone or a distance beyond
+    the reach.  The popped bound is at most the reach at every pop that
+    expands, so that is max(lb, dist) > reach, the test that drops a clip.
+    Culls are counted by the depth of the popped copy.
     """
     seen = collections.Counter()
     unsound = []
@@ -198,8 +196,8 @@ def prefilter_spy(monkeypatch):
         popped[:] = [heappop(heap)]
         return popped[0]
 
-    def checked(self, rows, entry, reach):
-        kept = edges_in_reach(self, rows, entry, reach)
+    def checked(self, offs, entry, reach):
+        kept = edges_in_reach(self, offs, entry, reach)
         _, _, rot, trans, popped_entry, cone, path = popped[0]
         assert entry == popped_entry
         s = source[0]
@@ -208,48 +206,32 @@ def prefilter_spy(monkeypatch):
         limit = reach + _REACH_MARGIN
         kept_edges = [j for j, *_ in kept]
         assert kept_edges == sorted(kept_edges)
-        if at_root:
-            # the root fan's rows, each holding its edge's |cross2|
-            listed = set()
-            for j, wa, wb, da, db, length, c in rows:
-                a, b = pts[j], pts[(j + 1) % self.n]
-                assert (wa, wb, da, db) == (a - s, b - s, abs(a - s), abs(b - s))
-                assert length == self.edge_lengths[j]
-                assert c == abs(cross2(wa, wb))
-                listed.add(j)
-        else:
-            # the copy developed straight into offsets from the source,
-            # vertex 0 repeated, with the floats of developing and then
-            # subtracting; the prefilter measures lengths itself
-            assert rows == [p - s for p in pts + pts[:1]]
-            listed = set(range(self.n))
+        # the copy developed straight into offsets from the source, vertex
+        # 0 repeated, with the floats of developing and then subtracting;
+        # the prefilter measures lengths itself
+        assert offs == [p - s for p in pts + pts[:1]]
         for j, wa, wb, da, db, x in kept:
             a, b = pts[j], pts[(j + 1) % self.n]
-            # the clip reads the row, and below the root every kept edge
-            # is seen counterclockwise
-            assert (wa, wb, da, db) == (a - s, b - s, abs(a - s), abs(b - s))
-            assert x == (abs(cross2(wa, wb)) if at_root else cross2(wa, wb))
-            assert x > 0.0 or at_root
+            # the clip reads the row, and every kept edge is seen
+            # counterclockwise
+            assert (wa, wb, da, db, x) == (a - s, b - s, abs(a - s), abs(b - s), cross2(wa, wb))
+            assert x > 0.0
         for j in range(self.n):
             a, b = pts[j], pts[(j + 1) % self.n]
             if j == entry or abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
                 assert j not in kept_edges
                 continue
-            assert j in listed
             if j in kept_edges:
                 # kept for a point inside the edge, its endpoints out of reach
                 seen["kept_inside"] += min(abs(a - s), abs(b - s)) > limit
                 continue
-            clip = self._clip_edge(s, a, b, cone)
-            x = cross2(a - s, b - s)
-            if not at_root and x <= 0.0:
+            clip = clip_edge(self, s, a, b, cone)
+            if cross2(a - s, b - s) <= 0.0:
                 seen["culled"] += 1
-                seen["culled_at_depth_1" if len(path) == 1 else "culled_deeper"] += 1
+                seen[("culled_at_root", "culled_at_depth_1")[len(path)] if len(path) < 2 else "culled_deeper"] += 1
                 if clip is not None:
                     unsound.append(("culled", s, a, b, cone, clip))
                 continue
-            if at_root and abs(x) <= limit * self.edge_lengths[j]:
-                unsound.append(("root skip within reach", s, a, b, reach))
             if clip is not None:
                 seen["skipped_cones"] += 1
                 seen["root_skipped_cones"] += at_root
@@ -327,6 +309,79 @@ def test_prefilter_is_sound_past_both_endpoints(prefilter_spy):
     assert unsound == []
     assert seen["kept_inside"] > 0 and seen["skipped_cones"] > 0
     assert seen["culled_at_depth_1"] > 0 and seen["culled_deeper"] > 0
+
+
+# The degenerate hexagon with vertex 1 lifted 2e-10 into it.  It turns
+# clockwise there by 4e-10, within the default tol_convex, so the fans take
+# it, and it fails hypothesis.convex.  From vertex 0 the source lies on the
+# outer side of edge 1, and the root culls that edge; the parent of this
+# cull clipped it, swapped, to a cone no ray from the root can enter.
+WEAKLY_REFLEX = EquilateralPolygon(((0, 0), (1, 2e-10), (2, 0), (2, 1), (1, 1), (0, 1)))
+F, I = FOUND, INCONCLUSIVE
+# its table entries (status, length) per halving, pairs in the order (0, 1),
+# (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), at caps 3, 7 and the default as
+# before the root culled
+REFLEX_LENGTHS = (
+    (2.236067977410347, 1.0, 1.4142135623730951, 1.4142135622316736, 1.0, 0.9999999998),
+    (0.9999999998, 1.0, 1.4142135622316736, 1.4142135623730951, 1.0, 1.0),
+)
+REFLEX_STATUSES = {
+    3: ((I, F, I, I, F, I), (F, I, I, I, I, F)),
+    7: ((I, F, F, F, F, F), (F, F, I, I, F, F)),
+    None: ((F,) * 6, (F,) * 6),
+}
+# the hypothesis lines, then the lemma lines as verify --force reads them
+# at caps 1-4 (at cap 5 the unit disks pass), as before the root culled
+REFLEX_CARD = [
+    ("hypothesis.equilateral", "pass"), ("hypothesis.convex", "fail"),
+    ("hypothesis.fat", "fail"), ("hypothesis.independent", "fail"),
+    ("diagonals.at_least_1", "pass"), ("curvature.total_4pi", "pass"),
+    ("disks.unit_radius_empty", "inconclusive"), ("zipper.edges_length_1", "inconclusive"),
+    ("zipper.nothing_shorter", "pass"), ("distinctness.tetrahedra", "inconclusive"),
+    ("embedding.angle_sums_match", "inconclusive"), ("net.simple", "inconclusive"),
+    ("net.matches_source", "inconclusive"),
+]
+
+
+def _reflex_tables(cap):
+    fans = RootFans(WEAKLY_REFLEX)
+    kwargs = {} if cap is None else {"dev_cap": cap}
+    return [DevelopmentEngine(glue_halving(WEAKLY_REFLEX, i), fans=fans, **kwargs).distance_table() for i in range(3)]
+
+
+def _reads(table):
+    entries = [res for _, (res, _) in sorted(table.entries.items())]
+    return tuple(res.status for res in entries), tuple(res.path.length for res in entries)
+
+
+def test_the_root_cull_on_a_weakly_reflex_polygon(monkeypatch):
+    """The root hands the clip no edge that the source sees clockwise.  The
+    cull moves no status or length at caps 3, 7 and the default, and no
+    verify --force line at caps 1-5.  At cap 2, where the search without
+    the cull spent a pop on the culled edge's copy, three entries move from
+    inconclusive to found, and the (0, 1) entries of halvings 0 and 2 stay
+    inconclusive with another path."""
+    crosses = []
+    clip_row = DevelopmentEngine._clip_row
+
+    def spy(self, s, a, b, wa, wb, da, db, x, cone):
+        crosses.append(x)
+        return clip_row(self, s, a, b, wa, wb, da, db, x, cone)
+
+    monkeypatch.setattr(DevelopmentEngine, "_clip_row", spy)
+    for cap, statuses in REFLEX_STATUSES.items():
+        reads = [_reads(t) for t in _reflex_tables(cap)]
+        assert reads == [(statuses[k], REFLEX_LENGTHS[k]) for k in (0, 1, 0)], cap
+    tables = _reflex_tables(2)
+    # before the root culled: (I, I, I, I, F, I) and (I,) * 6, the first
+    # length 2.23606797749979
+    halving_0 = ((I, F, I, I, F, I), REFLEX_LENGTHS[0])
+    assert [_reads(t) for t in tables] == [halving_0, ((I,) * 5 + (F,), REFLEX_LENGTHS[1]), halving_0]
+    assert [t.developments for t in tables] == [10, 10, 10]
+    assert crosses and min(crosses) > 0.0
+    for cap in range(1, 6):
+        card = dict(REFLEX_CARD, **{"disks.unit_radius_empty": "pass"} if cap == 5 else {})
+        assert verify_polygon(WEAKLY_REFLEX, PipelineConfig(dev_cap=cap), force=True).scorecard() == list(card.items())
 
 
 @pytest.fixture()

@@ -48,9 +48,10 @@ def test_the_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), {})
 
 
-def test_no_default_argument_is_a_float_literal():
+def test_no_default_argument_is_a_numeric_literal():
     """A tolerance default reads its `Tolerances` field or a named constant,
-    so each value is stated once; only 0.0 and 1.0 may be written inline."""
+    and so does a default bound, cap or budget, so each value is stated
+    once; only 0, 1, 0.0 and 1.0 may be written inline."""
     src = os.path.dirname(os.path.abspath(zipfold.__file__))
     literals = []
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
@@ -61,7 +62,7 @@ def test_no_default_argument_is_a_float_literal():
                 continue
             for default in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]:
                 value = default.operand if isinstance(default, ast.UnaryOp) else default
-                if isinstance(value, ast.Constant) and isinstance(value.value, float) and value.value not in (0.0, 1.0):
+                if isinstance(value, ast.Constant) and type(value.value) in (int, float) and value.value not in (0, 1):
                     literals.append(f"{os.path.basename(path)}:{default.lineno} {ast.unparse(default)}")
     assert literals == []
 
