@@ -84,9 +84,9 @@ POPPED = {
 # by its halvings in order.  At every pop, the root's included, the
 # prefilter keeps only edges that have the source on their inner side and
 # come within the reach, by their line and by the edge itself.  A root pop
-# clips the kept fan edges no earlier root pop has clipped, so a later
-# hexagon halving, whose longer non-zipper budgets reach farther, clips a
-# few fan edges the first one left alone
+# clips the kept edges no earlier root pop of the polygon has clipped, so a
+# later hexagon halving, whose longer non-zipper budgets reach farther,
+# clips a few edges the first one left alone
 CLIPPED = {
     (6, 0): (26, 14, 18), (6, 1): (26, 14, 12), (6, 2): (29, 9, 10),
     (6, 3): (21, 21, 8), (6, 4): (36, 16, 24), (6, 5): (31, 14, 17),
@@ -178,7 +178,7 @@ def prefilter_spy(monkeypatch):
     at all.  Any other skipped clip must give no cone or a distance beyond
     the reach.  The popped bound is at most the reach at every pop that
     expands, so that is max(lb, dist) > reach, the test that drops a clip.
-    Culls are counted by the depth of the popped copy.
+    Culls below the root are counted by the depth of the popped copy.
     """
     seen = collections.Counter()
     unsound = []
@@ -228,7 +228,8 @@ def prefilter_spy(monkeypatch):
             clip = clip_edge(self, s, a, b, cone)
             if cross2(a - s, b - s) <= 0.0:
                 seen["culled"] += 1
-                seen[("culled_at_root", "culled_at_depth_1")[len(path)] if len(path) < 2 else "culled_deeper"] += 1
+                if path:
+                    seen["culled_at_depth_1" if len(path) == 1 else "culled_deeper"] += 1
                 if clip is not None:
                     unsound.append(("culled", s, a, b, cone, clip))
                 continue
@@ -314,13 +315,14 @@ def test_prefilter_is_sound_past_both_endpoints(prefilter_spy):
 # The degenerate hexagon with vertex 1 lifted 2e-10 into it.  It turns
 # clockwise there by 4e-10, within the default tol_convex, so the fans take
 # it, and it fails hypothesis.convex.  From vertex 0 the source lies on the
-# outer side of edge 1, and the root culls that edge; the parent of this
-# cull clipped it, swapped, to a cone no ray from the root can enter.
+# outer side of edge 1, and the root culls that edge.  Clipped with its
+# endpoints swapped, the edge gives a cone about 2e-10 rad wide through
+# which no ray from the root leaves the polygon.
 WEAKLY_REFLEX = EquilateralPolygon(((0, 0), (1, 2e-10), (2, 0), (2, 1), (1, 1), (0, 1)))
 F, I = FOUND, INCONCLUSIVE
 # its table entries (status, length) per halving, pairs in the order (0, 1),
-# (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), at caps 3, 7 and the default as
-# before the root culled
+# (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), at caps 3, 7 and the default; a
+# search that also pushed the swapped edge's copy reads the same
 REFLEX_LENGTHS = (
     (2.236067977410347, 1.0, 1.4142135623730951, 1.4142135622316736, 1.0, 0.9999999998),
     (0.9999999998, 1.0, 1.4142135622316736, 1.4142135623730951, 1.0, 1.0),
@@ -331,7 +333,7 @@ REFLEX_STATUSES = {
     None: ((F,) * 6, (F,) * 6),
 }
 # the hypothesis lines, then the lemma lines as verify --force reads them
-# at caps 1-4 (at cap 5 the unit disks pass), as before the root culled
+# at caps 1-4 (at cap 5 the unit disks pass), with or without that push
 REFLEX_CARD = [
     ("hypothesis.equilateral", "pass"), ("hypothesis.convex", "fail"),
     ("hypothesis.fat", "fail"), ("hypothesis.independent", "fail"),
@@ -357,10 +359,10 @@ def _reads(table):
 def test_the_root_cull_on_a_weakly_reflex_polygon(monkeypatch):
     """The root hands the clip no edge that the source sees clockwise.  The
     cull moves no status or length at caps 3, 7 and the default, and no
-    verify --force line at caps 1-5.  At cap 2, where the search without
-    the cull spent a pop on the culled edge's copy, three entries move from
-    inconclusive to found, and the (0, 1) entries of halvings 0 and 2 stay
-    inconclusive with another path."""
+    verify --force line at caps 1-5.  At cap 2, where pushing the swapped
+    edge's copy would spend one of the two pops, three entries read found
+    rather than inconclusive, and the (0, 1) entries of halvings 0 and 2
+    stay inconclusive with another path."""
     crosses = []
     clip_row = DevelopmentEngine._clip_row
 
@@ -373,8 +375,8 @@ def test_the_root_cull_on_a_weakly_reflex_polygon(monkeypatch):
         reads = [_reads(t) for t in _reflex_tables(cap)]
         assert reads == [(statuses[k], REFLEX_LENGTHS[k]) for k in (0, 1, 0)], cap
     tables = _reflex_tables(2)
-    # before the root culled: (I, I, I, I, F, I) and (I,) * 6, the first
-    # length 2.23606797749979
+    # with that push: (I, I, I, I, F, I) and (I,) * 6, the first length
+    # 2.23606797749979
     halving_0 = ((I, F, I, I, F, I), REFLEX_LENGTHS[0])
     assert [_reads(t) for t in tables] == [halving_0, ((I,) * 5 + (F,), REFLEX_LENGTHS[1]), halving_0]
     assert [t.developments for t in tables] == [10, 10, 10]

@@ -1,7 +1,7 @@
 """The halvings of one polygon share its root fans and lose nothing by it.
 
 Every search root is a vertex of the untransformed polygon, so the root
-fan (the chord to each vertex, the line distance and clip of each edge)
+fan (the offset of each vertex and the clip of each edge)
 and the re-trace of each chord come out the same in every halving.  A
 distance table built through one shared `RootFans` must equal, `repr` for
 `repr`, the table an engine with its own fans builds, whichever halving
