@@ -8,7 +8,7 @@ the source vertex to some developed image of the target vertex.  The search
 therefore works on "developments": placements of polygon copies reached by
 a sequence of edge crossings.
 
-Six facts keep the search small and exact:
+Seven facts keep the search small and exact:
 
 * A valid candidate is a straight segment from the source, so only
   directions that thread every crossed edge in order can matter.  Each node
@@ -26,26 +26,38 @@ Six facts keep the search small and exact:
   the prefilter saves the clip and changes no push.  It compares the
   |cross2| of the edge's endpoints seen from the source, which is the line
   distance times the edge's length, with the reach times that length.
+* A ray of a popped copy's cone meets the copy's entry edge at a point y
+  with |y - s| at least the popped bound lb, and then runs into the copy,
+  so every point x of the copy it reaches lies at least lb plus x's depth
+  behind the entry edge's line from s.  Along an edge that depth is least
+  at an endpoint, so an edge whose nearer endpoint lies deeper than the
+  reach minus lb, up to a rounding margin, is cut before anything else:
+  its clip would be dropped.  `RootFans.behind` holds those depths, once
+  per polygon.
 * A copy is convex, and a ray of its cone runs into it (through the entry
   edge, or from the source at the root), so it can leave only through an
-  edge whose inner side holds the source.  Each popped copy is developed
-  straight into offsets from the source, and the prefilter culls every
+  edge whose inner side holds the source.  The prefilter develops the
+  offsets from the source of the edges the depth cut leaves, culls every
   edge whose cross2 of its endpoints' offsets is at most 0 (its clip is
   empty or a sliver), applies the line test, and only then measures the
-  two offsets' lengths; the clip reads the row the prefilter kept.
+  two offsets' lengths; the clip reads the row the prefilter kept.  A pop
+  develops no other vertex but its targets.
 * A ray from the source crosses one sequence of edges, so the clips of a
   copy's edges split its cone into disjoint pieces.  No two developments
   share a copy, an entry edge and a cone, and the search keeps no record
   of what it has pushed.
 * Every search root is a vertex of the untransformed polygon, so what the
   root's first pop reads does not depend on the gluing: the offset of each
-  vertex and the clip of each edge against all directions (the root fan),
-  and the re-trace of each chord, which is rejected as soon as it crosses
-  an edge, whatever lies across it.  The halvings of one polygon share
-  these through one `RootFans`, which re-traces a chord once for both its
-  directions and clips an edge only once some root pop's prefilter keeps
-  it.  Otherwise the root pop runs the target test, prefilter and push
-  loop of every other pop.
+  vertex and its length, the clip of each edge against all directions and
+  the pushes these give at each reach (the root fan), and the re-trace of
+  each chord, which is rejected as soon as it crosses an edge, whatever
+  lies across it.  The halvings of one polygon share these through one
+  `RootFans`, which re-traces a chord once for both its directions, clips
+  an edge only once some root pop's prefilter keeps it, and runs that
+  prefilter only at a reach wider than any before: at a narrower one the
+  pushes are the widest's whose bound is within the reach.  The root pop
+  runs the target test and push loop of every other pop on what its fan
+  holds.
 
 The order in which a search pops developments does not depend on its
 target, so one development from a source cone point serves many queries
@@ -244,14 +256,23 @@ class RootFans:
     halving of the polygon.  This holds them, filled in by the engines
     that share it as their roots first need them:
 
-    * `by_vertex[sv]`, the fan of vertex sv: the offsets from sv of the
-      vertices, laid out as a popped copy's (vertex 0 repeated), and the
-      clip (cone, distance) of each edge a root pop's prefilter has kept;
+    * `by_vertex[sv]`, the fan of vertex sv (a `_RootFan`): the offset
+      from sv of each vertex and its length, which the root's target test
+      reads; the clip (cone, distance) of each edge a root pop's prefilter
+      has kept; and the root pop's pushes (edge, cone, bound), in edge
+      order, at each reach a root pop from sv has had;
     * `chords[(u, v)]`, u < v: the re-traced length of the chord between
       vertices u and v, as `DevelopmentEngine._finalize` returns it from
       u, and as it returns it from v too: the length is |v - u| either
       way, and so is the re-trace's verdict.  A chord that crosses an edge
-      is rejected before anything across that edge is looked at.
+      is rejected before anything across that edge is looked at;
+    * `behind[e][j]`: how far the nearer endpoint of edge j lies behind the
+      line of edge e, into the polygon, and inf for j = e.  A copy entered
+      through edge e at bound lb reaches no point of edge j nearer than lb
+      + behind[e][j] to the source (see `_edges_in_reach`).  Every copy is
+      a rigid motion of the polygon, so one table serves all of them;
+    * `at_root`: 0.0 for every edge, the depths the root pop's prefilter
+      reads, which cut no edge.
 
     The re-trace reads tol_clearance of `tol`, the run's Tolerances, so
     fans serve only engines of the same polygon and tolerances.  The
@@ -281,8 +302,32 @@ class RootFans:
         # every developed copy of edge j has this length, up to rounding
         self.edge_lengths = [abs(self.points[(j + 1) % n] - self.points[j]) for j in range(n)]
         self.root_copy = [_ROOT[0] * p + _ROOT[1] for p in self.points]
+        self.behind = []
+        loop = self.points + self.points[:1]
+        for e, length in enumerate(self.edge_lengths):
+            a = loop[e]
+            ab = (loop[e + 1] - a).conjugate()
+            # the imaginary part of (p - a) * conj(b - a) is cross2(b - a, p - a)
+            depth = [((p - a) * ab).imag / length for p in loop]
+            nearer = [x if x < y else y for x, y in zip(depth, depth[1:])]
+            nearer[e] = math.inf  # a copy is never left through its entry edge
+            self.behind.append(nearer)
+        self.at_root = [0.0] * n  # the root cuts no edge
         self.by_vertex = {}
         self.chords = {}
+
+
+class _RootFan:
+    """One vertex's fan in RootFans.by_vertex."""
+
+    __slots__ = ("offsets", "dists", "clips", "widest", "pushes")
+
+    def __init__(self, offsets, dists):
+        self.offsets = offsets  # of each vertex from the fan's vertex
+        self.dists = dists  # their lengths
+        self.clips = {}  # edge -> its clip against every direction (None: no cone)
+        self.widest = -math.inf  # the largest reach the prefilter has run at
+        self.pushes = {}  # reach -> the root pop's pushes
 
 
 def _between(lo, hi, v):
@@ -503,13 +548,45 @@ class DevelopmentEngine:
 
     # -- the root fan ---------------------------------------------------------
 
-    def _root_fan(self, sv):
-        """Vertex sv's fan (see RootFans), built on first use: (offsets, clips by edge)."""
+    def _root_fan(self, sv, reach):
+        """(offsets, their lengths, pushes) of the root pop from vertex sv
+        at this reach, from its fan (see RootFans), built on first use.
+
+        The prefilter runs only at a reach wider than the fan's widest so
+        far.  At a narrower one the pushes are the widest's whose bound is
+        within the reach: an edge the prefilter keeps at the widest reach
+        but not at this one clips to no cone or beyond this reach."""
         fan = self.fans.by_vertex.get(sv)
         if fan is None:
             s = self.points[sv]
-            fan = self.fans.by_vertex[sv] = ([_ROOT[0] * p + _ROOT[1] - s for p in self.loop], {})
-        return fan
+            offsets = [_ROOT[0] * p + _ROOT[1] - s for p in self.points]
+            fan = self.fans.by_vertex[sv] = _RootFan(offsets, list(map(abs, offsets)))
+        pushes = fan.pushes.get(reach)
+        if pushes is None:
+            if reach > fan.widest:
+                pushes = self._root_pushes(sv, fan.clips, reach)
+                fan.widest = reach
+            else:
+                pushes = [push for push in fan.pushes[fan.widest] if push[2] <= reach]
+            fan.pushes[reach] = pushes
+        return fan.offsets, fan.dists, pushes
+
+    def _root_pushes(self, sv, clips, reach):
+        """The root pop's pushes (edge, cone, bound) from vertex sv at this
+        reach, in edge order, through the prefilter and the fan's clips;
+        each fan edge is clipped once for all the fans' engines."""
+        s = self.points[sv]
+        root = self.fans.root_copy
+        pushes = []
+        for j, wa, wb, da, db, x in self._edges_in_reach(*_ROOT, s, self.fans.at_root, 0.0, reach):
+            if j not in clips:
+                clips[j] = self._clip_row(s, root[j], root[(j + 1) % self.n], wa, wb, da, db, x, None)
+            if clips[j] is not None:
+                cone, dist = clips[j]
+                lb2 = max(0.0, dist)  # as every pop bounds a child, from the root's bound 0.0
+                if lb2 <= reach:
+                    pushes.append((j, cone, lb2))
+        return pushes
 
     def _root_chord(self, sv, tv):
         """The re-trace of the chord between vertices sv and tv, made once
@@ -564,22 +641,26 @@ class DevelopmentEngine:
         bound passes the floor, the smallest live cut, or at the cap; a
         find that lowers a cut lowers the floor.
 
-        Every pop runs one target test, one prefilter and one push loop.
-        A pop develops its copy straight into offsets from s, rot * p +
-        trans - s, which rounds as developing and then subtracting does; a
-        target vertex, and an edge the prefilter keeps, is developed again
-        as rot * p + trans only to be re-traced or clipped.  The root pop
-        differs in three steps only: it reads its offsets from the root
-        fan and shares the fan's clips with every engine of the polygon, it
-        has no entry edge, and its chords come from the fans' re-traces.  A
-        heap entry is (bound, tie, rot, trans, entry edge, cone, edge
-        path), the copy placed by rot and trans; ties pop in push order.
+        Every pop runs one target test and one push loop.  A pop below the
+        root develops each target vertex as an offset from s, rot * p +
+        trans - s, which rounds as developing and then subtracting does,
+        and hands its copy to the prefilter, which cuts the edges deeper
+        behind the entry edge than the reach allows and develops the
+        offsets of the rest; a target vertex, and an edge the prefilter
+        keeps, is developed again as rot * p + trans only to be re-traced
+        or clipped.  The root pop reads its offsets, their lengths and its
+        pushes from the root fan, which runs the same prefilter and shares
+        its clips with every engine of the polygon; it has no entry edge,
+        and its chords come from the fans' re-traces.  A heap entry is
+        (bound, tie, rot, trans, entry edge, cone, edge path), the copy
+        placed by rot and trans; ties pop in push order.
         """
         s = self.points[sv]
         loop = self.loop
         n = self.n
         dev_cap = self.dev_cap
         partner, transition = self.partner, self.transition
+        behind = self.fans.behind
         for st in states:
             st.cut = st.limit
         floor = min([st.cut for st in states])
@@ -607,10 +688,10 @@ class DevelopmentEngine:
                 reach = max([st.limit for st in live])
             pops += 1
             if entry is None:
-                offs, clips = self._root_fan(sv)
+                offs, dists, pushes = self._root_fan(sv, reach)
                 on_entry = ()
             else:
-                offs = [rot * p + trans - s for p in loop]
+                offs = None
                 # the entry edge's endpoints lie on the parent copy's
                 # boundary: a segment ending there stops on the entry edge,
                 # one crossing short
@@ -620,8 +701,12 @@ class DevelopmentEngine:
                 for tv in st.targets:
                     if tv in on_entry:
                         continue
-                    w = offs[tv]
-                    d = abs(w)
+                    if offs is None:
+                        w = rot * loop[tv] + trans - s
+                        d = abs(w)
+                    else:
+                        w = offs[tv]
+                        d = dists[tv]
                     if d > st.limit or d + _BOUND_SLACK < lb:
                         continue
                     # the root's cone, None, holds every direction
@@ -638,20 +723,18 @@ class DevelopmentEngine:
                         st.take(found)
                         if st.cut < floor:
                             floor = st.cut
-            for j, wa, wb, da, db, x in self._edges_in_reach(offs, entry, reach):
-                if entry is None and j in clips:
-                    clip = clips[j]
-                else:
+            if entry is not None:
+                pushes = []
+                for j, wa, wb, da, db, x in self._edges_in_reach(rot, trans, s, behind[entry], lb, reach):
                     a, b = rot * loop[j] + trans, rot * loop[j + 1] + trans
                     clip = self._clip_row(s, a, b, wa, wb, da, db, x, cone)
-                    if entry is None:  # each fan edge is clipped once for all the fans' engines
-                        clips[j] = clip
-                if clip is None:
-                    continue
-                cone2, dist = clip
-                lb2 = max(lb, dist)
-                if lb2 > reach:
-                    continue
+                    if clip is None:
+                        continue
+                    cone2, dist = clip
+                    lb2 = max(lb, dist)
+                    if lb2 <= reach:
+                        pushes.append((j, cone2, lb2))
+            for j, cone2, lb2 in pushes:
                 t_rot, t_trans = transition[j]  # the child's placement is (rot, trans) after it
                 child = (lb2, tie, rot * t_rot, rot * t_trans + trans, partner[j], cone2, path + (j,))
                 heapq.heappush(heap, child)
@@ -660,28 +743,41 @@ class DevelopmentEngine:
             st.developments += pops
         return pops
 
-    def _edges_in_reach(self, offs, entry, reach):
+    def _edges_in_reach(self, rot, trans, s, behind, lb, reach):
         """The rows (j, a - s, b - s, |a - s|, |b - s|, cross2) of the edges
-        [a, b] worth clipping of the copy whose offsets from the source s,
-        vertex 0 repeated, are `offs`, entered through edge `entry` (None at
-        the root), in edge order.
+        [a, b] worth clipping, in edge order, of the copy z -> rot*z + trans
+        popped at bound lb, seen from the source s.  behind[j] is edge j's
+        depth behind the entry edge (see RootFans.behind); the root passes
+        0.0 for every edge.  Each edge's offsets from s are developed here
+        as rot * p + trans - s, which rounds as developing and then
+        subtracting does.
 
-        An edge is culled when its cross2 is at most 0 (s is not on its
-        inner side), when it is the entry edge, or when its line lies
-        farther than reach + _REACH_MARGIN from s (cross2 / |b - a| is that
-        distance); only then are its offsets measured, and it is skipped
-        when an endpoint lies at s or the edge itself lies out of reach.
-        The clip keeps part of the edge, so its distance is at least both;
-        the popped bound is at most reach at every pop that expands, so
-        such a clip gives no push.
+        An edge is cut when its depth is beyond reach + 2 * _REACH_MARGIN -
+        lb: every point of it that a ray of the copy's cone reaches lies at
+        least lb + depth from s.  It is culled when its cross2 is at most 0
+        (s is not on its inner side), or when its line lies farther than
+        reach + _REACH_MARGIN from s (cross2 / |b - a| is that distance);
+        only then are its offsets measured, and it is skipped when an
+        endpoint lies at s or the edge itself lies out of reach.  The clip
+        keeps part of the edge, so its distance is at least both; the
+        popped bound is at most reach at every pop that expands, so such a
+        clip gives no push.
         """
+        bound = reach + 2.0 * _REACH_MARGIN - lb
         limit = reach + _REACH_MARGIN
+        loop = self.loop
+        lengths = self.edge_lengths
         kept = []
-        wb = offs[0]
-        for j, length in enumerate(self.edge_lengths):
-            wa, wb = wb, offs[j + 1]
+        wb = None
+        nxt = -1  # the edge that starts at wb's vertex
+        for j, depth in enumerate(behind):
+            if depth > bound:
+                continue
+            wa = wb if j == nxt else rot * loop[j] + trans - s
+            nxt = j + 1
+            wb = rot * loop[nxt] + trans - s
             c = wa.real * wb.imag - wa.imag * wb.real
-            if c <= 0.0 or c > limit * length or j == entry:
+            if c <= 0.0 or c > limit * lengths[j]:
                 continue
             da, db = abs(wa), abs(wb)
             if da < _AT_SOURCE or db < _AT_SOURCE:

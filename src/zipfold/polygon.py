@@ -178,17 +178,6 @@ class ValidationReport:
         return {**asdict(self), "geometric_ok": self.geometric_ok, "theorem_ok": self.theorem_ok}
 
 
-def _check_malformed(poly):
-    n = poly.n
-    if n < 6:
-        raise MalformedPolygonError(f"n={n} is below the minimum of 6")
-    if n % 2 != 0:
-        raise MalformedPolygonError(f"n={n} is odd; perimeter halving needs even n")
-    pair = first_close_pair(poly.vertices, _REPEATED_VERTEX_CUTOFF)
-    if pair is not None:
-        raise MalformedPolygonError(f"repeated vertex: indices {pair[0]} and {pair[1]}")
-
-
 def interior_angles(poly):
     """Interior angles from adjacent edge vectors, as an AngleProfile.
 
@@ -243,7 +232,20 @@ def validate(poly, cfg=DEFAULT_TOLERANCES):
     convexity (cross product ~ 0 at some vertex) passes the convexity check
     but is flagged and fails fatness.
     """
-    _check_malformed(poly)
+    n = poly.n
+    if n < 6:
+        raise MalformedPolygonError(f"n={n} is below the minimum of 6")
+    if n % 2 != 0:
+        raise MalformedPolygonError(f"n={n} is odd; perimeter halving needs even n")
+    pair = first_close_pair(poly.vertices, _REPEATED_VERTEX_CUTOFF)
+    if pair is not None:
+        raise MalformedPolygonError(f"repeated vertex: indices {pair[0]} and {pair[1]}")
+    return _validation_report(poly, cfg)
+
+
+def _validation_report(poly, cfg):
+    """validate's report on a polygon of even n >= 6 without repeated
+    vertices."""
     n = poly.n
 
     edge_err = max(abs(l - 1.0) for l in poly.edge_lengths())
@@ -689,7 +691,9 @@ def _sample_ngon(
                 continue
             res = solve_closure(dirs)
             for poly in res.polygons:
-                rep = validate(poly, cfg)
+                # n is even and at least 6, and solve_closure has rejected
+                # any vertex pair nearer than the repeated-vertex cutoff
+                rep = _validation_report(poly, cfg)
                 if not (rep.equilateral_ok and rep.strictly_convex and rep.angle_sum_ok):
                     continue
                 if fat and not rep.fat_ok:

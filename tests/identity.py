@@ -17,7 +17,13 @@ There are four sections, each a record generator with its own diff rule.
   ordered cone pair of every halving of fat hexagon seeds 0-9 and fat
   octagon seeds 0-2 is enumerated out to 3.5 at the default cap (2,610
   paths, 210 of them across two edges), and recorded as a table whose
-  entries are empty.  At caps 1, 15, 40 and 100000 every status, path,
+  entries are empty.  The `reach` family puts the reach of a search
+  exactly at a found distance: for every halving of fat hexagon seeds 0-9,
+  fat octagon seeds 0-2, fat decagon seeds 0-1 and a weakly reflex hexagon,
+  each ordered cone pair whose table entry is found is searched again at
+  the default cap with a shortest query and an enumeration whose budgets
+  both equal that length, and recorded as a table of those results.  At
+  caps 1, 15, 40 and 100000 every status, path,
   frontier and enumeration must be identical.  At caps 3 and 7 a status
   may move between `found` and `inconclusive` when the found length equals
   the other side's frontier within 1e-12 (two developments with tied
@@ -78,9 +84,11 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
 
 import inputs  # noqa: E402
-from zipfold import check_independence, cli, glue_halving, sample_fat_ngon, save_polygon, validate  # noqa: E402
+from zipfold import (  # noqa: E402
+    EquilateralPolygon, check_independence, cli, glue_halving, sample_fat_ngon, save_polygon, validate,
+)
 from zipfold.errors import SamplingBudgetError  # noqa: E402
-from zipfold.geodesic import DevelopmentEngine, RootFans  # noqa: E402
+from zipfold.geodesic import DevelopmentEngine, Goal, RootFans  # noqa: E402
 from zipfold.pipeline import SWEEP_COLUMNS, PipelineConfig, sweep_one, verify_polygon  # noqa: E402
 from zipfold.polygon import polygon_from_dict  # noqa: E402
 
@@ -114,26 +122,28 @@ def _path(path):
     ]
 
 
+def _entry(res, budget):
+    return {
+        "status": res.status,
+        "path": _path(res.path),
+        "length": None if res.path is None else repr(res.path.length),
+        "frontier": repr(res.frontier),
+        "budget": repr(budget),
+        "developments": res.developments,
+    }
+
+
+def _enumeration(enum):
+    return {
+        "paths": [_path(p) for p in enum.paths],
+        "complete": enum.complete,
+        "developments": enum.developments,
+    }
+
+
 def _table_record(table):
-    entries = {
-        f"{i},{j}": {
-            "status": res.status,
-            "path": _path(res.path),
-            "length": None if res.path is None else repr(res.path.length),
-            "frontier": repr(res.frontier),
-            "budget": repr(budget),
-            "developments": res.developments,
-        }
-        for (i, j), (res, budget) in sorted(table.entries.items())
-    }
-    enumerations = {
-        f"{i},{j}": {
-            "paths": [_path(p) for p in enum.paths],
-            "complete": enum.complete,
-            "developments": enum.developments,
-        }
-        for (i, j), enum in sorted(table.enumerations.items())
-    }
+    entries = {f"{i},{j}": _entry(res, budget) for (i, j), (res, budget) in sorted(table.entries.items())}
+    enumerations = {f"{i},{j}": _enumeration(enum) for (i, j), enum in sorted(table.enumerations.items())}
     return {"entries": entries, "enumerations": enumerations, "developments": table.developments}
 
 
@@ -164,19 +174,49 @@ def crossing_records():
             for fold in range(n // 2):
                 gluing = glue_halving(poly, fold)
                 engine = DevelopmentEngine(gluing, fans=fans)
-                enumerations = {}
-                for i, j in itertools.permutations(range(len(gluing.cone_points)), 2):
-                    enum = engine.enumerate_geodesics(i, j, CROSSING_BUDGET)
-                    enumerations[f"{i},{j}"] = {
-                        "paths": [_path(p) for p in enum.paths],
-                        "complete": enum.complete,
-                        "developments": enum.developments,
-                    }
+                enumerations = {
+                    f"{i},{j}": _enumeration(engine.enumerate_geodesics(i, j, CROSSING_BUDGET))
+                    for i, j in itertools.permutations(range(len(gluing.cone_points)), 2)
+                }
                 yield f"{CROSSING}/fat{n}/{seed}/{fold}/{engine.dev_cap}", {
                     "entries": {},
                     "enumerations": enumerations,
                     "developments": sum(e["developments"] for e in enumerations.values()),
                 }
+
+
+REACH = "reach"
+REACH_POLYGONS = {6: range(10), 8: range(3), 10: range(2)}
+# the degenerate hexagon with vertex 1 lifted 2e-10 into it: it turns
+# clockwise there within the default tol_convex, so the search takes it
+WEAKLY_REFLEX = EquilateralPolygon(((0, 0), (1, 2e-10), (2, 0), (2, 1), (1, 1), (0, 1)))
+
+
+def reach_records():
+    """Every found table distance searched again, in both directions, at a
+    budget equal to it, so that the search's reach lies exactly at the
+    target."""
+    polygons = [
+        (f"fat{n}/{seed}", sample_fat_ngon(n, seed)) for n, seeds in REACH_POLYGONS.items() for seed in seeds
+    ]
+    polygons.append(("reflex6/0", WEAKLY_REFLEX))
+    for name, poly in polygons:
+        fans = RootFans(poly)
+        for fold in range(poly.n // 2):
+            engine = DevelopmentEngine(glue_halving(poly, fold), fans=fans)
+            entries, enumerations, popped = {}, {}, 0
+            for (i, j), (res, _) in sorted(engine.distance_table().entries.items()):
+                if res.path is None:
+                    continue
+                d = res.path.length
+                for u, v in ((i, j), (j, i)):
+                    (shortest, enum), pops = engine.search(u, [Goal(v, d, True), Goal(v, d, False)])
+                    entries[f"{u},{v}"] = _entry(shortest, d)
+                    enumerations[f"{u},{v}"] = _enumeration(enum)
+                    popped += pops
+            yield f"{REACH}/{name}/{fold}/{engine.dev_cap}", {
+                "entries": entries, "enumerations": enumerations, "developments": popped,
+            }
 
 
 def _tie(old, new):
@@ -383,6 +423,14 @@ def fold_records(family):
 # -- the harness -------------------------------------------------------------
 
 
+def _table_family(family):
+    if family == CROSSING:
+        return crossing_records()
+    if family == REACH:
+        return reach_records()
+    return table_records(family)
+
+
 class Section(NamedTuple):
     families: tuple
     records: Callable  # family -> (key, record) for each of its records
@@ -392,8 +440,8 @@ class Section(NamedTuple):
 
 SECTIONS = {
     "tables": Section(
-        (*TABLE_POLYGONS, CROSSING),
-        lambda family: crossing_records() if family == CROSSING else table_records(family),
+        (*TABLE_POLYGONS, CROSSING, REACH),
+        _table_family,
         table_diff,
         lambda records: f"pops {sum(t['developments'] for t in records.values())}",
     ),

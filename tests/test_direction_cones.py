@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from conftest import clip_edge
 from oracles import reference_clip_edge, reference_cone_contains, reference_excursion_width
 
-from zipfold import glue_halving, regular_ngon
-from zipfold.geodesic import DevelopmentEngine, _excursion_width, _sliver
+from zipfold import EquilateralPolygon, glue_halving, regular_ngon
+from zipfold.geodesic import _ROOT, DevelopmentEngine, _excursion_width, _sliver
 from zipfold.geometry import cross2
 
 ENGINE = DevelopmentEngine(glue_halving(regular_ngon(6), 0))
@@ -178,6 +178,12 @@ def _entered_copies(draw):
     return pts, k, s, (lo, hi, abs(lo), abs(hi))
 
 
+def _entered_through(k, n):
+    """Depths behind entry edge k of an n-edge copy, as the prefilter reads
+    them, that cut no edge but k at any reach."""
+    return [math.inf if j == k else 0.0 for j in range(n)]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(_entered_copies())
 def test_cull_drops_only_empty_clips(entered):
@@ -193,11 +199,15 @@ def test_cull_drops_only_empty_clips(entered):
     offs = [p - s for p in pts]
     culled = {j for j in range(n) if cross2(offs[j], offs[(j + 1) % n]) <= 0.0}
     assert k in culled
-    # below the root the prefilter reads the copy's offsets, vertex 0
-    # repeated, and of the engine only its edge lengths
-    copy = types.SimpleNamespace(edge_lengths=[abs(pts[(j + 1) % n] - pts[j]) for j in range(n)])
-    # at an infinite reach the cull is the prefilter's only skip
-    kept = DevelopmentEngine._edges_in_reach(copy, offs + offs[:1], k, math.inf)
+    # the prefilter develops the copy's offsets itself, here from the copy's
+    # own vertices, vertex 0 repeated, and of the engine reads only those
+    # and its edge lengths
+    copy = types.SimpleNamespace(
+        loop=pts + pts[:1], edge_lengths=[abs(pts[(j + 1) % n] - pts[j]) for j in range(n)]
+    )
+    # at an infinite reach the depth cut keeps every edge but the entry
+    # edge, and the cull is the prefilter's only other skip
+    kept = DevelopmentEngine._edges_in_reach(copy, *_ROOT, s, _entered_through(k, n), 0.0, math.inf)
     assert [j for j, *_ in kept] == sorted(set(range(n)) - culled)
     for j, wa, wb, da, db, x in kept:
         a, b = offs[j], offs[(j + 1) % n]
@@ -227,9 +237,10 @@ def test_a_cone_past_the_entry_edge_clips_culled_edges_outside_it():
     assert not _sliver(cross2(lo, hi), abs(lo), abs(hi))
     # the high ray passes a - s counterclockwise by more than a sliver
     assert not _sliver(cross2(wa, hi), abs(wa), abs(hi)) and cross2(wa, hi) > 0.0
-    offs = [p - s for p in pts]
-    copy = types.SimpleNamespace(edge_lengths=[abs(pts[(j + 1) % n] - p) for j, p in enumerate(pts)])
-    kept = DevelopmentEngine._edges_in_reach(copy, offs + offs[:1], k, math.inf)
+    copy = types.SimpleNamespace(
+        loop=pts + pts[:1], edge_lengths=[abs(pts[(j + 1) % n] - p) for j, p in enumerate(pts)]
+    )
+    kept = DevelopmentEngine._edges_in_reach(copy, *_ROOT, s, _entered_through(k, n), 0.0, math.inf)
     culled = set(range(n)) - {j for j, *_ in kept}
     assert culled == {k, n - 1}  # the entry edge and the edge into a
     for j in culled - {k}:
@@ -237,6 +248,34 @@ def test_a_cone_past_the_entry_edge_clips_culled_edges_outside_it():
         if clip is not None:
             (c_lo, c_hi, _, _), _ = clip
             assert cross2(wa, c_lo) >= 0.0 and cross2(c_lo, c_hi) > 0.0
+
+
+# the 2 x 1 rectangle with its long sides' midpoints: edge 4 runs parallel
+# to edge 0, 1 behind its line
+RECTANGLE = DevelopmentEngine(
+    glue_halving(EquilateralPolygon(((0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1))), 0)
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_bearing, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.05, 0.95), st.floats(1e-3, 2.0))
+def test_the_depth_cut_keeps_an_edge_whose_clip_lies_at_the_reach(turn, x, y, u, h):
+    """A copy of the rectangle entered through edge 0 from a source h short
+    of it: the ray perpendicular to edge 0 meets it at lb = h and edge 4 at
+    h + 1, lb plus edge 4's depth.  At a reach of exactly edge 4's clip
+    distance, that clip pushes, so the prefilter must keep edge 4 whichever
+    way the placement rounds lb, the reach and the depth."""
+    rot, trans = cmath.rect(1.0, turn), complex(x, y)
+    pts = RECTANGLE._develop(rot, trans)
+    a, b = pts[0], pts[1]
+    s = a + u * (b - a) - 1j * h * (b - a)
+    # seen from outside, the entry edge runs clockwise: b's ray is the low one
+    cone = (b - s, a - s, abs(b - s), abs(a - s))
+    _, lb = clip_edge(RECTANGLE, s, a, b, None)
+    _, reach = clip_edge(RECTANGLE, s, pts[4], pts[5], cone)
+    assert RECTANGLE.fans.behind[0][4] == 1.0
+    kept = RECTANGLE._edges_in_reach(rot, trans, s, RECTANGLE.fans.behind[0], lb, reach)
+    assert 4 in [j for j, *_ in kept]
 
 
 def _deg(x):

@@ -54,9 +54,8 @@ def counts(monkeypatch):
     screen = counted("screens", polygon.check_independence)
     monkeypatch.setattr(polygon, "check_independence", screen)
     monkeypatch.setattr(pipeline, "check_independence", screen)
-    checked = counted("validations", polygon.validate)
-    for module in (polygon, pipeline, geodesic):
-        monkeypatch.setattr(module, "validate", checked)
+    # every validation, validate's own and the sampler's, runs the report body
+    monkeypatch.setattr(polygon, "_validation_report", counted("validations", polygon._validation_report))
     for name in ("audit_halving", "verify_polygon"):
         monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
     # a spy wherever the pipeline could look the overhang audit up

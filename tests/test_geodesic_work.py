@@ -9,19 +9,22 @@ report together, since the queries leaving one cone point share their
 pops.
 
 The search clips only the edges its one reach prefilter keeps, at every
-pop, the root's included.  Each popped copy is developed straight into
-offsets from the source; at the root they come from the vertex's root
-fan, which also holds the clip of each edge some root pop has kept so
-far.  The prefilter computes the signed cross2 of each edge's two
-offsets, culls every edge that does not have the source on its inner
-side, compares the cross2 with the reach times the edge's length (a line
-test), and only then measures the two offsets' lengths and reads the edge
-itself; the clip reads the row the prefilter kept.  Every culled edge,
-clipped in full, gives no cone; every other edge the prefilter skips
-gives no cone or a distance beyond the reach, so the clip would have been
-dropped and no push is lost.  The halvings of one polygon share the fans,
-as the pipeline runs them, and the fans re-trace each chord once for both
-its directions.
+pop, the root's included.  Below the root the prefilter first cuts every
+edge whose nearer endpoint lies deeper behind the popped copy's entry
+edge than the reach minus the popped bound (`RootFans.behind`); the root
+cuts none.  It develops the offsets from the source of the edges left,
+computes the signed cross2 of each edge's two offsets, culls every edge
+that does not have the source on its inner side, compares the cross2 with
+the reach times the edge's length (a line test), and only then measures
+the two offsets' lengths and reads the edge itself; the clip reads the row
+the prefilter kept.  Every culled edge, clipped in full, gives no cone;
+every other edge the prefilter skips, the cut ones included, gives no cone
+or a distance beyond the reach, so the clip would have been dropped and no
+push is lost.  The root pop reads its offsets and pushes from the vertex's
+root fan, which runs the prefilter only at a reach wider than before and
+holds the clip of each edge some root pop has kept so far.  The halvings
+of one polygon share the fans, as the pipeline runs them, and the fans
+re-trace each chord once for both its directions.
 
 The search keeps no record of what it has pushed: the clips of a copy's
 edges split its cone into disjoint pieces, so no search pushes one copy
@@ -81,22 +84,24 @@ POPPED = {
 
 # (n, seed) -> clips (`_clip_row` calls) per halving while the distance
 # table is built, on the POPPED seeds, with one RootFans per polygon shared
-# by its halvings in order.  At every pop, the root's included, the
-# prefilter keeps only edges that have the source on their inner side and
-# come within the reach, by their line and by the edge itself.  A root pop
-# clips the kept edges no earlier root pop of the polygon has clipped, so a
-# later hexagon halving, whose longer non-zipper budgets reach farther,
-# clips a few edges the first one left alone
+# by its halvings in order.  Below the root, a pop hands the prefilter only
+# the edges its depth cut leaves within reach behind its entry edge; at
+# every pop, the root's included, the prefilter keeps only edges that have
+# the source on their inner side and come within the reach, by their line
+# and by the edge itself.  A root pop clips the kept edges no earlier root
+# pop of the polygon has clipped, so a later hexagon halving, whose longer
+# non-zipper budgets reach farther, clips a few edges the first one left
+# alone
 CLIPPED = {
-    (6, 0): (26, 14, 18), (6, 1): (26, 14, 12), (6, 2): (29, 9, 10),
-    (6, 3): (21, 21, 8), (6, 4): (36, 16, 24), (6, 5): (31, 14, 17),
-    (6, 6): (22, 9, 12), (6, 7): (24, 9, 15), (6, 8): (20, 9, 10),
-    (6, 9): (29, 12, 14), (6, 10): (31, 18, 25), (6, 11): (22, 12, 6),
-    (6, 12): (19, 8, 21), (6, 13): (34, 13, 12), (6, 14): (20, 13, 14),
-    (6, 15): (22, 14, 7), (6, 16): (23, 11, 14), (6, 17): (20, 16, 8),
-    (6, 18): (20, 13, 12), (6, 19): (25, 15, 13),
-    (8, 0): (16, 7, 2, 3), (8, 1): (17, 1, 4, 2), (8, 2): (17, 4, 1, 0),
-    (8, 3): (19, 0, 0, 5), (8, 4): (16, 0, 0, 0),
+    (6, 0): (23, 13, 13), (6, 1): (23, 14, 10), (6, 2): (28, 8, 7),
+    (6, 3): (19, 19, 8), (6, 4): (31, 14, 19), (6, 5): (26, 12, 14),
+    (6, 6): (22, 9, 10), (6, 7): (20, 8, 15), (6, 8): (20, 6, 10),
+    (6, 9): (26, 11, 11), (6, 10): (27, 18, 18), (6, 11): (21, 11, 6),
+    (6, 12): (19, 8, 20), (6, 13): (30, 9, 11), (6, 14): (20, 10, 11),
+    (6, 15): (20, 11, 6), (6, 16): (22, 9, 11), (6, 17): (20, 14, 6),
+    (6, 18): (19, 10, 10), (6, 19): (23, 13, 10),
+    (8, 0): (16, 2, 0, 0), (8, 1): (16, 0, 2, 0), (8, 2): (16, 2, 0, 0),
+    (8, 3): (16, 0, 0, 2), (8, 4): (16, 0, 0, 0),
 }
 
 
@@ -169,16 +174,22 @@ def test_clip_calls_pinned(monkeypatch):
 
 @pytest.fixture()
 def prefilter_spy(monkeypatch):
-    """Clip in full every edge the reach prefilter skips, at every pop.
+    """Clip in full every edge the depth cut or the reach prefilter skips,
+    at every pop.
 
-    The prefilter reads the popped copy's offsets from the source, the root
-    fan's at the root; every row it keeps must hold the edge's offsets,
-    their lengths and its signed cross2, which is positive.  An edge culled
-    because the source does not lie on its inner side must clip to no cone
-    at all.  Any other skipped clip must give no cone or a distance beyond
-    the reach.  The popped bound is at most the reach at every pop that
-    expands, so that is max(lb, dist) > reach, the test that drops a clip.
-    Culls below the root are counted by the depth of the popped copy.
+    Below the root, the prefilter first cuts every edge whose depth behind
+    the popped copy's entry edge (`RootFans.behind`) is beyond reach + 2 *
+    _REACH_MARGIN - lb; the root cuts none, and runs once per vertex and
+    widest reach.  Every edge the depth cut leaves out must clip to no cone
+    or to a distance beyond the reach against the popped cone.  Every row the
+    prefilter keeps must hold the edge's offsets, as the copy develops
+    them, their lengths and its signed cross2, which is positive.  An edge
+    culled because the source does not lie on its inner side must clip to
+    no cone at all.  Any other skipped clip must give no cone or a distance
+    beyond the reach.  The popped bound is at most the reach at every pop
+    that expands, so that is max(lb, dist) > reach, the test that drops a
+    clip.  Depth cuts and culls below the root are counted by the depth of
+    the popped copy.
     """
     seen = collections.Counter()
     unsound = []
@@ -196,20 +207,22 @@ def prefilter_spy(monkeypatch):
         popped[:] = [heappop(heap)]
         return popped[0]
 
-    def checked(self, offs, entry, reach):
-        kept = edges_in_reach(self, offs, entry, reach)
-        _, _, rot, trans, popped_entry, cone, path = popped[0]
-        assert entry == popped_entry
-        s = source[0]
+    def checked(self, rot, trans, s, behind, lb, reach):
+        kept = edges_in_reach(self, rot, trans, s, behind, lb, reach)
+        popped_lb, _, popped_rot, popped_trans, entry, cone, path = popped[0]
+        assert (rot, trans, s, lb) == (popped_rot, popped_trans, source[0], popped_lb)
         pts = self._develop(rot, trans)
         at_root = entry is None
         limit = reach + _REACH_MARGIN
+        # the root cuts no edge; below it, the depth cut keeps the edges
+        # whose nearer endpoint lies within reach + 2 * _REACH_MARGIN - lb
+        # behind the entry edge, never the entry edge itself
+        assert behind is (self.fans.at_root if at_root else self.fans.behind[entry])
+        bound = reach + 2.0 * _REACH_MARGIN - lb
+        edges = [j for j in range(self.n) if behind[j] <= bound]
+        assert at_root or entry not in edges
         kept_edges = [j for j, *_ in kept]
         assert kept_edges == sorted(kept_edges)
-        # the copy developed straight into offsets from the source, vertex
-        # 0 repeated, with the floats of developing and then subtracting;
-        # the prefilter measures lengths itself
-        assert offs == [p - s for p in pts + pts[:1]]
         for j, wa, wb, da, db, x in kept:
             a, b = pts[j], pts[(j + 1) % self.n]
             # the clip reads the row, and every kept edge is seen
@@ -218,14 +231,21 @@ def prefilter_spy(monkeypatch):
             assert x > 0.0
         for j in range(self.n):
             a, b = pts[j], pts[(j + 1) % self.n]
-            if j == entry or abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
+            if j == entry:
+                continue
+            clip = clip_edge(self, s, a, b, cone)
+            if j not in edges:
+                seen["cut_at_depth_1" if len(path) == 1 else "cut_deeper"] += 1
+                if clip is not None and not clip[1] > reach:
+                    unsound.append(("depth cut", s, a, b, cone, lb, reach, clip))
+                continue
+            if abs(a - s) < _AT_SOURCE or abs(b - s) < _AT_SOURCE:
                 assert j not in kept_edges
                 continue
             if j in kept_edges:
                 # kept for a point inside the edge, its endpoints out of reach
                 seen["kept_inside"] += min(abs(a - s), abs(b - s)) > limit
                 continue
-            clip = clip_edge(self, s, a, b, cone)
             if cross2(a - s, b - s) <= 0.0:
                 seen["culled"] += 1
                 if path:
@@ -264,6 +284,7 @@ def test_prefilter_skips_only_dropped_clips(prefilter_spy, degenerate_hexagon, c
     for g in _spy_gluings(degenerate_hexagon):
         DevelopmentEngine(g, **kwargs).distance_table()
     assert unsound == []
+    assert seen["cut_at_depth_1"] > 0 and seen["cut_deeper"] > 0
     assert seen["skipped_cones"] > 0 and seen["kept"] > 0
     assert seen["root_skipped_cones"] > 0 and seen["root_kept"] > 0
     assert seen["culled_at_depth_1"] > 0 and seen["culled_deeper"] > 0
@@ -279,6 +300,7 @@ def test_prefilter_is_sound_at_exact_reach(prefilter_spy, degenerate_hexagon):
             if res.path is not None:
                 engine.search(i, [Goal(j, res.path.length, False)])
     assert unsound == []
+    assert seen["cut_at_depth_1"] > 0 and seen["cut_deeper"] > 0
     assert seen["skipped_cones"] > 0 and seen["root_skipped_cones"] > 0
     assert seen["culled_at_depth_1"] > 0 and seen["culled_deeper"] > 0
 
@@ -292,6 +314,7 @@ def test_prefilter_is_sound_on_long_edges(prefilter_spy):
         for i in range(3):
             DevelopmentEngine(glue_halving(big, i)).distance_table()
     assert unsound == []
+    assert seen["cut_at_depth_1"] > 0 and seen["cut_deeper"] > 0
     assert seen["skipped_cones"] > 0 and seen["root_skipped_cones"] > 0
     assert seen["culled"] > 0
 
@@ -308,6 +331,7 @@ def test_prefilter_is_sound_past_both_endpoints(prefilter_spy):
                 engine.enumerate_geodesics(a, b, 2.5)
                 engine.enumerate_geodesics(a, b, 3.5)
     assert unsound == []
+    assert seen["cut_at_depth_1"] > 0 and seen["cut_deeper"] > 0
     assert seen["kept_inside"] > 0 and seen["skipped_cones"] > 0
     assert seen["culled_at_depth_1"] > 0 and seen["culled_deeper"] > 0
 

@@ -42,12 +42,12 @@ def test_the_stored_digests_name_every_slice(identity):
             ("screen", identity.BOUNDS), ("fold", identity.FOLD_CAPS),
         )
         for family in identity.SECTIONS[name].families
-        if family != identity.CROSSING
+        if family not in (identity.CROSSING, identity.REACH)
         for cap in caps
     }
-    expected.add(f"tables/{identity.CROSSING}/100000")
+    expected |= {f"tables/{identity.CROSSING}/100000", f"tables/{identity.REACH}/100000"}
     assert set(_stored(identity)["digests"]) == expected
-    assert len(expected) == 118
+    assert len(expected) == 119
 
 
 def test_the_crossing_family_finds_every_two_crossing_path(identity):

@@ -1,8 +1,11 @@
 """The halvings of one polygon share its root fans and lose nothing by it.
 
 Every search root is a vertex of the untransformed polygon, so the root
-fan (the offset of each vertex and the clip of each edge)
-and the re-trace of each chord come out the same in every halving.  A
+fan (the offset of each vertex, the clip of each edge and the root pop's
+pushes at each reach) and the re-trace of each chord come out the same in
+every halving.  So does `behind`, the depth of each edge behind each
+other edge's line, which bounds how near the source anything a cone
+through that edge reaches can lie.  A
 distance table built through one shared `RootFans` must equal, `repr` for
 `repr`, the table an engine with its own fans builds, whichever halving
 fills the fans first.  The fans re-trace a chord once, from its lower
@@ -12,11 +15,14 @@ consecutive vertices, so fans refuse one that is not.
 """
 
 import collections
+import functools
 import itertools
 import math
 import os
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zipfold import (
     EquilateralPolygon,
@@ -30,6 +36,7 @@ from zipfold import (
     solve_closure,
 )
 from zipfold.cli import main
+from zipfold.geometry import cross2, dot2, point_segment_distance
 from zipfold.geodesic import (
     DevelopmentEngine,
     RootFans,
@@ -220,3 +227,63 @@ def test_overhang_leaves_out_an_edge_whose_width_is_rounding():
     rep = overhang_audit(g, 0)
     assert [(v, j) for v, j, _ in rep.per_edge] == [(0, 1)]
     assert rep.max_width == rep.per_edge[0][2] > 0.02
+
+
+@functools.cache
+def _fat_fans(n, seed):
+    return RootFans(sample_fat_ngon(n, seed))
+
+
+def _edge_points(s, c, d, rays, along):
+    """Points of edge [c, d]: its endpoints, the fractions `along` of it,
+    its nearest point to s, and where each ray from s meets it."""
+    cd = d - c
+    fractions = [0.0, 1.0, *along, min(1.0, max(0.0, dot2(s - c, cd) / dot2(cd, cd)))]
+    for ray in rays:
+        denom = cross2(cd, ray)
+        if denom != 0.0:
+            fractions.append(cross2(s - c, ray) / denom)
+    return [c + v * cd for v in fractions if 0.0 <= v <= 1.0]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    st.sampled_from((6, 8, 10)), st.integers(0, 9), st.integers(0, 9),
+    st.floats(-1.0, 2.0), st.floats(1e-3, 3.0),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), max_size=4),
+)
+def test_a_cone_through_an_edge_reaches_nothing_nearer_than_the_depth_behind_it(n, seed, k, t, h, u1, u2, along):
+    """A source behind edge e of a fat polygon and a sub-cone of the
+    directions through e: every point x of another edge j that a ray of the
+    cone reaches lies at least dist(s, the cone's part of e) plus j's depth
+    `behind[e][j]` from s.  The ray crosses e's line at y, so |x - s| =
+    |y - s| + |x - y|, and |x - y| is at least x's depth behind e's line,
+    which along j is least at j's nearer endpoint."""
+    fans = _fat_fans(n, seed)
+    pts = fans.points
+    e = k % n
+    a, b = pts[e], pts[(e + 1) % n]
+    # the polygon turns counterclockwise, so -1j * (b - a) points out of it
+    s = a + t * (b - a) - 1j * h * (b - a)
+    u1, u2 = sorted((u1, u2))
+    q1, q2 = a + u1 * (b - a), a + u2 * (b - a)
+    lo, hi = q2 - s, q1 - s  # seen from outside, e runs clockwise
+    assume(cross2(lo, hi) > 0.0)
+    reached = point_segment_distance(s, q1, q2)
+    assert fans.behind[e][e] == math.inf  # the depth cut never keeps the entry edge
+    for j, depth in enumerate(fans.behind[e]):
+        if j == e:
+            continue
+        c, d = pts[j], pts[(j + 1) % n]
+        # the depth of j's nearer endpoint behind e's line, into the polygon
+        assert depth == pytest.approx(min(cross2(b - a, c - a), cross2(b - a, d - a)) / abs(b - a), abs=1e-12)
+        assert depth >= -1e-12
+        for x in _edge_points(s, c, d, (lo, hi), along):
+            w = x - s
+            # a point where a ray meets j counts as reached whichever side
+            # of the ray rounding puts it
+            on_ray = any(
+                abs(cross2(ray, w)) <= 1e-12 * abs(ray) * abs(w) and dot2(ray, w) > 0.0 for ray in (lo, hi)
+            )
+            if on_ray or (cross2(lo, w) >= 0.0 and cross2(w, hi) >= 0.0):
+                assert abs(w) >= reached + depth - 1e-12, (j, x)

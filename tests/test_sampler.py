@@ -122,15 +122,30 @@ def counts(monkeypatch):
 
         return wrapper
 
-    for name in ("solve_closure", "validate", "check_independence"):
+    for name in ("solve_closure", "validate", "_validation_report", "check_independence"):
         monkeypatch.setattr(polygon, name, counted(name, getattr(polygon, name)))
+    first_close_pair = polygon.first_close_pair
+
+    def close_pair_scan(points, cutoff):
+        seen[f"close pairs within {cutoff}"] += 1
+        return first_close_pair(points, cutoff)
+
+    monkeypatch.setattr(polygon, "first_close_pair", close_pair_scan)
     return seen
 
 
 @pytest.mark.parametrize("n, count, fat", [(8, 20, True), (10, 10, True), (8, 20, False)])
 def test_one_closure_and_one_validation_per_sample(n, count, fat, counts):
+    """Each sample closes once and is validated once, by validate's report
+    body: solve_closure has already scanned both branches for vertex pairs
+    within its coincidence cutoff, which covers validate's repeated-vertex
+    scan, so that scan does not run again."""
     # without the winding check, thin octagons would close 1 to 21 times each
-    want = collections.Counter(solve_closure=1, validate=1, check_independence=int(fat))
+    want = collections.Counter(
+        solve_closure=1, _validation_report=1, check_independence=int(fat),
+        **{f"close pairs within {polygon._COINCIDENT_CUTOFF}": 2},
+    )
+    assert polygon._REPEATED_VERTEX_CUTOFF <= polygon._COINCIDENT_CUTOFF
     for seed in range(count):
         counts.clear()
         _sample_ngon(n, seed, fat=fat, require_independent=fat)
