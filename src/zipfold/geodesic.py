@@ -753,29 +753,28 @@ class DevelopmentEngine:
         subtracting does.
 
         An edge is cut when its depth is beyond reach + 2 * _REACH_MARGIN -
-        lb: every point of it that a ray of the copy's cone reaches lies at
-        least lb + depth from s.  It is culled when its cross2 is at most 0
-        (s is not on its inner side), or when its line lies farther than
-        reach + _REACH_MARGIN from s (cross2 / |b - a| is that distance);
-        only then are its offsets measured, and it is skipped when an
-        endpoint lies at s or the edge itself lies out of reach.  The clip
-        keeps part of the edge, so its distance is at least both; the
-        popped bound is at most reach at every pop that expands, so such a
-        clip gives no push.
+        lb; the entry edge's depth is inf, so it is always cut.  Every
+        point of a cut edge that a ray of the copy's cone reaches lies at
+        least lb + depth from s, and the margin covers the rounding of the
+        depth, lb and the clip.  An edge is culled when its cross2 is at
+        most 0 (s is not on its inner side), or when its line lies farther
+        than reach + _REACH_MARGIN from s (cross2 / |b - a| is that
+        distance); only then are its offsets measured, and it is skipped
+        when an endpoint lies at s or the edge itself lies out of reach.
+        The clip keeps part of the edge, so its distance is at least both;
+        the popped bound is at most reach at every pop that expands, so
+        such a clip gives no push.
         """
         bound = reach + 2.0 * _REACH_MARGIN - lb
         limit = reach + _REACH_MARGIN
         loop = self.loop
         lengths = self.edge_lengths
         kept = []
-        wb = None
-        nxt = -1  # the edge that starts at wb's vertex
         for j, depth in enumerate(behind):
             if depth > bound:
                 continue
-            wa = wb if j == nxt else rot * loop[j] + trans - s
-            nxt = j + 1
-            wb = rot * loop[nxt] + trans - s
+            wa = rot * loop[j] + trans - s
+            wb = rot * loop[j + 1] + trans - s
             c = wa.real * wb.imag - wa.imag * wb.real
             if c <= 0.0 or c > limit * lengths[j]:
                 continue
