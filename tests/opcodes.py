@@ -57,10 +57,10 @@ def _count_opcodes(fn, *args):
     return counts
 
 
-def opcodes_per_op(count, seed):
-    """{workload: Counter of opcodes per op by code object} over the first
-    `count` inputs of `seed`; a Counter's total is the workload's opcodes
-    per op."""
+def opcode_counts(count, seed):
+    """{workload: (inputs, Counter of opcodes by code object)}: the
+    opcodes run over the first `count` inputs of `seed`, summed, and the
+    number of those inputs."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import run  # perfbench/run.py
     import zipfold
@@ -76,8 +76,18 @@ def opcodes_per_op(count, seed):
             codes = collections.Counter()
             for item in items:
                 codes += _count_opcodes(workload.op, zipfold, item)
-        out[name] = collections.Counter({c: k / len(items) for c, k in codes.items()})
+        out[name] = len(items), codes
     return out
+
+
+def opcodes_per_op(count, seed):
+    """{workload: Counter of opcodes per op by code object} over the first
+    `count` inputs of `seed`; a Counter's total is the workload's opcodes
+    per op."""
+    return {
+        name: collections.Counter({c: k / inputs for c, k in codes.items()})
+        for name, (inputs, codes) in opcode_counts(count, seed).items()
+    }
 
 
 def _where(code):
