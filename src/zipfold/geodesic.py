@@ -79,6 +79,7 @@ arcs are parameterized from the same fold vertex, so the copy across an
 edge is a rotated (never mirrored) polygon.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -136,9 +137,10 @@ _WIDTH_FLOOR = 1e-12
 
 # the (rot, trans) of the untransformed polygon, where searches and re-traces start
 _ROOT = (1.0 + 0.0j, 0.0j)
-# the order of a goal's finds: an enumeration lists them in it, and a shortest
-# query reports the first
-_FIND_ORDER = operator.attrgetter("length", "source_vertex", "edge_path")
+# the order of a goal's finds, (length, source vertex, edge path, target
+# vertex) tuples: an enumeration lists them in it, and a shortest query
+# reports the first
+_FIND_ORDER = operator.itemgetter(0, 1, 2)
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -210,42 +212,55 @@ class Goal(NamedTuple):
 
 
 class _GoalState:
-    """A goal's progress through one shared search, across its roots."""
+    """A goal's slot, which one shared search writes across its roots.
+
+    It holds the goal: its target cone-point index and the target's
+    vertices, its budget, its limit (the budget plus _BOUND_SLACK, which
+    distances and bounds compare with) and whether it stops at its first
+    find.  The search writes the rest: the cut (a pop whose bound is past
+    it retires the goal), the developments, the frontier (inf unless the
+    search ran out of developments first) and the finds, each a raw
+    (length, source vertex, edge path, target vertex) tuple.  The distance
+    table's verdicts read the slot; a GeodesicPath and a ShortestResult or
+    EnumerationResult are built only by `result`.
+    """
 
     __slots__ = (
-        "limit", "stop_at_first", "target_cone", "targets",
+        "target", "targets", "budget", "limit", "stop_at_first",
         "finds", "cut", "developments", "frontier",
     )
 
-    def __init__(self, goal, target_cone):
-        self.limit = goal.budget + _BOUND_SLACK  # what distances and bounds compare with
-        self.stop_at_first = goal.stop_at_first
-        self.target_cone = target_cone
-        self.targets = target_cone.vertices
+    def __init__(self, target, targets, budget, stop_at_first):
+        self.target = target
+        self.targets = targets
+        self.budget = budget
+        self.limit = budget + _BOUND_SLACK
+        self.stop_at_first = stop_at_first
         # no find comes twice: one root's nodes have distinct edge paths
         self.finds = []
-        self.cut = self.limit  # a pop whose bound is past the cut retires the goal
         self.developments = 0
         self.frontier = math.inf
 
-    def take(self, path):
-        """Record a re-traced path as one of the goal's finds; a shortest
-        query's cut drops to its shortest find."""
-        self.finds.append(path)
-        if self.stop_at_first:
-            self.cut = min(self.cut, path.length)
-
-    def result(self):
-        paths = self.finds
-        exhausted = self.frontier < math.inf
-        if not self.stop_at_first:
-            paths.sort(key=_FIND_ORDER)
-            return EnumerationResult(tuple(paths), not exhausted, self.developments)
+    def best(self):
+        """A shortest query's status and its shortest find's length (None:
+        no find)."""
+        length = min(self.finds)[0] if self.finds else None
         # an exhausted search may still certify its best find if nothing
         # cheaper was left open; be conservative and flag it instead
-        best = min(paths, key=_FIND_ORDER, default=None)
-        status = INCONCLUSIVE if exhausted else NOT_FOUND if best is None else FOUND
-        return ShortestResult(status, best, self.developments, self.frontier)
+        status = INCONCLUSIVE if self.frontier < math.inf else NOT_FOUND if length is None else FOUND
+        return status, length
+
+    def result(self, source):
+        """The goal's ShortestResult or EnumerationResult; `source` is the
+        source cone point.  The sort keeps equal keys in find order, so a
+        shortest query's path is its first find in _FIND_ORDER."""
+        paths = tuple(
+            GeodesicPath(tuple(source.vertices), tuple(self.targets), sv, tv, length, edge_path)
+            for length, sv, edge_path, tv in sorted(self.finds, key=_FIND_ORDER)
+        )
+        if not self.stop_at_first:
+            return EnumerationResult(paths, self.frontier == math.inf, self.developments)
+        return ShortestResult(self.best()[0], paths[0] if paths else None, self.developments, self.frontier)
 
 
 class RootFans:
@@ -538,14 +553,6 @@ class DevelopmentEngine:
             return None
         return abs(end - s)
 
-    def _path(self, source_cone, target_cone, sv, tv, edge_path, length):
-        """The GeodesicPath of a re-traced candidate (None: rejected)."""
-        if length is None:
-            return None
-        return GeodesicPath(
-            tuple(source_cone.vertices), tuple(target_cone.vertices), sv, tv, length, edge_path
-        )
-
     # -- the root fan ---------------------------------------------------------
 
     def _root_fan(self, sv, reach):
@@ -605,41 +612,58 @@ class DevelopmentEngine:
         Returns (results, developments): per goal a ShortestResult (for a
         goal that stops at its first find) or an EnumerationResult, each
         identical to what a search for that goal alone would give, and the
-        number of developments this shared search popped.  A budget must
-        be positive (inf included); zero, a negative budget and NaN raise
-        GeodesicError.
+        number of developments this shared search popped.  Each goal gets
+        a slot (_GoalState) that the search writes, and its result is
+        built from the slot once the search is done.  A cone-point index
+        outside the gluing, a target equal to the source, and a budget
+        that is not positive (zero, negative or NaN; inf is allowed)
+        raise GeodesicError.
         """
         cps = self.gluing.cone_points
-        source_cone = cps[src_idx]
+        for idx in (src_idx, *[goal.target for goal in goals]):
+            if not 0 <= idx < len(cps):
+                raise GeodesicError(f"no cone point {idx} in a gluing of {len(cps)}")
         states = []
         for goal in goals:
-            target_cone = cps[goal.target]
-            if source_cone is target_cone:
+            if goal.target == src_idx:
                 raise GeodesicError("source and target cone points coincide")
             if not goal.budget > 0:
                 raise GeodesicError("budget must be positive")
-            states.append(_GoalState(goal, target_cone))
-        if not states:
-            return [], 0
+            states.append(_GoalState(goal.target, cps[goal.target].vertices, goal.budget, goal.stop_at_first))
+        popped = self._search(src_idx, states) if states else 0
+        return [st.result(cps[src_idx]) for st in states], popped
+
+    def _search(self, src_idx, states):
+        """Run one shared search from cone point src_idx for the goal slots
+        `states`, at least one, writing each slot; returns the pops.
+
+        Each vertex of the source cone is a root, searched in turn.  The
+        floor and the reach a root starts from, the smallest and the
+        largest limit, are the same for every root."""
+        limits = [st.limit for st in states]
+        floor, reach = min(limits), max(limits)
         popped = 0
-        for sv in source_cone.vertices:
-            popped += self._search_root(source_cone, sv, states)
-        return [st.result() for st in states], popped
+        for sv in self.gluing.cone_points[src_idx].vertices:
+            popped += self._search_root(sv, states, floor, reach)
+        return popped
 
-    def _search_root(self, source_cone, sv, states):
-        """Develop from vertex sv until every goal has retired; returns the pops.
+    def _search_root(self, sv, states, floor, reach):
+        """Develop from vertex sv until every goal slot has retired; returns
+        the pops.
 
-        A goal's limit is its budget plus _BOUND_SLACK.  Pushes are pruned
-        at the largest live limit, the reach.  One with a lower bound
-        between two limits only pops after the smaller goal has retired
-        (pops come in bound order), and so do its descendants, whose
-        bounds are no smaller; the smaller goal's own search would have
-        pruned it.  The pushes both searches make come in the same order,
-        so ties pop alike.  Each goal therefore retires at exactly the pop
-        where its own search would have stopped, having seen the same pops
-        before it.  The goals are swept for retirement only at a pop whose
-        bound passes the floor, the smallest live cut, or at the cap; a
-        find that lowers a cut lowers the floor.
+        Every slot's cut starts at its limit, so `floor` and `reach`, the
+        smallest and the largest limit, are the root's floor and reach at
+        its first pop.  Pushes are pruned at the largest live limit, the
+        reach.  One with a lower bound between two limits only pops after
+        the smaller goal has retired (pops come in bound order), and so do
+        its descendants, whose bounds are no smaller; the smaller goal's
+        own search would have pruned it.  The pushes both searches make
+        come in the same order, so ties pop alike.  Each goal therefore
+        retires at exactly the pop where its own search would have
+        stopped, having seen the same pops before it.  The goals are swept
+        for retirement only at a pop whose bound passes the floor, the
+        smallest live cut, or at the cap; a find that lowers a cut lowers
+        the floor.
 
         Every pop runs one target test and one push loop.  A pop below the
         root develops each target vertex as an offset from s, rot * p +
@@ -653,7 +677,9 @@ class DevelopmentEngine:
         its clips with every engine of the polygon; it has no entry edge,
         and its chords come from the fans' re-traces.  A heap entry is
         (bound, tie, rot, trans, entry edge, cone, edge path), the copy
-        placed by rot and trans; ties pop in push order.
+        placed by rot and trans; ties pop in push order.  A re-traced
+        target is appended to each slot it serves as a raw find, and a
+        shortest query's cut drops to its shortest find.
         """
         s = self.points[sv]
         loop = self.loop
@@ -663,8 +689,6 @@ class DevelopmentEngine:
         behind = self.fans.behind
         for st in states:
             st.cut = st.limit
-        floor = min([st.cut for st in states])
-        reach = max([st.limit for st in states])
         live = states
         heap = [(0.0, 0, *_ROOT, None, None, ())]
         tie = 1
@@ -696,7 +720,7 @@ class DevelopmentEngine:
                 # boundary: a segment ending there stops on the entry edge,
                 # one crossing short
                 on_entry = (entry, (entry + 1) % n)
-            finalized = {}  # target vertex -> re-traced path (None: rejected)
+            finalized = {}  # target vertex -> its re-traced find (None: rejected)
             for st in live:
                 for tv in st.targets:
                     if tv in on_entry:
@@ -717,12 +741,14 @@ class DevelopmentEngine:
                             length = self._root_chord(sv, tv)
                         else:
                             length = self._finalize(sv, tv, rot, trans, path, rot * loop[tv] + trans)
-                        finalized[tv] = self._path(source_cone, st.target_cone, sv, tv, path, length)
+                        finalized[tv] = None if length is None else (length, sv, path, tv)
                     found = finalized[tv]
                     if found is not None:
-                        st.take(found)
-                        if st.cut < floor:
-                            floor = st.cut
+                        st.finds.append(found)
+                        if st.stop_at_first and found[0] < st.cut:
+                            st.cut = found[0]
+                            if st.cut < floor:
+                                floor = st.cut
             if entry is not None:
                 pushes = []
                 for j, wa, wb, da, db, x in self._edges_in_reach(rot, trans, s, behind[entry], lb, reach):
@@ -791,12 +817,10 @@ class DevelopmentEngine:
         return kept
 
     def shortest_geodesic(self, src_idx, dst_idx, budget):
-        results, _ = self.search(src_idx, [Goal(dst_idx, budget, True)])
-        return results[0]
+        return self.search(src_idx, [Goal(dst_idx, budget, True)])[0][0]
 
     def enumerate_geodesics(self, src_idx, dst_idx, budget):
-        results, _ = self.search(src_idx, [Goal(dst_idx, budget, False)])
-        return results[0]
+        return self.search(src_idx, [Goal(dst_idx, budget, False)])[0][0]
 
     def distance_table(self):
         """The gluing's distance table at the engine's tolerances, built on
@@ -819,8 +843,14 @@ class DistanceTable:
     itself a path on the surface, so it always suffices.  Each zipper pair
     (i, j), in the zipper's direction, is also enumerated from i up to
     1 - tol_geodesic.  All queries leaving one cone point share one search
-    (DevelopmentEngine.search), and `developments` counts what the shared
+    (DevelopmentEngine._search), and `developments` counts what the shared
     searches popped.  The table reads the engine's tolerances.
+
+    Each query is a goal slot (_GoalState) that the search writes:
+    `shortest[(i, j)]` for the pair (i, j), i < j, and `enumerated[(i, j)]`
+    for the zipper pair.  The verdicts (`pair_disk`, `tetra_metric` and the
+    pipeline's zipper checks) read the slots.  `entries`, `enumerations`
+    and `result` build the result named tuples from them on first use.
     """
 
     def __init__(self, engine):
@@ -829,37 +859,46 @@ class DistanceTable:
         self.tol = engine.tol
         zipper_pairs = gluing.zipper_pairs()
         self.zipper = {frozenset(p) for p in zipper_pairs}
-        self.entries = {}  # (i, j) with i < j -> (ShortestResult, budget)
-        # zipper pair (i, j), in the zipper's direction -> EnumerationResult
-        self.enumerations = {}
+        self.shortest = {}
+        self.enumerated = {}
         self.developments = 0
-        enumerated = {}  # i -> the goals enumerating its zipper pairs (i, j)
-        for i, j in zipper_pairs:
-            enumerated.setdefault(i, []).append(Goal(j, 1.0 - self.tol.tol_geodesic, False))
-        m = len(gluing.cone_points)
+        # i -> [j] for the zipper pair (i, j): the zipper is a path, so no
+        # cone point starts two of its pairs
+        zipping = {i: [j] for i, j in zipper_pairs}
+        cps = gluing.cone_points
+        m = len(cps)
+        hexagon = gluing.n == 6
         for i in range(m):
-            goals = []
+            states = []
             for j in range(i + 1, m):
                 reach = 1.0
-                if gluing.n == 6 and frozenset((i, j)) not in self.zipper:
-                    chord = min(
-                        abs(engine.points[u] - engine.points[w])
-                        for u in gluing.cone_points[i].vertices
-                        for w in gluing.cone_points[j].vertices
-                    )
-                    reach = max(reach, chord)
-                goals.append(Goal(j, reach + BUDGET_SLACK, True))
-            goals += enumerated.get(i, ())
-            results, popped = engine.search(i, goals)
-            self.developments += popped
-            for goal, res in zip(goals, results):
-                if goal.stop_at_first:
-                    self.entries[(i, goal.target)] = (res, goal.budget)
-                else:
-                    self.enumerations[(i, goal.target)] = res
+                if hexagon and frozenset((i, j)) not in self.zipper:
+                    # the shortest interior chord between representatives
+                    reach = max(reach, min(
+                        abs(engine.points[u] - engine.points[w]) for u in cps[i].vertices for w in cps[j].vertices
+                    ))
+                st = self.shortest[i, j] = _GoalState(j, cps[j].vertices, reach + BUDGET_SLACK, True)
+                states.append(st)
+            for j in zipping.get(i, ()):
+                st = self.enumerated[i, j] = _GoalState(j, cps[j].vertices, 1.0 - self.tol.tol_geodesic, False)
+                states.append(st)
+            self.developments += engine._search(i, states)
+
+    @functools.cached_property
+    def entries(self):
+        """(i, j) with i < j -> (ShortestResult, budget)."""
+        return {(i, j): (st.result(self.gluing.cone_points[i]), st.budget) for (i, j), st in self.shortest.items()}
+
+    @functools.cached_property
+    def enumerations(self):
+        """Zipper pair (i, j), in the zipper's direction -> EnumerationResult."""
+        return {(i, j): st.result(self.gluing.cone_points[i]) for (i, j), st in self.enumerated.items()}
 
     def result(self, i, j):
-        return self.entries[(min(i, j), max(i, j))][0]
+        try:
+            return self.entries[min(i, j), max(i, j)][0]
+        except KeyError:
+            raise GeodesicError(f"({i}, {j}) is not a pair of distinct cone points of the gluing") from None
 
     def pair_disk(self, pair, radius=1.0):
         """What cone-point pair (i, j), i < j, says of the open radius disk
@@ -867,14 +906,18 @@ class DistanceTable:
         radius - tol_geodesic, of the table's tolerances; else SETTLED when
         its search covered the whole radius (it finished within its budget,
         or ran out of developments at a frontier beyond the radius); else
-        UNSETTLED.  A radius that is not positive (NaN included) raises
+        UNSETTLED.  It reads the pair's slot.  A radius that is not
+        positive (NaN included), and a pair that is not one, raise
         GeodesicError."""
         if not radius > 0.0:
             raise GeodesicError("disk radius must be positive")
-        res, budget = self.entries[pair]
-        if res.path is not None and res.path.length < radius - self.tol.tol_geodesic:
+        try:
+            st = self.shortest[pair]
+        except KeyError:
+            raise GeodesicError(f"{pair} is not a pair (i, j), i < j, of the gluing's cone points") from None
+        if st.finds and min(st.finds)[0] < radius - self.tol.tol_geodesic:
             return WITNESS
-        return UNSETTLED if min(budget, res.frontier) < radius else SETTLED
+        return UNSETTLED if min(st.budget, st.frontier) < radius else SETTLED
 
     def disk(self, center_idx, radius=1.0):
         """Is the open geodesic disk around a cone point free of other cone points?
@@ -887,6 +930,7 @@ class DistanceTable:
         if not 0.0 < radius <= 1.0:
             raise GeodesicError("disk radius must lie in (0, 1]")
         cps = self.gluing.cone_points
+        # pair_disk refuses a center outside the gluing
         rules = {
             k: self.pair_disk((min(k, center_idx), max(k, center_idx)), radius)
             for k in range(len(cps)) if k != center_idx
@@ -909,14 +953,11 @@ class DistanceTable:
             raise GeodesicError("tetrahedron metric needs a hexagon gluing (4 cone points)")
         tol = self.tol.tol_geodesic
         dists = {}
-        for (i, j), name in zip(itertools.combinations(range(4), 2), PAIRS):
-            res = self.result(i, j)
-            if not res.found:
-                raise GeodesicNotFoundError(
-                    f"distance {name} not resolved (status {res.status})", status=res.status
-                )
-            d = res.path.length
-            if fat and frozenset((i, j)) in self.zipper and abs(d - 1.0) > tol:
+        for pair, name in zip(itertools.combinations(range(4), 2), PAIRS):
+            status, d = self.shortest[pair].best()
+            if status != FOUND:
+                raise GeodesicNotFoundError(f"distance {name} not resolved (status {status})", status=status)
+            if fat and frozenset(pair) in self.zipper and abs(d - 1.0) > tol:
                 raise GeodesicError(f"zipper distance {name} = {d!r} deviates from 1")
             dists["d_" + name] = d
         metric = TetraMetric(**dists)

@@ -157,15 +157,15 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
     search per cone point, answering a shortest query per unordered
     cone-point pair and the zipper enumerations) supplies the zipper
     lengths, the "nothing shorter" check, the unit-disk verdicts and, for
-    hexagons, the tetrahedron metric.  For n > 6 there is no general
-    embedding step, so the audit stops after the intrinsic checks
-    (curvatures, zipper distances, disk emptiness).  `fat` is the source's
-    validation verdict, which only the tetrahedron reads, when the caller
-    has it (None: a hexagon validates here), and `fans` the polygon's
-    RootFans, which the engines of all its halvings share (None: the
-    engine makes its own).  The audit keeps the gluing and, for a hexagon
-    that embeds, the metric, the tetrahedron and its net, which `fold`
-    writes out.
+    hexagons, the tetrahedron metric, all read from the table's goal
+    slots.  For n > 6 there is no general embedding step, so the audit
+    stops after the intrinsic checks (curvatures, zipper distances, disk
+    emptiness).  `fat` is the source's validation verdict, which only the
+    tetrahedron reads, when the caller has it (None: a hexagon validates
+    here), and `fans` the polygon's RootFans, which the engines of all its
+    halvings share (None: the engine makes its own).  The audit keeps the
+    gluing and, for a hexagon that embeds, the metric, the tetrahedron and
+    its net, which `fold` writes out.
     """
     tol = cfg.tolerances
     g = gl.glue_halving(poly, fold_index, tol.tol_len)
@@ -179,17 +179,17 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
     statuses = []
     empties = []
     for i, j in g.zipper_pairs():
-        enum = table.enumerations[(i, j)]
-        empties.append(_tri(len(enum.paths) == 0) if enum.complete else INCONC)
-        res = table.result(i, j)
-        if res.status != FOUND:
-            statuses.append(INCONC if res.status == INCONCLUSIVE else FAIL)
+        enum = table.enumerated[i, j]
+        empties.append(_tri(not enum.finds) if enum.frontier == math.inf else INCONC)
+        status, length = table.shortest[min(i, j), max(i, j)].best()
+        if status != FOUND:
+            statuses.append(INCONC if status == INCONCLUSIVE else FAIL)
             lengths.append(float("nan"))
             continue
-        lengths.append(res.path.length)
-        statuses.append(_tri(abs(res.path.length - 1.0) <= tol.tol_geodesic))
+        lengths.append(length)
+        statuses.append(_tri(abs(length - 1.0) <= tol.tol_geodesic))
     audit.zipper_lengths = tuple(lengths)
-    disks = combine(_PAIR_STATUS[table.pair_disk(pair)] for pair in table.entries)
+    disks = combine(_PAIR_STATUS[table.pair_disk(pair)] for pair in table.shortest)
     audit.statuses = dict(zip(_SURFACE_LINES, (disks, combine(statuses), combine(empties))))
 
     if poly.n != 6:

@@ -36,21 +36,22 @@ def counts(monkeypatch):
     monkeypatch.setattr(
         DevelopmentEngine, "__init__", counted("engines", DevelopmentEngine.__init__)
     )
-    search = DevelopmentEngine.search
+    # the shared search every query runs, with its goal slots
+    search = DevelopmentEngine._search
     asked = set()
 
-    def counted_search(self, src_idx, goals):
+    def counted_search(self, src_idx, states):
         seen["searches"] += 1
-        for goal in goals:
-            if goal.stop_at_first:
+        for st in states:
+            if st.stop_at_first:
                 seen["shortest"] += 1
-                asked.add((self.gluing.fold_index, frozenset((src_idx, goal.target))))
+                asked.add((self.gluing.fold_index, frozenset((src_idx, st.target))))
                 seen["pairs"] = len(asked)
             else:
                 seen["enumerations"] += 1
-        return search(self, src_idx, goals)
+        return search(self, src_idx, states)
 
-    monkeypatch.setattr(DevelopmentEngine, "search", counted_search)
+    monkeypatch.setattr(DevelopmentEngine, "_search", counted_search)
     screen = counted("screens", polygon.check_independence)
     monkeypatch.setattr(polygon, "check_independence", screen)
     monkeypatch.setattr(pipeline, "check_independence", screen)

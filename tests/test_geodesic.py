@@ -268,6 +268,40 @@ def test_source_and_target_must_differ(regular_hexagon):
         DevelopmentEngine(g).shortest_geodesic(1, 1, budget=1.0)
 
 
+@pytest.mark.parametrize(
+    "other", [-1, -4, 4, 9, 0], ids=["negative", "negative_to_the_source", "one_past", "far_past", "the_source"]
+)
+def test_a_cone_point_index_outside_the_gluing_is_refused(regular_hexagon, monkeypatch, other):
+    """The gluing has cone points 0-3.  A negative index once answered for
+    the cone point it wraps to, and one past the last raised IndexError or
+    KeyError; every entry point raises GeodesicError, before any pop.  Index
+    0 is the source of the queries from 0, and no pair with itself."""
+    engine = DevelopmentEngine(glue_halving(regular_hexagon, 0))
+    table = engine.distance_table()
+    pops = []
+    monkeypatch.setattr(DevelopmentEngine, "_search_root", lambda *args: pops.append(args))
+    calls = [
+        lambda: engine.shortest_geodesic(0, other, 1.5),
+        lambda: engine.enumerate_geodesics(0, other, 1.5),
+        lambda: engine.search(0, [Goal(1, 1.5, True), Goal(other, 1.5, False)]),
+        lambda: table.result(0, other),
+        lambda: table.result(other, 0),
+        lambda: table.pair_disk((min(0, other), max(0, other))),
+        lambda: table.pair_disk((0, other)),
+    ]
+    if other != 0:
+        calls += [
+            lambda: engine.shortest_geodesic(other, 1, 1.5),
+            lambda: engine.enumerate_geodesics(other, 1, 1.5),
+            lambda: engine.search(other, []),
+            lambda: table.disk(other),
+        ]
+    for call in calls:
+        with pytest.raises(GeodesicError):
+            call()
+    assert pops == []
+
+
 @pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0])
 def test_a_budget_that_is_not_positive_is_refused_before_any_pop(fat_pool_small, monkeypatch, budget):
     """`budget <= 0` is false for NaN, which a NaN budget once slipped

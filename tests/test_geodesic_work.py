@@ -199,9 +199,9 @@ def prefilter_spy(monkeypatch):
     edges_in_reach = DevelopmentEngine._edges_in_reach
     heappop = heapq.heappop
 
-    def root(self, source_cone, sv, *args):
+    def root(self, sv, *args):
         source[:] = [self.points[sv]]
-        return search_root(self, source_cone, sv, *args)
+        return search_root(self, sv, *args)
 
     def pop(heap):
         popped[:] = [heappop(heap)]

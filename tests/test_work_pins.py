@@ -73,10 +73,9 @@ def test_opcodes_equal_the_pins():
         stored = json.load(fh)
     if VERSION not in stored:
         pytest.skip(f"no work pins for Python {VERSION}; `python tests/test_work_pins.py --write` writes them")
-    out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__)], capture_output=True, text=True, check=True, timeout=120
-    ).stdout
-    got = json.loads(out)
+    run = subprocess.run([sys.executable, os.path.abspath(__file__)], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
     pinned = stored[VERSION]
     assert got.keys() == pinned.keys()
     moved = {name: _moved(pinned[name], got[name]) for name in got if got[name] != pinned[name]}
