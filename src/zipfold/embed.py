@@ -58,16 +58,14 @@ class TetraMetric:
     def as_dict(self):
         return {name: getattr(self, f"d_{name}") for name in PAIRS}
 
-    def triples(self):
-        return itertools.combinations("abcd", 3)
-
     def check_triangle_inequalities(self, tol=DEFAULT_TOLERANCES.tol_geodesic):
-        for x, y, z in self.triples():
-            dxy = self.distance(x, y)
-            dxz = self.distance(x, z)
-            dyz = self.distance(y, z)
-            if dxy > dxz + dyz + tol or dxz > dxy + dyz + tol or dyz > dxy + dxz + tol:
-                raise MetricError(f"triangle inequality fails on {{{x},{y},{z}}}")
+        """Each face's three comparisons, faces in the order abc, abd, acd, bcd."""
+        ab, ac, ad, bc, bd, cd = self.d_ab, self.d_ac, self.d_ad, self.d_bc, self.d_bd, self.d_cd
+        for face, xy, xz, yz in (
+            ("a,b,c", ab, ac, bc), ("a,b,d", ab, ad, bd), ("a,c,d", ac, ad, cd), ("b,c,d", bc, bd, cd),
+        ):
+            if xy > xz + yz + tol or xz > xy + yz + tol or yz > xy + xz + tol:
+                raise MetricError(f"triangle inequality fails on {{{face}}}")
 
 
 @dataclass(frozen=True)
@@ -95,19 +93,21 @@ class Tetrahedron3D:
 
     @functools.cached_property
     def _edge_lengths(self):
-        lengths = {(k, k): 0.0 for k in "abcd"}
-        for u, v in _EDGES:
-            lengths[u, v] = lengths[v, u] = math.dist(self.point(u), self.point(v))
+        a, b, c, d = self.a, self.b, self.c, self.d
+        lengths = {("a", "a"): 0.0, ("b", "b"): 0.0, ("c", "c"): 0.0, ("d", "d"): 0.0}
+        for (u, v), p, q in zip(_EDGES, (a, a, a, b, b, c), (b, c, d, c, d, d)):
+            lengths[u, v] = lengths[v, u] = math.dist(p, q)
         return lengths
 
     def face_areas(self):
         """Area of each face, in scalar floats (numpy costs more on 3-vectors)."""
+        points = self.a, self.b, self.c, self.d
         areas = {}
-        for face in self.FACES:
-            (px, py, pz), (qx, qy, qz), (rx, ry, rz) = (self.point(k) for k in face)
+        for face, i, j, k in _FACE_CORNERS:
+            (px, py, pz), (qx, qy, qz), (rx, ry, rz) = points[i], points[j], points[k]
             ux, uy, uz = qx - px, qy - py, qz - pz
             vx, vy, vz = rx - px, ry - py, rz - pz
-            areas["".join(face)] = 0.5 * math.hypot(
+            areas[face] = 0.5 * math.hypot(
                 uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
             )
         return areas
@@ -116,21 +116,44 @@ class Tetrahedron3D:
         return sum(self.face_areas().values())
 
 
-def cayley_menger_volume2(metric, tol_vol=DEFAULT_TOLERANCES.tol_vol):
+# The six edges by label.  The tables after them index the points (a, b, c,
+# d) as 0-3.
+_EDGES = tuple(itertools.combinations("abcd", 2))
+# each face's name and its three corners
+_FACE_CORNERS = tuple(("".join(face), *map("abcd".index, face)) for face in Tetrahedron3D.FACES)
+# the twelve face angles as (vertex, end, end), vertex by vertex, in the
+# order vertex_angle_sums adds them
+_ANGLE_CORNERS = tuple(
+    (v, x, y) for v in range(4) for x, y in itertools.combinations([o for o in range(4) if o != v], 2)
+)
+# the image of each edge under each relabeling, as its place in _EDGES, in
+# the order of permutations("abcd")
+_EDGE_IMAGES = tuple(
+    tuple(_EDGES.index(tuple(sorted(perm["abcd".index(u)] + perm["abcd".index(v)]))) for u, v in _EDGES)
+    for perm in itertools.permutations("abcd")
+)
+
+
+def cayley_menger_volume2(
+    metric, tol_vol=DEFAULT_TOLERANCES.tol_vol, tol_geodesic=DEFAULT_TOLERANCES.tol_geodesic
+):
     """Squared tetrahedron volume from the bordered squared-distance matrix.
 
-    A value below -tol_vol certifies the metric unrealizable in 3-space;
-    values inside [-tol_vol, tol_vol] are flat (degenerate but realizable).
+    The metric must first pass its triangle inequalities within
+    tol_geodesic.  A value below -tol_vol certifies the metric
+    unrealizable in 3-space; values inside [-tol_vol, tol_vol] are flat
+    (degenerate but realizable).
     """
-    metric.check_triangle_inequalities()
-    d2 = {k: getattr(metric, f"d_{k}") ** 2 for k in PAIRS}
+    metric.check_triangle_inequalities(tol_geodesic)
+    ab, ac, ad = metric.d_ab ** 2, metric.d_ac ** 2, metric.d_ad ** 2
+    bc, bd, cd = metric.d_bc ** 2, metric.d_bd ** 2, metric.d_cd ** 2
     m = np.array(
         [
             [0.0, 1.0, 1.0, 1.0, 1.0],
-            [1.0, 0.0, d2["ab"], d2["ac"], d2["ad"]],
-            [1.0, d2["ab"], 0.0, d2["bc"], d2["bd"]],
-            [1.0, d2["ac"], d2["bc"], 0.0, d2["cd"]],
-            [1.0, d2["ad"], d2["bd"], d2["cd"], 0.0],
+            [1.0, 0.0, ab, ac, ad],
+            [1.0, ab, 0.0, bc, bd],
+            [1.0, ac, bc, 0.0, cd],
+            [1.0, ad, bd, cd, 0.0],
         ]
     )
     v2 = float(np.linalg.det(m)) / 288.0
@@ -141,16 +164,22 @@ def cayley_menger_volume2(metric, tol_vol=DEFAULT_TOLERANCES.tol_vol):
     return v2
 
 
-def embed(metric, tol_vol=DEFAULT_TOLERANCES.tol_vol, tol_embed=DEFAULT_TOLERANCES.tol_embed):
+def embed(
+    metric,
+    tol_vol=DEFAULT_TOLERANCES.tol_vol,
+    tol_embed=DEFAULT_TOLERANCES.tol_embed,
+    tol_geodesic=DEFAULT_TOLERANCES.tol_geodesic,
+):
     """Canonical 3D placement reproducing the metric to tol_embed.
 
-    A squared apex height below -tol_embed (on a metric that is not flat)
-    fails the placement.
+    The metric's triangle inequalities are checked within tol_geodesic,
+    the tolerance its distances were measured to.  A squared apex height
+    below -tol_embed (on a metric that is not flat) fails the placement.
 
     Deterministic and bit-stable for identical inputs: the placement is a
     fixed sequence of arithmetic with no iterative refinement.
     """
-    v2 = cayley_menger_volume2(metric, tol_vol)
+    v2 = cayley_menger_volume2(metric, tol_vol, tol_geodesic)
     flat = abs(v2) <= tol_vol
 
     ab, ac, ad = metric.d_ab, metric.d_ac, metric.d_ad
@@ -180,9 +209,10 @@ def embed(metric, tol_vol=DEFAULT_TOLERANCES.tol_vol, tol_embed=DEFAULT_TOLERANC
     d = (xd, yd, zd)
 
     tet = Tetrahedron3D(a=a, b=b, c=c, d=d, flat=flat, volume2=v2)
+    lengths = tet._edge_lengths
     worst = max(
-        abs(tet.edge_length(u, v) - metric.distance(u, v))
-        for u, v in itertools.combinations("abcd", 2)
+        abs(lengths["a", "b"] - ab), abs(lengths["a", "c"] - ac), abs(lengths["a", "d"] - ad),
+        abs(lengths["b", "c"] - bc), abs(lengths["b", "d"] - bd), abs(lengths["c", "d"] - cd),
     )
     if worst > tol_embed:
         raise MetricError(f"embedding failed to reproduce distances (error {worst:.3e})")
@@ -196,28 +226,16 @@ def vertex_angle_sums(tet):
     2*pi - omega at every cone point, so a mismatch flags either a geodesic
     mismeasurement upstream or a curvature bug.
     """
-    sums = {}
-    for v in "abcd":
-        vx, vy, vz = tet.point(v)
-        others = [o for o in "abcd" if o != v]
-        total = 0.0
-        for x, y in itertools.combinations(others, 2):
-            (x1, y1, z1), (x2, y2, z2) = tet.point(x), tet.point(y)
-            u1 = (x1 - vx, y1 - vy, z1 - vz)
-            u2 = (x2 - vx, y2 - vy, z2 - vz)
-            dot = u1[0] * u2[0] + u1[1] * u2[1] + u1[2] * u2[2]
-            cosang = dot / (math.hypot(*u1) * math.hypot(*u2))
-            total += math.acos(min(1.0, max(-1.0, cosang)))
-        sums[v] = total
-    return sums
-
-
-_EDGES = tuple(itertools.combinations("abcd", 2))
-# the image of each edge under each relabeling, in the order of permutations("abcd")
-_EDGE_IMAGES = tuple(
-    tuple((perm["abcd".index(u)], perm["abcd".index(v)]) for u, v in _EDGES)
-    for perm in itertools.permutations("abcd")
-)
+    points = tet.a, tet.b, tet.c, tet.d
+    sums = [0.0, 0.0, 0.0, 0.0]
+    for v, x, y in _ANGLE_CORNERS:
+        (vx, vy, vz), (x1, y1, z1), (x2, y2, z2) = points[v], points[x], points[y]
+        ux, uy, uz = x1 - vx, y1 - vy, z1 - vz
+        wx, wy, wz = x2 - vx, y2 - vy, z2 - vz
+        cosang = (ux * wx + uy * wy + uz * wz) / (math.hypot(ux, uy, uz) * math.hypot(wx, wy, wz))
+        # min(1.0, max(-1.0, cosang)), which takes a NaN to -1.0
+        sums[v] += math.acos((cosang if cosang < 1.0 else 1.0) if cosang > -1.0 else -1.0)
+    return dict(zip("abcd", sums))
 
 
 def congruent_tetrahedra(t1, t2, tol=EDGE_MATCH_TOL):
@@ -225,14 +243,22 @@ def congruent_tetrahedra(t1, t2, tol=EDGE_MATCH_TOL):
 
     Matching all six pairwise distances determines a 4-point set up to
     isometry including reflections, so mirror images count as congruent.
+
+    Pairing the two sorted length lists minimises the largest gap over all
+    pairings, and rounding keeps that order, so a gap past tol at some rank
+    rules out every correspondence and decides before the 24 are tried.
+    That holds only for finite lengths: the correspondence loop counts a
+    NaN gap (from a NaN length, or from inf - inf) as a match.
     """
     d1 = [t1.edge_length(u, v) for u, v in _EDGES]
-    d2 = {}
-    for u, v in _EDGES:
-        d2[u, v] = d2[v, u] = t2.edge_length(u, v)
+    d2 = [t2.edge_length(u, v) for u, v in _EDGES]
+    if math.isfinite(sum(d1) + sum(d2)):
+        for x, y in zip(sorted(d1), sorted(d2)):
+            if abs(x - y) > tol:
+                return False
     for image in _EDGE_IMAGES:
-        for length, pair in zip(d1, image):
-            if abs(length - d2[pair]) > tol:
+        for length, k in zip(d1, image):
+            if abs(length - d2[k]) > tol:
                 break
         else:
             return True

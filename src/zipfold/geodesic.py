@@ -141,6 +141,8 @@ _ROOT = (1.0 + 0.0j, 0.0j)
 # vertex) tuples: an enumeration lists them in it, and a shortest query
 # reports the first
 _FIND_ORDER = operator.itemgetter(0, 1, 2)
+# a hexagon gluing's cone-point pairs with their TetraMetric names, in field order
+_TETRA_PAIRS = tuple(zip(itertools.combinations(range(4), 2), PAIRS))
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -952,15 +954,16 @@ class DistanceTable:
         if len(self.gluing.cone_points) != 4:
             raise GeodesicError("tetrahedron metric needs a hexagon gluing (4 cone points)")
         tol = self.tol.tol_geodesic
-        dists = {}
-        for pair, name in zip(itertools.combinations(range(4), 2), PAIRS):
-            status, d = self.shortest[pair].best()
+        shortest = self.shortest
+        dists = []
+        for pair, name in _TETRA_PAIRS:
+            status, d = shortest[pair].best()
             if status != FOUND:
                 raise GeodesicNotFoundError(f"distance {name} not resolved (status {status})", status=status)
-            if fat and frozenset(pair) in self.zipper and abs(d - 1.0) > tol:
+            if fat and abs(d - 1.0) > tol and frozenset(pair) in self.zipper:
                 raise GeodesicError(f"zipper distance {name} = {d!r} deviates from 1")
-            dists["d_" + name] = d
-        metric = TetraMetric(**dists)
+            dists.append(d)
+        metric = TetraMetric(*dists)
         metric.check_triangle_inequalities(tol)
         return metric
 

@@ -15,6 +15,9 @@ turn of three points, `turns` its value at every corner of a closed loop,
 and `first_close_pair` the first two points of a loop nearer than a
 cutoff.  Validation, closure, the net layout and the geodesic search's
 convexity check read them and keep their own thresholds.
+`segments_properly_intersect` spells its four orientations out with
+`orient`'s expression, which saves a call apiece; tests compare it with a
+reference that calls `orient`.
 """
 
 import math
@@ -113,10 +116,14 @@ def segments_properly_intersect(p0, p1, q0, q1, eps=ORIENT_EPS):
 
     Collinear overlap counts as an intersection.  Inputs are (x, y) tuples.
     """
-    o1 = orient(p0, p1, q0)
-    o2 = orient(p0, p1, q1)
-    o3 = orient(q0, q1, p0)
-    o4 = orient(q0, q1, p1)
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = p0, p1, q0, q1
+    # orient(p0, p1, q0), orient(p0, p1, q1), orient(q0, q1, p0) and
+    # orient(q0, q1, p1), spelled out
+    px, py, qx, qy = bx - ax, by - ay, dx - cx, dy - cy
+    o1 = px * (cy - ay) - py * (cx - ax)
+    o2 = px * (dy - ay) - py * (dx - ax)
+    o3 = qx * (ay - cy) - qy * (ax - cx)
+    o4 = qx * (by - cy) - qy * (bx - cx)
     if ((o1 > eps and o2 < -eps) or (o1 < -eps and o2 > eps)) and (
         (o3 > eps and o4 < -eps) or (o3 < -eps and o4 > eps)
     ):
@@ -139,10 +146,12 @@ def best_rigid_alignment(src, dst):
     (max_deviation, angle, (tx, ty)).
     """
     m = len(src)
-    sx = sum(p[0] for p in src) / m
-    sy = sum(p[1] for p in src) / m
-    dx = sum(p[0] for p in dst) / m
-    dy = sum(p[1] for p in dst) / m
+    xs, ys = zip(*src)
+    sx = sum(xs) / m
+    sy = sum(ys) / m
+    xs, ys = zip(*dst)
+    dx = sum(xs) / m
+    dy = sum(ys) / m
     num = 0.0
     den = 0.0
     for (ax, ay), (bx, by) in zip(src, dst):
@@ -160,5 +169,7 @@ def best_rigid_alignment(src, dst):
     for (ax, ay), (bx, by) in zip(src, dst):
         ex = c * ax - s * ay + tx - bx
         ey = s * ax + c * ay + ty - by
-        max_dev = max(max_dev, math.hypot(ex, ey))
+        dev = math.hypot(ex, ey)
+        if dev > max_dev:  # max(max_dev, dev), which keeps max_dev on a NaN
+            max_dev = dev
     return max_dev, angle, (tx, ty)

@@ -77,19 +77,21 @@ def cut_and_unfold(tet):
     """
     x0, x1, x2, x3 = ZIPPER
     length = tet.edge_length
+    l01, l02, l03 = length(x0, x1), length(x0, x2), length(x0, x3)
+    l12, l13, l23 = length(x1, x2), length(x1, x3), length(x2, x3)
 
     # face (x0 x1 x2): x0 at origin, x2 on +x, x1 above
     p0 = (0.0, 0.0)
-    p2 = (length(x0, x2), 0.0)
-    p1 = _third_point(p0, p2, length(x0, x1), length(x2, x1), +1)
+    p2 = (l02, 0.0)
+    p1 = _third_point(p0, p2, l01, l12, +1)
     # face (x0 x2 x3) across hinge x0x2, below
-    p3 = _third_point(p0, p2, length(x0, x3), length(x2, x3), -1)
+    p3 = _third_point(p0, p2, l03, l23, -1)
     # face (x0 x3 x1) across hinge x0x3, away from x2
     side = -1 if orient(p0, p3, p2) > 0 else +1
-    p1b = _third_point(p0, p3, length(x0, x1), length(x3, x1), side)
+    p1b = _third_point(p0, p3, l01, l13, side)
     # face (x3 x1 x2) across hinge x3x1b, away from x0
     side = -1 if orient(p3, p1b, p0) > 0 else +1
-    p2b = _third_point(p3, p1b, length(x3, x2), length(x1, x2), side)
+    p2b = _third_point(p3, p1b, l23, l12, side)
 
     boundary = (p1, p0, p1b, p2b, p3, p2)
     labels = (x1, x0, x1, x2, x3, x2)
@@ -118,12 +120,13 @@ def is_simple(net):
     """No two boundary edges intersect except at shared endpoints."""
     pts = net.boundary
     m = len(pts)
-    edges = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if j == i + 1 or (i == 0 and j == m - 1):
-                continue  # adjacent edges share exactly one endpoint
-            if segments_properly_intersect(*edges[i], *edges[j]):
+    edges = tuple(zip(pts, pts[1:] + pts[:1]))
+    # the pairs (i, j), i < j, of edges that are not adjacent: adjacent
+    # edges share exactly one endpoint, and edge 0 follows edge m - 1
+    for i in range(m - 2):
+        p0, p1 = edges[i]
+        for j in range(i + 2, m - 1 if i == 0 else m):
+            if segments_properly_intersect(p0, p1, *edges[j]):
                 return False
     return True
 

@@ -134,20 +134,22 @@ def matches_source(net, poly, apex, tol):
     the same both ways round from "a" (c and d each stand for two polygon
     vertices), and the layout picks a side from edge lengths alone, so the
     net is the source or its mirror image: two rigid alignments, not the
-    24 correspondences `congruent_to_polygon` searches.
+    24 correspondences `congruent_to_polygon` searches.  The mirror image
+    is aligned only when the net misses.  That reads as the smaller of the
+    two deviations within tol, as `min` reads it: a NaN first deviation is
+    kept, and misses.
     """
     src = net.boundary
     dst = poly.vertices
     m = len(src)
     corner = net.boundary_labels.index("a")
-    mirror = tuple((x, -y) for x, y in reversed(src))
     turn = (corner - apex) % m
+    dev = best_rigid_alignment(src[turn:] + src[:turn], dst)[0]
+    if not dev > tol:
+        return dev <= tol
+    mirror = tuple((x, -y) for x, y in reversed(src))
     back = (m - 1 - corner - apex) % m
-    dev = min(
-        best_rigid_alignment(src[turn:] + src[:turn], dst)[0],
-        best_rigid_alignment(mirror[back:] + mirror[:back], dst)[0],
-    )
-    return dev <= tol
+    return best_rigid_alignment(mirror[back:] + mirror[:back], dst)[0] <= tol
 
 
 def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
@@ -199,7 +201,7 @@ def audit_halving(poly, fold_index, cfg=DEFAULT_CONFIG, *, fat=None, fans=None):
         fat = validate(poly, tol).fat_ok
     try:
         metric = table.tetra_metric(fat)
-        audit.metric, audit.tetra = metric, embed(metric, tol.tol_vol, tol.tol_embed)
+        audit.metric, audit.tetra = metric, embed(metric, tol.tol_vol, tol.tol_embed, tol.tol_geodesic)
     except (GeodesicError, MetricError) as exc:
         audit.error = str(exc)
         mark = INCONC if getattr(exc, "status", None) == INCONCLUSIVE else FAIL

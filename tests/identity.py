@@ -4,7 +4,7 @@
     python tests/identity.py compare OLD.json NEW.json
     python tests/identity.py check
 
-There are four sections, each a record generator with its own diff rule.
+There are five sections, each a record generator with its own diff rule.
 
 * `tables`: the `DistanceTable` of every halving of fat hexagon seeds 0-39,
   thin hexagon seeds 0-14 (the sweep's `--thin` controls), octagon seeds
@@ -50,6 +50,15 @@ There are four sections, each a record generator with its own diff rule.
   fat8 at caps 1, 2, 3 and 100000; the low caps reach the `error` entries.
   For the hexagons at cap 100000 the record also holds the bytes of every
   file `--emit-obj --emit-svg` writes.  Every record must be identical.
+* `tail`: the hexagon's solid checks in raw floats, for every halving of
+  the `tables` polygons of families fat6 and thin6 and of the regular and
+  the degenerate hexagon (family `special`), at the default tolerances and
+  cap.  Each halving records the `repr` of its metric, tetrahedron,
+  `vertex_angle_sums`, `face_areas`, net and `is_simple`, and the
+  `best_rigid_alignment` of the net and of its mirror image that
+  `matches_source` compares, or the error raised on the way.  Each
+  polygon records `congruent_tetrahedra` on every pair of its tetrahedra
+  at tol 0, 1e-12, 1e-9 and 1e-6.  Every record must be identical.
 
 `dump` writes every record as canonical JSON, floats as `repr`.  `compare`
 prints every difference between two dumps and exits 1 when there is one;
@@ -85,10 +94,12 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
 
 import inputs  # noqa: E402
 from zipfold import (  # noqa: E402
-    EquilateralPolygon, check_independence, cli, glue_halving, sample_fat_ngon, save_polygon, validate,
+    EquilateralPolygon, check_independence, cli, congruent_tetrahedra, cut_and_unfold, embed, glue_halving,
+    is_simple, regular_ngon, sample_fat_ngon, save_polygon, validate, vertex_angle_sums,
 )
-from zipfold.errors import SamplingBudgetError  # noqa: E402
-from zipfold.geodesic import DevelopmentEngine, Goal, RootFans  # noqa: E402
+from zipfold.errors import GeodesicError, MetricError, NetError, SamplingBudgetError  # noqa: E402
+from zipfold.geodesic import DEV_CAP, DevelopmentEngine, Goal, RootFans  # noqa: E402
+from zipfold.geometry import best_rigid_alignment  # noqa: E402
 from zipfold.pipeline import SWEEP_COLUMNS, PipelineConfig, sweep_one, verify_polygon  # noqa: E402
 from zipfold.polygon import polygon_from_dict  # noqa: E402
 
@@ -420,6 +431,82 @@ def fold_records(family):
                 yield f"{family}/{seed}/{cap}", record
 
 
+# -- tail --------------------------------------------------------------------
+
+TAIL_FAMILIES = ("fat6", "thin6", "special")  # the first two as in TABLE_POLYGONS
+TAIL_TOLS = (0.0, 1e-12, 1e-9, 1e-6)
+# the regular hexagon and the 1x2 rectangle with its long sides' midpoints,
+# whose halvings at the straight vertices fold flat
+SPECIAL_HEXAGONS = {
+    "regular": regular_ngon(6),
+    "degenerate": EquilateralPolygon(((0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1))),
+}
+
+
+def _alignments(net, poly, apex):
+    """best_rigid_alignment of the net and of its mirror image onto the
+    polygon, under the labeling `matches_source` reads."""
+    src = net.boundary
+    m = len(src)
+    corner = net.boundary_labels.index("a")
+    mirror = tuple((x, -y) for x, y in reversed(src))
+    turn = (corner - apex) % m
+    back = (m - 1 - corner - apex) % m
+    return [
+        repr(best_rigid_alignment(src[turn:] + src[:turn], poly.vertices)),
+        repr(best_rigid_alignment(mirror[back:] + mirror[:back], poly.vertices)),
+    ]
+
+
+def _halving_tail(poly, fold, fans, fat):
+    """The tail's record of one halving, and its tetrahedron or None."""
+    gluing = glue_halving(poly, fold)
+    record = {}
+    try:
+        metric = DevelopmentEngine(gluing, fans=fans).distance_table().tetra_metric(fat)
+        record["metric"] = repr(metric)
+        tet = embed(metric)
+    except (GeodesicError, MetricError) as exc:
+        record["error"] = f"{type(exc).__name__}: {exc}"
+        return record, None
+    record["tetra"] = repr(tet)
+    record["angle_sums"] = repr(vertex_angle_sums(tet))
+    record["face_areas"] = repr(tet.face_areas())
+    try:
+        net = cut_and_unfold(tet)
+    except NetError as exc:
+        record["error"] = f"{type(exc).__name__}: {exc}"
+        return record, tet
+    record["net"] = repr(net)
+    record["simple"] = is_simple(net)
+    record["alignments"] = _alignments(net, poly, gluing.cone_points[0].vertices[0])
+    return record, tet
+
+
+def _polygon_tail(poly):
+    fans = RootFans(poly)
+    fat = validate(poly).fat_ok
+    halvings, tets = {}, {}
+    for fold in range(poly.n // 2):
+        halvings[str(fold)], tets[fold] = _halving_tail(poly, fold, fans, fat)
+    congruent = {
+        f"{i},{j}@{tol!r}": congruent_tetrahedra(tets[i], tets[j], tol)
+        for i, j in itertools.combinations(sorted(t for t in tets if tets[t] is not None), 2)
+        for tol in TAIL_TOLS
+    }
+    return {"halvings": halvings, "congruent": congruent}
+
+
+def tail_records(family):
+    if family == "special":
+        polygons = SPECIAL_HEXAGONS.items()
+    else:
+        n, seeds, kwargs = TABLE_POLYGONS[family]
+        polygons = ((seed, sample_fat_ngon(n, seed, **kwargs)) for seed in seeds)
+    for name, poly in polygons:
+        yield f"{family}/{name}/{DEV_CAP}", _polygon_tail(poly)
+
+
 # -- the harness -------------------------------------------------------------
 
 
@@ -451,6 +538,7 @@ SECTIONS = {
     ),
     "screen": Section(SCREEN_FAMILIES, screen_records, exact_diff),
     "fold": Section(FOLD_FAMILIES, fold_records, exact_diff),
+    "tail": Section(TAIL_FAMILIES, tail_records, exact_diff),
 }
 
 

@@ -21,6 +21,10 @@ The geodesic search's direction cones have a reference too: the clip,
 containment and overhang excursion width kept as bearings (`atan2` angles
 wrapped with `fmod`), where the engine keeps each cone as its two boundary
 rays and decides with orientation signs.
+
+The segment intersection predicate has its reference too, written with one
+`orient` call per orientation, where the production predicate spells the
+four orientations out.
 """
 
 import itertools
@@ -30,6 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from zipfold.errors import MalformedPolygonError, SamplingBudgetError
+from zipfold.geometry import orient
 from zipfold.polygon import (
     DEFAULT_TOLERANCES,
     TWO_PI,
@@ -450,3 +455,28 @@ def reference_excursion_width(s, a, b, radius):
         gap = min(off - span, TWO_PI - off)
         best = radius * math.cos(gap) + fs
     return max(0.0, best)
+
+
+def _reference_on_segment(a, b, c, eps):
+    return (
+        min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
+        and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
+    )
+
+
+def reference_segments_properly_intersect(p0, p1, q0, q1, eps):
+    """segments_properly_intersect with each orientation an `orient` call."""
+    o1 = orient(p0, p1, q0)
+    o2 = orient(p0, p1, q1)
+    o3 = orient(q0, q1, p0)
+    o4 = orient(q0, q1, p1)
+    if ((o1 > eps and o2 < -eps) or (o1 < -eps and o2 > eps)) and (
+        (o3 > eps and o4 < -eps) or (o3 < -eps and o4 > eps)
+    ):
+        return True
+    return (
+        (abs(o1) <= eps and _reference_on_segment(p0, p1, q0, eps))
+        or (abs(o2) <= eps and _reference_on_segment(p0, p1, q1, eps))
+        or (abs(o3) <= eps and _reference_on_segment(q0, q1, p0, eps))
+        or (abs(o4) <= eps and _reference_on_segment(q0, q1, p1, eps))
+    )

@@ -6,6 +6,7 @@ import pytest
 from zipfold import (
     MetricError,
     TetraMetric,
+    Tolerances,
     cayley_menger_volume2,
     cone_angles,
     congruent_tetrahedra,
@@ -49,6 +50,28 @@ def test_regular_hexagon_halving_is_flat_trapezoid(regular_hexagon):
 def test_triangle_violation_rejected():
     with pytest.raises(MetricError, match="triangle"):
         cayley_menger_volume2(TetraMetric(5, 1, 1, 1, 1, 1))
+
+
+def test_embed_checks_the_triangle_inequalities_at_the_given_tol_geodesic():
+    """A metric whose triangle acd is 5e-7 past straight passes a run's
+    tol_geodesic of 1e-6, as the distance table checks it.  embed must
+    check at that tolerance too, not at the default 1e-9; the metric then
+    fails as unrealizable, and a flat one 2e-9 past straight embeds."""
+    tol = Tolerances(tol_geodesic=1e-6)
+    m = TetraMetric(1, 1, 1, 1, 1, 2 + 5e-7)
+    m.check_triangle_inequalities(tol.tol_geodesic)
+    with pytest.raises(MetricError, match=r"triangle inequality fails on \{a,c,d\}"):
+        embed(m, tol.tol_vol, tol.tol_embed)
+    with pytest.raises(MetricError, match="not realizable"):
+        embed(m, tol.tol_vol, tol.tol_embed, tol.tol_geodesic)
+    with pytest.raises(MetricError, match="not realizable"):
+        cayley_menger_volume2(m, tol.tol_vol, tol.tol_geodesic)
+    root = math.sqrt(1.0 + 1e-6)
+    flat = TetraMetric(1e-3, 1.0, 1.0, root, root, 2.0 + 2e-9)
+    with pytest.raises(MetricError, match="triangle"):
+        embed(flat)
+    tet = embed(flat, tol_geodesic=1e-8)
+    assert tet.flat and tet.d[2] == 0.0
 
 
 def test_nonpositive_distance_rejected():
@@ -168,6 +191,31 @@ def _relabel(tet, perm):
     return Tetrahedron3D(**pts, flat=tet.flat, volume2=tet.volume2)
 
 
+def _checked_congruence(t1, t2, tol, monkeypatch):
+    """congruent_tetrahedra(t1, t2, tol), asserted equal to the reference
+    and to read each tetrahedron's six edges once."""
+    want = _congruent_by_edge_queries(t1, t2, tol)
+    seen = {"edges": 0}
+    edge_length = Tetrahedron3D.edge_length
+
+    def counted(self, u, v):
+        seen["edges"] += 1
+        return edge_length(self, u, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Tetrahedron3D, "edge_length", counted)
+        got = congruent_tetrahedra(t1, t2, tol)
+    assert got == want
+    assert seen["edges"] == 12
+    return got
+
+
+def _gaps(t1, t2):
+    """|x - y| of the two tetrahedra's sorted edge lengths, rank by rank."""
+    lengths = [sorted(t.edge_length(u, v) for u, v in itertools.combinations("abcd", 2)) for t in (t1, t2)]
+    return [abs(x - y) for x, y in zip(*lengths)]
+
+
 def test_congruence_reads_each_edge_once_with_the_same_verdict(fat_pool_small, monkeypatch):
     tets = [embed(tetra_metric(g)) for p in fat_pool_small[:6] for g in enumerate_halvings(p)]
     cases = list(itertools.combinations(tets, 2))
@@ -178,25 +226,66 @@ def test_congruence_reads_each_edge_once_with_the_same_verdict(fat_pool_small, m
         for perm in list(itertools.permutations("abcd"))[k % 5 :: 5]:
             cases.append((tet, _relabel(tet, perm)))
             cases.append((_relabel(mirror, perm), tet))
-    seen = {"edges": 0}
-    edge_length = Tetrahedron3D.edge_length
-
-    def counted(self, u, v):
-        seen["edges"] += 1
-        return edge_length(self, u, v)
-
     verdicts = set()
     for t1, t2 in cases:
         for tol in (0.0, 1e-12, 1e-6, 1e-2, 0.3):
-            want = _congruent_by_edge_queries(t1, t2, tol)
-            monkeypatch.setattr(Tetrahedron3D, "edge_length", counted)
-            seen["edges"] = 0
-            got = congruent_tetrahedra(t1, t2, tol)
-            monkeypatch.setattr(Tetrahedron3D, "edge_length", edge_length)
-            assert got == want
-            assert seen["edges"] == 12
-            verdicts.add(got)
+            verdicts.add(_checked_congruence(t1, t2, tol, monkeypatch))
     assert verdicts == {True, False}
+
+
+def _least_matching_tol(t1, t2):
+    """The least tol at which some correspondence matches: the smallest,
+    over the 24, of its largest gap."""
+    pairs = list(itertools.combinations("abcd", 2))
+    return min(
+        max(abs(t1.edge_length(u, v) - t2.edge_length(perm["abcd".index(u)], perm["abcd".index(v)])) for u, v in pairs)
+        for perm in itertools.permutations("abcd")
+    )
+
+
+def test_the_sorted_length_test_rejects_only_past_tol(fat_pool_small, monkeypatch):
+    """Copies with their apex nudged, relabeled so that the identity
+    correspondence fails.  At the least tol at which a correspondence
+    matches, the sorted test must pass the pair on, also where its own
+    largest gap equals that tol exactly; one ulp below, both reject."""
+    tets = [embed(tetra_metric(g)) for p in fat_pool_small[:4] for g in enumerate_halvings(p)]
+    ties = 0
+    for k, tet in enumerate(tets):
+        x, y, z = tet.d
+        nudged = Tetrahedron3D(tet.a, tet.b, tet.c, (x + 3e-7, y - 2e-7, z + 1e-7), tet.flat, tet.volume2)
+        for perm in list(itertools.permutations("abcd"))[1 + k % 7 :: 7]:
+            other = _relabel(nudged, perm)
+            need = _least_matching_tol(tet, other)
+            assert 0.0 < need < 1e-6
+            assert max(_gaps(tet, other)) <= need
+            ties += max(_gaps(tet, other)) == need
+            assert not _checked_congruence(tet, other, 0.0, monkeypatch)
+            assert _checked_congruence(tet, other, need, monkeypatch)
+            assert _checked_congruence(other, tet, need, monkeypatch)
+            assert not _checked_congruence(tet, other, math.nextafter(need, 0.0), monkeypatch)
+    assert ties >= 10
+
+
+def test_the_sorted_length_test_skips_nan_and_inf_lengths(monkeypatch):
+    """Hand-built tetrahedra with a NaN or an inf coordinate.  The
+    correspondences count a NaN gap as a match, so a tetrahedron with a NaN
+    apex matches any whose face abc fits, though its sorted lengths differ;
+    the sorted test must not decide there."""
+    base = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, math.sqrt(3.0) / 2.0, 0.0))
+    centroid = (0.5, math.sqrt(3.0) / 6.0)
+    regular = Tetrahedron3D(*base, (*centroid, math.sqrt(2.0 / 3.0)), False, 0.0)
+    tall = Tetrahedron3D(*base, (*centroid, math.sqrt(4.0 - 1.0 / 3.0)), False, 0.0)
+    nan_apex = Tetrahedron3D(*base, (math.nan, 0.0, 0.0), False, 0.0)
+    inf_apex = Tetrahedron3D(*base, (math.inf, 0.0, 0.0), False, 0.0)
+    far_apex = Tetrahedron3D(*base, (0.5, math.inf, 0.0), False, 0.0)
+    inf_edge = Tetrahedron3D(base[0], base[1], (0.5, math.inf, 0.0), (*centroid, 1.0), False, 0.0)
+    shapes = (regular, tall, nan_apex, inf_apex, far_apex, inf_edge)
+    verdicts = {}
+    for t1, t2 in itertools.product(shapes, repeat=2):
+        for tol in (0.0, 1e-9, 0.5, 2.0):
+            verdicts[shapes.index(t1), shapes.index(t2), tol] = _checked_congruence(t1, t2, tol, monkeypatch)
+    assert max(_gaps(nan_apex, tall)[:3]) <= 1e-15 and verdicts[2, 1, 1e-9]
+    assert verdicts[3, 4, 0.0] and not verdicts[3, 1, 2.0]
 
 
 def test_edge_lengths_are_each_tetrahedrons_own_and_read_either_way_round(fat_pool_small):

@@ -3,8 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_segments_properly_intersect
 
 from zipfold.geometry import (
+    ORIENT_EPS,
     best_rigid_alignment,
     first_close_pair,
     point_segment_distance,
@@ -34,6 +38,42 @@ def test_proper_intersection_predicate():
     assert not segments_properly_intersect((0, 0), (1, 0), (0, 1), (1, 1))
     # collinear overlap counts
     assert segments_properly_intersect((0, 0), (2, 0), (1, 0), (3, 0))
+
+
+_grid = st.integers(-3, 3).map(float)
+_near = st.sampled_from((0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, 1.5e-12, -2e-12, 1e-9))
+
+
+@st.composite
+def _segment_pairs(draw):
+    """Two segments that are free, collinear, touching, overlapping or
+    one eps-scale offset away from touching."""
+    kind = draw(st.sampled_from(("free", "collinear", "touching", "overlapping", "near")))
+    if kind == "free":
+        return tuple(draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))) for _ in range(4))
+    # points on the line through o along u, at grid steps t
+    o = draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    u = draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -0.7), (1e-7, 1.0))))
+    t = [draw(_grid) for _ in range(4)]
+    if kind == "overlapping":
+        t[2] = draw(st.floats(min(t[:2]), max(t[:2])))
+    on = [(o[0] + k * u[0], o[1] + k * u[1]) for k in t]
+    p0, p1, q0, q1 = on
+    if kind == "touching":
+        q0 = draw(st.sampled_from((p0, p1, ((p0[0] + p1[0]) / 2, (p0[1] + p1[1]) / 2))))
+        q1 = draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    elif kind == "near":
+        q0 = (q0[0] - draw(_near) * u[1], q0[1] + draw(_near) * u[0])
+        q1 = (q1[0] + draw(_near), q1[1] + draw(_near))
+    return p0, p1, q0, q1
+
+
+@settings(max_examples=800, derandomize=True, deadline=None, database=None)
+@given(_segment_pairs(), st.sampled_from((ORIENT_EPS, 0.0, 1e-9)))
+def test_proper_intersection_matches_the_orient_reference(segments, eps):
+    """The four orientations spelled out are orient's, bit for bit, so
+    every verdict equals the reference's."""
+    assert segments_properly_intersect(*segments, eps) == reference_segments_properly_intersect(*segments, eps)
 
 
 def test_signed_area_orientation():

@@ -28,6 +28,7 @@ def test_one_family_of_each_section_matches_its_stored_digests(identity):
     stored = _stored(identity)["digests"]
     for section, family, slices in (
         ("tables", "fat10", 6), ("reports", "fat10", 9), ("screen", "extreme", 3), ("fold", "fat6", 4),
+        ("tail", "special", 1),
     ):
         running = identity.slice_digests(section, family)
         assert len(running) == slices
@@ -39,7 +40,7 @@ def test_the_stored_digests_name_every_slice(identity):
         f"{name}/{family}/{cap}"
         for name, caps in (
             ("tables", identity.TABLE_CAPS), ("reports", identity.REPORT_CAPS),
-            ("screen", identity.BOUNDS), ("fold", identity.FOLD_CAPS),
+            ("screen", identity.BOUNDS), ("fold", identity.FOLD_CAPS), ("tail", (identity.DEV_CAP,)),
         )
         for family in identity.SECTIONS[name].families
         if family not in (identity.CROSSING, identity.REACH)
@@ -47,7 +48,7 @@ def test_the_stored_digests_name_every_slice(identity):
     }
     expected |= {f"tables/{identity.CROSSING}/100000", f"tables/{identity.REACH}/100000"}
     assert set(_stored(identity)["digests"]) == expected
-    assert len(expected) == 119
+    assert len(expected) == 122
 
 
 def test_the_crossing_family_finds_every_two_crossing_path(identity):

@@ -27,7 +27,8 @@ from zipfold import (
     tetra_metric,
     vertex_angle_sums,
 )
-from zipfold.embed import Tetrahedron3D
+from zipfold.embed import TetraMetric, Tetrahedron3D
+from zipfold.geodesic import DistanceTable
 from zipfold.pipeline import PASS, PipelineConfig, audit_halving, matches_source
 from zipfold.polygon import Tolerances
 
@@ -93,8 +94,7 @@ def test_apex_reflected_below_the_base_still_matches(fat_pool_small):
             assert net.boundary == cut_and_unfold(tet).boundary
 
 
-@pytest.fixture()
-def alignments(monkeypatch):
+def _count_alignments(monkeypatch):
     seen = collections.Counter()
     orig = geometry.best_rigid_alignment
 
@@ -107,9 +107,88 @@ def alignments(monkeypatch):
     return seen
 
 
-def test_hexagon_verify_aligns_twice_per_halving(fat_pool_small, alignments):
-    assert pipeline.verify_polygon(fat_pool_small[0]).status == PASS
-    assert alignments["calls"] == 3 * 2
+def _deviations(net, poly, apex):
+    """The deviations of the net and of its mirror image from the polygon,
+    under the labeling `matches_source` reads, each aligned directly."""
+    src = net.boundary
+    corner = net.boundary_labels.index("a")
+    turn = (corner - apex) % 6
+    back = (5 - corner - apex) % 6
+    mirror = tuple((x, -y) for x, y in reversed(src))
+    return (
+        geometry.best_rigid_alignment(src[turn:] + src[:turn], poly.vertices)[0],
+        geometry.best_rigid_alignment(mirror[back:] + mirror[:back], poly.vertices)[0],
+    )
+
+
+def test_hexagon_verify_aligns_twice_per_halving(fat_pool_small, monkeypatch):
+    """Once per halving, and the mirror image a second time on each
+    halving whose net misses."""
+    audits = [a for poly in fat_pool_small[:3] for a in pipeline.verify_polygon(poly).audits]
+    tol = Tolerances().tol_congruence
+    misses = sum(
+        _deviations(a.net, a.gluing.polygon, a.gluing.cone_points[0].vertices[0])[0] > tol for a in audits
+    )
+    assert 0 < misses < len(audits) == 9
+    seen = _count_alignments(monkeypatch)
+    for poly in fat_pool_small[:3]:
+        assert pipeline.verify_polygon(poly).status == PASS
+    assert seen["calls"] == 9 + misses
+
+
+def _scripted(monkeypatch, deviations):
+    """best_rigid_alignment in the pipeline, answering with `deviations` in
+    turn; returns the list of calls made."""
+    calls = []
+
+    def scripted(src, dst):
+        calls.append(src)
+        return deviations[len(calls) - 1], 0.0, (0.0, 0.0)
+
+    monkeypatch.setattr(pipeline, "best_rigid_alignment", scripted)
+    return calls
+
+
+def test_the_mirror_is_aligned_only_when_the_net_misses_with_mins_verdict(fat_pool_small, monkeypatch):
+    """matches_source reads min(net, mirror) <= tol, a NaN first deviation
+    and a NaN tol included, and aligns the mirror image only on a miss."""
+    poly = fat_pool_small[0]
+    net = _net(poly, 0)
+    nan, tol = math.nan, 1e-6
+    cases = [
+        (nan, 0.0, tol),  # a NaN first deviation misses, as min keeps it
+        (nan, nan, tol),
+        (0.5, 0.0, tol),  # mirror only
+        (0.0, 0.5, tol),  # net only
+        (0.0, nan, tol),
+        (0.5, nan, tol),
+        (0.5, 0.7, tol),
+        (tol, 0.5, tol),  # a deviation of exactly tol matches
+        (0.5, tol, tol),
+        (0.0, 0.0, nan),
+        (0.5, 0.0, nan),
+        (0.5, 0.0, math.inf),
+        (math.inf, 0.0, tol),
+    ]
+    for net_dev, mirror_dev, tol in cases:
+        calls = _scripted(monkeypatch, (net_dev, mirror_dev))
+        want = min(net_dev, mirror_dev) <= tol
+        assert matches_source(net, poly, 0, tol) == want, (net_dev, mirror_dev, tol)
+        assert len(calls) == (2 if net_dev > tol else 1)
+        assert calls[0] == net.boundary[1:] + net.boundary[:1]  # the net itself first, from corner "a"
+
+
+def test_matches_source_equals_the_smaller_deviation_within_tol(fat_pool_small, thin_hexagon):
+    """On real nets, at tolerances between, at and past the two deviations."""
+    both = collections.Counter()
+    for poly in fat_pool_small[:10] + [thin_hexagon]:
+        for i in range(3):
+            net = _net(poly, i)
+            net_dev, mirror_dev = _deviations(net, poly, i)
+            both[net_dev < mirror_dev] += 1
+            for tol in (0.0, min(net_dev, mirror_dev), (net_dev + mirror_dev) / 2, max(net_dev, mirror_dev), 1e-6):
+                assert matches_source(net, poly, i, tol) == (min(net_dev, mirror_dev) <= tol)
+    assert both[True] and both[False]
 
 
 class _CountingNumpy:
@@ -173,11 +252,25 @@ def test_the_audit_embeds_at_tol_embed(fat_pool_small, monkeypatch):
     seen = []
     orig = pipeline.embed
 
-    def spy(metric, tol_vol, tol_embed):
-        seen.append((tol_vol, tol_embed))
-        return orig(metric, tol_vol, tol_embed)
+    def spy(metric, tol_vol, tol_embed, tol_geodesic):
+        seen.append((tol_vol, tol_embed, tol_geodesic))
+        return orig(metric, tol_vol, tol_embed, tol_geodesic)
 
     monkeypatch.setattr(pipeline, "embed", spy)
-    cfg = PipelineConfig(tolerances=Tolerances(tol_embed=3e-8, tol_vol=2e-12))
+    cfg = PipelineConfig(tolerances=Tolerances(tol_embed=3e-8, tol_vol=2e-12, tol_geodesic=2e-9))
     audit_halving(fat_pool_small[0], 0, cfg, fat=True)
-    assert seen == [(2e-12, 3e-8)]
+    assert seen == [(2e-12, 3e-8, 2e-9)]
+
+
+def test_the_audit_checks_the_metrics_triangles_at_the_runs_tol_geodesic(fat_pool_small, monkeypatch):
+    """A flat metric whose triangle acd is 2e-9 past straight fails the
+    default tol_geodesic of 1e-9 but passes a run's 1e-8, as the distance
+    table's own check did: it embeds, and the solid lines are judged."""
+    root = math.sqrt(1.0 + 1e-6)
+    metric = TetraMetric(1e-3, 1.0, 1.0, root, root, 2.0 + 2e-9)
+    monkeypatch.setattr(DistanceTable, "tetra_metric", lambda self, fat: metric)
+    cfg = PipelineConfig(tolerances=Tolerances(tol_geodesic=1e-8))
+    audit = audit_halving(fat_pool_small[0], 0, cfg, fat=True)
+    assert audit.error is None
+    assert audit.metric is metric and audit.tetra.flat
+    assert audit_halving(fat_pool_small[0], 0, fat=True).error == "triangle inequality fails on {a,c,d}"
