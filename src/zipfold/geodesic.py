@@ -47,17 +47,16 @@ Seven facts keep the search small and exact:
   share a copy, an entry edge and a cone, and the search keeps no record
   of what it has pushed.
 * Every search root is a vertex of the untransformed polygon, so what the
-  root's first pop reads does not depend on the gluing: the offset of each
-  vertex and its length, the clip of each edge against all directions and
-  the pushes these give at each reach (the root fan), and the re-trace of
-  each chord, which is rejected as soon as it crosses an edge, whatever
-  lies across it.  The halvings of one polygon share these through one
-  `RootFans`, which re-traces a chord once for both its directions, clips
-  an edge only once some root pop's prefilter keeps it, and runs that
-  prefilter only at a reach wider than any before: at a narrower one the
-  pushes are the widest's whose bound is within the reach.  The root pop
-  runs the target test and push loop of every other pop on what its fan
-  holds.
+  root reads does not depend on the gluing: the distance of each vertex,
+  the clip of each edge against all directions and the pushes these give
+  at each reach (the root fan), and the re-trace of each chord, which is
+  rejected as soon as it crosses an edge, whatever lies across it.  The
+  halvings of one polygon share these through one `RootFans`, which
+  re-traces a chord once for both its directions, clips an edge only once
+  some root's prefilter keeps it, and runs that prefilter only at a reach
+  wider than any before: at a narrower one the pushes are the widest's
+  whose bound is within the reach.  The root is one step that reads its
+  fan, before the search loop, which pops only developed copies.
 
 The order in which a search pops developments does not depend on its
 target, so one development from a source cone point serves many queries
@@ -266,18 +265,19 @@ class _GoalState:
 
 
 class RootFans:
-    """One polygon's root copy as seen from each of its vertices.
+    """One polygon's untransformed copy as seen from each of its vertices.
 
     Every search root is a vertex of the untransformed polygon, whatever
-    the gluing, so a root's first pop computes the same things in every
-    halving of the polygon.  This holds them, filled in by the engines
-    that share it as their roots first need them:
+    the gluing, so a search's root step, which runs before its loop and
+    develops no copy, reads the same things in every halving of the
+    polygon.  This holds them, filled in by the engines that share it as
+    their roots first need them:
 
-    * `by_vertex[sv]`, the fan of vertex sv (a `_RootFan`): the offset
-      from sv of each vertex and its length, which the root's target test
-      reads; the clip (cone, distance) of each edge a root pop's prefilter
-      has kept; and the root pop's pushes (edge, cone, bound), in edge
-      order, at each reach a root pop from sv has had;
+    * `by_vertex[sv]`, the fan of vertex sv (a `_RootFan`): the distance
+      from sv of each vertex, which the root's target test reads; the clip
+      (cone, distance) of each edge a root's prefilter has kept; and the
+      root's pushes (edge, cone, bound), in edge order, at each reach a
+      root step from sv has had;
     * `chords[(u, v)]`, u < v: the re-traced length of the chord between
       vertices u and v, as `DevelopmentEngine._finalize` returns it from
       u, and as it returns it from v too: the length is |v - u| either
@@ -288,7 +288,7 @@ class RootFans:
       through edge e at bound lb reaches no point of edge j nearer than lb
       + behind[e][j] to the source (see `_edges_in_reach`).  Every copy is
       a rigid motion of the polygon, so one table serves all of them;
-    * `at_root`: 0.0 for every edge, the depths the root pop's prefilter
+    * `at_root`: 0.0 for every edge, the depths the root's prefilter
       reads, which cut no edge.
 
     The re-trace reads tol_clearance of `tol`, the run's Tolerances, so
@@ -318,7 +318,6 @@ class RootFans:
                 )
         # every developed copy of edge j has this length, up to rounding
         self.edge_lengths = [abs(self.points[(j + 1) % n] - self.points[j]) for j in range(n)]
-        self.root_copy = [_ROOT[0] * p + _ROOT[1] for p in self.points]
         self.behind = []
         loop = self.points + self.points[:1]
         for e, length in enumerate(self.edge_lengths):
@@ -335,16 +334,16 @@ class RootFans:
 
 
 class _RootFan:
-    """One vertex's fan in RootFans.by_vertex."""
+    """One vertex's fan in RootFans.by_vertex: what the root step from that
+    vertex reads, the lengths of its targets and its pushes."""
 
-    __slots__ = ("offsets", "dists", "clips", "widest", "pushes")
+    __slots__ = ("dists", "clips", "widest", "pushes")
 
-    def __init__(self, offsets, dists):
-        self.offsets = offsets  # of each vertex from the fan's vertex
-        self.dists = dists  # their lengths
+    def __init__(self, dists):
+        self.dists = dists  # of each vertex from the fan's vertex
         self.clips = {}  # edge -> its clip against every direction (None: no cone)
         self.widest = -math.inf  # the largest reach the prefilter has run at
-        self.pushes = {}  # reach -> the root pop's pushes
+        self.pushes = {}  # reach -> the root's pushes
 
 
 def _between(lo, hi, v):
@@ -366,14 +365,18 @@ def _sliver(cross, len_lo, len_hi):
 class DevelopmentEngine:
     """Per-gluing machinery for developing copies and searching geodesics.
 
-    `tol` is the run's Tolerances, which the re-trace and the distance
-    table read.  `fans` are the polygon's RootFans, shared by the engines
-    of its halvings; an engine given none makes its own.
+    `dev_cap` is the most developments a search pops; the root is always
+    popped, so a cap below 1 raises GeodesicError.  `tol` is the run's
+    Tolerances, which the re-trace and the distance table read.  `fans`
+    are the polygon's RootFans, shared by the engines of its halvings; an
+    engine given none makes its own.
     """
 
     def __init__(self, gluing, dev_cap=DEV_CAP, tol=DEFAULT_TOLERANCES, fans=None):
         self.gluing = gluing
         self.dev_cap = int(dev_cap)
+        if self.dev_cap < 1:
+            raise GeodesicError(f"dev cap must be >= 1, got {dev_cap}")
         self.tol = tol
         if fans is None:
             fans = RootFans(gluing.polygon, tol)
@@ -481,7 +484,7 @@ class DevelopmentEngine:
         n = self.n
         seg = end - s
         rot, trans = _ROOT
-        pts = self.fans.root_copy
+        pts = self.points
         entry = None
         u = 0.0
         copies = []
@@ -558,44 +561,40 @@ class DevelopmentEngine:
     # -- the root fan ---------------------------------------------------------
 
     def _root_fan(self, sv, reach):
-        """(offsets, their lengths, pushes) of the root pop from vertex sv
-        at this reach, from its fan (see RootFans), built on first use.
+        """(dists, pushes) of the root step from vertex sv at this reach:
+        the distance from sv of each vertex, and the root's pushes (edge,
+        cone, bound) in edge order.  Both come from the fan of sv (see
+        RootFans), built on first use.
 
         The prefilter runs only at a reach wider than the fan's widest so
-        far.  At a narrower one the pushes are the widest's whose bound is
-        within the reach: an edge the prefilter keeps at the widest reach
-        but not at this one clips to no cone or beyond this reach."""
+        far, and each edge it keeps is clipped once for all the fans'
+        engines.  At a narrower reach the pushes are the widest's whose
+        bound is within the reach: an edge the prefilter keeps at the
+        widest reach but not at this one clips to no cone or beyond this
+        reach."""
         fan = self.fans.by_vertex.get(sv)
+        s = self.points[sv]
         if fan is None:
-            s = self.points[sv]
-            offsets = [_ROOT[0] * p + _ROOT[1] - s for p in self.points]
-            fan = self.fans.by_vertex[sv] = _RootFan(offsets, list(map(abs, offsets)))
+            fan = self.fans.by_vertex[sv] = _RootFan([abs(p - s) for p in self.points])
         pushes = fan.pushes.get(reach)
         if pushes is None:
             if reach > fan.widest:
-                pushes = self._root_pushes(sv, fan.clips, reach)
+                clips = fan.clips
+                loop = self.loop
+                pushes = []
+                for j, wa, wb, da, db, x in self._edges_in_reach(*_ROOT, s, self.fans.at_root, 0.0, reach):
+                    if j not in clips:
+                        clips[j] = self._clip_row(s, loop[j], loop[j + 1], wa, wb, da, db, x, None)
+                    if clips[j] is not None:
+                        cone, dist = clips[j]
+                        lb = max(0.0, dist)  # as every pop bounds a child, from the root's bound 0.0
+                        if lb <= reach:
+                            pushes.append((j, cone, lb))
                 fan.widest = reach
             else:
                 pushes = [push for push in fan.pushes[fan.widest] if push[2] <= reach]
             fan.pushes[reach] = pushes
-        return fan.offsets, fan.dists, pushes
-
-    def _root_pushes(self, sv, clips, reach):
-        """The root pop's pushes (edge, cone, bound) from vertex sv at this
-        reach, in edge order, through the prefilter and the fan's clips;
-        each fan edge is clipped once for all the fans' engines."""
-        s = self.points[sv]
-        root = self.fans.root_copy
-        pushes = []
-        for j, wa, wb, da, db, x in self._edges_in_reach(*_ROOT, s, self.fans.at_root, 0.0, reach):
-            if j not in clips:
-                clips[j] = self._clip_row(s, root[j], root[(j + 1) % self.n], wa, wb, da, db, x, None)
-            if clips[j] is not None:
-                cone, dist = clips[j]
-                lb2 = max(0.0, dist)  # as every pop bounds a child, from the root's bound 0.0
-                if lb2 <= reach:
-                    pushes.append((j, cone, lb2))
-        return pushes
+        return fan.dists, pushes
 
     def _root_chord(self, sv, tv):
         """The re-trace of the chord between vertices sv and tv, made once
@@ -603,7 +602,7 @@ class DevelopmentEngine:
         u, v = (sv, tv) if sv < tv else (tv, sv)
         chords = self.fans.chords
         if (u, v) not in chords:
-            chords[u, v] = self._finalize(u, v, *_ROOT, (), self.fans.root_copy[v])
+            chords[u, v] = self._finalize(u, v, *_ROOT, (), self.points[v])
         return chords[u, v]
 
     # -- search ---------------------------------------------------------------
@@ -655,7 +654,7 @@ class DevelopmentEngine:
 
         Every slot's cut starts at its limit, so `floor` and `reach`, the
         smallest and the largest limit, are the root's floor and reach at
-        its first pop.  Pushes are pruned at the largest live limit, the
+        its root step.  Pushes are pruned at the largest live limit, the
         reach.  One with a lower bound between two limits only pops after
         the smaller goal has retired (pops come in bound order), and so do
         its descendants, whose bounds are no smaller; the smaller goal's
@@ -667,20 +666,28 @@ class DevelopmentEngine:
         smallest live cut, or at the cap; a find that lowers a cut lowers
         the floor.
 
-        Every pop runs one target test and one push loop.  A pop below the
-        root develops each target vertex as an offset from s, rot * p +
+        The root is one step before the loop, and counts as its first pop.
+        Its bound is 0.0, which passes no positive limit, and the cap is at
+        least 1, so no goal with a positive budget retires before it.  Its
+        cone holds every direction and it has no entry edge, so its target
+        test is the limit alone.  It reads its targets' distances and its
+        pushes from the root fan, which runs the prefilter and shares its
+        clips with every engine of the polygon, and its chords from the
+        fans' re-traces.  Its placement is the identity, so its children
+        are placed by their transitions.
+
+        The loop then pops only developed copies, each with an entry edge
+        and a cone, and runs one target test and one push loop.  A popped
+        copy develops each target vertex as an offset from s, rot * p +
         trans - s, which rounds as developing and then subtracting does,
         and hands its copy to the prefilter, which cuts the edges deeper
         behind the entry edge than the reach allows and develops the
         offsets of the rest; a target vertex, and an edge the prefilter
         keeps, is developed again as rot * p + trans only to be re-traced
-        or clipped.  The root pop reads its offsets, their lengths and its
-        pushes from the root fan, which runs the same prefilter and shares
-        its clips with every engine of the polygon; it has no entry edge,
-        and its chords come from the fans' re-traces.  A heap entry is
-        (bound, tie, rot, trans, entry edge, cone, edge path), the copy
-        placed by rot and trans; ties pop in push order.  A re-traced
-        target is appended to each slot it serves as a raw find, and a
+        or clipped, and each kept clip is pushed as it is made.  A heap
+        entry is (bound, tie, rot, trans, entry edge, cone, edge path), the
+        copy placed by rot and trans; ties pop in push order.  A re-traced
+        target is appended to the slot it serves as a raw find, and a
         shortest query's cut drops to its shortest find.
         """
         s = self.points[sv]
@@ -689,12 +696,25 @@ class DevelopmentEngine:
         dev_cap = self.dev_cap
         partner, transition = self.partner, self.transition
         behind = self.fans.behind
+        dists, pushes = self._root_fan(sv, reach)
         for st in states:
             st.cut = st.limit
-        live = states
-        heap = [(0.0, 0, *_ROOT, None, None, ())]
+            for tv in st.targets:
+                if dists[tv] > st.limit:
+                    continue
+                length = self._root_chord(sv, tv)
+                if length is not None:
+                    st.finds.append((length, sv, (), tv))
+                    if st.stop_at_first and length < st.cut:
+                        st.cut = length
+                        floor = min(floor, length)
+        heap = []
         tie = 1
-        pops = 0
+        for j, cone, lb in pushes:
+            heapq.heappush(heap, (lb, tie, *transition[j], partner[j], cone, (j,)))
+            tie += 1
+        live = states
+        pops = 1
         while heap:
             lb, _, rot, trans, entry, cone, path = heapq.heappop(heap)
             if lb > floor or pops >= dev_cap:
@@ -713,60 +733,35 @@ class DevelopmentEngine:
                 floor = min([st.cut for st in live])
                 reach = max([st.limit for st in live])
             pops += 1
-            if entry is None:
-                offs, dists, pushes = self._root_fan(sv, reach)
-                on_entry = ()
-            else:
-                offs = None
-                # the entry edge's endpoints lie on the parent copy's
-                # boundary: a segment ending there stops on the entry edge,
-                # one crossing short
-                on_entry = (entry, (entry + 1) % n)
-            finalized = {}  # target vertex -> its re-traced find (None: rejected)
+            # the entry edge's endpoints lie on the parent copy's boundary: a
+            # segment ending there stops on the entry edge, one crossing short
+            on_entry = (entry, (entry + 1) % n)
             for st in live:
                 for tv in st.targets:
                     if tv in on_entry:
                         continue
-                    if offs is None:
-                        w = rot * loop[tv] + trans - s
-                        d = abs(w)
-                    else:
-                        w = offs[tv]
-                        d = dists[tv]
+                    w = rot * loop[tv] + trans - s
+                    d = abs(w)
                     if d > st.limit or d + _BOUND_SLACK < lb:
                         continue
-                    # the root's cone, None, holds every direction
-                    if cone and d > _AT_SOURCE and not self._cone_contains(cone, w, d):
+                    if d > _AT_SOURCE and not self._cone_contains(cone, w, d):
                         continue
-                    if tv not in finalized:
-                        if entry is None:
-                            length = self._root_chord(sv, tv)
-                        else:
-                            length = self._finalize(sv, tv, rot, trans, path, rot * loop[tv] + trans)
-                        finalized[tv] = None if length is None else (length, sv, path, tv)
-                    found = finalized[tv]
-                    if found is not None:
-                        st.finds.append(found)
-                        if st.stop_at_first and found[0] < st.cut:
-                            st.cut = found[0]
-                            if st.cut < floor:
-                                floor = st.cut
-            if entry is not None:
-                pushes = []
-                for j, wa, wb, da, db, x in self._edges_in_reach(rot, trans, s, behind[entry], lb, reach):
-                    a, b = rot * loop[j] + trans, rot * loop[j + 1] + trans
-                    clip = self._clip_row(s, a, b, wa, wb, da, db, x, cone)
-                    if clip is None:
-                        continue
-                    cone2, dist = clip
-                    lb2 = max(lb, dist)
-                    if lb2 <= reach:
-                        pushes.append((j, cone2, lb2))
-            for j, cone2, lb2 in pushes:
-                t_rot, t_trans = transition[j]  # the child's placement is (rot, trans) after it
-                child = (lb2, tie, rot * t_rot, rot * t_trans + trans, partner[j], cone2, path + (j,))
-                heapq.heappush(heap, child)
-                tie += 1
+                    length = self._finalize(sv, tv, rot, trans, path, rot * loop[tv] + trans)
+                    if length is not None:
+                        st.finds.append((length, sv, path, tv))
+                        if st.stop_at_first and length < st.cut:
+                            st.cut = length
+                            floor = min(floor, length)
+            for j, wa, wb, da, db, x in self._edges_in_reach(rot, trans, s, behind[entry], lb, reach):
+                clip = self._clip_row(s, rot * loop[j] + trans, rot * loop[j + 1] + trans, wa, wb, da, db, x, cone)
+                if clip is None:
+                    continue
+                cone2, dist = clip
+                lb2 = max(lb, dist)
+                if lb2 <= reach:
+                    t_rot, t_trans = transition[j]  # the child's placement is (rot, trans) after it
+                    heapq.heappush(heap, (lb2, tie, rot * t_rot, rot * t_trans + trans, partner[j], cone2, path + (j,)))
+                    tie += 1
         for st in live:
             st.developments += pops
         return pops
@@ -949,23 +944,21 @@ class DistanceTable:
 
         For a fat source (the caller's validation) the three zipper
         distances must come out 1 within tol_geodesic: the glued edges are
-        unit and nothing shorter exists.
+        unit and nothing shorter exists.  The triangle inequalities are
+        `embed`'s check.
         """
         if len(self.gluing.cone_points) != 4:
             raise GeodesicError("tetrahedron metric needs a hexagon gluing (4 cone points)")
-        tol = self.tol.tol_geodesic
         shortest = self.shortest
         dists = []
         for pair, name in _TETRA_PAIRS:
             status, d = shortest[pair].best()
             if status != FOUND:
                 raise GeodesicNotFoundError(f"distance {name} not resolved (status {status})", status=status)
-            if fat and abs(d - 1.0) > tol and frozenset(pair) in self.zipper:
+            if fat and abs(d - 1.0) > self.tol.tol_geodesic and frozenset(pair) in self.zipper:
                 raise GeodesicError(f"zipper distance {name} = {d!r} deviates from 1")
             dists.append(d)
-        metric = TetraMetric(*dists)
-        metric.check_triangle_inequalities(tol)
-        return metric
+        return TetraMetric(*dists)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +1043,9 @@ def tetra_metric(gluing, cfg=DEFAULT_TOLERANCES):
 
     Reads the gluing's distance table (see DistanceTable.tetra_metric); the
     zipper-distance check applies when the source validates as fat.  `cfg`
-    is the Tolerances to validate, search and check with.
+    is the Tolerances to validate, search and check with.  Whether the
+    metric is realizable, its triangle inequalities included, is `embed`'s
+    check.
     """
     rep = validate(gluing.polygon, cfg)
     return DevelopmentEngine(gluing, tol=cfg).distance_table().tetra_metric(rep.fat_ok)

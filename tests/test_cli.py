@@ -142,6 +142,22 @@ def test_the_gluing_reads_the_runs_tol_len(tmp_path, capsys, command):
         assert "deviates from 1" in halvings[1]["error"]
 
 
+@pytest.mark.parametrize("command", [["verify", "--force"], ["fold"]])
+def test_identified_edges_of_unequal_length_stop_the_run(command, regular_hexagon, tmp_path, capsys):
+    """Vertex 1 of the regular hexagon moved 0.05 in x leaves edge 0 longer
+    than edge 5, its partner at fold 0, by far more than tol_len: the
+    gluing refuses the pair, and the run stops with one error line and
+    prints no report."""
+    vertices = list(regular_hexagon.vertices)
+    vertices[1] = (vertices[1][0] + 0.05, vertices[1][1])
+    path = str(tmp_path / "moved.json")
+    save_polygon(EquilateralPolygon(tuple(vertices)), path)
+    assert main([*command, "--input", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: identified edges 0 and 5 differ in length\n"
+
+
 def test_fold_relations_read_the_runs_tol_ang(tmp_path, capsys):
     """A near-regular hexagon whose first two relations miss by 5e-8 and
     2e-7: inactive at the default tol_ang, active under --tol 1e-6."""

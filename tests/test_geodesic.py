@@ -1,5 +1,8 @@
+import importlib
 import itertools
+import json
 import math
+import sys
 
 import pytest
 
@@ -88,8 +91,13 @@ def test_square_pillow_adjacent_corners_two_unit_geodesics(degenerate_hexagon):
 
 def test_square_pillow_small_disks_empty(degenerate_hexagon):
     g = glue_halving(degenerate_hexagon, 1)
+    table = DevelopmentEngine(g).distance_table()
     for k in range(4):
-        assert DevelopmentEngine(g).distance_table().disk(k, radius=0.5).status == "empty"
+        assert table.disk(k, radius=0.5).status == "empty"
+        # the table's budgets cover radii in (0, 1] only
+        for radius in (0.0, 1.5, math.nan):
+            with pytest.raises(GeodesicError, match=r"disk radius must lie in \(0, 1\]"):
+                table.disk(k, radius)
 
 
 def test_budget_below_distance_gives_empty_enumeration(regular_hexagon):
@@ -316,6 +324,28 @@ def test_a_budget_that_is_not_positive_is_refused_before_any_pop(fat_pool_small,
     with pytest.raises(GeodesicError, match="budget must be positive"):
         engine.search(0, [Goal(1, 1.5, True), Goal(2, budget, False)])
     assert pops == []
+
+
+@pytest.mark.parametrize("cap", [0, -3, 0.5])
+def test_the_engine_refuses_a_cap_below_1(regular_hexagon, cap):
+    """A search always pops its root, so a cap below 1 (0.5 truncates to 0)
+    is refused when the engine is built, as PipelineConfig and the CLI
+    refuse it."""
+    with pytest.raises(GeodesicError, match="dev cap must be >= 1"):
+        DevelopmentEngine(glue_halving(regular_hexagon, 0), dev_cap=cap)
+
+
+def test_cap_1_keeps_its_identity_slices(monkeypatch):
+    """At cap 1 each search root pops only itself; every table family's
+    cap-1 slice matches its stored digest."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the harness adds src/ and perfbench/
+    identity = importlib.import_module("identity")
+    monkeypatch.setattr(identity, "TABLE_CAPS", (1,))
+    with open(identity.DIGESTS) as fh:
+        stored = json.load(fh)["digests"]
+    for family in identity.TABLE_POLYGONS:
+        name = f"tables/{family}/1"
+        assert identity.slice_digests("tables", family) == {name: stored[name]}
 
 
 def test_an_infinite_budget_is_allowed(fat_pool_small):

@@ -20,9 +20,10 @@ the two offsets' lengths and reads the edge itself; the clip reads the row
 the prefilter kept.  Every culled edge, clipped in full, gives no cone;
 every other edge the prefilter skips, the cut ones included, gives no cone
 or a distance beyond the reach, so the clip would have been dropped and no
-push is lost.  The root pop reads its offsets and pushes from the vertex's
-root fan, which runs the prefilter only at a reach wider than before and
-holds the clip of each edge some root pop has kept so far.  The halvings
+push is lost.  The root step, before the search's first pop, reads its
+vertex distances and pushes from the vertex's root fan, which runs the
+prefilter only at a reach wider than before and holds the clip of each
+edge some root has kept so far.  The halvings
 of one polygon share the fans, as the pipeline runs them, and the fans
 re-trace each chord once for both its directions.
 
@@ -46,7 +47,7 @@ from zipfold import (
     regular_ngon,
     sample_fat_ngon,
 )
-from zipfold.geodesic import FOUND, INCONCLUSIVE, _AT_SOURCE, _REACH_MARGIN, DevelopmentEngine, Goal, RootFans
+from zipfold.geodesic import FOUND, INCONCLUSIVE, _AT_SOURCE, _REACH_MARGIN, _ROOT, DevelopmentEngine, Goal, RootFans
 from zipfold.geometry import cross2
 from zipfold.pipeline import PipelineConfig, verify_polygon
 
@@ -201,6 +202,9 @@ def prefilter_spy(monkeypatch):
 
     def root(self, sv, *args):
         source[:] = [self.points[sv]]
+        # the root step runs the fan's prefilter before the search's first
+        # pop, on the root node
+        popped[:] = [(0.0, 0, *_ROOT, None, None, ())]
         return search_root(self, sv, *args)
 
     def pop(heap):

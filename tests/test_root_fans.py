@@ -1,7 +1,7 @@
 """The halvings of one polygon share its root fans and lose nothing by it.
 
 Every search root is a vertex of the untransformed polygon, so the root
-fan (the offset of each vertex, the clip of each edge and the root pop's
+fan (the distance of each vertex, the clip of each edge and the root's
 pushes at each reach) and the re-trace of each chord come out the same in
 every halving.  So does `behind`, the depth of each edge behind each
 other edge's line, which bounds how near the source anything a cone
@@ -133,7 +133,7 @@ def test_a_chord_re_traces_alike_from_either_end(fat_pool_small):
     rejected = collections.Counter()
     for poly in polys + fat_pool_small:
         engine = DevelopmentEngine(glue_halving(poly, 0))
-        ends = engine.fans.root_copy
+        ends = engine.points
         for sv, tv in itertools.permutations(range(poly.n), 2):
             there = engine._finalize(sv, tv, *_ROOT, (), ends[tv])
             back = engine._finalize(tv, sv, *_ROOT, (), ends[sv])

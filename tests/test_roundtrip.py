@@ -264,8 +264,9 @@ def test_the_audit_embeds_at_tol_embed(fat_pool_small, monkeypatch):
 
 def test_the_audit_checks_the_metrics_triangles_at_the_runs_tol_geodesic(fat_pool_small, monkeypatch):
     """A flat metric whose triangle acd is 2e-9 past straight fails the
-    default tol_geodesic of 1e-9 but passes a run's 1e-8, as the distance
-    table's own check did: it embeds, and the solid lines are judged."""
+    default tol_geodesic of 1e-9 but passes a run's 1e-8, in `embed`, the
+    one place the audit checks it: it embeds, and the solid lines are
+    judged."""
     root = math.sqrt(1.0 + 1e-6)
     metric = TetraMetric(1e-3, 1.0, 1.0, root, root, 2.0 + 2e-9)
     monkeypatch.setattr(DistanceTable, "tetra_metric", lambda self, fat: metric)
