@@ -41,22 +41,21 @@ Seven facts keep the search small and exact:
   edge whose cross2 of its endpoints' offsets is at most 0 (its clip is
   empty or a sliver), applies the line test, and only then measures the
   two offsets' lengths; the clip reads the row the prefilter kept.  A pop
-  develops no other vertex but its targets.
+  develops no other vertex but its targets.  The root fan culls alike.
 * A ray from the source crosses one sequence of edges, so the clips of a
   copy's edges split its cone into disjoint pieces.  No two developments
   share a copy, an entry edge and a cone, and the search keeps no record
   of what it has pushed.
 * Every search root is a vertex of the untransformed polygon, so what the
   root reads does not depend on the gluing: the distance of each vertex,
-  the clip of each edge against all directions and the pushes these give
-  at each reach (the root fan), and the re-trace of each chord, which is
-  rejected as soon as it crosses an edge, whatever lies across it.  The
-  halvings of one polygon share these through one `RootFans`, which
-  re-traces a chord once for both its directions, clips an edge only once
-  some root's prefilter keeps it, and runs that prefilter only at a reach
-  wider than any before: at a narrower one the pushes are the widest's
-  whose bound is within the reach.  The root is one step that reads its
-  fan, before the search loop, which pops only developed copies.
+  the clip against all directions of each edge the root sees
+  counterclockwise, sorted by bound (the root fan), and the re-trace of
+  each chord, which is rejected as soon as it crosses an edge, whatever
+  lies across it.  The halvings of one polygon share these through one
+  `RootFans`, which builds every fan whole and re-traces a chord once for
+  both its directions.  The root is one step that pushes its fan's clips
+  up to the reach, before the search loop, which pops only developed
+  copies.
 
 The order in which a search pops developments does not depend on its
 target, so one development from a source cone point serves many queries
@@ -270,26 +269,30 @@ class RootFans:
     Every search root is a vertex of the untransformed polygon, whatever
     the gluing, so a search's root step, which runs before its loop and
     develops no copy, reads the same things in every halving of the
-    polygon.  This holds them, filled in by the engines that share it as
-    their roots first need them:
+    polygon.  This holds them:
 
-    * `by_vertex[sv]`, the fan of vertex sv (a `_RootFan`): the distance
-      from sv of each vertex, which the root's target test reads; the clip
-      (cone, distance) of each edge a root's prefilter has kept; and the
-      root's pushes (edge, cone, bound), in edge order, at each reach a
-      root step from sv has had;
+    * `dists[sv][v]`: the distance of vertex v from vertex sv, which the
+      root's target test reads;
+    * `clips[sv]`, the fan of vertex sv: an (edge, cone, bound) for each
+      edge that clips to a cone against every direction from sv, the bound
+      being max(0.0, the clip's distance), as every pop bounds a child
+      from the root's bound 0.0.  Only an edge that sv sees
+      counterclockwise (cross2 > 0, both endpoints at least _AT_SOURCE
+      from sv) is clipped, as the prefilter culls below the root.  The
+      fan is sorted by bound, edges of equal bounds in edge order, so a
+      root step pushes a prefix of it;
     * `chords[(u, v)]`, u < v: the re-traced length of the chord between
       vertices u and v, as `DevelopmentEngine._finalize` returns it from
       u, and as it returns it from v too: the length is |v - u| either
       way, and so is the re-trace's verdict.  A chord that crosses an edge
-      is rejected before anything across that edge is looked at;
+      is rejected before anything across that edge is looked at.  Chords
+      are re-traced by the engines that share the fans, as their roots
+      first need them;
     * `behind[e][j]`: how far the nearer endpoint of edge j lies behind the
       line of edge e, into the polygon, and inf for j = e.  A copy entered
       through edge e at bound lb reaches no point of edge j nearer than lb
       + behind[e][j] to the source (see `_edges_in_reach`).  Every copy is
-      a rigid motion of the polygon, so one table serves all of them;
-    * `at_root`: 0.0 for every edge, the depths the root's prefilter
-      reads, which cut no edge.
+      a rigid motion of the polygon, so one table serves all of them.
 
     The re-trace reads tol_clearance of `tol`, the run's Tolerances, so
     fans serve only engines of the same polygon and tolerances.  The
@@ -328,22 +331,22 @@ class RootFans:
             nearer = [x if x < y else y for x, y in zip(depth, depth[1:])]
             nearer[e] = math.inf  # a copy is never left through its entry edge
             self.behind.append(nearer)
-        self.at_root = [0.0] * n  # the root cuts no edge
-        self.by_vertex = {}
+        self.dists = [[abs(p - s) for p in self.points] for s in self.points]
+        self.clips = []
+        for s in self.points:
+            fan = []
+            for j in range(n):
+                wa, wb = loop[j] - s, loop[j + 1] - s
+                x = wa.real * wb.imag - wa.imag * wb.real
+                da, db = abs(wa), abs(wb)
+                # the cull comes first, so the clip sees only cross2 > 0
+                if x <= 0.0 or da < _AT_SOURCE or db < _AT_SOURCE:
+                    continue
+                clip = _clip_row(s, loop[j], loop[j + 1], wa, wb, da, db, x, None)
+                if clip is not None:
+                    fan.append((j, clip[0], max(0.0, clip[1])))
+            self.clips.append(sorted(fan, key=operator.itemgetter(2)))
         self.chords = {}
-
-
-class _RootFan:
-    """One vertex's fan in RootFans.by_vertex: what the root step from that
-    vertex reads, the lengths of its targets and its pushes."""
-
-    __slots__ = ("dists", "clips", "widest", "pushes")
-
-    def __init__(self, dists):
-        self.dists = dists  # of each vertex from the fan's vertex
-        self.clips = {}  # edge -> its clip against every direction (None: no cone)
-        self.widest = -math.inf  # the largest reach the prefilter has run at
-        self.pushes = {}  # reach -> the root's pushes
 
 
 def _between(lo, hi, v):
@@ -360,6 +363,48 @@ def _sliver(cross, len_lo, len_hi):
     """Whether the cone from ray lo counterclockwise to ray hi is empty (narrower
     than _SLIVER, or clockwise), from cross2(lo, hi) and the rays' lengths."""
     return cross < _SLIVER * len_lo * len_hi
+
+
+def _ray_on_line(s, d, a, b):
+    """Where the ray from s along d meets the line of [a, b]."""
+    ab = b - a
+    denom = cross2(d, ab)
+    if abs(denom) < _PARALLEL:
+        return a
+    u = cross2(a - s, d) / denom
+    # the clip stays inside the segment by construction; clamp for safety
+    return a + min(1.0, max(0.0, u)) * ab
+
+
+def _clip_row(s, a, b, wa, wb, da, db, x, cone):
+    """Clip developed edge [a, b], which s sees counterclockwise, against
+    the direction cone from s, from the edge's prefilter row: wa = a - s,
+    wb = b - s, da = |wa|, db = |wb|, x = cross2(wa, wb).  A cone is None
+    (every direction) or (lo, hi, |lo|, |hi|).
+
+    Returns (new_cone, min_distance) or None when no direction of the
+    cone meets the edge in more than a sliver.
+    """
+    if _sliver(x, da, db):
+        return None  # the edge is radial from s
+    if cone is None:
+        return (wa, wb, da, db), point_segment_distance(s, a, b)
+    lo, hi, len_lo, len_hi = cone
+    # both cones are narrower than pi, so they meet in one cone or none,
+    # and it starts at whichever start lies in the other
+    if _between(lo, hi, wa):
+        start, len_start, qa = wa, da, a
+    elif _between(wa, wb, lo):
+        start, len_start, qa = lo, len_lo, _ray_on_line(s, lo, a, b)
+    else:
+        return None
+    if _between(lo, hi, wb):
+        end, len_end, qb = wb, db, b
+    else:
+        end, len_end, qb = hi, len_hi, _ray_on_line(s, hi, a, b)
+    if _sliver(cross2(start, end), len_start, len_end):
+        return None
+    return (start, end, len_start, len_end), point_segment_distance(s, qa, qb)
 
 
 class DevelopmentEngine:
@@ -420,47 +465,6 @@ class DevelopmentEngine:
         return [rot * p + trans for p in self.points]
 
     # -- direction-cone bookkeeping -----------------------------------------
-
-    @staticmethod
-    def _ray_on_line(s, d, a, b):
-        """Where the ray from s along d meets the line of [a, b]."""
-        ab = b - a
-        denom = cross2(d, ab)
-        if abs(denom) < _PARALLEL:
-            return a
-        u = cross2(a - s, d) / denom
-        # the clip stays inside the segment by construction; clamp for safety
-        return a + min(1.0, max(0.0, u)) * ab
-
-    def _clip_row(self, s, a, b, wa, wb, da, db, x, cone):
-        """Clip developed edge [a, b], which s sees counterclockwise, against
-        the direction cone from s, from the edge's prefilter row: wa = a - s,
-        wb = b - s, da = |wa|, db = |wb|, x = cross2(wa, wb).  A cone is None
-        (every direction) or (lo, hi, |lo|, |hi|).
-
-        Returns (new_cone, min_distance) or None when no direction of the
-        cone meets the edge in more than a sliver.
-        """
-        if _sliver(x, da, db):
-            return None  # the edge is radial from s
-        if cone is None:
-            return (wa, wb, da, db), point_segment_distance(s, a, b)
-        lo, hi, len_lo, len_hi = cone
-        # both cones are narrower than pi, so they meet in one cone or none,
-        # and it starts at whichever start lies in the other
-        if _between(lo, hi, wa):
-            start, len_start, qa = wa, da, a
-        elif _between(wa, wb, lo):
-            start, len_start, qa = lo, len_lo, self._ray_on_line(s, lo, a, b)
-        else:
-            return None
-        if _between(lo, hi, wb):
-            end, len_end, qb = wb, db, b
-        else:
-            end, len_end, qb = hi, len_hi, self._ray_on_line(s, hi, a, b)
-        if _sliver(cross2(start, end), len_start, len_end):
-            return None
-        return (start, end, len_start, len_end), point_segment_distance(s, qa, qb)
 
     @staticmethod
     def _cone_contains(cone, v, len_v):
@@ -558,43 +562,7 @@ class DevelopmentEngine:
             return None
         return abs(end - s)
 
-    # -- the root fan ---------------------------------------------------------
-
-    def _root_fan(self, sv, reach):
-        """(dists, pushes) of the root step from vertex sv at this reach:
-        the distance from sv of each vertex, and the root's pushes (edge,
-        cone, bound) in edge order.  Both come from the fan of sv (see
-        RootFans), built on first use.
-
-        The prefilter runs only at a reach wider than the fan's widest so
-        far, and each edge it keeps is clipped once for all the fans'
-        engines.  At a narrower reach the pushes are the widest's whose
-        bound is within the reach: an edge the prefilter keeps at the
-        widest reach but not at this one clips to no cone or beyond this
-        reach."""
-        fan = self.fans.by_vertex.get(sv)
-        s = self.points[sv]
-        if fan is None:
-            fan = self.fans.by_vertex[sv] = _RootFan([abs(p - s) for p in self.points])
-        pushes = fan.pushes.get(reach)
-        if pushes is None:
-            if reach > fan.widest:
-                clips = fan.clips
-                loop = self.loop
-                pushes = []
-                for j, wa, wb, da, db, x in self._edges_in_reach(*_ROOT, s, self.fans.at_root, 0.0, reach):
-                    if j not in clips:
-                        clips[j] = self._clip_row(s, loop[j], loop[j + 1], wa, wb, da, db, x, None)
-                    if clips[j] is not None:
-                        cone, dist = clips[j]
-                        lb = max(0.0, dist)  # as every pop bounds a child, from the root's bound 0.0
-                        if lb <= reach:
-                            pushes.append((j, cone, lb))
-                fan.widest = reach
-            else:
-                pushes = [push for push in fan.pushes[fan.widest] if push[2] <= reach]
-            fan.pushes[reach] = pushes
-        return fan.dists, pushes
+    # -- the root ------------------------------------------------------------
 
     def _root_chord(self, sv, tv):
         """The re-trace of the chord between vertices sv and tv, made once
@@ -670,11 +638,15 @@ class DevelopmentEngine:
         Its bound is 0.0, which passes no positive limit, and the cap is at
         least 1, so no goal with a positive budget retires before it.  Its
         cone holds every direction and it has no entry edge, so its target
-        test is the limit alone.  It reads its targets' distances and its
-        pushes from the root fan, which runs the prefilter and shares its
-        clips with every engine of the polygon, and its chords from the
-        fans' re-traces.  Its placement is the identity, so its children
-        are placed by their transitions.
+        test is the limit alone.  It reads its targets' distances from
+        `RootFans.dists` and its chords from the fans' re-traces, and it
+        pushes the clips of its fan (`RootFans.clips`) in their stored
+        order, up to the first whose bound is past the reach.  The fan is
+        sorted by bound, edge order breaking ties, so the pushes pop as
+        pushes made in edge order would; an edge the fan holds but the
+        prefilter would skip clips beyond the reach, so it is never
+        pushed.  Its placement is the identity, so its children are placed
+        by their transitions.
 
         The loop then pops only developed copies, each with an entry edge
         and a cone, and runs one target test and one push loop.  A popped
@@ -696,7 +668,7 @@ class DevelopmentEngine:
         dev_cap = self.dev_cap
         partner, transition = self.partner, self.transition
         behind = self.fans.behind
-        dists, pushes = self._root_fan(sv, reach)
+        dists = self.fans.dists[sv]
         for st in states:
             st.cut = st.limit
             for tv in st.targets:
@@ -710,7 +682,9 @@ class DevelopmentEngine:
                         floor = min(floor, length)
         heap = []
         tie = 1
-        for j, cone, lb in pushes:
+        for j, cone, lb in self.fans.clips[sv]:
+            if lb > reach:
+                break
             heapq.heappush(heap, (lb, tie, *transition[j], partner[j], cone, (j,)))
             tie += 1
         live = states
@@ -753,7 +727,7 @@ class DevelopmentEngine:
                             st.cut = length
                             floor = min(floor, length)
             for j, wa, wb, da, db, x in self._edges_in_reach(rot, trans, s, behind[entry], lb, reach):
-                clip = self._clip_row(s, rot * loop[j] + trans, rot * loop[j + 1] + trans, wa, wb, da, db, x, cone)
+                clip = _clip_row(s, rot * loop[j] + trans, rot * loop[j + 1] + trans, wa, wb, da, db, x, cone)
                 if clip is None:
                     continue
                 cone2, dist = clip
@@ -770,10 +744,10 @@ class DevelopmentEngine:
         """The rows (j, a - s, b - s, |a - s|, |b - s|, cross2) of the edges
         [a, b] worth clipping, in edge order, of the copy z -> rot*z + trans
         popped at bound lb, seen from the source s.  behind[j] is edge j's
-        depth behind the entry edge (see RootFans.behind); the root passes
-        0.0 for every edge.  Each edge's offsets from s are developed here
-        as rot * p + trans - s, which rounds as developing and then
-        subtracting does.
+        depth behind the entry edge (see RootFans.behind).  Only popped
+        copies call this; the root reads its fan.  Each edge's offsets from
+        s are developed here as rot * p + trans - s, which rounds as
+        developing and then subtracting does.
 
         An edge is cut when its depth is beyond reach + 2 * _REACH_MARGIN -
         lb; the entry edge's depth is inf, so it is always cut.  Every
@@ -920,19 +894,18 @@ class DistanceTable:
         """Is the open geodesic disk around a cone point free of other cone points?
 
         Each pair of the cone point with another decides by `pair_disk`.  A
-        witness makes the disk nonempty, and the nearest one is reported;
-        without one, any unsettled pair makes the check inconclusive rather
-        than a verdict.  The table's budgets cover radii up to 1.
+        witness makes the disk nonempty, and the nearest one is reported,
+        its length read from the pair's slot; without one, any unsettled
+        pair makes the check inconclusive rather than a verdict.  The
+        table's budgets cover radii up to 1.
         """
         if not 0.0 < radius <= 1.0:
             raise GeodesicError("disk radius must lie in (0, 1]")
         cps = self.gluing.cone_points
+        pairs = {k: (min(k, center_idx), max(k, center_idx)) for k in range(len(cps)) if k != center_idx}
         # pair_disk refuses a center outside the gluing
-        rules = {
-            k: self.pair_disk((min(k, center_idx), max(k, center_idx)), radius)
-            for k in range(len(cps)) if k != center_idx
-        }
-        witnesses = [(self.result(k, center_idx).path.length, k) for k, r in rules.items() if r == WITNESS]
+        rules = {k: self.pair_disk(pair, radius) for k, pair in pairs.items()}
+        witnesses = [(min(self.shortest[pairs[k]].finds)[0], k) for k, r in rules.items() if r == WITNESS]
         center = tuple(cps[center_idx].vertices)
         if witnesses:
             length, k = min(witnesses)
@@ -976,12 +949,19 @@ def overhang_audit(gluing, center_idx, radius=1.0, cfg=DEFAULT_TOLERANCES):
     any edge.  Fat hexagons must stay within 1 - sqrt(3)/2; the implied
     entry angle 2*asin(bound/2) stays below 8 degrees.  At radius 1, a
     source that validates as fat under the Tolerances `cfg` raises past
-    that bound.
+    that bound.  A center outside the gluing and a radius that is negative
+    or NaN raise GeodesicError; radius 0.0 is allowed, and every width is
+    0.0 there.
     """
+    cps = gluing.cone_points
+    if not 0 <= center_idx < len(cps):
+        raise GeodesicError(f"no cone point {center_idx} in a gluing of {len(cps)}")
+    if not radius >= 0.0:
+        raise GeodesicError("overhang radius must not be negative or NaN")
     fat = radius == 1.0 and validate(gluing.polygon, cfg).fat_ok
     points = gluing.polygon.as_complex()
     n = len(points)
-    center = gluing.cone_points[center_idx]
+    center = cps[center_idx]
     per_edge = []
     max_width = 0.0
     for v in center.vertices:
@@ -1012,12 +992,10 @@ def _excursion_width(s, a, b, radius):
     """Deepest reach of the radius disk at s beyond directed edge a -> b,
     restricted to rays that actually pass through the open segment.
 
-    The polygon is counterclockwise, so "beyond" is the right side of the
-    edge.  A disk point s + r*u sits at signed depth r*(u . n) + f(s) with
+    The radius is not negative (`overhang_audit` refuses one).  The polygon
+    is counterclockwise, so "beyond" is the right side of the edge.  A disk point s + r*u sits at signed depth r*(u . n) + f(s) with
     n the outward normal and f(s) <= 0 the signed depth of the center.
     """
-    if radius <= 0.0:
-        return 0.0
     ab = b - a
     if dot2(ab, ab) < DEGENERATE_SQ:
         return 0.0

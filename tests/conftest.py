@@ -1,9 +1,13 @@
 import math
+import os
 
 import pytest
 
-from zipfold import EquilateralPolygon, regular_ngon, sample_fat_hexagon
+from zipfold import EquilateralPolygon, load_polygon, regular_ngon, sample_fat_hexagon, sample_fat_ngon
+from zipfold.geodesic import _clip_row
 from zipfold.geometry import cross2
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.fixture(scope="session")
@@ -21,8 +25,8 @@ def degenerate_hexagon():
     return EquilateralPolygon(((0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)))
 
 
-def clip_edge(engine, s, a, b, cone):
-    """The engine's clip of edge [a, b] against the direction cone from s,
+def clip_edge(s, a, b, cone):
+    """The search's clip of edge [a, b] against the direction cone from s,
     through `_clip_row` on the row the search's prefilter forms: the edge's
     offsets from s, their lengths and their cross2.  The clip takes an edge
     that s sees counterclockwise, so one seen clockwise is swapped first."""
@@ -30,7 +34,18 @@ def clip_edge(engine, s, a, b, cone):
     x = cross2(wa, wb)
     if x < 0.0:
         a, b, wa, wb, x = b, a, wb, wa, -x
-    return engine._clip_row(s, a, b, wa, wb, abs(wa), abs(wb), x, cone)
+    return _clip_row(s, a, b, wa, wb, abs(wa), abs(wb), x, cone)
+
+
+def spy_polygons(degenerate_hexagon):
+    """The polygons the search's spies run on: fat hexagons 0-19, fat
+    octagons 0-4, thin hexagon seed 0 and the degenerate hexagon, whose
+    straight vertices put edges in line with a root, seen under no angle."""
+    polys = [sample_fat_ngon(6, seed) for seed in range(20)]
+    polys += [sample_fat_ngon(8, seed) for seed in range(5)]
+    polys.append(load_polygon(os.path.join(DATA, "thin_hexagon_seed0.json")))
+    polys.append(degenerate_hexagon)
+    return polys
 
 
 def symmetric_hexagon(t1, t2=None):

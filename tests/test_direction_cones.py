@@ -24,11 +24,10 @@ from hypothesis import strategies as st
 from conftest import clip_edge
 from oracles import reference_clip_edge, reference_cone_contains, reference_excursion_width
 
-from zipfold import EquilateralPolygon, glue_halving, regular_ngon
+from zipfold import EquilateralPolygon, glue_halving
 from zipfold.geodesic import _ROOT, DevelopmentEngine, _excursion_width, _sliver
 from zipfold.geometry import cross2
 
-ENGINE = DevelopmentEngine(glue_halving(regular_ngon(6), 0))
 # the ray form may keep or drop a cone narrower than this where the
 # bearing form does the other
 NARROW = 1e-13
@@ -56,7 +55,7 @@ def _gap(x, y):
 def _assert_clips_agree(s, a, b, cone):
     """Compare the ray-form clip with the bearing form on cone (lo, width)
     or None."""
-    got = clip_edge(ENGINE, s, a, b, None if cone is None else _rays(*cone))
+    got = clip_edge(s, a, b, None if cone is None else _rays(*cone))
     want = reference_clip_edge(s, a, b, cone)
     if got is None or want is None:
         if got is not None:
@@ -213,7 +212,7 @@ def test_cull_drops_only_empty_clips(entered):
         a, b = offs[j], offs[(j + 1) % n]
         assert (wa, wb, da, db, x) == (a, b, abs(a), abs(b), cross2(a, b))
     for j in culled - {k}:
-        assert clip_edge(ENGINE, s, pts[j], pts[(j + 1) % n], cone) is None
+        assert clip_edge(s, pts[j], pts[(j + 1) % n], cone) is None
 
 
 def test_a_cone_past_the_entry_edge_clips_culled_edges_outside_it():
@@ -244,7 +243,7 @@ def test_a_cone_past_the_entry_edge_clips_culled_edges_outside_it():
     culled = set(range(n)) - {j for j, *_ in kept}
     assert culled == {k, n - 1}  # the entry edge and the edge into a
     for j in culled - {k}:
-        clip = clip_edge(ENGINE, s, pts[j], pts[(j + 1) % n], cone)
+        clip = clip_edge(s, pts[j], pts[(j + 1) % n], cone)
         if clip is not None:
             (c_lo, c_hi, _, _), _ = clip
             assert cross2(wa, c_lo) >= 0.0 and cross2(c_lo, c_hi) > 0.0
@@ -271,8 +270,8 @@ def test_the_depth_cut_keeps_an_edge_whose_clip_lies_at_the_reach(turn, x, y, u,
     s = a + u * (b - a) - 1j * h * (b - a)
     # seen from outside, the entry edge runs clockwise: b's ray is the low one
     cone = (b - s, a - s, abs(b - s), abs(a - s))
-    _, lb = clip_edge(RECTANGLE, s, a, b, None)
-    _, reach = clip_edge(RECTANGLE, s, pts[4], pts[5], cone)
+    _, lb = clip_edge(s, a, b, None)
+    _, reach = clip_edge(s, pts[4], pts[5], cone)
     assert RECTANGLE.fans.behind[0][4] == 1.0
     kept = RECTANGLE._edges_in_reach(rot, trans, s, RECTANGLE.fans.behind[0], lb, reach)
     assert 4 in [j for j, *_ in kept]
@@ -288,11 +287,11 @@ def test_disjoint_cone_and_edge_clip_to_nothing():
     s = 0j
     a, b = cmath.rect(1.0, _deg(190)), cmath.rect(1.0, _deg(340))
     cone = (_deg(0), _deg(170))
-    assert clip_edge(ENGINE, s, a, b, _rays(*cone)) is None
+    assert clip_edge(s, a, b, _rays(*cone)) is None
     assert reference_clip_edge(s, a, b, cone) is None
     # and the other way round
     a, b = 1.0 + 0j, cmath.rect(1.0, _deg(170))
-    assert clip_edge(ENGINE, s, a, b, _rays(_deg(190), _deg(150))) is None
+    assert clip_edge(s, a, b, _rays(_deg(190), _deg(150))) is None
 
 
 @pytest.mark.parametrize(
@@ -326,7 +325,7 @@ def test_near_radial_edges():
     s = 0.1 - 0.2j
     a = s + cmath.rect(0.5, 0.3)
     # an exactly radial edge has no cone in either form
-    assert clip_edge(ENGINE, s, a, s + 4.0 * (a - s), None) is None
+    assert clip_edge(s, a, s + 4.0 * (a - s), None) is None
     assert reference_clip_edge(s, a, s + 4.0 * (a - s), None) is None
     # one under 1e-9 radians keeps its endpoints' directions and its distance
     b = s + cmath.rect(2.0, 0.3 + 1e-9)
@@ -336,5 +335,5 @@ def test_near_radial_edges():
         assert got[1] == abs(a - s)
     # under the sliver cutoff it has none
     c = s + cmath.rect(2.0, 0.3 + 1e-16)
-    assert clip_edge(ENGINE, s, a, c, None) is None
+    assert clip_edge(s, a, c, None) is None
     assert reference_clip_edge(s, a, c, None) is None

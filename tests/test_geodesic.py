@@ -397,6 +397,18 @@ def test_overhang_zero_radius(regular_hexagon):
     assert rep.max_width == 0.0
 
 
+def test_overhang_refuses_a_center_outside_the_gluing_and_a_negative_radius(regular_hexagon):
+    """As `search` does for a cone point, and as a disk does for a radius;
+    radius 0.0 stays allowed."""
+    g = glue_halving(regular_hexagon, 0)
+    for center in (-1, 4):
+        with pytest.raises(GeodesicError, match=f"no cone point {center} in a gluing of 4"):
+            overhang_audit(g, center)
+    for radius in (math.nan, -1.0):
+        with pytest.raises(GeodesicError, match="overhang radius must not be negative or NaN"):
+            overhang_audit(g, 0, radius=radius)
+
+
 def test_overhang_within_bound_on_fat_samples(fat_pool_small):
     for poly in fat_pool_small[:25]:
         for i in range(3):

@@ -8,24 +8,23 @@ distance table's shared searches pop fewer developments than the queries
 report together, since the queries leaving one cone point share their
 pops.
 
-The search clips only the edges its one reach prefilter keeps, at every
-pop, the root's included.  Below the root the prefilter first cuts every
-edge whose nearer endpoint lies deeper behind the popped copy's entry
-edge than the reach minus the popped bound (`RootFans.behind`); the root
-cuts none.  It develops the offsets from the source of the edges left,
-computes the signed cross2 of each edge's two offsets, culls every edge
-that does not have the source on its inner side, compares the cross2 with
-the reach times the edge's length (a line test), and only then measures
-the two offsets' lengths and reads the edge itself; the clip reads the row
-the prefilter kept.  Every culled edge, clipped in full, gives no cone;
-every other edge the prefilter skips, the cut ones included, gives no cone
-or a distance beyond the reach, so the clip would have been dropped and no
-push is lost.  The root step, before the search's first pop, reads its
-vertex distances and pushes from the vertex's root fan, which runs the
-prefilter only at a reach wider than before and holds the clip of each
-edge some root has kept so far.  The halvings
-of one polygon share the fans, as the pipeline runs them, and the fans
-re-trace each chord once for both its directions.
+Below the root, the search clips only the edges its one reach prefilter
+keeps, at every pop.  The prefilter first cuts every edge whose nearer
+endpoint lies deeper behind the popped copy's entry edge than the reach
+minus the popped bound (`RootFans.behind`).  It develops the offsets from
+the source of the edges left, computes the signed cross2 of each edge's
+two offsets, culls every edge that does not have the source on its inner
+side, compares the cross2 with the reach times the edge's length (a line
+test), and only then measures the two offsets' lengths and reads the edge
+itself; the clip reads the row the prefilter kept.  Every culled edge,
+clipped in full, gives no cone; every other edge the prefilter skips, the
+cut ones included, gives no cone or a distance beyond the reach, so the
+clip would have been dropped and no push is lost.  The root step, before
+the search's first pop, reads its vertex distances and pushes from the
+vertex's root fan, which `RootFans` builds whole: the clip of every edge
+the vertex sees counterclockwise, sorted by bound.  The halvings of one
+polygon share the fans, as the pipeline runs them, and the fans re-trace
+each chord once for both its directions.
 
 The search keeps no record of what it has pushed: the clips of a copy's
 edges split its cone into disjoint pieces, so no search pushes one copy
@@ -35,23 +34,20 @@ across one entry edge twice.
 import collections
 import heapq
 import itertools
-import os
 
 import pytest
-from conftest import clip_edge
+from conftest import clip_edge, spy_polygons
 
 from zipfold import (
     EquilateralPolygon,
+    geodesic,
     glue_halving,
-    load_polygon,
     regular_ngon,
     sample_fat_ngon,
 )
-from zipfold.geodesic import FOUND, INCONCLUSIVE, _AT_SOURCE, _REACH_MARGIN, _ROOT, DevelopmentEngine, Goal, RootFans
+from zipfold.geodesic import FOUND, INCONCLUSIVE, _AT_SOURCE, _REACH_MARGIN, DevelopmentEngine, Goal, RootFans
 from zipfold.geometry import cross2
 from zipfold.pipeline import PipelineConfig, verify_polygon
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 # (n, seed) -> developments per halving, summed over the distance table's
 # shortest queries and zipper enumerations
@@ -83,26 +79,25 @@ POPPED = {
 }
 
 
-# (n, seed) -> clips (`_clip_row` calls) per halving while the distance
-# table is built, on the POPPED seeds, with one RootFans per polygon shared
-# by its halvings in order.  Below the root, a pop hands the prefilter only
-# the edges its depth cut leaves within reach behind its entry edge; at
-# every pop, the root's included, the prefilter keeps only edges that have
-# the source on their inner side and come within the reach, by their line
-# and by the edge itself.  A root pop clips the kept edges no earlier root
-# pop of the polygon has clipped, so a later hexagon halving, whose longer
-# non-zipper budgets reach farther, clips a few edges the first one left
-# alone
+# (n, seed) -> clips (`_clip_row` calls) on the POPPED seeds: first while
+# the polygon's one RootFans is built, then per halving while the distance
+# table is built, the fans shared by the halvings in order.  The fans clip
+# every edge each vertex sees counterclockwise, n * (n - 2) of them in a
+# strictly convex polygon, and a root step clips nothing.  Below the root,
+# a pop hands the prefilter only the edges its depth cut leaves within
+# reach behind its entry edge, and the prefilter keeps only edges that
+# have the source on their inner side and come within the reach, by their
+# line and by the edge itself
 CLIPPED = {
-    (6, 0): (23, 13, 13), (6, 1): (23, 14, 10), (6, 2): (28, 8, 7),
-    (6, 3): (19, 19, 8), (6, 4): (31, 14, 19), (6, 5): (26, 12, 14),
-    (6, 6): (22, 9, 10), (6, 7): (20, 8, 15), (6, 8): (20, 6, 10),
-    (6, 9): (26, 11, 11), (6, 10): (27, 18, 18), (6, 11): (21, 11, 6),
-    (6, 12): (19, 8, 20), (6, 13): (30, 9, 11), (6, 14): (20, 10, 11),
-    (6, 15): (20, 11, 6), (6, 16): (22, 9, 11), (6, 17): (20, 14, 6),
-    (6, 18): (19, 10, 10), (6, 19): (23, 13, 10),
-    (8, 0): (16, 2, 0, 0), (8, 1): (16, 0, 2, 0), (8, 2): (16, 2, 0, 0),
-    (8, 3): (16, 0, 0, 2), (8, 4): (16, 0, 0, 0),
+    (6, 0): (24, 8, 10, 9), (6, 1): (24, 7, 11, 7), (6, 2): (24, 13, 4, 4),
+    (6, 3): (24, 4, 16, 5), (6, 4): (24, 15, 11, 15), (6, 5): (24, 10, 9, 11),
+    (6, 6): (24, 6, 6, 6), (6, 7): (24, 5, 4, 12), (6, 8): (24, 5, 3, 7),
+    (6, 9): (24, 10, 8, 8), (6, 10): (24, 11, 15, 14), (6, 11): (24, 6, 8, 3),
+    (6, 12): (24, 4, 5, 17), (6, 13): (24, 15, 6, 7), (6, 14): (24, 4, 7, 8),
+    (6, 15): (24, 5, 8, 3), (6, 16): (24, 7, 6, 7), (6, 17): (24, 5, 11, 3),
+    (6, 18): (24, 4, 7, 7), (6, 19): (24, 7, 10, 7),
+    (8, 0): (48, 0, 2, 0, 0), (8, 1): (48, 0, 0, 2, 0), (8, 2): (48, 0, 2, 0, 0),
+    (8, 3): (48, 0, 0, 0, 2), (8, 4): (48, 0, 0, 0, 0),
 }
 
 
@@ -153,18 +148,19 @@ def test_no_rejected_candidates_on_a_hundred_fat_hexagons(finalized):
 
 def test_clip_calls_pinned(monkeypatch):
     calls = [0]
-    clip_row = DevelopmentEngine._clip_row
+    clip_row = geodesic._clip_row
 
-    def count_clip(self, *args):
+    def count_clip(*args):
         calls[0] += 1
-        return clip_row(self, *args)
+        return clip_row(*args)
 
-    monkeypatch.setattr(DevelopmentEngine, "_clip_row", count_clip)
+    monkeypatch.setattr(geodesic, "_clip_row", count_clip)
     got = {}
     for n, seed in CLIPPED:
         poly = sample_fat_ngon(n, seed)
+        calls[0] = 0
         fans = RootFans(poly)
-        row = []
+        row = [calls[0]]
         for i in range(n // 2):
             calls[0] = 0
             DevelopmentEngine(glue_halving(poly, i), fans=fans).distance_table()
@@ -176,21 +172,21 @@ def test_clip_calls_pinned(monkeypatch):
 @pytest.fixture()
 def prefilter_spy(monkeypatch):
     """Clip in full every edge the depth cut or the reach prefilter skips,
-    at every pop.
+    at every pop.  Only popped copies call the prefilter; the root reads
+    its fan (`test_root_fans.py` checks the fans).
 
-    Below the root, the prefilter first cuts every edge whose depth behind
-    the popped copy's entry edge (`RootFans.behind`) is beyond reach + 2 *
-    _REACH_MARGIN - lb; the root cuts none, and runs once per vertex and
-    widest reach.  Every edge the depth cut leaves out must clip to no cone
-    or to a distance beyond the reach against the popped cone.  Every row the
-    prefilter keeps must hold the edge's offsets, as the copy develops
-    them, their lengths and its signed cross2, which is positive.  An edge
-    culled because the source does not lie on its inner side must clip to
-    no cone at all.  Any other skipped clip must give no cone or a distance
-    beyond the reach.  The popped bound is at most the reach at every pop
-    that expands, so that is max(lb, dist) > reach, the test that drops a
-    clip.  Depth cuts and culls below the root are counted by the depth of
-    the popped copy.
+    The prefilter first cuts every edge whose depth behind the popped
+    copy's entry edge (`RootFans.behind`) is beyond reach + 2 *
+    _REACH_MARGIN - lb.  Every edge the depth cut leaves out must clip to
+    no cone or to a distance beyond the reach against the popped cone.
+    Every row the prefilter keeps must hold the edge's offsets, as the
+    copy develops them, their lengths and its signed cross2, which is
+    positive.  An edge culled because the source does not lie on its inner
+    side must clip to no cone at all.  Any other skipped clip must give no
+    cone or a distance beyond the reach.  The popped bound is at most the
+    reach at every pop that expands, so that is max(lb, dist) > reach, the
+    test that drops a clip.  Depth cuts and culls are counted by the depth
+    of the popped copy.
     """
     seen = collections.Counter()
     unsound = []
@@ -202,9 +198,6 @@ def prefilter_spy(monkeypatch):
 
     def root(self, sv, *args):
         source[:] = [self.points[sv]]
-        # the root step runs the fan's prefilter before the search's first
-        # pop, on the root node
-        popped[:] = [(0.0, 0, *_ROOT, None, None, ())]
         return search_root(self, sv, *args)
 
     def pop(heap):
@@ -216,15 +209,14 @@ def prefilter_spy(monkeypatch):
         popped_lb, _, popped_rot, popped_trans, entry, cone, path = popped[0]
         assert (rot, trans, s, lb) == (popped_rot, popped_trans, source[0], popped_lb)
         pts = self._develop(rot, trans)
-        at_root = entry is None
         limit = reach + _REACH_MARGIN
-        # the root cuts no edge; below it, the depth cut keeps the edges
-        # whose nearer endpoint lies within reach + 2 * _REACH_MARGIN - lb
-        # behind the entry edge, never the entry edge itself
-        assert behind is (self.fans.at_root if at_root else self.fans.behind[entry])
+        # the depth cut keeps the edges whose nearer endpoint lies within
+        # reach + 2 * _REACH_MARGIN - lb behind the entry edge, never the
+        # entry edge itself
+        assert behind is self.fans.behind[entry]
         bound = reach + 2.0 * _REACH_MARGIN - lb
         edges = [j for j in range(self.n) if behind[j] <= bound]
-        assert at_root or entry not in edges
+        assert entry not in edges
         kept_edges = [j for j, *_ in kept]
         assert kept_edges == sorted(kept_edges)
         for j, wa, wb, da, db, x in kept:
@@ -237,7 +229,7 @@ def prefilter_spy(monkeypatch):
             a, b = pts[j], pts[(j + 1) % self.n]
             if j == entry:
                 continue
-            clip = clip_edge(self, s, a, b, cone)
+            clip = clip_edge(s, a, b, cone)
             if j not in edges:
                 seen["cut_at_depth_1" if len(path) == 1 else "cut_deeper"] += 1
                 if clip is not None and not clip[1] > reach:
@@ -252,18 +244,15 @@ def prefilter_spy(monkeypatch):
                 continue
             if cross2(a - s, b - s) <= 0.0:
                 seen["culled"] += 1
-                if path:
-                    seen["culled_at_depth_1" if len(path) == 1 else "culled_deeper"] += 1
+                seen["culled_at_depth_1" if len(path) == 1 else "culled_deeper"] += 1
                 if clip is not None:
                     unsound.append(("culled", s, a, b, cone, clip))
                 continue
             if clip is not None:
                 seen["skipped_cones"] += 1
-                seen["root_skipped_cones"] += at_root
                 if not clip[1] > reach:
                     unsound.append(("beyond reach", s, a, b, cone, reach, clip))
         seen["kept"] += len(kept)
-        seen["root_kept"] += at_root * len(kept)
         return kept
 
     monkeypatch.setattr(DevelopmentEngine, "_search_root", root)
@@ -273,12 +262,7 @@ def prefilter_spy(monkeypatch):
 
 
 def _spy_gluings(degenerate_hexagon):
-    polys = [sample_fat_ngon(6, seed) for seed in range(20)]
-    polys += [sample_fat_ngon(8, seed) for seed in range(5)]
-    polys.append(load_polygon(os.path.join(DATA, "thin_hexagon_seed0.json")))
-    # straight vertices: edges in line with a root, seen under no angle
-    polys.append(degenerate_hexagon)
-    return [glue_halving(poly, i) for poly in polys for i in range(poly.n // 2)]
+    return [glue_halving(poly, i) for poly in spy_polygons(degenerate_hexagon) for i in range(poly.n // 2)]
 
 
 @pytest.mark.parametrize("cap", [None, 3], ids=["default_cap", "cap3"])
@@ -290,7 +274,6 @@ def test_prefilter_skips_only_dropped_clips(prefilter_spy, degenerate_hexagon, c
     assert unsound == []
     assert seen["cut_at_depth_1"] > 0 and seen["cut_deeper"] > 0
     assert seen["skipped_cones"] > 0 and seen["kept"] > 0
-    assert seen["root_skipped_cones"] > 0 and seen["root_kept"] > 0
     assert seen["culled_at_depth_1"] > 0 and seen["culled_deeper"] > 0
 
 
@@ -305,7 +288,7 @@ def test_prefilter_is_sound_at_exact_reach(prefilter_spy, degenerate_hexagon):
                 engine.search(i, [Goal(j, res.path.length, False)])
     assert unsound == []
     assert seen["cut_at_depth_1"] > 0 and seen["cut_deeper"] > 0
-    assert seen["skipped_cones"] > 0 and seen["root_skipped_cones"] > 0
+    assert seen["skipped_cones"] > 0
     assert seen["culled_at_depth_1"] > 0 and seen["culled_deeper"] > 0
 
 
@@ -319,7 +302,7 @@ def test_prefilter_is_sound_on_long_edges(prefilter_spy):
             DevelopmentEngine(glue_halving(big, i)).distance_table()
     assert unsound == []
     assert seen["cut_at_depth_1"] > 0 and seen["cut_deeper"] > 0
-    assert seen["skipped_cones"] > 0 and seen["root_skipped_cones"] > 0
+    assert seen["skipped_cones"] > 0
     assert seen["culled"] > 0
 
 
@@ -392,13 +375,13 @@ def test_the_root_cull_on_a_weakly_reflex_polygon(monkeypatch):
     rather than inconclusive, and the (0, 1) entries of halvings 0 and 2
     stay inconclusive with another path."""
     crosses = []
-    clip_row = DevelopmentEngine._clip_row
+    clip_row = geodesic._clip_row
 
-    def spy(self, s, a, b, wa, wb, da, db, x, cone):
+    def spy(s, a, b, wa, wb, da, db, x, cone):
         crosses.append(x)
-        return clip_row(self, s, a, b, wa, wb, da, db, x, cone)
+        return clip_row(s, a, b, wa, wb, da, db, x, cone)
 
-    monkeypatch.setattr(DevelopmentEngine, "_clip_row", spy)
+    monkeypatch.setattr(geodesic, "_clip_row", spy)
     for cap, statuses in REFLEX_STATUSES.items():
         reads = [_reads(t) for t in _reflex_tables(cap)]
         assert reads == [(statuses[k], REFLEX_LENGTHS[k]) for k in (0, 1, 0)], cap

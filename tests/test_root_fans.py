@@ -1,26 +1,30 @@
 """The halvings of one polygon share its root fans and lose nothing by it.
 
-Every search root is a vertex of the untransformed polygon, so the root
-fan (the distance of each vertex, the clip of each edge and the root's
-pushes at each reach) and the re-trace of each chord come out the same in
-every halving.  So does `behind`, the depth of each edge behind each
-other edge's line, which bounds how near the source anything a cone
-through that edge reaches can lie.  A
-distance table built through one shared `RootFans` must equal, `repr` for
-`repr`, the table an engine with its own fans builds, whichever halving
-fills the fans first.  The fans re-trace a chord once, from its lower
-vertex, for both directions, so the re-trace must give the same answer
-from either end.  The search assumes a convex polygon with distinct
-consecutive vertices, so fans refuse one that is not.
+Every search root is a vertex of the untransformed polygon, so the
+distance of each vertex, the root fan (the clip of each edge the root
+sees counterclockwise, sorted by bound) and the re-trace of each chord come
+out the same in every halving.  So does `behind`, the depth of each edge
+behind each other edge's line, which bounds how near the source anything
+a cone through that edge reaches can lie.  A distance table built through
+one shared `RootFans` must equal, `repr` for `repr`, the table an engine
+with its own fans builds, whichever halving re-traces a chord first.  The
+fan must hold exactly the clips the root would make, and a root step must
+push its clips up to the reach and no further.  The fans re-trace a chord
+once, from its lower vertex, for both directions, so the re-trace must
+give the same answer from either end.  The search assumes a convex
+polygon with distinct consecutive vertices, so fans refuse one that is
+not.
 """
 
 import collections
 import functools
+import heapq
 import itertools
 import math
 import os
 
 import pytest
+from conftest import clip_edge, spy_polygons
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -37,8 +41,12 @@ from zipfold import (
 )
 from zipfold.cli import main
 from zipfold.geometry import cross2, dot2, point_segment_distance
+from zipfold import geodesic
 from zipfold.geodesic import (
+    _AT_SOURCE,
+    _BOUND_SLACK,
     DevelopmentEngine,
+    Goal,
     RootFans,
     _ROOT,
     _excursion_width,
@@ -51,6 +59,10 @@ CAPS = (1, 3, 100000)
 # the degenerate_hexagon fixture: a 1x2 rectangle whose vertices 1 and 4
 # are straight, so the chords 0-2 and 3-5 run through a cone point
 DEGENERATE = EquilateralPolygon(((0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)))
+# a quadrilateral folded flat, convex by its turns: vertex 3 lies 1e-13
+# above vertex 1, so from vertex 1 edge 2 ends within _AT_SOURCE of the
+# source, and is seen counterclockwise
+NEEDLE = EquilateralPolygon(((0, 0), (1, 0), (2, 0), (1, 1e-13)))
 
 
 def _notched(poly, v):
@@ -98,8 +110,11 @@ def test_shared_fans_give_the_tables_of_fresh_engines(poly):
     assert _tables(poly, folds, CAPS, fans) == fresh
     backwards = RootFans(poly)
     assert _tables(poly, folds[::-1], CAPS[::-1], backwards) == fresh
-    # every vertex is some cone point's representative, so every fan is built
-    assert sorted(fans.by_vertex) == sorted(backwards.by_vertex) == list(range(poly.n))
+    # the searches leave the fans as they were built, one per vertex, and
+    # re-trace the same chords in either order
+    built = RootFans(poly)
+    assert fans.dists == backwards.dists == built.dists and len(built.dists) == poly.n
+    assert fans.clips == backwards.clips == built.clips and len(built.clips) == poly.n
     assert fans.chords == backwards.chords
 
 
@@ -183,9 +198,116 @@ def test_verify_shares_one_fans_per_polygon(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(RootFans, "__init__", spy)
-    verify_polygon(sample_fat_ngon(6, 0))
+    poly = sample_fat_ngon(6, 0)
+    verify_polygon(poly)
     assert len(built) == 1
-    assert sorted(built[0].by_vertex) == list(range(6))
+    fans = built[0]
+    monkeypatch.undo()
+    built_again = RootFans(poly)
+    assert (fans.dists, fans.clips) == (built_again.dists, built_again.clips)
+    # every vertex is some cone point's representative, and a root re-traces
+    # its chords into the one fans
+    assert sorted({v for chord in fans.chords for v in chord}) == list(range(6))
+
+
+def test_the_fan_is_the_roots_whole_clip(monkeypatch, degenerate_hexagon):
+    """From every vertex, the fan holds a clip of edge j exactly when the
+    vertex sees j counterclockwise (cross2 > 0, both endpoints at least
+    _AT_SOURCE from it) and j clips to a cone against every direction.  It
+    holds that clip, its bound max(0.0, distance), and it is sorted by
+    bound, edge order among ties.  The cull comes before the clip, so the
+    clip sees only cross2 > 0, also from the degenerate hexagon's corners,
+    which see an edge through a straight vertex in line.  The needle's
+    edge that ends next to the source is left out."""
+    crosses = []
+    clip_row = geodesic._clip_row
+
+    def spy(s, a, b, wa, wb, da, db, x, cone):
+        crosses.append(x)
+        return clip_row(s, a, b, wa, wb, da, db, x, cone)
+
+    monkeypatch.setattr(geodesic, "_clip_row", spy)
+    seen = collections.Counter()
+    for poly in spy_polygons(degenerate_hexagon) + [NEEDLE]:
+        fans = RootFans(poly)
+        loop = fans.points + fans.points[:1]
+        for sv, s in enumerate(fans.points):
+            fan = fans.clips[sv]
+            held = {j: (cone, lb) for j, cone, lb in fan}
+            assert len(held) == len(fan)
+            for j in range(poly.n):
+                wa, wb = loop[j] - s, loop[j + 1] - s
+                seen["in_line"] += cross2(wa, wb) == 0.0 and min(abs(wa), abs(wb)) > 0.0
+                seen["next_to_source"] += cross2(wa, wb) > 0.0 and min(abs(wa), abs(wb)) < _AT_SOURCE
+                if cross2(wa, wb) > 0.0 and min(abs(wa), abs(wb)) >= _AT_SOURCE:
+                    clip = clip_edge(s, loop[j], loop[j + 1], None)
+                else:
+                    clip = None
+                if clip is None:
+                    assert j not in held, (poly, sv, j)
+                    seen["out"] += 1
+                else:
+                    assert held[j] == (clip[0], max(0.0, clip[1])), (poly, sv, j)
+            keys = [(lb, j) for j, _, lb in fan]
+            assert keys == sorted(keys)
+            seen["ties"] += len({lb for lb, _ in keys}) < len(keys)
+            seen["held"] += len(fan)
+    assert crosses and min(crosses) > 0.0
+    assert seen["held"] > 0 and seen["out"] > 0 and seen["ties"] > 0
+    assert seen["in_line"] > 0 and seen["next_to_source"] > 0
+
+
+def _budget_of_limit(limit):
+    """A budget whose limit, budget + _BOUND_SLACK, is exactly `limit`, or
+    None when no float budget gives it."""
+    budget = limit - _BOUND_SLACK
+    for _ in range(8):
+        got = budget + _BOUND_SLACK
+        if got == limit:
+            return budget
+        budget = math.nextafter(budget, math.inf if got < limit else -math.inf)
+    return None
+
+
+def test_a_root_step_pushes_its_fan_up_to_the_reach(monkeypatch):
+    """For each bound in a source cone point's fans, a search whose reach
+    is exactly that bound: each root, in the cone point's vertex order,
+    pushes its fan's clips in the fan's order, every one whose bound is
+    within the reach, that bound's own included, and none past it."""
+    roots = []
+    search_root = DevelopmentEngine._search_root
+    heappush = heapq.heappush
+
+    def root(self, sv, *args):
+        roots.append((sv, []))
+        return search_root(self, sv, *args)
+
+    def push(heap, item):
+        lb, _, _, _, _, cone, path = item
+        if len(path) == 1:  # a root's push; a pop's children cross more edges
+            roots[-1][1].append((path[0], cone, lb))
+        heappush(heap, item)
+
+    monkeypatch.setattr(DevelopmentEngine, "_search_root", root)
+    monkeypatch.setattr(heapq, "heappush", push)
+    at_reach = 0
+    for poly in (sample_fat_ngon(6, 0), sample_fat_ngon(8, 1), DEGENERATE):
+        g = glue_halving(poly, 0)
+        engine = DevelopmentEngine(g)
+        clips = engine.fans.clips
+        m = len(g.cone_points)
+        for src, cp in enumerate(g.cone_points):
+            for reach in sorted({lb for sv in cp.vertices for _, _, lb in clips[sv]}):
+                budget = _budget_of_limit(reach)
+                if budget is None:
+                    continue
+                roots.clear()
+                engine.search(src, [Goal((src + 1) % m, budget, False)])
+                assert [sv for sv, _ in roots] == list(cp.vertices)
+                for sv, pushes in roots:
+                    assert pushes == [clip for clip in clips[sv] if clip[2] <= reach]
+                at_reach += 1
+    assert at_reach > 20
 
 
 def test_fans_of_another_polygon_are_refused():
